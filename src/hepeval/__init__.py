@@ -24,8 +24,7 @@ from .nifti import read_nifti, write_nifti  # noqa: F401
 from .morphology import (  # noqa: F401
     connected_components,
     distance_transform,
-    max_pool,
-    min_pool,
+    pool_array,
     soft_skeleton,
 )
 from .losses import (  # noqa: F401

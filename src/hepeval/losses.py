@@ -1,8 +1,8 @@
 """Training losses with exact analytic gradients w.r.t. the prediction.
 
 Soft Dice, (bootstrapped) cross-entropy with the warm-up K schedule, and the
-centerline-Dice loss whose gradient is obtained by reverse replay through the
-recorded pooling traces of the soft skeleton.
+centerline-Dice loss, whose gradient runs back through the soft skeleton's
+stages with max-pool style argmax routing.
 """
 
 from __future__ import annotations
@@ -125,12 +125,16 @@ def bootstrapped_ce_loss(
     field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(np.float64), clip)
     flat = field.ravel()
     m = max(1, int(np.ceil(k * flat.size)))
-    # Stable sort of the negated losses keeps ties in linear-index order.
-    order = np.argsort(-flat, kind="stable")
-    selected = np.sort(order[:m])
+    if m == flat.size:
+        return GradedScalar(float(flat.mean()), dfield / m)
+    # The m-th largest loss is the threshold; everything above it is in, and
+    # voxels tied at it enter by smallest linear index.
+    threshold = np.partition(flat, flat.size - m)[flat.size - m]
+    selected = flat > threshold
+    tied = np.flatnonzero(flat == threshold)
+    selected[tied[: m - np.count_nonzero(selected)]] = True
     value = float(flat[selected].mean())
-    grad = np.zeros(flat.size)
-    grad[selected] = dfield.ravel()[selected] / m
+    grad = np.where(selected, dfield.ravel() / m, 0.0)
     return GradedScalar(value, grad.reshape(field.shape))
 
 
@@ -144,16 +148,16 @@ def cl_dice_loss(
 
     Topology precision compares the predicted soft skeleton against the truth
     mask; topology sensitivity compares the truth skeleton against the
-    prediction. The truth skeleton is a constant, so the gradient combines
-    the direct sensitivity path with a reverse replay of the prediction's
-    skeleton traces.
+    prediction. The truth skeleton is a constant (built on the uint8 mask,
+    where every value is exactly 0 or 1), so the gradient combines the direct
+    sensitivity path with the backward pass of the prediction's skeleton.
     """
     require_same_geometry(pred, gt)
     p = pred.values
     g = gt.values.astype(np.float64)
 
-    skel_p, tape = soft_skeleton_array(p, iterations, want_tape=True)
-    skel_g, _ = soft_skeleton_array(g, iterations, want_tape=False)
+    skel_g, _ = soft_skeleton_array(gt.values.astype(np.uint8), iterations)
+    skel_p, stages = soft_skeleton_array(p, iterations)
 
     sum_sp = float(skel_p.sum())
     sum_sg = float(skel_g.sum())
@@ -171,9 +175,9 @@ def cl_dice_loss(
 
     # Direct path: d tsens / d p.
     grad = dl_dtsens * skel_g / tsens_den
-    # Skeleton path: d tprec / d skel_p, then reverse replay to p.
+    # Skeleton path: d tprec / d skel_p, then back through the skeleton to p.
     dtprec_dskel = (g * tprec_den - tprec_num) / (tprec_den * tprec_den)
-    grad = grad + soft_skeleton_grad(tape, p, dl_dtprec * dtprec_dskel)
+    grad = grad + soft_skeleton_grad(stages, dl_dtprec * dtprec_dskel)
     return GradedScalar(value, grad)
 
 

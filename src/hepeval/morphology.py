@@ -2,10 +2,12 @@
 
 Pooling uses the full 3x3x3 neighborhood with exterior cells contributing 0,
 so solid structures erode from the volume border. The box window is separable,
-so each pool runs as three 1D passes; the per-pass tie rule (in-volume beats
-exterior, then smallest coordinate) composes to the documented global rule:
-ties go to the smallest linear index, and the exterior sentinel wins only on
-a strict extremum.
+so each pool runs as three 1D passes. The soft skeleton keeps only its stage
+inputs and running skeletons; its gradient recomputes each stage's pools with
+per-pass winner masks and routes the gradient like an autodiff max-pool. The
+per-pass tie rule (in-volume beats exterior, then smallest coordinate)
+composes to the global rule: ties go to the smallest linear index, and the
+exterior wins, taking no gradient, only on a strict extremum.
 """
 
 from __future__ import annotations
@@ -18,226 +20,117 @@ from scipy import ndimage
 from .errors import ParameterError
 from .volume import BinaryMask, Geometry, ProbVolume
 
-EXTERIOR = -1
+
+def _shifted(axis: int, lo: int, hi: int):
+    """Index selecting [lo, n + hi) along `axis` (hi <= 0)."""
+    sl = [slice(None)] * 3
+    sl[axis] = slice(lo, hi if hi else None)
+    return tuple(sl)
 
 
-@dataclass(frozen=True)
-class PoolTrace:
-    """Per-voxel linear index of the neighborhood element that won the pool.
-
-    ``source`` holds x-fastest linear indices into the input grid, or the
-    EXTERIOR sentinel where the implicit zero padding attained the extremum.
-    """
-
-    kind: str  # "min" or "max"
-    source: np.ndarray  # int32, shape (nz, ny, nx)
-
-
-def _pad_zero(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(tuple(s + 2 for s in values.shape), dtype=values.dtype)
-    out[1:-1, 1:-1, 1:-1] = values
-    return out
-
-
-def _pool_values(values: np.ndarray, mode: str) -> np.ndarray:
-    """Trace-free box pool; dtype-preserving, used on float and uint8 grids."""
+def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
+    """Box pool; dtype-preserving, used on float and uint8 grids."""
+    if mode not in ("min", "max"):
+        raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
     op = np.minimum if mode == "min" else np.maximum
-    cur = _pad_zero(values)
+    cur = np.pad(values, 1)
     for axis in (2, 1, 0):
-        n = values.shape[axis]
-        sl = [slice(None)] * 3
-
-        def win(start):
-            sl[axis] = slice(start, start + n)
-            return cur[tuple(sl)]
-
-        cur = op(op(win(0), win(1)), win(2))
+        a, b, c = (cur[_shifted(axis, s, s - 2)] for s in range(3))
+        cur = op(op(a, b), c)
     return cur
 
 
-def _pool_traced(values: np.ndarray, mode: str) -> tuple[np.ndarray, PoolTrace]:
-    """Box pool that also records the winning element per output voxel."""
-    nz, ny, nx = values.shape
-    n = values.size
-    val = _pad_zero(values.astype(np.float64, copy=False))
-    lin = np.full(val.shape, EXTERIOR, dtype=np.int64)
-    lin[1:-1, 1:-1, 1:-1] = np.arange(n, dtype=np.int64).reshape(values.shape)
+def _pool_winners(values: np.ndarray, mode: str):
+    """Box pool plus, per 1D pass, masks of the window that won each output.
 
-    better_than = np.less if mode == "min" else np.greater
-    for axis in (2, 1, 0):
-        extent = values.shape[axis]
-        sl = [slice(None)] * 3
-
-        def window(arr, start):
-            sl[axis] = slice(start, start + extent)
-            return arr[tuple(sl)]
-
-        best_v = window(val, 0).copy()
-        best_l = window(lin, 0).copy()
-        for start in (1, 2):
-            cand_v = window(val, start)
-            cand_l = window(lin, start)
-            take = better_than(cand_v, best_v)
-            # Equal values: an in-volume candidate replaces an exterior
-            # incumbent; among in-volume candidates the first (smallest
-            # coordinate, hence smallest linear index) wins.
-            take |= (cand_v == best_v) & (best_l == EXTERIOR) & (cand_l != EXTERIOR)
-            best_v = np.where(take, cand_v, best_v)
-            best_l = np.where(take, cand_l, best_l)
-        val, lin = best_v, best_l
-
-    return val, PoolTrace(mode, lin.astype(np.int32))
-
-
-def pool_array(values: np.ndarray, mode: str, want_trace: bool = True):
-    if mode not in ("min", "max"):
-        raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
-    if want_trace:
-        return _pool_traced(values, mode)
-    return _pool_values(values, mode), None
-
-
-def max_pool(volume: ProbVolume) -> tuple[ProbVolume, PoolTrace]:
-    pooled, trace = _pool_traced(volume.values, "max")
-    return ProbVolume(volume.geometry, pooled), trace
-
-
-def min_pool(volume: ProbVolume) -> tuple[ProbVolume, PoolTrace]:
-    pooled, trace = _pool_traced(volume.values, "min")
-    return ProbVolume(volume.geometry, pooled), trace
-
-
-def pool_scatter(trace: PoolTrace, grad_out: np.ndarray, grad_in: np.ndarray) -> None:
-    """Accumulate pooled-output gradients back onto the winning inputs."""
-    src = trace.source.ravel()
-    valid = src != EXTERIOR
-    flat = np.bincount(src[valid], weights=grad_out.ravel()[valid], minlength=grad_in.size)
-    grad_in.ravel()[:] += flat
-
-
-def pool_gather(trace: PoolTrace, values: np.ndarray) -> np.ndarray:
-    """Replay a recorded pool: gather each winner's value (exterior -> 0)."""
-    src = trace.source
-    flat = values.ravel()
-    out = np.where(src != EXTERIOR, flat[np.where(src != EXTERIOR, src, 0)], 0.0)
-    return out.astype(np.float64)
-
-
-@dataclass(frozen=True)
-class SkeletonTape:
-    """Ordered pool traces from one soft-skeleton run, enough to replay it.
-
-    Trace order: [open0_min, open0_max] then per iteration
-    [erode_k, open_k_min, open_k_max].
+    A pass's winner is the first in-volume window attaining the extremum. An
+    output without one took the exterior 0, and a flag carries that to the
+    next pass, where such a 0 loses ties like the exterior itself.
     """
+    op = np.minimum if mode == "min" else np.maximum
+    cur = values
+    inside = np.ones(values.shape, dtype=bool)  # the winner is in the volume
+    passes = []
+    for axis in (2, 1, 0):
+        width = [(0, 0)] * 3
+        width[axis] = (1, 1)
+        v = np.pad(cur, width)
+        f = np.pad(inside, width)
+        wins = [_shifted(axis, s, s - 2) for s in range(3)]
+        cur = op(op(v[wins[0]], v[wins[1]]), v[wins[2]])
+        hit = [(v[w] == cur) & f[w] for w in wins]
+        hit[1] &= ~hit[0]
+        inside = hit[0] | hit[1]
+        hit[2] &= ~inside
+        inside |= hit[2]
+        passes.append((axis, hit))
+    return cur, passes
 
-    iterations: int
-    traces: tuple[PoolTrace, ...]
+
+def _pool_vjp(passes, grad: np.ndarray) -> np.ndarray:
+    """Route output gradients to the winning inputs, last pass first."""
+    for axis, (prev, centre, nxt) in reversed(passes):
+        out = grad * centre
+        out[_shifted(axis, 0, -1)] += (grad * prev)[_shifted(axis, 1, 0)]
+        out[_shifted(axis, 1, 0)] += (grad * nxt)[_shifted(axis, 0, -1)]
+        grad = out
+    return grad
 
 
-def soft_skeleton_array(
-    values: np.ndarray, iterations: int, want_tape: bool = True
-) -> tuple[np.ndarray, SkeletonTape | None]:
-    """Iterative soft skeleton with optional gradient tape.
+def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, list]:
+    """Iterative soft skeleton in the input dtype, plus its stages.
 
     S = relu(I - open(I)); then `iterations` times:
     I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
+    Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
+    once. Returns ``(S, stages)``, where ``stages`` lists per stage the input
+    I_k and the running skeleton before it (None for stage 0). The loop stops
+    early once I is all zero, since later stages add nothing.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    traces: list[PoolTrace] = []
-
-    def opened(img):
-        eroded, t_min = pool_array(img, "min", want_tape)
-        dilated, t_max = pool_array(eroded, "max", want_tape)
-        if want_tape:
-            traces.extend([t_min, t_max])
-        return dilated
-
-    current = values.astype(np.float64, copy=False)
-    skel = np.maximum(current - opened(current), 0.0)
-    for _ in range(iterations):
-        current, t_er = pool_array(current, "min", want_tape)
-        if want_tape:
-            traces.append(t_er)
-        delta = np.maximum(current - opened(current), 0.0)
-        skel = skel + (1.0 - skel) * delta
-    tape = SkeletonTape(iterations, tuple(traces)) if want_tape else None
-    return skel, tape
+    stages = []
+    current, skel = values, None
+    for k in range(iterations + 1):
+        eroded = pool_array(current, "min")
+        delta = np.maximum(current - pool_array(eroded, "max"), 0)
+        stages.append((current, skel))
+        skel = delta if skel is None else skel + (1 - skel) * delta
+        if k == iterations or not eroded.any():
+            break
+        current = eroded
+    return skel, stages
 
 
-def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, SkeletonTape]:
-    skel, tape = soft_skeleton_array(volume.values, iterations, want_tape=True)
-    assert tape is not None
-    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), tape
+def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, list]:
+    skel, stages = soft_skeleton_array(volume.values, iterations)
+    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), stages
 
 
-def replay_skeleton_forward(tape: SkeletonTape, values: np.ndarray) -> np.ndarray:
-    """Recompute the skeleton from recorded traces alone (bit-exact)."""
-    shape = values.shape
-    ti = iter(tape.traces)
+def soft_skeleton_grad(stages: list, grad_skel: np.ndarray) -> np.ndarray:
+    """Gradient of the soft skeleton w.r.t. its input, stage by stage in reverse.
 
-    def opened(img):
-        eroded = pool_gather(next(ti), img).reshape(shape)
-        return pool_gather(next(ti), eroded).reshape(shape)
-
-    current = values.astype(np.float64, copy=False)
-    skel = np.maximum(current - opened(current), 0.0)
-    for _ in range(tape.iterations):
-        current = pool_gather(next(ti), current).reshape(shape)
-        skel = skel + (1.0 - skel) * np.maximum(current - opened(current), 0.0)
-    return skel
-
-
-def soft_skeleton_grad(tape: SkeletonTape, values: np.ndarray, grad_skel: np.ndarray) -> np.ndarray:
-    """Exact reverse replay of the soft skeleton.
-
-    Forward intermediates are regathered from the traces (identical floats),
-    then gradients flow through the relu gates and the argmin/argmax routing.
+    Each stage recomputes its two pools with winner masks. The gradient that
+    reaches I_{k+1} from later stages joins the one reaching stage k's eroded
+    image before the single min-pool backward.
     """
-    shape = values.shape
-    ti = iter(tape.traces)
-
-    # Forward replay, keeping what the backward pass needs per stage.
-    stages = []  # (t_erode|None, t_min, t_max, gate, skel_before, delta)
-    current = values.astype(np.float64, copy=False)
-    skel = None
-    for k in range(tape.iterations + 1):
-        t_er = None
-        if k > 0:
-            t_er = next(ti)
-            current = pool_gather(t_er, current).reshape(shape)
-        t_min = next(ti)
-        eroded = pool_gather(t_min, current).reshape(shape)
-        t_max = next(ti)
-        open_img = pool_gather(t_max, eroded).reshape(shape)
-        resid = current - open_img
-        gate = resid > 0.0
-        delta = np.maximum(resid, 0.0)
-        skel_before = skel
-        skel = delta if skel is None else skel + (1.0 - skel) * delta
-        stages.append((t_er, t_min, t_max, gate, skel_before, delta))
-
-    grad_i = np.zeros(shape)  # dL/d(current I at this stage)
-    grad_s = grad_skel.astype(np.float64, copy=True)
-    for t_er, t_min, t_max, gate, skel_before, delta in reversed(stages):
+    grad_s = grad_skel
+    grad_next = None  # dL/dI_{k+1} from stages after k
+    for current, skel_before in reversed(stages):
+        eroded, min_passes = _pool_winners(current, "min")
+        opened, max_passes = _pool_winners(eroded, "max")
+        resid = current - opened
         if skel_before is None:
             grad_delta = grad_s
         else:
-            grad_delta = grad_s * (1.0 - skel_before)
-            grad_s = grad_s * (1.0 - delta)
-        grad_resid = np.where(gate, grad_delta, 0.0)
-        # resid = I - max_pool(min_pool(I))
-        grad_i += grad_resid
-        grad_open = -grad_resid
-        grad_eroded = np.zeros(shape)
-        pool_scatter(t_max, grad_open, grad_eroded)
-        pool_scatter(t_min, grad_eroded, grad_i)
-        if t_er is not None:
-            grad_prev = np.zeros(shape)
-            pool_scatter(t_er, grad_i, grad_prev)
-            grad_i = grad_prev
-    return grad_i
+            grad_delta = grad_s * (1 - skel_before)
+            grad_s = grad_s * (1 - np.maximum(resid, 0))
+        grad_resid = np.where(resid > 0, grad_delta, 0.0)
+        grad_eroded = -_pool_vjp(max_passes, grad_resid)
+        if grad_next is not None:
+            grad_eroded += grad_next
+        grad_next = grad_resid + _pool_vjp(min_passes, grad_eroded)
+    return grad_next
 
 
 @dataclass(frozen=True)

@@ -442,12 +442,12 @@ def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
     for name, steps in d.erode_steps.items():
         m = masks[name].astype(np.uint8)
         for _ in range(steps):
-            m, _ = pool_array(m, "min", want_trace=False)
+            m = pool_array(m, "min")
         masks[name] = m.astype(bool)
     for name, steps in d.dilate_steps.items():
         m = masks[name].astype(np.uint8)
         for _ in range(steps):
-            m, _ = pool_array(m, "max", want_trace=False)
+            m = pool_array(m, "max")
         masks[name] = m.astype(bool)
 
     out = np.zeros_like(labels)

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .morphology import (
-    connected_components,
-    distance_transform,
-    pool_array,
-)
+from .morphology import connected_components, distance_transform, soft_skeleton_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -42,20 +38,7 @@ def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
     Guaranteed to be a subset of the input mask. On binary input every
     intermediate value is 0 or 1, so integer arithmetic is exact.
     """
-    if iterations < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    current = mask.values.astype(np.uint8)
-    opened, _ = pool_array(current, "min", want_trace=False)
-    opened, _ = pool_array(opened, "max", want_trace=False)
-    skel = current - np.minimum(current, opened)
-    for _ in range(iterations):
-        current, _ = pool_array(current, "min", want_trace=False)
-        if not current.any():
-            break
-        opened, _ = pool_array(current, "min", want_trace=False)
-        opened, _ = pool_array(opened, "max", want_trace=False)
-        delta = current - np.minimum(current, opened)
-        skel = skel | delta
+    skel, _ = soft_skeleton_array(mask.values.astype(np.uint8), iterations)
     return BinaryMask(mask.geometry, (skel > 0) & mask.values)
 
 

@@ -133,7 +133,7 @@ def test_criterion_03_reduction_identity():
 
 def test_criterion_04_topology_sensitivity():
     tube, _ = straight_tube_mask(length_vox=40, radius_vox=0.5, dims=(56, 12, 12))
-    dilated, _ = pool_array(tube.values.astype(np.uint8), "max", want_trace=False)
+    dilated = pool_array(tube.values.astype(np.uint8), "max")
     pred = BinaryMask(tube.geometry, dilated > 0)
     cld = cl_dice_metric(pred, tube, iterations=4)
     plain = dsc(pred, tube)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hepeval.errors import ParameterError, RangeError, ShapeMismatchError
 from hepeval.losses import (
     GradedScalar,
+    _ce_field_and_grad,
     LossConfig,
     bootstrapped_ce_loss,
     cl_dice_loss,
@@ -160,6 +161,24 @@ class TestBootstrappedCE:
             with pytest.raises(ParameterError):
                 bootstrapped_ce_loss(pred, gt, k=k)
 
+    def test_tied_selection_matches_stable_argsort(self):
+        # a quantised field ties thousands of voxels at every threshold; the
+        # selection must equal the first m of a stable descending sort
+        g = Geometry(dims=(17, 13, 11), spacing=(1, 1, 1))
+        rng = np.random.default_rng(3)
+        pred = ProbVolume(g, rng.integers(1, 6, size=g.shape) / 6.0)
+        gt = random_mask(g, seed=4, density=0.5)
+        field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(float), 1e-7)
+        flat = field.ravel()
+        for k in (0.01, 0.15, 0.333, 0.5, 0.77, 1.0):
+            m = max(1, math.ceil(k * flat.size))
+            selected = np.sort(np.argsort(-flat, kind="stable")[:m])
+            want_grad = np.zeros(flat.size)
+            want_grad[selected] = dfield.ravel()[selected] / m
+            got = bootstrapped_ce_loss(pred, gt, k)
+            assert got.value == float(flat[selected].mean())
+            assert np.array_equal(got.gradient.ravel(), want_grad)
+
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
     def test_value_non_increasing_in_k(self, seed):
@@ -175,7 +194,7 @@ def make_tube_pair():
     from hepeval.morphology import pool_array
 
     gt, _ = straight_tube_mask(length_vox=40, radius_vox=0.5, dims=(56, 12, 12))
-    dilated, _ = pool_array(gt.values.astype(np.uint8), "max", want_trace=False)
+    dilated = pool_array(gt.values.astype(np.uint8), "max")
     pred = BinaryMask(gt.geometry, dilated > 0)
     return gt, pred
 

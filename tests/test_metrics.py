@@ -75,7 +75,7 @@ class TestClDiceMetric:
 
     def test_dilation_keeps_cldice_at_one_but_not_dsc(self):
         gt, _ = straight_tube_mask(length_vox=40, radius_vox=0.5, dims=(56, 12, 12))
-        dilated, _ = pool_array(gt.values.astype(np.uint8), "max", want_trace=False)
+        dilated = pool_array(gt.values.astype(np.uint8), "max")
         pred = BinaryMask(gt.geometry, dilated > 0)
         assert cl_dice_metric(pred, gt, iterations=4) == 1.0
         assert dsc(pred, gt) < 0.9

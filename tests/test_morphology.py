@@ -1,19 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from hepeval.morphology import (
-    EXTERIOR,
+    _pool_vjp,
+    _pool_winners,
     connected_components,
     distance_transform,
     distance_transform_squared,
-    max_pool,
-    min_pool,
-    pool_gather,
-    replay_skeleton_forward,
+    pool_array,
     soft_skeleton,
     soft_skeleton_array,
+    soft_skeleton_grad,
 )
 from hepeval.phantom import straight_tube_mask
 from hepeval.volume import BinaryMask, Geometry, ProbVolume
@@ -25,42 +27,108 @@ def geometry(dims):
     return Geometry(dims=dims, spacing=(1.0, 1.0, 1.0))
 
 
+def tie_heavy_grid(seed):
+    """Small grid of a few quantised levels and sparse zeros: pools tie, also
+    with the exterior 0, and erosion leaves a core for the later stages."""
+    rng = np.random.default_rng(seed)
+    shape = rng.integers(1, 9, size=3)
+    levels = int(rng.integers(1, 4))
+    values = rng.integers(1, levels + 1, size=shape) / levels
+    return np.where(rng.random(shape) < 0.05, 0.0, values)
+
+
+def oracle_pool(values, mode):
+    """Pooled values and winners from the 27 neighbours of each voxel.
+
+    The winner is the smallest linear index among in-volume neighbours
+    attaining the extremum over the neighbourhood and the exterior 0; -1
+    where only the exterior attains it.
+    """
+    padded = np.pad(values, 1)
+    index = np.pad(np.arange(values.size).reshape(values.shape), 1, constant_values=-1)
+    out, win = np.zeros(values.shape), np.full(values.shape, -1)
+    for z, y, x in np.ndindex(values.shape):
+        cells = padded[z : z + 3, y : y + 3, x : x + 3].ravel()  # ascending linear index
+        ids = index[z : z + 3, y : y + 3, x : x + 3].ravel()
+        out[z, y, x] = extremum = cells.min() if mode == "min" else cells.max()
+        hits = ids[(cells == extremum) & (ids >= 0)]
+        win[z, y, x] = hits[0] if hits.size else -1
+    return out, win
+
+
+def oracle_vjp(win, grad_out):
+    keep = win >= 0
+    return np.bincount(win[keep], grad_out[keep], minlength=win.size).reshape(win.shape)
+
+
+def oracle_skeleton_grad(values, iterations, grad_skel):
+    """Reverse mode of the soft skeleton over the oracle pools."""
+    stages, skel, current = [], None, values
+    for _ in range(iterations + 1):
+        eroded, min_win = oracle_pool(current, "min")
+        opened, max_win = oracle_pool(eroded, "max")
+        delta = np.maximum(current - opened, 0.0)
+        stages.append((min_win, max_win, delta, skel))
+        skel = delta if skel is None else skel + (1.0 - skel) * delta
+        current = eroded
+
+    grad_next, grad_s = np.zeros(values.shape), grad_skel
+    for min_win, max_win, delta, skel_before in reversed(stages):
+        grad_delta = grad_s if skel_before is None else grad_s * (1.0 - skel_before)
+        grad_s = grad_s * (1.0 - delta)
+        grad_resid = np.where(delta > 0, grad_delta, 0.0)
+        grad_next = grad_resid + oracle_vjp(min_win, grad_next - oracle_vjp(max_win, grad_resid))
+    return grad_next
+
+
+def pool_grad(values, mode, grad_out):
+    _, passes = _pool_winners(values, mode)
+    return _pool_vjp(passes, grad_out)
+
+
+MIN3 = partial(ndimage.minimum_filter, size=3, mode="constant", cval=0)
+MAX3 = partial(ndimage.maximum_filter, size=3, mode="constant", cval=0)
+
+
+def scipy_skeleton(values, iterations):
+    current = values
+    skel = np.maximum(current - MAX3(MIN3(current)), 0)
+    for _ in range(iterations):
+        current = MIN3(current)
+        skel = skel + (1 - skel) * np.maximum(current - MAX3(MIN3(current)), 0)
+    return skel
+
+
 class TestPools:
     def test_constant_volume_interior_stays(self):
-        g = geometry((5, 5, 5))
-        vol = ProbVolume(g, np.full(g.shape, 0.7))
-        pooled, _ = max_pool(vol)
-        assert pooled.values[2, 2, 2] == 0.7
+        pooled = pool_array(np.full((5, 5, 5), 0.7), "max")
+        assert pooled[2, 2, 2] == 0.7
 
     def test_single_one_dilates_to_block(self):
-        g = geometry((5, 5, 5))
-        values = np.zeros(g.shape)
+        values = np.zeros((5, 5, 5))
         values[2, 2, 2] = 1.0
-        pooled, _ = max_pool(ProbVolume(g, values))
-        expected = np.zeros(g.shape)
+        pooled = pool_array(values, "max")
+        expected = np.zeros(values.shape)
         expected[1:4, 1:4, 1:4] = 1.0
-        assert np.array_equal(pooled.values, expected)
+        assert np.array_equal(pooled, expected)
 
     def test_min_pool_erodes_border_of_all_ones(self):
-        g = geometry((4, 4, 4))
-        pooled, _ = min_pool(ProbVolume(g, np.ones(g.shape)))
-        assert pooled.values[1:3, 1:3, 1:3].min() == 1.0
-        assert pooled.values[0].max() == 0.0
-        assert pooled.values[:, 0].max() == 0.0
-        assert pooled.values[:, :, -1].max() == 0.0
+        pooled = pool_array(np.ones((4, 4, 4)), "min")
+        assert pooled[1:3, 1:3, 1:3].min() == 1.0
+        assert pooled[0].max() == 0.0
+        assert pooled[:, 0].max() == 0.0
+        assert pooled[:, :, -1].max() == 0.0
 
     def test_min_pool_kills_isolated_one(self):
-        g = geometry((5, 5, 5))
-        values = np.zeros(g.shape)
+        values = np.zeros((5, 5, 5))
         values[2, 2, 2] = 1.0
-        pooled, _ = min_pool(ProbVolume(g, values))
-        assert pooled.values.max() == 0.0
+        assert pool_array(values, "min").max() == 0.0
 
     def test_min_pool_idempotence_bound(self):
         vol = random_prob_volume(geometry((6, 6, 6)), seed=1)
-        once, _ = min_pool(vol)
-        twice, _ = min_pool(once)
-        assert (twice.values <= once.values + 1e-15).all()
+        once = pool_array(vol.values, "min")
+        twice = pool_array(once, "min")
+        assert (twice <= once + 1e-15).all()
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
@@ -68,53 +136,53 @@ class TestPools:
         # the exterior-0 rule is self-dual once the border shell agrees with
         # the complement: background shell for the min form, foreground shell
         # for the max form
-        g = geometry((6, 7, 5))
         rng = np.random.default_rng(seed)
-        values = np.zeros(g.shape)
+        values = np.zeros((5, 7, 6))
         values[1:-1, 1:-1, 1:-1] = (rng.random((3, 5, 4)) < 0.5).astype(float)
 
-        mn, _ = min_pool(ProbVolume(g, values))
-        mx_c, _ = max_pool(ProbVolume(g, 1.0 - values))
-        assert np.array_equal(mn.values, 1.0 - mx_c.values)
+        mn = pool_array(values, "min")
+        mx_c = pool_array(1.0 - values, "max")
+        assert np.array_equal(mn, 1.0 - mx_c)
 
         filled = 1.0 - values  # foreground border shell
-        mx, _ = max_pool(ProbVolume(g, filled))
-        mn_c, _ = min_pool(ProbVolume(g, 1.0 - filled))
-        assert np.array_equal(mx.values, 1.0 - mn_c.values)
+        mx = pool_array(filled, "max")
+        mn_c = pool_array(1.0 - filled, "min")
+        assert np.array_equal(mx, 1.0 - mn_c)
 
-    def test_trace_indices_land_in_neighborhood(self):
-        vol = random_prob_volume(geometry((6, 5, 4)), seed=3)
-        _, trace = max_pool(vol)
-        nx, ny = 6, 5
-        src = trace.source
-        for z in range(4):
-            for y in range(5):
-                for x in range(6):
-                    s = src[z, y, x]
-                    if s == EXTERIOR:
-                        continue
-                    sx, sy, sz = s % nx, (s // nx) % ny, s // (nx * ny)
-                    assert abs(sx - x) <= 1 and abs(sy - y) <= 1 and abs(sz - z) <= 1
-
-    def test_trace_gather_reproduces_pool(self):
-        vol = random_prob_volume(geometry((5, 6, 7)), seed=9)
-        pooled, trace = min_pool(vol)
-        replayed = pool_gather(trace, vol.values).reshape(pooled.values.shape)
-        assert np.array_equal(replayed, pooled.values)
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_pool_vjp_matches_brute_force_oracle(self, mode):
+        rng = np.random.default_rng(7)
+        for seed in range(40):
+            values = tie_heavy_grid(seed)
+            grad_out = rng.normal(size=values.shape)
+            want_pooled, win = oracle_pool(values, mode)
+            pooled, passes = _pool_winners(values, mode)
+            assert np.array_equal(pooled, want_pooled)
+            assert np.array_equal(pooled, pool_array(values, mode))
+            got = _pool_vjp(passes, grad_out)
+            assert np.abs(got - oracle_vjp(win, grad_out)).max() <= 1e-12
 
     def test_tie_breaks_to_smallest_linear_index(self):
-        g = geometry((5, 1, 1))
         values = np.array([[[0.2, 0.5, 0.5, 0.5, 0.1]]])
-        _, trace = max_pool(ProbVolume(g, values))
+        grad_out = np.zeros(values.shape)
+        grad_out[0, 0, 2] = 1.0
         # at x=2 all of x=1,2,3 hold the max 0.5: smallest linear index wins
-        assert trace.source[0, 0, 2] == 1
+        assert pool_grad(values, "max", grad_out).ravel().tolist() == [0, 1, 0, 0, 0]
 
-    def test_exterior_sentinel_on_strict_win(self):
-        g = geometry((3, 1, 1))
+    def test_tie_with_exterior_goes_in_volume(self):
+        # every output's minimum 0 is attained by the exterior and by the one
+        # in-volume 0, which takes all the gradient; at z=0 the x pass leaves
+        # an exterior 0 that comes before it in the z pass
+        values = np.array([[[0.5, 0.5]], [[0.0, 0.5]]])
+        grad = pool_grad(values, "min", np.ones(values.shape))
+        assert grad.ravel().tolist() == [0, 0, 4, 0]
+
+    def test_exterior_strict_win_takes_no_gradient(self):
         values = np.array([[[0.4, 0.5, 0.6]]])
-        _, trace = min_pool(ProbVolume(g, values))
+        grad_out = np.zeros(values.shape)
+        grad_out[0, 0, 0] = 1.0
         # border voxel: exterior 0 strictly beats every in-volume value
-        assert trace.source[0, 0, 0] == EXTERIOR
+        assert not pool_grad(values, "min", grad_out).any()
 
 
 class TestSoftSkeleton:
@@ -158,16 +226,40 @@ class TestSoftSkeleton:
             more, _ = soft_skeleton_array(values, iterations=extra)
             assert np.array_equal(base, more)
 
-    def test_forward_replay_is_bit_exact(self):
-        vol = random_prob_volume(geometry((7, 7, 7)), seed=21)
-        skel, tape = soft_skeleton_array(vol.values, iterations=3)
-        replayed = replay_skeleton_forward(tape, vol.values)
-        assert np.array_equal(replayed, skel)
+    def test_forward_matches_scipy_filters(self):
+        for seed in range(4):
+            vol = random_prob_volume(geometry((9, 8, 7)), seed=seed)
+            skel, _ = soft_skeleton_array(vol.values, iterations=3)
+            assert np.array_equal(skel, scipy_skeleton(vol.values, 3))
+        for seed in range(20):
+            values = tie_heavy_grid(seed)
+            skel, _ = soft_skeleton_array(values, iterations=2)
+            assert np.array_equal(skel, scipy_skeleton(values, 2))
+        mask = random_mask(geometry((10, 9, 8)), seed=3, density=0.7).values.astype(np.uint8)
+        skel, _ = soft_skeleton_array(mask, iterations=4)
+        assert skel.dtype == np.uint8
+        assert np.array_equal(skel, scipy_skeleton(mask, 4))
 
-    def test_trace_list_length(self):
-        vol = random_prob_volume(geometry((4, 4, 4)), seed=2)
-        _, tape = soft_skeleton_array(vol.values, iterations=5)
-        assert len(tape.traces) == 2 + 3 * 5
+    def test_stage_list_length(self):
+        vol = random_prob_volume(geometry((13, 12, 12)), seed=2)
+        _, stages = soft_skeleton_array(vol.values, iterations=5)
+        assert len(stages) == 5 + 1
+        assert stages[0][0] is vol.values and stages[0][1] is None
+        assert np.array_equal(stages[1][0], pool_array(vol.values, "min"))
+        # stops once the input has eroded away
+        _, stages = soft_skeleton_array(np.ones((3, 3, 3)), iterations=5)
+        assert len(stages) == 2
+
+    def test_gradient_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(5)
+        for seed in range(60):
+            values = tie_heavy_grid(seed)
+            iterations = int(rng.integers(1, 4))
+            grad_skel = rng.normal(size=values.shape)
+            _, stages = soft_skeleton_array(values, iterations)
+            got = soft_skeleton_grad(stages, grad_skel)
+            want = oracle_skeleton_grad(values, iterations, grad_skel)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestConnectedComponents:
