@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import HepevalError, ParameterError, RangeError
-from .losses import LossConfig, bootstrapped_ce_loss, cl_dice_loss, k_schedule
+from .losses import LossConfig, loss_terms
 from .metrics import CaseReport, EvalConfig, aggregate, evaluate_case, mann_whitney_u
 from .nifti import (
     read_binary_mask,
@@ -57,7 +58,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -71,32 +72,19 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\r\n").writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    _atomic_write_text(path, buf.getvalue())
 
 
-@dataclass
-class RunManifest:
-    command: list[str]
-    config: dict
-    input_digests: dict[str, str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tool_version": __version__,
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
+def _run_manifest(command: list[str], config: dict, input_digests: dict[str, str]) -> dict:
+    return {
+        "tool_version": __version__,
+        "command": command,
+        "config": config,
+        "input_digests": input_digests,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _load_config(path: str | None) -> tuple[LossConfig, EvalConfig, dict]:
@@ -129,13 +117,9 @@ def cmd_eval(args) -> int:
     try:
         _, eval_cfg, raw_cfg = _load_config(args.config)
         if args.connectivity:
-            eval_cfg = EvalConfig(
-                **{**eval_cfg.__dict__, "connectivity": args.connectivity}
-            )
+            eval_cfg = replace(eval_cfg, connectivity=args.connectivity)
         if args.skeleton_iters:
-            eval_cfg = EvalConfig(
-                **{**eval_cfg.__dict__, "skeleton_iterations": args.skeleton_iters}
-            )
+            eval_cfg = replace(eval_cfg, skeleton_iterations=args.skeleton_iters)
     except (OSError, json.JSONDecodeError, HepevalError, TypeError) as exc:
         log.error("config error: %s", exc)
         return 1
@@ -173,8 +157,8 @@ def cmd_eval(args) -> int:
                 digests[str(p)] = None
     if args.config:
         digests[str(args.config)] = _sha256(Path(args.config))
-    manifest = RunManifest(command=["eval", *map(str, args.gt), *map(str, args.pred)], config=raw_cfg, input_digests=digests)
-    _write_json(out / "manifest.json", manifest.to_json_dict())
+    manifest = _run_manifest(["eval", *map(str, args.gt), *map(str, args.pred)], raw_cfg, digests)
+    _write_json(out / "manifest.json", manifest)
 
     if reports:
         summary = aggregate(reports)
@@ -215,10 +199,7 @@ def _blank(v):
 def cmd_phantom(args) -> int:
     try:
         with open(args.spec) as fh:
-            raw = json.load(fh)
-        if getattr(args, "seed", None) is not None:
-            raw["seed"] = args.seed
-        spec = spec_from_json_dict(raw)
+            spec = spec_from_json_dict(json.load(fh))
         truth = generate_case(spec)
     except (OSError, json.JSONDecodeError, HepevalError) as exc:
         log.error("invalid phantom spec: %s", exc)
@@ -246,9 +227,7 @@ def cmd_phantom(args) -> int:
     digests = {str(args.spec): _sha256(Path(args.spec))}
     if args.degrade:
         digests[str(args.degrade)] = _sha256(Path(args.degrade))
-    manifest["run"] = RunManifest(
-        command=["phantom", str(args.spec)], config={}, input_digests=digests
-    ).to_json_dict()
+    manifest["run"] = _run_manifest(["phantom", str(args.spec)], {}, digests)
     _write_json(out / "truth_manifest.json", manifest)
     return 0
 
@@ -258,11 +237,7 @@ def cmd_loss(args) -> int:
         loss_cfg, _, _ = _load_config(args.config)
         pred = read_prob_volume(args.pred)
         gt = read_binary_mask(args.gt)
-        k = k_schedule(args.epoch, loss_cfg)
-        cld = cl_dice_loss(pred, gt, loss_cfg.skeleton_iterations, loss_cfg.epsilon)
-        bce = bootstrapped_ce_loss(pred, gt, k, loss_cfg.ce_clip)
-        combined_value = loss_cfg.w_cldice * cld.value + loss_cfg.w_bce * bce.value
-        combined_grad = loss_cfg.w_cldice * cld.gradient + loss_cfg.w_bce * bce.gradient
+        k, cld, bce, combined = loss_terms(pred, gt, args.epoch, loss_cfg)
     except RangeError as exc:
         log.error("epoch out of range: %s", exc)
         return 1
@@ -274,9 +249,9 @@ def cmd_loss(args) -> int:
             {
                 "cl_dice": cld.value,
                 "bootstrapped_ce": bce.value,
-                "combined": combined_value,
+                "combined": combined.value,
                 "k_used": k,
-                "gradient_norm": float(np.linalg.norm(combined_grad)),
+                "gradient_norm": float(np.linalg.norm(combined.gradient)),
             },
             indent=2,
             sort_keys=True,
@@ -305,12 +280,12 @@ def cmd_skeleton(args) -> int:
     write_nifti(split.central, out / "central.nii.gz")
     write_nifti(split.peripheral, out / "peripheral.nii.gz")
     _write_json(out / "graph.json", graph.to_json_dict())
-    manifest = RunManifest(
-        command=["skeleton", str(args.mask)],
-        config={"skeleton_iterations": iterations},
-        input_digests={str(args.mask): _sha256(Path(args.mask))},
+    manifest = _run_manifest(
+        ["skeleton", str(args.mask)],
+        {"skeleton_iterations": iterations},
+        {str(args.mask): _sha256(Path(args.mask))},
     )
-    _write_json(out / "manifest.json", manifest.to_json_dict())
+    _write_json(out / "manifest.json", manifest)
     return 0
 
 
@@ -376,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.add_argument("spec", help="phantom spec JSON")
     p_ph.add_argument("--degrade", help="optional degrade spec JSON producing a prediction")
     p_ph.add_argument("--out", required=True)
-    p_ph.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p_ph.set_defaults(func=cmd_phantom)
 
     p_loss = sub.add_parser("loss", help="compute the combined training loss for one pair")

@@ -181,16 +181,23 @@ def cl_dice_loss(
     return GradedScalar(value, grad)
 
 
-def combined_loss(
+def loss_terms(
     pred: ProbVolume, gt: BinaryMask, epoch: int, config: LossConfig = LossConfig()
-) -> GradedScalar:
-    """w_cldice * clDice + w_bce * bootstrapped CE at the scheduled K."""
+) -> tuple[float, GradedScalar, GradedScalar, GradedScalar]:
+    """(K, clDice, bootstrapped CE at K, their weighted sum) for an epoch."""
     k = k_schedule(epoch, config)
     cld = cl_dice_loss(pred, gt, config.skeleton_iterations, config.epsilon)
     bce = bootstrapped_ce_loss(pred, gt, k, config.ce_clip)
     value = config.w_cldice * cld.value + config.w_bce * bce.value
     gradient = config.w_cldice * cld.gradient + config.w_bce * bce.gradient
-    return GradedScalar(value, gradient)
+    return k, cld, bce, GradedScalar(value, gradient)
+
+
+def combined_loss(
+    pred: ProbVolume, gt: BinaryMask, epoch: int, config: LossConfig = LossConfig()
+) -> GradedScalar:
+    """w_cldice * clDice + w_bce * bootstrapped CE at the scheduled K."""
+    return loss_terms(pred, gt, epoch, config)[3]
 
 
 def finite_difference_check(

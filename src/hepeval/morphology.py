@@ -143,9 +143,6 @@ class ComponentLabeling:
     sizes: np.ndarray  # voxel count per component, index 0 unused
     bounding_boxes: tuple  # per component: ((x0,x1), (y0,y1), (z0,z1)), exclusive upper
 
-    def component_mask(self, component_id: int) -> np.ndarray:
-        return self.labels == component_id
-
 
 _STRUCTURES = {6: 1, 18: 2, 26: 3}
 

@@ -237,7 +237,9 @@ def read_nifti(
             if not np.equal(values, np.round(values)).all():
                 raise ParameterError(f"{path}: non-integral values cannot be read as labels")
             data = values.astype(np.int64)
-        return LabelVolume(geometry, data.astype(np.uint8), schema)
+        # LabelVolume checks the stored values against the schema before
+        # narrowing them to uint8, so no label wraps round
+        return LabelVolume(geometry, data, schema)
 
     values = data.astype(np.float64)
     clipped = int((values < 0.0).sum() + (values > 1.0).sum())

@@ -14,7 +14,6 @@ metrics are known by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -24,6 +23,7 @@ from .errors import GenerationError, ParameterError
 from .morphology import pool_array
 from .volume import (
     DEFAULT_SCHEMA,
+    IDENTITY_ORIENTATION,
     BinaryMask,
     Geometry,
     LabelVolume,
@@ -73,7 +73,6 @@ class Sphere:
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    seed: int = 0
     geometry: Geometry = field(
         default_factory=lambda: Geometry(dims=(128, 128, 128), spacing=(2.0, 2.0, 3.0))
     )
@@ -81,15 +80,12 @@ class PhantomSpec:
     parenchyma_semiaxes_mm: tuple[float, float, float] = (105.0, 95.0, 150.0)
     trees: dict[str, TreeSpec] = field(default_factory=dict)
     tumors: tuple[Sphere, ...] = ()
-    gallbladder_present: bool = False
     gallbladder: Sphere | None = None
 
     def __post_init__(self):
         for name in self.trees:
             if name not in TREE_STRUCTURES:
                 raise ParameterError(f"unknown tree structure {name!r}")
-        if self.gallbladder_present and self.gallbladder is None:
-            raise ParameterError("gallbladder_present requires a gallbladder sphere")
 
     def center(self) -> np.ndarray:
         if self.parenchyma_center_mm is not None:
@@ -307,9 +303,12 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             structure_edges[name] = tree_edges
             all_edges.extend(tree_edges)
 
+    gb = spec.gallbladder
+    gb_mask = np.zeros(shape, dtype=bool)
     for name in ("biliary_tree", "hepatic_vein", "portal_vein"):
         tree_edges = structure_edges.get(name, [])
-        if not tree_edges and not (name == "biliary_tree" and spec.gallbladder_present):
+        with_gb = name == "biliary_tree" and gb is not None
+        if not tree_edges and not with_gb:
             continue
         mask = np.zeros(shape, dtype=bool)
         best_d2 = np.full(shape, np.inf, dtype=np.float64)
@@ -334,30 +333,25 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             sub_best[claim] = d2[claim]
             tag_e[box][claim] = e.edge_id
             tag_g[box][claim] = e.generation
-        if name == "biliary_tree" and spec.gallbladder_present:
-            gb = spec.gallbladder
+        if with_gb:
             if not _inside_ellipsoid(gb.center_mm, center, semis, gb.radius_mm):
                 raise GenerationError("gallbladder exits the parenchyma")
             _check_inside_volume(geometry, gb.center_mm, gb.radius_mm, "gallbladder")
             hit = rasterize_sphere(geometry, gb.center_mm, gb.radius_mm)
             if hit is not None:
                 inside, box, _ = hit
-                mask[box] |= inside
+                gb_mask[box] = inside
+            mask |= gb_mask
             volumes["gallbladder"] = 4.0 / 3.0 * math.pi * gb.radius_mm**3
         sid = DEFAULT_SCHEMA.id_of(name)
         labels[mask] = sid
         edge_tag[mask] = tag_e[mask]
         gen_tag[mask] = tag_g[mask]
 
-    gb_mask = np.zeros(shape, dtype=bool)
-    if spec.gallbladder_present:
-        hit = rasterize_sphere(geometry, spec.gallbladder.center_mm, spec.gallbladder.radius_mm)
-        if hit is not None:
-            inside, box, _ = hit
-            gb_mask[box] |= inside
-        gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
-        edge_tag[gb_mask] = -1
-        gen_tag[gb_mask] = -1
+    # the venous trees may overwrite part of the gallbladder sphere
+    gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
+    edge_tag[gb_mask] = -1
+    gen_tag[gb_mask] = -1
 
     # tumors last so they are never occluded
     tumor_id = DEFAULT_SCHEMA.id_of("tumor")
@@ -471,10 +465,9 @@ def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
     return LabelVolume(geometry, out, schema)
 
 
-def default_spec(seed: int = 0, gallbladder_present: bool = True) -> PhantomSpec:
+def default_spec(gallbladder_present: bool = True) -> PhantomSpec:
     """Liver-scale default case: 128^3 voxels at 2 x 2 x 3 mm spacing."""
     return PhantomSpec(
-        seed=seed,
         geometry=Geometry(dims=(128, 128, 128), spacing=(2.0, 2.0, 3.0)),
         parenchyma_semiaxes_mm=(105.0, 95.0, 150.0),
         trees={
@@ -516,12 +509,11 @@ def default_spec(seed: int = 0, gallbladder_present: bool = True) -> PhantomSpec
             Sphere(center_mm=(170.0, 150.0, 240.0), radius_mm=12.0),
             Sphere(center_mm=(90.0, 150.0, 250.0), radius_mm=9.0),
         ),
-        gallbladder_present=gallbladder_present,
         gallbladder=Sphere(center_mm=(62.0, 108.0, 116.0), radius_mm=16.0) if gallbladder_present else None,
     )
 
 
-def axis_tree_spec(levels: int, seed: int = 0) -> PhantomSpec:
+def axis_tree_spec(levels: int) -> PhantomSpec:
     """Axis-aligned H-tree phantom tuned for clean skeleton graphs.
 
     T-branching (180 degree bifurcations) with integer endpoints at unit
@@ -533,7 +525,6 @@ def axis_tree_spec(levels: int, seed: int = 0) -> PhantomSpec:
         raise ParameterError("levels must be in 1..4")
     trunk = 64.0  # halving per level keeps every endpoint on the integer grid
     return PhantomSpec(
-        seed=seed,
         geometry=Geometry(dims=(128, 80, 112), spacing=(1.0, 1.0, 1.0)),
         parenchyma_center_mm=(64.0, 40.0, 52.0),
         parenchyma_semiaxes_mm=(60.0, 36.0, 52.0),
@@ -550,7 +541,6 @@ def axis_tree_spec(levels: int, seed: int = 0) -> PhantomSpec:
                 branch_normal=(0.0, 1.0, 0.0),
             )
         },
-        gallbladder_present=False,
     )
 
 
@@ -626,30 +616,37 @@ def y_phantom(
     )
 
 
+def _reject_unknown_keys(data: dict, cls, what: str) -> None:
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ParameterError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def spec_to_json_dict(spec: PhantomSpec) -> dict:
-    d = {
-        "seed": spec.seed,
+    return {
         "geometry": {
             "dims": list(spec.geometry.dims),
             "spacing": list(spec.geometry.spacing),
             "origin": list(spec.geometry.origin),
+            "orientation": [list(row) for row in spec.geometry.orientation],
         },
         "parenchyma_center_mm": list(spec.parenchyma_center_mm) if spec.parenchyma_center_mm else None,
         "parenchyma_semiaxes_mm": list(spec.parenchyma_semiaxes_mm),
         "trees": {name: asdict(t) for name, t in spec.trees.items()},
         "tumors": [asdict(t) for t in spec.tumors],
-        "gallbladder_present": spec.gallbladder_present,
         "gallbladder": asdict(spec.gallbladder) if spec.gallbladder else None,
     }
-    return d
 
 
 def spec_from_json_dict(data: dict) -> PhantomSpec:
+    _reject_unknown_keys(data, PhantomSpec, "phantom spec")
     try:
+        g = data["geometry"]
         geometry = Geometry(
-            dims=tuple(data["geometry"]["dims"]),
-            spacing=tuple(data["geometry"]["spacing"]),
-            origin=tuple(data["geometry"].get("origin", (0.0, 0.0, 0.0))),
+            dims=g["dims"],
+            spacing=g["spacing"],
+            origin=g.get("origin", (0.0, 0.0, 0.0)),
+            orientation=g.get("orientation", IDENTITY_ORIENTATION),
         )
         trees = {
             name: TreeSpec(
@@ -672,13 +669,11 @@ def spec_from_json_dict(data: dict) -> PhantomSpec:
         gb = data.get("gallbladder")
         center = data.get("parenchyma_center_mm")
         return PhantomSpec(
-            seed=data.get("seed", 0),
             geometry=geometry,
             parenchyma_center_mm=tuple(center) if center else None,
             parenchyma_semiaxes_mm=tuple(data.get("parenchyma_semiaxes_mm", (105.0, 95.0, 150.0))),
             trees=trees,
             tumors=tumors,
-            gallbladder_present=data.get("gallbladder_present", False),
             gallbladder=Sphere(center_mm=tuple(gb["center_mm"]), radius_mm=gb["radius_mm"]) if gb else None,
         )
     except KeyError as exc:
@@ -709,6 +704,7 @@ def truth_manifest(truth: PhantomTruth) -> dict:
 
 
 def degrade_from_json_dict(data: dict) -> DegradeSpec:
+    _reject_unknown_keys(data, DegradeSpec, "degrade spec")
     blobs = tuple(
         (b["structure"], Sphere(center_mm=tuple(b["center_mm"]), radius_mm=b["radius_mm"]))
         for b in data.get("spurious_blobs", [])
@@ -721,8 +717,3 @@ def degrade_from_json_dict(data: dict) -> DegradeSpec:
         spurious_blobs=blobs,
         relabel_fraction=data.get("relabel_fraction", 0.0),
     )
-
-
-def load_spec(path) -> PhantomSpec:
-    with open(path) as fh:
-        return spec_from_json_dict(json.load(fh))

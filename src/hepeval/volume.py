@@ -134,8 +134,9 @@ class LabelSchema:
         names = list(self.ids.values())
         if len(set(names)) != len(names) or any(not n for n in names):
             raise SchemaError("label names must be unique and non-empty")
-        if any(int(i) != i or i < 0 for i in self.ids):
-            raise SchemaError("label ids must be non-negative integers")
+        bad = [i for i in self.ids if int(i) != i or not 0 <= i <= 255]
+        if bad:
+            raise SchemaError(f"label ids must be integers in [0, 255], got {bad}")
         object.__setattr__(self, "ids", dict(sorted(self.ids.items())))
 
     def name_of(self, label_id: int) -> str:

@@ -216,12 +216,10 @@ def _lesion_phantom_spec(seed: int) -> PhantomSpec:
         if all(np.linalg.norm(c - np.asarray(o)) > 18 for o in centers):
             centers.append(tuple(float(v) for v in c))
     return PhantomSpec(
-        seed=seed,
         geometry=Geometry(dims=(64, 64, 48), spacing=(2.0, 2.0, 3.0)),
         parenchyma_semiaxes_mm=(58.0, 58.0, 64.0),
         trees={},
         tumors=tuple(Sphere(center_mm=c, radius_mm=float(rng.uniform(5.0, 8.0))) for c in centers),
-        gallbladder_present=False,
     )
 
 
@@ -305,7 +303,7 @@ def test_criterion_08_mann_whitney_oracle():
 
 
 def test_criterion_09_self_evaluation_identity(tmp_path):
-    spec = default_spec(seed=6, gallbladder_present=False)
+    spec = default_spec(gallbladder_present=False)
     truth = generate_case(spec)
     gt_path = tmp_path / "case_a.nii.gz"
     write_nifti(truth.label_volume, gt_path)
@@ -358,7 +356,7 @@ def test_criterion_10_format_fidelity(tmp_path):
 
 def test_criterion_11_end_to_end_runtime(tmp_path):
     start = time.monotonic()
-    spec = default_spec(seed=11, gallbladder_present=True)
+    spec = default_spec(gallbladder_present=True)
     truth = generate_case(spec)
     gt_path = tmp_path / "truth.nii.gz"
     write_nifti(truth.label_volume, gt_path)

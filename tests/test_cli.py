@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hepeval.cli import main
+from hepeval.losses import LossConfig, bootstrapped_ce_loss, cl_dice_loss, combined_loss, k_schedule
 from hepeval.nifti import write_nifti
 from hepeval.phantom import (
     DegradeSpec,
@@ -14,6 +15,7 @@ from hepeval.phantom import (
     degrade,
     generate_case,
     spec_to_json_dict,
+    y_phantom,
 )
 from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
 
@@ -78,7 +80,7 @@ def load_schema(name):
 def phantom_pair(tmp_path_factory):
     """Small phantom truth + degraded prediction written as NIfTI files."""
     root = tmp_path_factory.mktemp("cases")
-    spec = default_spec(seed=2, gallbladder_present=False)
+    spec = default_spec(gallbladder_present=False)
     truth = generate_case(spec)
     pred = degrade(truth, DegradeSpec(seed=5, erode_steps={"hepatic_vein": 1}))
     gt_path = root / "case01.nii.gz"
@@ -177,7 +179,7 @@ class TestPhantomCommand:
 
     def test_repeated_seed_identical_digests(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1, seed=4))))
+        spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
         digests = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -238,6 +240,29 @@ class TestLossCommand:
     def test_epoch_out_of_range_exits_1(self, tmp_path):
         gt_path, pred_path = self.make_pair(tmp_path)
         assert main(["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "500"]) == 1
+
+    def test_agrees_with_library(self, tmp_path, capsys):
+        gt = y_phantom().mask
+        rng = np.random.default_rng(3)
+        logits = np.where(gt.values, 2.0, -2.0) + rng.normal(0.0, 0.5, gt.values.shape)
+        # float32 values, so the file holds exactly the prediction scored below
+        pred = ProbVolume(gt.geometry, (1.0 / (1.0 + np.exp(-logits))).astype(np.float32))
+        write_nifti(gt, tmp_path / "gt.nii.gz")
+        write_nifti(pred, tmp_path / "pred.nii.gz")
+        cfg = {"w_cldice": 0.7, "w_bce": 1.3}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["loss", "--pred", str(tmp_path / "pred.nii.gz"), "--gt", str(tmp_path / "gt.nii.gz"),
+                     "--epoch", "450", "--config", str(tmp_path / "cfg.json")])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        config = LossConfig(**cfg)
+        k = k_schedule(450, config)
+        combined = combined_loss(pred, gt, 450, config)
+        assert payload["k_used"] == k
+        assert payload["combined"] == combined.value
+        assert payload["cl_dice"] == cl_dice_loss(pred, gt, config.skeleton_iterations, config.epsilon).value
+        assert payload["bootstrapped_ce"] == bootstrapped_ce_loss(pred, gt, k, config.ce_clip).value
+        assert payload["gradient_norm"] == float(np.linalg.norm(combined.gradient))
 
 
 class TestSkeletonCommand:

@@ -3,13 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from hepeval.errors import FormatError, ParameterError, UnsupportedDatatypeError
+from hepeval.errors import FormatError, ParameterError, SchemaError, UnsupportedDatatypeError
 from hepeval.nifti import (
     HEADER_SIZE,
     read_binary_mask,
     read_label_volume,
     read_nifti,
     read_prob_volume,
+    write_int_nifti,
     write_nifti,
 )
 from hepeval.volume import BinaryMask, Geometry, LabelVolume, ProbVolume
@@ -210,6 +211,23 @@ class TestHandConstructedFiles:
         write_nifti(vol, path)
         with pytest.raises(ParameterError, match="binary"):
             read_binary_mask(path)
+
+    def test_wide_integer_labels_in_schema_are_read(self, tmp_path):
+        g = Geometry(dims=(4, 3, 2), spacing=(1, 1, 1))
+        labels = np.arange(24, dtype=np.int32).reshape(g.shape) % 7
+        path = tmp_path / "wide.nii"
+        write_int_nifti(g, labels, path)
+        assert np.array_equal(read_label_volume(path).labels, labels)
+
+    @pytest.mark.parametrize("value", [256, 300, -1])
+    def test_out_of_range_label_is_named_not_wrapped(self, tmp_path, value):
+        g = Geometry(dims=(4, 3, 2), spacing=(1, 1, 1))
+        labels = np.zeros(g.shape, dtype=np.int32)
+        labels[1, 2, 3] = value
+        path = tmp_path / "wide.nii"
+        write_int_nifti(g, labels, path)
+        with pytest.raises(SchemaError, match=rf"\[{value}\]"):
+            read_label_volume(path)
 
 
 class TestRandomRoundtrips:

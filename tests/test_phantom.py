@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from hepeval.phantom import (
     axis_tree_spec,
     default_spec,
     degrade,
+    degrade_from_json_dict,
     generate_case,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -24,7 +27,7 @@ from hepeval.volume import Geometry, extract_mask
 
 class TestGenerate:
     def test_bit_identical_reruns(self):
-        spec = default_spec(seed=7)
+        spec = default_spec()
         a = generate_case(spec)
         b = generate_case(spec)
         assert np.array_equal(a.label_volume.labels, b.label_volume.labels)
@@ -59,12 +62,10 @@ class TestGenerate:
     def test_tumor_outside_parenchyma_raises_with_index(self):
         spec = default_spec()
         bad = PhantomSpec(
-            seed=spec.seed,
             geometry=spec.geometry,
             parenchyma_semiaxes_mm=spec.parenchyma_semiaxes_mm,
             trees=spec.trees,
             tumors=(Sphere(center_mm=(10.0, 10.0, 10.0), radius_mm=8.0),),
-            gallbladder_present=False,
         )
         with pytest.raises(GenerationError, match="tumor 0"):
             generate_case(bad)
@@ -137,7 +138,7 @@ class TestGenerate:
 
 @pytest.fixture(scope="module")
 def truth():
-    return generate_case(default_spec(seed=1))
+    return generate_case(default_spec())
 
 
 class TestDegrade:
@@ -223,13 +224,31 @@ class TestAnalyticVolumes:
 
 class TestSpecSerialization:
     def test_json_roundtrip(self):
-        spec = default_spec(seed=13)
-        back = spec_from_json_dict(spec_to_json_dict(spec))
-        assert back == spec
+        spec = default_spec()
+        g = spec.geometry
+        rotated = Geometry(
+            dims=g.dims,
+            spacing=g.spacing,
+            origin=(5.0, -3.0, 2.5),
+            orientation=((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        )
+        for s in (spec, dataclasses.replace(spec, geometry=rotated)):
+            back = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(s))))
+            assert back == s
 
     def test_missing_field_reported(self):
         with pytest.raises(ParameterError, match="geometry"):
-            spec_from_json_dict({"seed": 1})
+            spec_from_json_dict({"tumors": []})
+
+    @pytest.mark.parametrize("key", ["seed", "gallbladder_present"])
+    def test_unknown_top_level_key_rejected(self, key):
+        raw = spec_to_json_dict(default_spec())
+        with pytest.raises(ParameterError, match=rf"\['{key}'\]"):
+            spec_from_json_dict({**raw, key: False})
+
+    def test_unknown_degrade_key_rejected(self):
+        with pytest.raises(ParameterError, match=r"\['erode'\]"):
+            degrade_from_json_dict({"seed": 1, "erode": {"portal_vein": 1}})
 
     def test_manifest_contents(self):
         truth = generate_case(axis_tree_spec(1))
@@ -258,7 +277,3 @@ class TestStoredPhantoms:
                 segment_length_mm=10.0,
                 length_decay=0.5,
             )
-
-    def test_gallbladder_flag_requires_sphere(self):
-        with pytest.raises(ParameterError):
-            PhantomSpec(gallbladder_present=True)

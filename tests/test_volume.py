@@ -84,6 +84,11 @@ class TestLabelSchema:
         with pytest.raises(SchemaError):
             LabelSchema({0: "background", 1: "a", 2: "a"})
 
+    def test_ids_fit_in_a_byte(self):
+        assert LabelSchema({0: "background", 255: "x"}).structure_ids() == [255]
+        with pytest.raises(SchemaError, match="300"):
+            LabelSchema({0: "background", 300: "x"})
+
 
 class TestExtractMask:
     def test_definition(self):
