@@ -32,7 +32,7 @@ def dsc(a: BinaryMask, b: BinaryMask) -> float:
     na, nb = a.popcount(), b.popcount()
     if na == 0 and nb == 0:
         return 1.0
-    inter = int((a.values & b.values).sum())
+    inter = int(np.count_nonzero(a.values & b.values))
     return 2.0 * inter / (na + nb)
 
 
@@ -46,13 +46,13 @@ def cl_dice_metric(pred: BinaryMask, gt: BinaryMask, iterations: int = 10) -> fl
     require_same_geometry(pred, gt)
     skel_p = skeletonize(pred, iterations).values
     skel_g = skeletonize(gt, iterations).values
-    np_, ng = int(skel_p.sum()), int(skel_g.sum())
+    np_, ng = int(np.count_nonzero(skel_p)), int(np.count_nonzero(skel_g))
     if np_ == 0 and ng == 0:
         return 1.0
     if np_ == 0 or ng == 0:
         return 0.0
-    tprec = int((skel_p & gt.values).sum()) / np_
-    tsens = int((skel_g & pred.values).sum()) / ng
+    tprec = int(np.count_nonzero(skel_p & gt.values)) / np_
+    tsens = int(np.count_nonzero(skel_g & pred.values)) / ng
     if tprec + tsens == 0.0:
         return 0.0
     return 2.0 * tprec * tsens / (tprec + tsens)

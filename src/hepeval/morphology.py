@@ -8,6 +8,15 @@ per-pass winner masks and routes the gradient like an autodiff max-pool. The
 per-pass tie rule (in-volume beats exterior, then smallest coordinate)
 composes to the global rule: ties go to the smallest linear index, and the
 exterior wins, taking no gradient, only on a strict extremum.
+
+Connected components and the distance transform run on the bounding box of
+the mask's foreground and write into a zeroed full-size output. Labelling is
+exact on the box because every component lies inside it, and translation
+keeps the first-voxel linear order that numbers them. The distance transform
+pads the box with one background voxel: clamping any background voxel's
+coordinates onto the padded box lands on background and never increases a
+per-axis distance, and the separable passes are monotone in each per-axis
+distance, so the minimum, rounding included, is unchanged.
 """
 
 from __future__ import annotations
@@ -147,15 +156,32 @@ class ComponentLabeling:
 _STRUCTURES = {6: 1, 18: 2, 26: 3}
 
 
+def bounding_box(values: np.ndarray) -> tuple[slice, ...] | None:
+    """Slices (z, y, x) of the smallest box holding every nonzero voxel.
+
+    Returns None when there is no nonzero voxel. Each axis is found on the
+    slab already cut to the earlier axes' extent.
+    """
+    box: tuple[slice, ...] = ()
+    for axis in range(values.ndim):
+        others = tuple(a for a in range(values.ndim) if a != axis)
+        hit = np.flatnonzero(values[box].any(axis=others))
+        if hit.size == 0:
+            return None
+        box += (slice(int(hit[0]), int(hit[-1]) + 1),)
+    return box
+
+
 def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentLabeling:
     """Label components under 6/18/26 adjacency, deterministically ordered."""
     if connectivity not in _STRUCTURES:
         raise ParameterError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, _STRUCTURES[connectivity])
-    raw, count = ndimage.label(mask.values, structure=structure)
-    raw = raw.astype(np.int32)
-    if count == 0:
-        return ComponentLabeling(mask.geometry, raw, 0, np.zeros(1, dtype=np.int64), ())
+    labels = np.zeros(mask.values.shape, dtype=np.int32)
+    box = bounding_box(mask.values)
+    if box is None:
+        return ComponentLabeling(mask.geometry, labels, 0, np.zeros(1, dtype=np.int64), ())
+    raw, count = ndimage.label(mask.values[box], structure=structure)
 
     # Renumber so component ids follow the first-voxel linear order.
     flat = raw.ravel()
@@ -164,14 +190,17 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     order = np.argsort(firsts, kind="stable")
     remap = np.zeros(count + 1, dtype=np.int32)
     remap[ids[order]] = np.arange(1, count + 1, dtype=np.int32)
-    labels = remap[raw]
+    crop = remap[raw]
+    labels[box] = crop
 
-    sizes = np.bincount(labels.ravel(), minlength=count + 1).astype(np.int64)
+    sizes = np.bincount(crop.ravel(), minlength=count + 1).astype(np.int64)
     sizes[0] = 0
+    z0, y0, x0 = (sl.start for sl in box)
     boxes = []
-    for sl in ndimage.find_objects(labels):
-        zs, ys, xs = sl
-        boxes.append(((xs.start, xs.stop), (ys.start, ys.stop), (zs.start, zs.stop)))
+    for zs, ys, xs in ndimage.find_objects(crop):
+        boxes.append(
+            ((xs.start + x0, xs.stop + x0), (ys.start + y0, ys.stop + y0), (zs.start + z0, zs.stop + z0))
+        )
     return ComponentLabeling(mask.geometry, labels, count, sizes, tuple(boxes))
 
 
@@ -195,16 +224,14 @@ def _squared_edt_axis(f: np.ndarray, axis: int, step: float) -> np.ndarray:
     return out
 
 
-def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
-    """Exact squared Euclidean distance (mm^2) to the nearest background.
-
-    The exterior counts as background adjacent to the border; background
-    voxels map to 0. Separable passes keep all arithmetic exact for rational
-    spacings, so squared values can be compared to a brute-force oracle
-    bit for bit.
-    """
+def _edt_on_box(mask: BinaryMask, squared: bool) -> np.ndarray:
+    """Full-size distances, squared or not, computed on the mask's box."""
     sx, sy, sz = mask.geometry.spacing
-    padded = np.pad(mask.values, 1, constant_values=False)
+    out = np.zeros(mask.values.shape, dtype=np.float64)
+    box = bounding_box(mask.values)
+    if box is None:
+        return out
+    padded = np.pad(mask.values[box], 1, constant_values=False)
 
     # 1D pass along x via nearest-background index arithmetic.
     nz, ny, nx = padded.shape
@@ -219,10 +246,23 @@ def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
     f = (dist_vox * sx) ** 2
 
     f = _squared_edt_axis(f, axis=1, step=sy)
-    f = _squared_edt_axis(f, axis=0, step=sz)
-    return np.ascontiguousarray(f[1:-1, 1:-1, 1:-1])
+    f = _squared_edt_axis(f, axis=0, step=sz)[1:-1, 1:-1, 1:-1]
+    out[box] = f if squared else np.sqrt(f)
+    return out
+
+
+def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
+    """Exact squared Euclidean distance (mm^2) to the nearest background.
+
+    The exterior counts as background adjacent to the border; background
+    voxels map to 0. Separable passes keep all arithmetic exact for rational
+    spacings, so squared values can be compared to a brute-force oracle
+    bit for bit. The passes run on the mask's bounding box padded by one
+    background voxel, which is exact: see the module docstring.
+    """
+    return _edt_on_box(mask, squared=True)
 
 
 def distance_transform(mask: BinaryMask) -> np.ndarray:
     """Exact Euclidean distance in mm to the nearest background voxel."""
-    return np.sqrt(distance_transform_squared(mask))
+    return _edt_on_box(mask, squared=False)

@@ -616,6 +616,22 @@ def y_phantom(
     )
 
 
+def _block(data, what: str, kind: type = dict, cls=None):
+    """Return `data` after checking that it is a JSON object (an array when
+    `kind` is list) and, given a dataclass `cls`, that it has only its keys."""
+    if not isinstance(data, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ParameterError(f"{what} must be {expected}, got {type(data).__name__}")
+    if cls is not None:
+        _reject_unknown_keys(data, cls, what)
+    return data
+
+
+def _sphere(data, what: str) -> Sphere:
+    data = _block(data, what, dict, Sphere)
+    return Sphere(center_mm=tuple(data["center_mm"]), radius_mm=data["radius_mm"])
+
+
 def _reject_unknown_keys(data: dict, cls, what: str) -> None:
     unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
@@ -639,17 +655,19 @@ def spec_to_json_dict(spec: PhantomSpec) -> dict:
 
 
 def spec_from_json_dict(data: dict) -> PhantomSpec:
-    _reject_unknown_keys(data, PhantomSpec, "phantom spec")
+    _block(data, "phantom spec", dict, PhantomSpec)
     try:
-        g = data["geometry"]
+        g = _block(data["geometry"], "geometry", dict, Geometry)
         geometry = Geometry(
             dims=g["dims"],
             spacing=g["spacing"],
             origin=g.get("origin", (0.0, 0.0, 0.0)),
             orientation=g.get("orientation", IDENTITY_ORIENTATION),
         )
-        trees = {
-            name: TreeSpec(
+        trees = {}
+        for name, t in _block(data.get("trees", {}), "trees").items():
+            t = _block(t, f"tree {name!r}", dict, TreeSpec)
+            trees[name] = TreeSpec(
                 levels=t["levels"],
                 root_start_mm=tuple(t["root_start_mm"]),
                 root_direction=tuple(t["root_direction"]),
@@ -660,11 +678,8 @@ def spec_from_json_dict(data: dict) -> PhantomSpec:
                 branch_angle_deg=t.get("branch_angle_deg", 40.0),
                 branch_normal=tuple(t.get("branch_normal", (0.0, 1.0, 0.0))),
             )
-            for name, t in data.get("trees", {}).items()
-        }
         tumors = tuple(
-            Sphere(center_mm=tuple(t["center_mm"]), radius_mm=t["radius_mm"])
-            for t in data.get("tumors", [])
+            _sphere(t, f"tumor {i}") for i, t in enumerate(_block(data.get("tumors", []), "tumors", list))
         )
         gb = data.get("gallbladder")
         center = data.get("parenchyma_center_mm")
@@ -674,7 +689,7 @@ def spec_from_json_dict(data: dict) -> PhantomSpec:
             parenchyma_semiaxes_mm=tuple(data.get("parenchyma_semiaxes_mm", (105.0, 95.0, 150.0))),
             trees=trees,
             tumors=tumors,
-            gallbladder=Sphere(center_mm=tuple(gb["center_mm"]), radius_mm=gb["radius_mm"]) if gb else None,
+            gallbladder=None if gb is None else _sphere(gb, "gallbladder"),
         )
     except KeyError as exc:
         raise ParameterError(f"phantom spec is missing field {exc}") from None
@@ -704,16 +719,19 @@ def truth_manifest(truth: PhantomTruth) -> dict:
 
 
 def degrade_from_json_dict(data: dict) -> DegradeSpec:
-    _reject_unknown_keys(data, DegradeSpec, "degrade spec")
-    blobs = tuple(
-        (b["structure"], Sphere(center_mm=tuple(b["center_mm"]), radius_mm=b["radius_mm"]))
-        for b in data.get("spurious_blobs", [])
-    )
+    _block(data, "degrade spec", dict, DegradeSpec)
+    blobs = []
+    try:
+        for i, b in enumerate(_block(data.get("spurious_blobs", []), "spurious_blobs", list)):
+            b = _block(b, f"spurious blob {i}")
+            blobs.append((b["structure"], Sphere(center_mm=tuple(b["center_mm"]), radius_mm=b["radius_mm"])))
+    except KeyError as exc:
+        raise ParameterError(f"degrade spec is missing field {exc}") from None
     return DegradeSpec(
         seed=data.get("seed", 0),
-        erode_steps=dict(data.get("erode_steps", {})),
-        dilate_steps=dict(data.get("dilate_steps", {})),
-        drop_edge_ids=tuple(data.get("drop_edge_ids", [])),
-        spurious_blobs=blobs,
+        erode_steps=dict(_block(data.get("erode_steps", {}), "erode_steps")),
+        dilate_steps=dict(_block(data.get("dilate_steps", {}), "dilate_steps")),
+        drop_edge_ids=tuple(_block(data.get("drop_edge_ids", []), "drop_edge_ids", list)),
+        spurious_blobs=tuple(blobs),
         relabel_fraction=data.get("relabel_fraction", 0.0),
     )

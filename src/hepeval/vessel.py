@@ -6,6 +6,13 @@ irregular voxels (degree != 2) into nodes, walks degree-2 chains into edges,
 estimates per-edge radii from the exact distance transform of the vessel
 mask, breaks spurious cycles at their thinnest edge, and assigns generations
 (hops from the greatest-radius trunk edge) plus Strahler orders.
+
+The skeleton and the neighbour degrees are computed on the bounding box of
+the mask's foreground. This is exact: voxels cut away are 0 and stay 0 at
+every skeleton stage, every voxel on the box's faces erodes to 0, so the
+opening is 0 outside the box, and pooling treats the exterior as 0, just as
+the zeros around the box. Degrees are only read at skeleton voxels, which
+all lie in the box.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .morphology import connected_components, distance_transform, soft_skeleton_array
+from .morphology import bounding_box, connected_components, distance_transform, soft_skeleton_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -36,10 +43,16 @@ def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
     """Binary skeleton: the soft skeleton of the 0/1 field, thresholded at 0.5.
 
     Guaranteed to be a subset of the input mask. On binary input every
-    intermediate value is 0 or 1, so integer arithmetic is exact.
+    intermediate value is 0 or 1, so integer arithmetic is exact. It runs on
+    the mask's bounding box; see the module docstring for why that is exact.
     """
-    skel, _ = soft_skeleton_array(mask.values.astype(np.uint8), iterations)
-    return BinaryMask(mask.geometry, (skel > 0) & mask.values)
+    out = np.zeros(mask.values.shape, dtype=bool)
+    box = bounding_box(mask.values)
+    if box is not None:
+        crop = mask.values[box]
+        skel, _ = soft_skeleton_array(crop.astype(np.uint8), iterations)
+        out[box] = (skel > 0) & crop
+    return BinaryMask(mask.geometry, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +126,16 @@ def _linear_to_xyz(lin: int, dims: tuple[int, int, int]) -> tuple[int, int, int]
 
 
 def _neighbor_degrees(sk: np.ndarray) -> np.ndarray:
-    nz, ny, nx = sk.shape
-    padded = np.pad(sk, 1).astype(np.uint8)
+    """26-neighbour counts on the skeleton's box; 0 outside it."""
     deg = np.zeros(sk.shape, dtype=np.uint8)
+    box = bounding_box(sk)
+    if box is None:
+        return deg
+    crop = deg[box]
+    nz, ny, nx = crop.shape
+    padded = np.pad(sk[box], 1).astype(np.uint8)
     for dz, dy, dx in OFFSETS_26:
-        deg += padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        crop += padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
     return deg
 
 

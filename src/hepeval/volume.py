@@ -119,7 +119,7 @@ class BinaryMask:
         object.__setattr__(self, "values", values)
 
     def popcount(self) -> int:
-        return int(self.values.sum())
+        return int(np.count_nonzero(self.values))
 
 
 @dataclass(frozen=True)

@@ -33,3 +33,38 @@ def separated_prob_volume(geometry: Geometry, seed: int) -> ProbVolume:
     values = np.linspace(0.1, 0.9, n)
     rng.shuffle(values)
     return ProbVolume(geometry, values.reshape(geometry.shape))
+
+
+def face_touching_values(seed: int, max_side: int = 7) -> np.ndarray:
+    """Random boolean grid whose foreground touches all six faces, so its
+    bounding box is the whole array. The density varies by seed; dense
+    grids are tie-heavy for the distance transform."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, max_side + 1, size=3))
+    density = (0.25, 0.6, 0.9)[seed % 3]
+    values = rng.random(shape) < density
+    for axis, n in enumerate(shape):
+        for side in (0, n - 1):
+            voxel = [int(rng.integers(0, m)) for m in shape]
+            voxel[axis] = side
+            values[tuple(voxel)] = True
+    return values
+
+
+# Offsets (z, y, x) into a grid 4 voxels larger per axis: each face of the
+# larger grid is touched by at least one of them.
+EMBED_MARGIN = 4
+EMBED_OFFSETS = ((0, 0, 0), (4, 4, 4), (0, 4, 2), (4, 0, 2), (2, 2, 0), (2, 2, 4), (2, 2, 2))
+
+
+def embed(values: np.ndarray, offset) -> np.ndarray:
+    """`values` placed at `offset` in a zero grid EMBED_MARGIN larger per axis."""
+    out = np.zeros(tuple(n + EMBED_MARGIN for n in values.shape), dtype=values.dtype)
+    out[tuple(slice(o, o + n) for o, n in zip(offset, values.shape))] = values
+    return out
+
+
+def grid_geometry(shape, spacing=(1.0, 1.0, 1.0)) -> Geometry:
+    """Geometry of an array indexed [z, y, x]."""
+    nz, ny, nx = shape
+    return Geometry(dims=(nx, ny, nz), spacing=spacing)

@@ -198,6 +198,16 @@ class TestPhantomCommand:
         assert code == 1
         assert "tumor 0" in caplog.text
 
+    def test_block_of_wrong_type_exits_1(self, tmp_path, caplog):
+        raw = spec_to_json_dict(default_spec())
+        raw["geometry"] = 5
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(raw))
+        with caplog.at_level("ERROR"):
+            code = main(["phantom", str(spec_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "invalid phantom spec: geometry must be an object, got int" in caplog.text
+
     def test_degrade_option_writes_prediction(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))

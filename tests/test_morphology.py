@@ -9,6 +9,7 @@ from scipy import ndimage
 from hepeval.morphology import (
     _pool_vjp,
     _pool_winners,
+    bounding_box,
     connected_components,
     distance_transform,
     distance_transform_squared,
@@ -20,7 +21,14 @@ from hepeval.morphology import (
 from hepeval.phantom import straight_tube_mask
 from hepeval.volume import BinaryMask, Geometry, ProbVolume
 
-from conftest import random_mask, random_prob_volume
+from conftest import (
+    EMBED_OFFSETS,
+    embed,
+    face_touching_values,
+    grid_geometry,
+    random_mask,
+    random_prob_volume,
+)
 
 
 def geometry(dims):
@@ -358,3 +366,96 @@ class TestDistanceTransform:
         dt = distance_transform(mask)
         assert (dt[~mask.values] == 0.0).all()
         assert (dt[mask.values] > 0.0).all()
+
+
+def oracle_components(values, connectivity):
+    """scipy labels on the whole grid, renumbered by first-voxel linear index,
+    with sizes and per-component boxes ((x0, x1), (y0, y1), (z0, z1))."""
+    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+    raw, count = ndimage.label(values, structure=structure)
+    ids, firsts = np.unique(raw.ravel(), return_index=True)
+    fg = ids > 0
+    remap = np.zeros(count + 1, dtype=np.int64)
+    remap[ids[fg][np.argsort(firsts[fg])]] = np.arange(1, count + 1)
+    labels = remap[raw]
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    sizes[0] = 0
+    boxes = []
+    for cid in range(1, count + 1):
+        coords = np.argwhere(labels == cid)
+        (z0, y0, x0), (z1, y1, x1) = coords.min(axis=0), coords.max(axis=0) + 1
+        boxes.append(((x0, x1), (y0, y1), (z0, z1)))
+    return labels, count, sizes, boxes
+
+
+# A lone voxel, then grids whose foreground touches every face.
+CROP_CASES = [np.ones((1, 1, 1), dtype=bool)] + [face_touching_values(seed) for seed in range(12)]
+
+
+class TestBoundingBox:
+    def test_empty_is_none(self):
+        assert bounding_box(np.zeros((3, 4, 5), dtype=bool)) is None
+
+    def test_matches_foreground_extent(self):
+        for values in CROP_CASES:
+            for offset in EMBED_OFFSETS:
+                grid = embed(values, offset)
+                box = bounding_box(grid)
+                assert box == tuple(slice(o, o + n) for o, n in zip(offset, values.shape))
+                assert np.array_equal(grid[box], values)
+
+    def test_counts_any_nonzero_value(self):
+        grid = np.zeros((4, 4, 4), dtype=np.uint8)
+        grid[1, 3, 0] = grid[2, 0, 2] = 7
+        assert bounding_box(grid) == (slice(1, 3), slice(0, 4), slice(0, 3))
+
+
+class TestCropInvariance:
+    """A mask embedded at an offset in a larger zero grid gives the results
+    of the mask alone, shifted, and whole-grid oracles agree."""
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_components_match_oracle_and_shift(self, connectivity):
+        for small in CROP_CASES:
+            base = connected_components(BinaryMask(grid_geometry(small.shape), small), connectivity)
+            for offset in EMBED_OFFSETS:
+                values = embed(small, offset)
+                cc = connected_components(BinaryMask(grid_geometry(values.shape), values), connectivity)
+                labels, count, sizes, boxes = oracle_components(values, connectivity)
+                assert cc.labels.dtype == np.int32
+                assert np.array_equal(cc.labels, labels)
+                assert np.array_equal(cc.labels, embed(base.labels, offset))
+                assert cc.count == count == base.count
+                assert np.array_equal(cc.sizes, sizes)
+                assert np.array_equal(cc.sizes, base.sizes)
+                assert list(cc.bounding_boxes) == boxes
+                shift = offset[::-1]  # (x, y, z)
+                shifted = [
+                    tuple((lo + o, hi + o) for (lo, hi), o in zip(box, shift)) for box in base.bounding_boxes
+                ]
+                assert list(cc.bounding_boxes) == shifted
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (2.0, 2.0, 3.0), (0.7, 1.3, 2.1)])
+    def test_distance_transform_matches_oracle_and_shifts(self, spacing):
+        for small in CROP_CASES:
+            mask = BinaryMask(grid_geometry(small.shape, spacing), small)
+            base = distance_transform_squared(mask)
+            if spacing != (0.7, 1.3, 2.1):  # the oracle sums in another order
+                assert np.array_equal(base, brute_force_squared_edt(mask))
+            for offset in EMBED_OFFSETS:
+                values = embed(small, offset)
+                mask = BinaryMask(grid_geometry(values.shape, spacing), values)
+                got = distance_transform_squared(mask)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, embed(base, offset))
+                assert np.array_equal(distance_transform(mask), np.sqrt(got))
+
+    def test_empty_mask_gives_zeros(self):
+        mask = BinaryMask(grid_geometry((3, 4, 5)), np.zeros((3, 4, 5), dtype=bool))
+        cc = connected_components(mask, 26)
+        assert cc.labels.dtype == np.int32 and cc.labels.shape == (3, 4, 5)
+        assert not cc.labels.any()
+        assert (cc.count, cc.sizes.tolist(), cc.bounding_boxes) == (0, [0], ())
+        for dt in (distance_transform_squared(mask), distance_transform(mask)):
+            assert dt.dtype == np.float64 and dt.shape == (3, 4, 5)
+            assert not dt.any()

@@ -250,6 +250,59 @@ class TestSpecSerialization:
         with pytest.raises(ParameterError, match=r"\['erode'\]"):
             degrade_from_json_dict({"seed": 1, "erode": {"portal_vein": 1}})
 
+    @staticmethod
+    def _set(raw, path, value):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("geometry", "stale"), r"geometry keys: \['stale'\]"),
+            (("trees", "portal_vein", "branch_angle"), r"tree 'portal_vein' keys: \['branch_angle'\]"),
+            (("tumors", 1, "stale"), r"tumor 1 keys: \['stale'\]"),
+            (("gallbladder", "stale"), r"gallbladder keys: \['stale'\]"),
+        ],
+    )
+    def test_unknown_nested_key_rejected(self, path, message):
+        raw = spec_to_json_dict(default_spec())
+        self._set(raw, path, 90)
+        with pytest.raises(ParameterError, match=message):
+            spec_from_json_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("geometry",), 5, "geometry must be an object, got int"),
+            (("trees",), [], "trees must be an object, got list"),
+            (("trees", "portal_vein"), 3, "tree 'portal_vein' must be an object, got int"),
+            (("tumors",), {}, "tumors must be an array, got dict"),
+            (("tumors", 0), [170.0, 150.0, 240.0], "tumor 0 must be an object, got list"),
+            (("gallbladder",), [62.0, 108.0, 116.0], "gallbladder must be an object, got list"),
+        ],
+    )
+    def test_block_of_wrong_type_rejected(self, path, value, message):
+        raw = spec_to_json_dict(default_spec())
+        self._set(raw, path, value)
+        with pytest.raises(ParameterError, match=message):
+            spec_from_json_dict(raw)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "degrade spec must be an object, got list"),
+            ({"erode_steps": ["portal_vein"]}, "erode_steps must be an object, got list"),
+            ({"dilate_steps": 1}, "dilate_steps must be an object, got int"),
+            ({"drop_edge_ids": 4}, "drop_edge_ids must be an array, got int"),
+            ({"spurious_blobs": [5]}, "spurious blob 0 must be an object, got int"),
+            ({"spurious_blobs": [{"structure": "tumor"}]}, "missing field 'center_mm'"),
+        ],
+    )
+    def test_degrade_block_of_wrong_type_rejected(self, data, message):
+        with pytest.raises(ParameterError, match=message):
+            degrade_from_json_dict(data)
+
     def test_manifest_contents(self):
         truth = generate_case(axis_tree_spec(1))
         m = truth_manifest(truth)

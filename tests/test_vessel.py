@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hepeval.errors import ParameterError
+from hepeval.morphology import soft_skeleton_array
 from hepeval.phantom import (
     axis_tree_spec,
     generate_case,
@@ -17,6 +18,8 @@ from hepeval.vessel import (
     skeletonize,
 )
 from hepeval.volume import BinaryMask, Geometry, extract_mask
+
+from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry
 
 
 def capsule_union(geometry, segments, radius):
@@ -319,3 +322,68 @@ class TestGraphExport:
             assert {"id", "nodes", "generation", "strahler", "length_mm", "mean_radius_mm", "n_path_voxels"} <= set(e)
         for n in d["nodes"]:
             assert n["kind"] in ("endpoint", "junction")
+
+
+def cropped_to_foreground(values):
+    coords = np.argwhere(values)
+    lo, hi = coords.min(axis=0), coords.max(axis=0) + 1
+    return values[tuple(slice(a, b) for a, b in zip(lo, hi))]
+
+
+def graph_content(graph, offset):
+    """Everything a graph holds, with voxels as (x, y, z) less `offset`
+    (a node's representative voxel is its first member)."""
+    shape = graph.geometry.shape
+    shift = np.asarray(offset)
+
+    def xyz(lins):
+        zyx = np.stack(np.unravel_index(np.asarray(lins, dtype=np.int64), shape), axis=1) - shift
+        return [tuple(v) for v in zyx[:, ::-1].tolist()]
+
+    nodes = [(n.id, n.kind, xyz(n.voxels)) for n in graph.nodes]
+    edges = [
+        (e.id, e.nodes, xyz(e.path), xyz(e.attach), e.length_mm, e.mean_radius_mm, e.generation, e.strahler)
+        for e in graph.edges + graph.removed_edges
+    ]
+    return graph.root_edge_id, [e.id for e in graph.removed_edges], nodes, edges
+
+
+# A lone voxel, a Y-shaped tree cut to its foreground, and grids whose
+# foreground touches every face.
+CROP_CASES = [
+    np.ones((1, 1, 1), dtype=bool),
+    cropped_to_foreground(y_phantom(trunk_length=10, branch_length=8).mask.values),
+] + [face_touching_values(seed, max_side=9) for seed in range(9)]
+
+
+class TestCropInvariance:
+    """A mask embedded at an offset in a larger zero grid gives the results
+    of the mask alone, shifted, and whole-grid oracles agree."""
+
+    @pytest.mark.parametrize("iterations", [1, 3, 10])
+    def test_skeleton_matches_whole_grid_and_shifts(self, iterations):
+        for small in CROP_CASES:
+            base = skeletonize(BinaryMask(grid_geometry(small.shape), small), iterations).values
+            for offset in EMBED_OFFSETS:
+                values = embed(small, offset)
+                got = skeletonize(BinaryMask(grid_geometry(values.shape), values), iterations).values
+                whole, _ = soft_skeleton_array(values.astype(np.uint8), iterations)
+                assert got.dtype == bool
+                assert np.array_equal(got, (whole > 0) & values)
+                assert np.array_equal(got, embed(base, offset))
+
+    def test_graph_agrees_after_shift(self):
+        for small in CROP_CASES:
+            mask = BinaryMask(grid_geometry(small.shape, (1.0, 1.5, 2.0)), small)
+            base = graph_content(build_graph(skeletonize(mask, 4), mask), (0, 0, 0))
+            for offset in EMBED_OFFSETS:
+                values = embed(small, offset)
+                mask = BinaryMask(grid_geometry(values.shape, (1.0, 1.5, 2.0)), values)
+                got = graph_content(build_graph(skeletonize(mask, 4), mask), offset)
+                assert got == base
+
+    def test_empty_mask_gives_zeros(self):
+        mask = BinaryMask(grid_geometry((3, 4, 5)), np.zeros((3, 4, 5), dtype=bool))
+        skel = skeletonize(mask, 10)
+        assert skel.values.dtype == bool and skel.values.shape == (3, 4, 5)
+        assert not skel.values.any()
