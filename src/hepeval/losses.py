@@ -47,7 +47,6 @@ class LossConfig:
     ramp_epochs: int = 100
     k_start: float = 0.15
     k_end: float = 0.50
-    total_epochs: int = 500
 
     def __post_init__(self):
         if self.w_cldice < 0 or self.w_bce < 0:
@@ -58,8 +57,11 @@ class LossConfig:
             raise ParameterError("epsilon and ce_clip must be > 0")
         if not 0 < self.k_start <= self.k_end <= 1:
             raise ParameterError("need 0 < k_start <= k_end <= 1")
-        if self.warmup_epochs + self.ramp_epochs != self.total_epochs:
-            raise ParameterError("warmup_epochs + ramp_epochs must equal total_epochs")
+
+    @property
+    def total_epochs(self) -> int:
+        """Epochs the schedule covers: the warm-up followed by the ramp."""
+        return self.warmup_epochs + self.ramp_epochs
 
 
 def soft_dice_loss(pred: ProbVolume, gt: BinaryMask, epsilon: float = 1e-5) -> GradedScalar:

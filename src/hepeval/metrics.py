@@ -44,8 +44,14 @@ def cl_dice_metric(pred: BinaryMask, gt: BinaryMask, iterations: int = 10) -> fl
     skeletons empty gives 1.0; exactly one empty gives 0.0.
     """
     require_same_geometry(pred, gt)
-    skel_p = skeletonize(pred, iterations).values
-    skel_g = skeletonize(gt, iterations).values
+    return _cl_dice_from_skeletons(pred, gt, skeletonize(pred, iterations), skeletonize(gt, iterations))
+
+
+def _cl_dice_from_skeletons(
+    pred: BinaryMask, gt: BinaryMask, pred_skel: BinaryMask, gt_skel: BinaryMask
+) -> float:
+    """`cl_dice_metric` on skeletons the caller already has."""
+    skel_p, skel_g = pred_skel.values, gt_skel.values
     np_, ng = int(np.count_nonzero(skel_p)), int(np.count_nonzero(skel_g))
     if np_ == 0 and ng == 0:
         return 1.0
@@ -202,7 +208,11 @@ class CaseReport:
 
 def _biliary_mask(volume: LabelVolume) -> BinaryMask:
     """Biliary tree mask: the biliary label plus a separate gallbladder label
-    when the dataset uses one."""
+    when the dataset uses one.
+
+    A dataset may fold the gallbladder into the biliary tree label; the
+    evaluation subdivides the union again with `identify_gallbladder`.
+    """
     mask = extract_mask(volume, volume.schema.id_of("biliary_tree")).values
     if any(name == "gallbladder" for name in volume.schema.ids.values()):
         mask = mask | extract_mask(volume, volume.schema.id_of("gallbladder")).values
@@ -250,7 +260,8 @@ def evaluate_case(
         )
         central[name] = dsc(gt_split.central, pred_split.central)
         peripheral[name] = dsc(gt_split.peripheral, pred_split.peripheral)
-        cl[name] = cl_dice_metric(pred_mask, gt_mask, config.skeleton_iterations)
+        pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
+        cl[name] = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, skel)
 
     gt_biliary = _biliary_mask(gt)
     pred_biliary = _biliary_mask(pred)

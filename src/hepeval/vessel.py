@@ -7,12 +7,13 @@ estimates per-edge radii from the exact distance transform of the vessel
 mask, breaks spurious cycles at their thinnest edge, and assigns generations
 (hops from the greatest-radius trunk edge) plus Strahler orders.
 
-The skeleton and the neighbour degrees are computed on the bounding box of
-the mask's foreground. This is exact: voxels cut away are 0 and stay 0 at
-every skeleton stage, every voxel on the box's faces erodes to 0, so the
-opening is 0 outside the box, and pooling treats the exterior as 0, just as
-the zeros around the box. Degrees are only read at skeleton voxels, which
-all lie in the box.
+The skeleton is computed on the bounding box of the mask's foreground. This
+is exact: voxels cut away are 0 and stay 0 at every skeleton stage, every
+voxel on the box's faces erodes to 0, so the opening is 0 outside the box,
+and pooling treats the exterior as 0, just as the zeros around the box. The
+graph reads neighbours from one index of the skeleton voxels, built on the
+skeleton's own bounding box padded by one background voxel: every neighbour
+of a skeleton voxel lies in that padded box, so the index is exact too.
 """
 
 from __future__ import annotations
@@ -117,26 +118,27 @@ class SkeletonGraph:
         }
 
 
-def _linear_to_xyz(lin: int, dims: tuple[int, int, int]) -> tuple[int, int, int]:
-    nx, ny, _ = dims
-    x = lin % nx
-    y = (lin // nx) % ny
-    z = lin // (nx * ny)
-    return (x, y, int(z))
+def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Index of the skeleton voxels, taken in ascending linear order.
 
-
-def _neighbor_degrees(sk: np.ndarray) -> np.ndarray:
-    """26-neighbour counts on the skeleton's box; 0 outside it."""
-    deg = np.zeros(sk.shape, dtype=np.uint8)
+    Returns their full-grid linear indices, their (x, y, z) positions, and for
+    each voxel the indices (into this order) of its 26-neighbours in
+    `OFFSETS_26` order. The lookup runs on the skeleton's bounding box padded
+    by one background voxel, so no neighbour offset needs a bounds check.
+    """
     box = bounding_box(sk)
-    if box is None:
-        return deg
-    crop = deg[box]
-    nz, ny, nx = crop.shape
-    padded = np.pad(sk[box], 1).astype(np.uint8)
-    for dz, dy, dx in OFFSETS_26:
-        crop += padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
-    return deg
+    padded = np.pad(sk[box], 1)
+    _, py, px = padded.shape
+    at = np.flatnonzero(padded)
+    slot = np.full(padded.size, -1, dtype=np.intp)
+    slot[at] = np.arange(len(at))
+    table = np.stack([slot[at + (dz * py + dy) * px + dx] for dz, dy, dx in OFFSETS_26], axis=1)
+    present = table >= 0
+    flat = table[present].tolist()
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    nbrs = [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    zyx = np.stack(np.unravel_index(at, padded.shape)) + np.array([[s.start - 1] for s in box])
+    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs
 
 
 class _UnionFind:
@@ -170,108 +172,67 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     if not sk.any():
         return SkeletonGraph(geometry, [], [], [], None)
 
-    nz, ny, nx = sk.shape
-    deg = _neighbor_degrees(sk)
-    node_mask = sk & (deg != 2)
-    chain_mask = sk & (deg == 2)
+    lin, xyz, nbrs = _skeleton_index(sk)
 
-    # node ids: connected clusters of irregular voxels, ordered by first voxel
+    # node ids: connected clusters of irregular voxels (degree != 2), ordered
+    # by first voxel; node_of is -1 on chain voxels
+    degree = np.array([len(nb) for nb in nbrs])
+    node_mask = np.zeros(sk.shape, dtype=bool)
+    node_mask.ravel()[lin[degree != 2]] = True
     node_cc = connected_components(BinaryMask(geometry, node_mask), 26)
-    node_of_voxel = node_cc.labels  # 0 where not a node voxel
-    n_nodes = node_cc.count
-    node_members: list[list[int]] = [[] for _ in range(n_nodes)]
-    for lin in np.flatnonzero(node_mask.ravel()):
-        node_members[node_of_voxel.ravel()[lin] - 1].append(int(lin))
+    node_of = (node_cc.labels.ravel()[lin] - 1).tolist()
+    node_members: list[list[int]] = [[] for _ in range(node_cc.count)]
+    for i, node in enumerate(node_of):
+        if node >= 0:
+            node_members[node].append(i)
 
-    sk_flat = sk.ravel()
-    chain_flat = chain_mask.ravel()
-    node_flat = node_of_voxel.ravel().copy()
-    lin_offsets = [dz * nx * ny + dy * nx + dx for dz, dy, dx in OFFSETS_26]
-    coords_cache: dict[int, tuple[int, int, int]] = {}
-
-    def neighbors(lin: int):
-        x, y, z = _linear_to_xyz(lin, geometry.dims)
-        out = []
-        for (dz, dy, dx), dlin in zip(OFFSETS_26, lin_offsets):
-            xx, yy, zz = x + dx, y + dy, z + dz
-            if 0 <= xx < nx and 0 <= yy < ny and 0 <= zz < nz and sk_flat[lin + dlin]:
-                out.append(lin + dlin)
-        return out
-
-    claimed = np.zeros(sk.size, dtype=bool)
+    spacing = np.asarray(geometry.spacing)
+    dt_flat = distance_transform(vessel_mask).ravel()
+    claimed = [False] * len(lin)
     edges: list[SkeletonEdge] = []
 
-    def walk_chain(start_node_voxel: int, first: int):
-        path = []
-        prev, cur = start_node_voxel, first
-        while True:
-            claimed[cur] = True
-            path.append(cur)
-            nbrs = neighbors(cur)
-            nxt = None
-            for cand in nbrs:
-                if cand != prev:
-                    nxt = cand
-                    break
-            if nxt is None:  # dead end inside a chain: treat last voxel as terminal
-                return path, None
-            if node_flat[nxt] > 0:
-                return path, nxt
-            if claimed[nxt]:  # closed a pure cycle back onto its anchor
-                return path, nxt
-            prev, cur = cur, nxt
+    def walk_chains(node_a: int, attach_a: int):
+        """One edge per unclaimed chain voxel next to a node voxel.
 
-    def add_edge(node_a: int, attach_a: int, first: int):
-        path, end_voxel = walk_chain(attach_a, first)
-        if end_voxel is None:
-            # chain that dies out: make its last voxel a fresh endpoint node
-            tail = path[-1]
-            node_flat[tail] = len(node_members) + 1
-            node_members.append([tail])
-            end_voxel = tail
-            path = path[:-1]
-        node_b = int(node_flat[end_voxel]) - 1
-        edges.append(
-            SkeletonEdge(
-                id=len(edges),
-                nodes=(node_a, node_b),
-                path=np.asarray(path, dtype=np.int64),
-                attach=(attach_a, end_voxel),
+        A chain voxel has exactly two skeleton neighbours, one of them the
+        voxel the walk came from, so a walk can neither stop nor re-enter its
+        own path before it reaches a node voxel.
+        """
+        for first in nbrs[attach_a]:
+            if node_of[first] >= 0 or claimed[first]:
+                continue
+            path = []
+            prev, cur = attach_a, first
+            while node_of[cur] < 0:
+                claimed[cur] = True
+                path.append(cur)
+                a, b = nbrs[cur]
+                prev, cur = cur, (b if a == prev else a)
+            walk = [attach_a, *path, cur]
+            steps = np.diff(xyz[walk].astype(np.float64), axis=0) * spacing
+            edges.append(
+                SkeletonEdge(
+                    id=len(edges),
+                    nodes=(node_a, node_of[cur]),
+                    path=lin[path],
+                    attach=(int(lin[attach_a]), int(lin[cur])),
+                    length_mm=float(np.sqrt((steps**2).sum(axis=1)).sum()),
+                    mean_radius_mm=float(dt_flat[lin[walk]].mean()),
+                )
             )
-        )
 
-    for node_id in range(n_nodes):
-        for v in node_members[node_id]:
-            for w in neighbors(v):
-                if chain_flat[w] and not claimed[w]:
-                    add_edge(node_id, v, w)
+    for node_id, members in enumerate(node_members):
+        for v in members:
+            walk_chains(node_id, v)
 
     # components made only of degree-2 voxels (pure cycles): anchor at the
     # smallest unclaimed voxel, producing a self-loop that cycle-breaking drops
-    for lin in np.flatnonzero(chain_flat & ~claimed):
-        lin = int(lin)
-        if claimed[lin]:
-            continue
-        anchor_id = len(node_members)
-        node_members.append([lin])
-        node_flat[lin] = anchor_id + 1
-        chain_flat[lin] = False
-        claimed[lin] = True
-        for w in neighbors(lin):
-            if chain_flat[w] and not claimed[w]:
-                add_edge(anchor_id, lin, w)
-
-    # per-edge length and radius
-    spacing = np.asarray(geometry.spacing)
-    dt = distance_transform(vessel_mask)
-    dt_flat = dt.ravel()
-    for e in edges:
-        walk = [e.attach[0], *e.path.tolist(), e.attach[1]]
-        pts = np.array([_linear_to_xyz(v, geometry.dims) for v in walk], dtype=np.float64)
-        if len(pts) > 1:
-            steps = np.diff(pts, axis=0) * spacing
-            e.length_mm = float(np.sqrt((steps**2).sum(axis=1)).sum())
-        e.mean_radius_mm = float(dt_flat[np.asarray(walk)].mean())
+    for i in range(len(lin)):
+        if node_of[i] < 0 and not claimed[i]:
+            node_of[i] = len(node_members)
+            node_members.append([i])
+            claimed[i] = True
+            walk_chains(node_of[i], i)
 
     # cycle breaking: maximum-radius spanning forest; dropped edges are the
     # thinnest within each cycle
@@ -330,15 +291,13 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
 
     nodes = []
     for node_id, members in enumerate(node_members):
-        members_arr = np.asarray(sorted(members), dtype=np.int64)
         n_edges = len(incident.get(node_id, []))
-        kind = "endpoint" if n_edges <= 1 else "junction"
         nodes.append(
             SkeletonNode(
                 id=node_id,
-                voxel=_linear_to_xyz(int(members_arr[0]), geometry.dims),
-                kind=kind,
-                voxels=members_arr,
+                voxel=tuple(int(c) for c in xyz[members[0]]),
+                kind="endpoint" if n_edges <= 1 else "junction",
+                voxels=lin[members],
             )
         )
     return SkeletonGraph(geometry, nodes, kept, removed, root_edge_id)
@@ -438,14 +397,10 @@ def _nearest_labels(
     with the smallest linear index: sources are scanned in ascending order
     and only strictly closer candidates replace the incumbent.
     """
-    nx, ny, _ = geometry.dims
     spacing = np.asarray(geometry.spacing)
 
     def to_mm(lin):
-        x = lin % nx
-        y = (lin // nx) % ny
-        z = lin // (nx * ny)
-        return np.stack([x, y, z], axis=1).astype(np.float64) * spacing
+        return np.stack(np.unravel_index(lin, geometry.shape)[::-1], axis=1) * spacing
 
     tgt = to_mm(targets_lin)
     src = to_mm(sources_lin)

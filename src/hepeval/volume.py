@@ -168,8 +168,6 @@ DEFAULT_SCHEMA = LabelSchema(
     }
 )
 
-# Structures for which the gallbladder id is optional: a dataset may fold the
-# gallbladder into the biliary tree label, the evaluation subdivides it again.
 VESSEL_STRUCTURES = ("portal_vein", "hepatic_vein")
 
 

@@ -251,6 +251,14 @@ class TestLossCommand:
         gt_path, pred_path = self.make_pair(tmp_path)
         assert main(["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "500"]) == 1
 
+    def test_total_epochs_key_exits_1(self, tmp_path):
+        # total_epochs is derived from warmup_epochs + ramp_epochs, not a setting
+        gt_path, pred_path = self.make_pair(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_epochs": 500}))
+        argv = ["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "0", "--config", str(cfg)]
+        assert main(argv) == 1
+
     def test_agrees_with_library(self, tmp_path, capsys):
         gt = y_phantom().mask
         rng = np.random.default_rng(3)

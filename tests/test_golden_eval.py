@@ -1,8 +1,10 @@
-"""Golden guard for the evaluation path: pinned `evaluate_case` reports.
+"""Golden guard for the evaluation path: pinned `evaluate_case` reports and
+pinned `build_graph` outputs.
 
-Each case hashes the canonical JSON (``sort_keys=True``) of the report on a
-fixed degraded phantom pair. The hashes pin every metric bit, so a change
-meant only to make the evaluation faster must leave them alone. A hash may
+Each case hashes the canonical JSON (``sort_keys=True``) of a report on a
+fixed degraded phantom pair, or of a skeleton graph with every node member,
+edge path and attach voxel. The hashes pin every bit, so a change meant only
+to make the evaluation faster or simpler must leave them alone. A hash may
 change only in a change that means to alter evaluation results and says so
 in CHANGES.md, together with the new value.
 """
@@ -10,10 +12,15 @@ in CHANGES.md, together with the new value.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hepeval.metrics import evaluate_case
 from hepeval.phantom import DegradeSpec, Sphere, axis_tree_spec, default_spec, degrade, generate_case
+from hepeval.vessel import build_graph, skeletonize
+from hepeval.volume import BinaryMask, extract_mask
+
+from conftest import grid_geometry
 
 PAIRS = {
     "liver_gallbladder": (
@@ -51,3 +58,76 @@ def test_case_report_hash_is_pinned(name):
     report = evaluate_case(truth.label_volume, degrade(truth, dspec), case_id=name)
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _random_mask(seed: int) -> BinaryMask:
+    """Seeded random mask, 4-11 voxels per axis, density 0.05-0.4: used as its
+    own skeleton it is rich in pure cycles and chains that close back onto
+    their own node."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(4, 12, size=3))
+    density = rng.uniform(0.05, 0.4)
+    return BinaryMask(grid_geometry(shape, (0.8, 1.0, 1.5)), rng.random(shape) < density)
+
+
+def _graph_inputs(name: str) -> tuple[BinaryMask, BinaryMask]:
+    """(skeleton, vessel mask): a random mask as its own skeleton, or the
+    skeleton of a phantom vein."""
+    if name.startswith("random_"):
+        mask = _random_mask(int(name.removeprefix("random_")))
+        return mask, mask
+    phantom, vein = name.split("/")
+    volume = generate_case({"liver": default_spec(), "htree": axis_tree_spec(4)}[phantom]).label_volume
+    mask = extract_mask(volume, volume.schema.id_of(vein))
+    return skeletonize(mask, 10), mask
+
+
+def _graph_json(graph) -> str:
+    doc = graph.to_json_dict()
+    doc["node_voxels"] = [n.voxels.tolist() for n in graph.nodes]
+    doc["edge_walks"] = [
+        {
+            "id": e.id,
+            "path": e.path.tolist(),
+            "attach": list(e.attach),
+            "generation": e.generation,
+            "strahler": e.strahler,
+        }
+        for e in graph.edges + graph.removed_edges
+    ]
+    return json.dumps(doc, sort_keys=True)
+
+
+GRAPHS = {
+    "random_0": "1d28f5f4a6a5d96d333d657248094cbfa0e86f9ba33c5c3364662de4fac4d856",
+    "random_1": "a741572cee62ec7bd6cd1393cc6dc217ca33c9c1f6e1131949c11edab5ebd381",
+    "random_2": "5d0537595b1aa4755111725ec2c6f769973b23b5d0e503ece6a6a4e572125156",
+    "random_3": "4b4238442daa8c9d4cbcfdff5230715628c75641a5d38bba723f643fad9246bc",
+    "random_4": "d8912cb22c84a8ad5d596477d9094d88fcd7e5c201b88f5a16ccd8eb245bd015",
+    "random_5": "5e8ae4a212b1fe1302fdcb23e87091415db80ae40103e0d2d97c80af95bac729",
+    "random_6": "4bd8d044a66e30f0c98ee4b24ba5a10287f233b1d3e266bc31c7840258d1d31a",
+    "random_7": "532ea40e194460e5cd286ca4aeffba4fbd24b018de29095007f5828d1c45b9f6",
+    "random_8": "f53bcc836920f626264cd70dd00b80f3daf50ece376e9572d2249da8736380b9",
+    "random_9": "e71945572706ace5f39916a6025205c1141b0a30839b615a851478cd8a5c82aa",
+    "random_10": "47d23fba309199cbaadd74f6251c6ed2737cdd2967bba981c2265a3083be1b5b",
+    "random_11": "385ad6d18ac8cbdeec3ad5c13167c5e8f3103ec66eb621138cfb01a852d2ed36",
+    "liver/portal_vein": "9f6ab4e7da779b118c239bb26f27aaf62066bedd70f2383d29f3367095158623",
+    "liver/hepatic_vein": "a01d103219f8f974b882680a28b57cfe0f7ab847706e56d7050a81c4939519f9",
+    "htree/portal_vein": "071885b466c35b2d81733df152e25b7ea5b406220764671da297e01c0c74702a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_skeleton_graph_hash_is_pinned(name):
+    graph = build_graph(*_graph_inputs(name))
+    assert hashlib.sha256(_graph_json(graph).encode()).hexdigest() == GRAPHS[name]
+
+
+def test_random_graph_inputs_exercise_cycles():
+    """The random set must hold self-loops (pure cycles and chains closing
+    back onto their own node), or its hashes pin no cycle handling."""
+    loops = 0
+    for seed in range(12):
+        graph = build_graph(*_graph_inputs(f"random_{seed}"))
+        loops += sum(e.nodes[0] == e.nodes[1] for e in graph.removed_edges)
+    assert loops > 0

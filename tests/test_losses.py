@@ -118,9 +118,11 @@ class TestKSchedule:
         with pytest.raises(RangeError):
             k_schedule(-1, LossConfig())
 
-    def test_config_invariant(self):
-        with pytest.raises(ParameterError):
-            LossConfig(warmup_epochs=10, ramp_epochs=10, total_epochs=30)
+    def test_total_epochs_is_warmup_plus_ramp(self):
+        cfg = LossConfig(warmup_epochs=10, ramp_epochs=7)
+        assert k_schedule(16, cfg) == cfg.k_end
+        with pytest.raises(RangeError):
+            k_schedule(17, cfg)
 
 
 class TestBootstrappedCE:
