@@ -125,14 +125,16 @@ def lesion_match(
     pr_cc = connected_components(pred_tumors, connectivity)
     voxvol = gt_tumors.geometry.voxel_volume_mm3
 
-    # pairwise overlap counts via a joint histogram of (gt id, pred id)
-    overlap = np.zeros((gt_cc.count + 1, pr_cc.count + 1), dtype=np.int64)
-    either = (gt_cc.labels > 0) | (pr_cc.labels > 0)
-    if either.any():
-        g = gt_cc.labels[either].astype(np.int64)
-        p = pr_cc.labels[either].astype(np.int64)
-        pairs = np.bincount(g * (pr_cc.count + 1) + p, minlength=overlap.size)
-        overlap = pairs.reshape(overlap.shape)
+    # Overlap counts: a joint histogram of (gt id, pred id) on the boxes'
+    # intersection, the only place both can be nonzero; row/column 0 go unread.
+    lo = [max(a.start, b.start) for a, b in zip(gt_cc.box, pr_cc.box)]
+    hi = [max(min(a.stop, b.stop), start) for a, b, start in zip(gt_cc.box, pr_cc.box, lo)]
+    g, p = (
+        cc.labels[tuple(slice(a - s.start, b - s.start) for a, b, s in zip(lo, hi, cc.box))].astype(np.int64)
+        for cc in (gt_cc, pr_cc)
+    )
+    shape = (gt_cc.count + 1, pr_cc.count + 1)
+    overlap = np.bincount((g * shape[1] + p).ravel(), minlength=shape[0] * shape[1]).reshape(shape)
 
     rows = []
     n_detected = 0
@@ -206,17 +208,18 @@ class CaseReport:
         }
 
 
-def _biliary_mask(volume: LabelVolume) -> BinaryMask:
-    """Biliary tree mask: the biliary label plus a separate gallbladder label
-    when the dataset uses one.
-
-    A dataset may fold the gallbladder into the biliary tree label; the
-    evaluation subdivides the union again with `identify_gallbladder`.
-    """
-    mask = extract_mask(volume, volume.schema.id_of("biliary_tree")).values
-    if any(name == "gallbladder" for name in volume.schema.ids.values()):
-        mask = mask | extract_mask(volume, volume.schema.id_of("gallbladder")).values
-    return BinaryMask(volume.geometry, mask)
+def _vessel_scores(gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig) -> tuple:
+    """Central DSC, peripheral DSC and clDice of one venous tree; the split
+    comes from the truth's skeleton graph and is applied to both masks."""
+    skel = skeletonize(gt_mask, config.skeleton_iterations)
+    graph = build_graph(skel, gt_mask)
+    gt_split, pred_split = (
+        classify_central_peripheral(graph, m, config.central_rule, config.max_central_generation)
+        for m in (gt_mask, pred_mask)
+    )
+    pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
+    cl = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, skel)
+    return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
 
 
 def evaluate_case(
@@ -232,44 +235,40 @@ def evaluate_case(
     applied to both masks; gallbladder/ducts subdivision of the biliary tree
     with the central (gallbladder) comparison skipped for cholecystectomy
     cases; clDice for veins and ducts; lesion-wise tumor detection.
+
+    Each structure's masks are extracted once, scored for DSC and handed to
+    the one block that reads them; no mask pair outlives its block.
     """
     require_same_geometry(gt, pred)
     if gt.schema != pred.schema:
         raise SchemaError("ground truth and prediction use different label schemas")
-
+    names = [gt.schema.name_of(sid) for sid in gt.schema.structure_ids()]
     structure_dsc = {}
-    for sid in gt.schema.structure_ids():
-        name = gt.schema.name_of(sid)
-        structure_dsc[name] = dsc(extract_mask(gt, sid), extract_mask(pred, sid))
+
+    def scored(*parts: str) -> tuple[BinaryMask, BinaryMask]:
+        """Truth and prediction masks of the union of `parts`; records each part's DSC."""
+        union = None
+        for name in parts:
+            sid = gt.schema.id_of(name)
+            pair = extract_mask(gt, sid), extract_mask(pred, sid)
+            structure_dsc[name] = dsc(*pair)
+            if union is not None:
+                pair = tuple(BinaryMask(gt.geometry, u.values | m.values) for u, m in zip(union, pair))
+            union = pair
+        return union
 
     central: dict[str, float | None] = {}
     peripheral: dict[str, float | None] = {}
     cl: dict[str, float] = {}
-
     for name in VESSEL_STRUCTURES:
-        sid = gt.schema.id_of(name)
-        gt_mask = extract_mask(gt, sid)
-        pred_mask = extract_mask(pred, sid)
-        skel = skeletonize(gt_mask, config.skeleton_iterations)
-        graph = build_graph(skel, gt_mask)
-        gt_split = classify_central_peripheral(
-            graph, gt_mask, config.central_rule, config.max_central_generation
-        )
-        pred_split = classify_central_peripheral(
-            graph, pred_mask, config.central_rule, config.max_central_generation
-        )
-        central[name] = dsc(gt_split.central, pred_split.central)
-        peripheral[name] = dsc(gt_split.peripheral, pred_split.peripheral)
-        pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
-        cl[name] = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, skel)
+        central[name], peripheral[name], cl[name] = _vessel_scores(*scored(name), config)
 
-    gt_biliary = _biliary_mask(gt)
-    pred_biliary = _biliary_mask(pred)
-    gb_gt, ducts_gt = identify_gallbladder(
-        gt_biliary, config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity
-    )
-    gb_pred, ducts_pred = identify_gallbladder(
-        pred_biliary, config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity
+    # A dataset may fold the gallbladder into the biliary tree label; the
+    # union is subdivided again by `identify_gallbladder`.
+    biliary = ("biliary_tree", "gallbladder") if "gallbladder" in names else ("biliary_tree",)
+    (gb_gt, ducts_gt), (gb_pred, ducts_pred) = (
+        identify_gallbladder(m, config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity)
+        for m in scored(*biliary)
     )
     gb_absent_gt = gb_gt.popcount() == 0
     gb_absent_pred = gb_pred.popcount() == 0
@@ -279,17 +278,15 @@ def evaluate_case(
     peripheral["biliary_tree"] = dsc(ducts_gt, ducts_pred)
     cl["biliary_ducts"] = cl_dice_metric(ducts_pred, ducts_gt, config.skeleton_iterations)
 
-    tumor_id = gt.schema.id_of("tumor")
-    lesions = lesion_match(
-        extract_mask(gt, tumor_id),
-        extract_mask(pred, tumor_id),
-        config.connectivity,
-        config.min_overlap_voxels,
-    )
+    lesions = lesion_match(*scored("tumor"), config.connectivity, config.min_overlap_voxels)
+    # Structures no block reads, such as the parenchyma, get their DSC only.
+    for name in names:
+        if name not in structure_dsc:
+            scored(name)
 
     return CaseReport(
         case_id=case_id,
-        dsc=structure_dsc,
+        dsc={name: structure_dsc[name] for name in names},
         central_dsc=central,
         peripheral_dsc=peripheral,
         cl_dice=cl,

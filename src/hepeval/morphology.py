@@ -10,10 +10,11 @@ composes to the global rule: ties go to the smallest linear index, and the
 exterior wins, taking no gradient, only on a strict extremum.
 
 Connected components and the distance transform run on the bounding box of
-the mask's foreground and write into a zeroed full-size output. Labelling is
-exact on the box because every component lies inside it, and translation
-keeps the first-voxel linear order that numbers them. The distance transform
-pads the box with one background voxel: clamping any background voxel's
+the mask's foreground. Components keep their labels on that box only, with
+the box beside them: labelling is exact there because every component lies
+inside it, and translation keeps the first-voxel linear order that numbers
+them. The distance transform writes into a zeroed full-size output and pads
+the box with one background voxel: clamping any background voxel's
 coordinates onto the padded box lands on background and never increases a
 per-axis distance, and the separable passes are monotone in each per-axis
 distance, so the minimum, rounding included, is unchanged.
@@ -147,10 +148,11 @@ class ComponentLabeling:
     """Connected components with ids assigned by first-voxel linear index."""
 
     geometry: Geometry
-    labels: np.ndarray  # int32, 0 = background
+    box: tuple[slice, ...]  # (z, y, x) slices of the foreground's bounding box; size 0 when empty
+    labels: np.ndarray  # int32 over `box` only, 0 = background
     count: int
     sizes: np.ndarray  # voxel count per component, index 0 unused
-    bounding_boxes: tuple  # per component: ((x0,x1), (y0,y1), (z0,z1)), exclusive upper
+    bounding_boxes: tuple  # per component: (z, y, x) slices into `labels`, from ndimage.find_objects
 
 
 _STRUCTURES = {6: 1, 18: 2, 26: 3}
@@ -177,31 +179,21 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     if connectivity not in _STRUCTURES:
         raise ParameterError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, _STRUCTURES[connectivity])
-    labels = np.zeros(mask.values.shape, dtype=np.int32)
-    box = bounding_box(mask.values)
-    if box is None:
-        return ComponentLabeling(mask.geometry, labels, 0, np.zeros(1, dtype=np.int64), ())
+    box = bounding_box(mask.values) or (slice(0, 0),) * 3
     raw, count = ndimage.label(mask.values[box], structure=structure)
 
     # Renumber so component ids follow the first-voxel linear order.
     flat = raw.ravel()
     fg = np.flatnonzero(flat)
-    ids, firsts = np.unique(flat[fg], return_index=True)
-    order = np.argsort(firsts, kind="stable")
+    _, firsts = np.unique(flat[fg], return_index=True)  # raw ids are 1..count
     remap = np.zeros(count + 1, dtype=np.int32)
-    remap[ids[order]] = np.arange(1, count + 1, dtype=np.int32)
-    crop = remap[raw]
-    labels[box] = crop
+    remap[1 + np.argsort(firsts, kind="stable")] = np.arange(1, count + 1, dtype=np.int32)
+    labels = remap[raw]
 
-    sizes = np.bincount(crop.ravel(), minlength=count + 1).astype(np.int64)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1).astype(np.int64)
     sizes[0] = 0
-    z0, y0, x0 = (sl.start for sl in box)
-    boxes = []
-    for zs, ys, xs in ndimage.find_objects(crop):
-        boxes.append(
-            ((xs.start + x0, xs.stop + x0), (ys.start + y0, ys.stop + y0), (zs.start + z0, zs.stop + z0))
-        )
-    return ComponentLabeling(mask.geometry, labels, count, sizes, tuple(boxes))
+    boxes = tuple(ndimage.find_objects(labels)) if count else ()
+    return ComponentLabeling(mask.geometry, box, labels, count, sizes, boxes)
 
 
 def _squared_edt_axis(f: np.ndarray, axis: int, step: float) -> np.ndarray:

@@ -427,7 +427,7 @@ def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
     labels = truth.label_volume.labels
     schema = truth.label_volume.schema
     geometry = truth.label_volume.geometry
-    masks = {name: (labels == schema.id_of(name)).copy() for name in PRECEDENCE}
+    masks = {name: labels == schema.id_of(name) for name in PRECEDENCE}
 
     for edge_id in d.drop_edge_ids:
         tree = next(e.tree for e in truth.edges if e.edge_id == edge_id)

@@ -176,11 +176,14 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
 
     # node ids: connected clusters of irregular voxels (degree != 2), ordered
     # by first voxel; node_of is -1 on chain voxels
-    degree = np.array([len(nb) for nb in nbrs])
+    irregular = np.array([len(nb) != 2 for nb in nbrs])
     node_mask = np.zeros(sk.shape, dtype=bool)
-    node_mask.ravel()[lin[degree != 2]] = True
+    node_mask.ravel()[lin[irregular]] = True
     node_cc = connected_components(BinaryMask(geometry, node_mask), 26)
-    node_of = (node_cc.labels.ravel()[lin] - 1).tolist()
+    node_of = np.full(len(lin), -1)
+    at = xyz[irregular, ::-1] - [s.start for s in node_cc.box]
+    node_of[irregular] = node_cc.labels[tuple(at.T)] - 1
+    node_of = node_of.tolist()
     node_members: list[list[int]] = [[] for _ in range(node_cc.count)]
     for i, node in enumerate(node_of):
         if node >= 0:
@@ -485,26 +488,25 @@ def identify_gallbladder(
     is ducts.
     """
     geometry = biliary_mask.geometry
-    empty = np.zeros(geometry.shape, dtype=bool)
+    gb = np.zeros(geometry.shape, dtype=bool)
     cc = connected_components(biliary_mask, 26)
     voxvol = geometry.voxel_volume_mm3
 
-    best = None  # (score, component id)
-    for cid in range(1, cc.count + 1):
+    best = None  # (score, component box, component crop)
+    for cid, sub in enumerate(cc.bounding_boxes, start=1):
         volume = float(cc.sizes[cid]) * voxvol
         if volume < min_volume_mm3:
             continue
-        (x0, x1), (y0, y1), (z0, z1) = cc.bounding_boxes[cid - 1]
-        crop = cc.labels[z0:z1, y0:y1, x0:x1] == cid
+        crop = cc.labels[sub] == cid
         area = _surface_area_mm2(crop, geometry.spacing)
         sphericity = np.pi ** (1 / 3) * (6.0 * volume) ** (2 / 3) / area
         if sphericity < min_sphericity:
             continue
         score = volume * sphericity
         if best is None or score > best[0]:
-            best = (score, cid)
+            best = (score, sub, crop)
 
     if best is None:
-        return BinaryMask(geometry, empty), BinaryMask(geometry, biliary_mask.values.copy())
-    gb = cc.labels == best[1]
+        return BinaryMask(geometry, gb), biliary_mask
+    gb[cc.box][best[1]] = best[2]
     return BinaryMask(geometry, gb), BinaryMask(geometry, biliary_mask.values & ~gb)

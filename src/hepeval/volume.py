@@ -4,6 +4,12 @@ Grid convention used by the whole package: arrays are indexed ``[z, y, x]``
 and are C-contiguous, so ``values.ravel()`` enumerates voxels x-fastest.
 The linear index of voxel (x, y, z) is ``x + nx * (y + ny * z)``, which is
 also the on-disk order of NIfTI-1 payloads.
+
+Volumes take ownership of their arrays. A constructor keeps an array that
+already has the right dtype and layout (C-contiguous float64 for
+`ProbVolume`, bool for `BinaryMask`, uint8 for `LabelVolume`) without
+copying it and marks it read-only; any other input is converted first. A
+caller who keeps writing to an array passes a copy.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ class BinaryMask:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _check_grid(self.geometry, np.asarray(self.values).astype(bool), "values")
+        values = _check_grid(self.geometry, np.asarray(self.values, dtype=bool), "values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

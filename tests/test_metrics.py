@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hepeval.metrics
 from hepeval.errors import ParameterError, ShapeMismatchError
 from hepeval.metrics import (
     EvalConfig,
@@ -26,7 +27,7 @@ from hepeval.phantom import (
     straight_tube_mask,
     y_phantom,
 )
-from hepeval.volume import BinaryMask, Geometry, LabelVolume
+from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume
 
 from conftest import random_mask
 
@@ -206,11 +207,23 @@ class TestLesionMatch:
         g = Geometry(dims=(12, 12, 12), spacing=(1, 1, 1))
         gt = random_mask(g, seed, density=0.08)
         pred = random_mask(g, seed + 999, density=0.08)
-        report = lesion_match(gt, pred)
-        n_gt, det, fp = brute_force_lesion_scan(gt, pred)
-        assert report.n_gt == n_gt
-        assert report.n_detected == det
-        assert report.n_false_positive == fp
+        # Also confine the masks to boxes that do not intersect (x < 6 and
+        # x >= 7), and the prediction to a box inside the truth's that leaves
+        # truth lesions outside it.
+        left, right, inner = (np.zeros(g.shape, bool) for _ in range(3))
+        left[:, :, :6] = right[:, :, 7:] = inner[3:9, 3:9, 3:9] = True
+        assert (gt.values & ~inner).any()
+        pairs = [
+            (gt, pred),
+            (BinaryMask(g, gt.values & left), BinaryMask(g, pred.values & right)),
+            (gt, BinaryMask(g, pred.values & inner)),
+        ]
+        for a, b in pairs:
+            report = lesion_match(a, b)
+            n_gt, det, fp = brute_force_lesion_scan(a, b)
+            assert report.n_gt == n_gt
+            assert report.n_detected == det
+            assert report.n_false_positive == fp
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +289,45 @@ class TestEvaluateCase:
         assert report.dsc["portal_vein"] < 1.0
         assert report.lesions.n_false_positive == 1
         assert report.lesions.detection_rate == 1.0
+
+    def test_extracts_each_structure_once(self, truth, config, monkeypatch):
+        calls = []
+        real = hepeval.metrics.extract_mask
+
+        def counted(volume, label_id):
+            calls.append(label_id)
+            return real(volume, label_id)
+
+        monkeypatch.setattr(hepeval.metrics, "extract_mask", counted)
+        evaluate_case(truth.label_volume, truth.label_volume, config)
+        assert sorted(calls) == sorted(2 * DEFAULT_SCHEMA.structure_ids())
+        assert len(calls) == 12
+
+    def test_gallbladder_label_folded_into_biliary_scores_the_same(self, truth, config):
+        # The phantom writes the gallbladder as biliary tree (5); give it its
+        # own label (6) for the default schema, and drop 6 from the other.
+        pred = degrade(truth, DegradeSpec(seed=5, relabel_fraction=0.05))
+        geometry = truth.label_volume.geometry
+        folded = LabelSchema({i: n for i, n in DEFAULT_SCHEMA.ids.items() if n != "gallbladder"})
+
+        def split(labels):
+            out = labels.copy()
+            out[(labels == 5) & truth.gallbladder_mask] = 6
+            return LabelVolume(geometry, out, DEFAULT_SCHEMA)
+
+        def biliary(report):
+            return (
+                report.central_dsc["biliary_tree"],
+                report.peripheral_dsc["biliary_tree"],
+                report.cl_dice["biliary_ducts"],
+            )
+
+        labels = truth.label_volume.labels, pred.labels
+        separate = evaluate_case(*(split(v) for v in labels), config)
+        together = evaluate_case(*(LabelVolume(geometry, v, folded) for v in labels), config)
+        assert "gallbladder" in separate.dsc and "gallbladder" not in together.dsc
+        assert biliary(separate) == biliary(together)
+        assert all(v < 1.0 for v in biliary(together))
 
 
 class TestAggregate:

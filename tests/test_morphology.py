@@ -321,7 +321,7 @@ class TestConnectedComponents:
         m = np.zeros(g.shape, bool)
         m[1:3, 2:4, 3:5] = True
         cc = connected_components(BinaryMask(g, m), 6)
-        assert cc.bounding_boxes[0] == ((3, 5), (2, 4), (1, 3))
+        assert grid_boxes(cc) == [((3, 5), (2, 4), (1, 3))]
 
 
 def brute_force_squared_edt(mask: BinaryMask) -> np.ndarray:
@@ -388,6 +388,21 @@ def oracle_components(values, connectivity):
     return labels, count, sizes, boxes
 
 
+def grid_labels(cc):
+    """The labels embedded at `cc.box` in a zeroed whole grid."""
+    out = np.zeros(cc.geometry.shape, dtype=np.int32)
+    out[cc.box] = cc.labels
+    return out
+
+
+def grid_boxes(cc):
+    """Per-component boxes ((x0, x1), (y0, y1), (z0, z1)) on the whole grid."""
+    return [
+        tuple((b.start + s.start, b.start + s.stop) for b, s in zip(cc.box, sub))[::-1]
+        for sub in cc.bounding_boxes
+    ]
+
+
 # A lone voxel, then grids whose foreground touches every face.
 CROP_CASES = [np.ones((1, 1, 1), dtype=bool)] + [face_touching_values(seed) for seed in range(12)]
 
@@ -423,17 +438,17 @@ class TestCropInvariance:
                 cc = connected_components(BinaryMask(grid_geometry(values.shape), values), connectivity)
                 labels, count, sizes, boxes = oracle_components(values, connectivity)
                 assert cc.labels.dtype == np.int32
-                assert np.array_equal(cc.labels, labels)
-                assert np.array_equal(cc.labels, embed(base.labels, offset))
+                assert np.array_equal(grid_labels(cc), labels)
+                assert np.array_equal(grid_labels(cc), embed(grid_labels(base), offset))
                 assert cc.count == count == base.count
                 assert np.array_equal(cc.sizes, sizes)
                 assert np.array_equal(cc.sizes, base.sizes)
-                assert list(cc.bounding_boxes) == boxes
+                assert grid_boxes(cc) == boxes
                 shift = offset[::-1]  # (x, y, z)
                 shifted = [
-                    tuple((lo + o, hi + o) for (lo, hi), o in zip(box, shift)) for box in base.bounding_boxes
+                    tuple((lo + o, hi + o) for (lo, hi), o in zip(box, shift)) for box in grid_boxes(base)
                 ]
-                assert list(cc.bounding_boxes) == shifted
+                assert grid_boxes(cc) == shifted
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (2.0, 2.0, 3.0), (0.7, 1.3, 2.1)])
     def test_distance_transform_matches_oracle_and_shifts(self, spacing):
@@ -453,8 +468,8 @@ class TestCropInvariance:
     def test_empty_mask_gives_zeros(self):
         mask = BinaryMask(grid_geometry((3, 4, 5)), np.zeros((3, 4, 5), dtype=bool))
         cc = connected_components(mask, 26)
-        assert cc.labels.dtype == np.int32 and cc.labels.shape == (3, 4, 5)
-        assert not cc.labels.any()
+        assert cc.labels.dtype == np.int32 and cc.labels.size == 0
+        assert grid_labels(cc).shape == (3, 4, 5) and not grid_labels(cc).any()
         assert (cc.count, cc.sizes.tolist(), cc.bounding_boxes) == (0, [0], ())
         for dt in (distance_transform_squared(mask), distance_transform(mask)):
             assert dt.dtype == np.float64 and dt.shape == (3, 4, 5)

@@ -70,6 +70,22 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             vol.values[0, 0, 0] = 1.0
 
+    def test_binary_mask_takes_a_bool_array_without_copying(self, unit_geometry):
+        values = np.zeros(unit_geometry.shape, dtype=bool)
+        mask = BinaryMask(unit_geometry, values)
+        assert np.shares_memory(mask.values, values)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = True
+
+    def test_binary_mask_converts_other_dtypes(self, unit_geometry):
+        values = np.zeros(unit_geometry.shape, dtype=np.uint8)
+        values[0, 0, 0] = 3
+        mask = BinaryMask(unit_geometry, values)
+        assert mask.values.dtype == bool and mask.values[0, 0, 0]
+        assert not np.shares_memory(mask.values, values)
+        assert values.flags.writeable and not mask.values.flags.writeable
+
 
 class TestLabelSchema:
     def test_default_schema_names(self):
