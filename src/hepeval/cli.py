@@ -139,12 +139,12 @@ def cmd_eval(args) -> int:
 
     jobs = args.jobs or os.cpu_count() or 1
     reports: list[CaseReport] = []
-    failures: list[str] = []
+    failures: list[dict] = []  # {"case_id", "error": exception class name}, in batch order
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for pair, result in zip(pairs, pool.map(lambda p: _try(run_one, p), pairs)):
             if isinstance(result, Exception):
                 log.error("case %s failed: %s", _case_id(pair[0]), result)
-                failures.append(_case_id(pair[0]))
+                failures.append({"case_id": _case_id(pair[0]), "error": type(result).__name__})
             else:
                 reports.append(result)
 
@@ -158,6 +158,7 @@ def cmd_eval(args) -> int:
     if args.config:
         digests[str(args.config)] = _sha256(Path(args.config))
     manifest = _run_manifest(["eval", *map(str, args.gt), *map(str, args.pred)], raw_cfg, digests)
+    manifest["failed_cases"] = failures
     _write_json(out / "manifest.json", manifest)
 
     if reports:

@@ -2,7 +2,11 @@
 
 Soft Dice, (bootstrapped) cross-entropy with the warm-up K schedule, and the
 centerline-Dice loss, whose gradient runs back through the soft skeleton's
-stages with max-pool style argmax routing.
+stages with max-pool style argmax routing. The skeleton's forward hands the
+backward a few checkpoints, and the backward replays the stages between
+them bit for bit (see `morphology`), so the loss holds about one segment of
+stages at a time rather than all of them. Arrays no later step reads are
+updated in place or released before the backward runs.
 """
 
 from __future__ import annotations
@@ -158,12 +162,13 @@ def cl_dice_loss(
     p = pred.values
     g = gt.values.astype(np.float64)
 
-    skel_g, _ = soft_skeleton_array(gt.values.astype(np.uint8), iterations)
-    skel_p, stages = soft_skeleton_array(p, iterations)
+    skel_g = soft_skeleton_array(gt.values.astype(np.uint8), iterations)[0]
+    skel_p, checkpoints = soft_skeleton_array(p, iterations)
 
     sum_sp = float(skel_p.sum())
     sum_sg = float(skel_g.sum())
     tprec_num = float((skel_p * g).sum()) + epsilon
+    del skel_p
     tprec_den = sum_sp + epsilon
     tsens_num = float((skel_g * p).sum()) + epsilon
     tsens_den = sum_sg + epsilon
@@ -175,11 +180,18 @@ def cl_dice_loss(
     dl_dtprec = -2.0 * tsens * tsens / (s * s)
     dl_dtsens = -2.0 * tprec * tprec / (s * s)
 
+    # Skeleton path: d tprec / d skel_p, built in g's buffer, then back
+    # through the skeleton to p.
+    g *= tprec_den
+    g -= tprec_num
+    g /= tprec_den * tprec_den
+    g *= dl_dtprec
+    grad = soft_skeleton_grad(checkpoints, g)
+    del checkpoints, g
     # Direct path: d tsens / d p.
-    grad = dl_dtsens * skel_g / tsens_den
-    # Skeleton path: d tprec / d skel_p, then back through the skeleton to p.
-    dtprec_dskel = (g * tprec_den - tprec_num) / (tprec_den * tprec_den)
-    grad = grad + soft_skeleton_grad(stages, dl_dtprec * dtprec_dskel)
+    direct = dl_dtsens * skel_g
+    direct /= tsens_den
+    grad += direct
     return GradedScalar(value, grad)
 
 

@@ -2,19 +2,29 @@
 
 Pooling uses the full 3x3x3 neighborhood with exterior cells contributing 0,
 so solid structures erode from the volume border. The box window is separable,
-so each pool runs as three 1D passes. The soft skeleton keeps only its stage
-inputs and running skeletons; its gradient recomputes each stage's pools with
-per-pass winner masks and routes the gradient like an autodiff max-pool. The
-per-pass tie rule (in-volume beats exterior, then smallest coordinate)
-composes to the global rule: ties go to the smallest linear index, and the
-exterior wins, taking no gradient, only on a strict extremum.
+so each pool runs as three 1D passes.
+
+The soft skeleton's gradient is checkpointed (Chen et al. 2016, "Training
+Deep Nets with Sublinear Memory Cost"). The forward keeps references to the
+stage input I_k and the running skeleton S_{k-1} every
+ceil(sqrt(iterations + 1)) stages, and the backward replays one segment at
+a time from its checkpoint. The replay is exact: it repeats the forward's
+arithmetic in the same order on the same inputs, and the winner-recording
+pool returns the same values as `pool_array`, so every replayed array is
+bit-identical to the forward's. The replay records one uint8 winner code
+per pooled voxel, the winner's 3-D offset, and the pool's backward is one
+`np.bincount` scatter through it, like an autodiff max-pool. The per-pass
+tie rule (in-volume beats exterior, then smallest coordinate) composes to
+the global rule: ties go to the smallest linear index, and the exterior
+wins, taking no gradient, only on a strict extremum.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
 the box beside them: labelling is exact there because every component lies
 inside it, and translation keeps the first-voxel linear order that numbers
-them. The distance transform writes into a zeroed full-size output and pads
-the box with one background voxel: clamping any background voxel's
+them. The distance transform likewise returns its distances on the box
+(`distance_transform_box`; the full-grid forms embed them in zeros), and it
+pads the box with one background voxel: clamping any background voxel's
 coordinates onto the padded box lands on background and never increases a
 per-axis distance, and the separable passes are monotone in each per-axis
 distance, so the minimum, rounding included, is unchanged.
@@ -22,6 +32,7 @@ distance, so the minimum, rounding included, is unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,100 +57,167 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     cur = np.pad(values, 1)
     for axis in (2, 1, 0):
         a, b, c = (cur[_shifted(axis, s, s - 2)] for s in range(3))
-        cur = op(op(a, b), c)
+        cur = op(a, b)
+        op(cur, c, out=cur)
     return cur
 
 
-def _pool_winners(values: np.ndarray, mode: str):
-    """Box pool plus, per 1D pass, masks of the window that won each output.
+_EXTERIOR = 27  # winner code of an output that only the exterior attains
 
-    A pass's winner is the first in-volume window attaining the extremum. An
-    output without one took the exterior 0, and a flag carries that to the
-    next pass, where such a 0 loses ties like the exterior itself.
+
+def _pool_winners(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Box pool plus each output's winner code.
+
+    The code is one uint8 per voxel: the winner's offset
+    9(dz+1) + 3(dy+1) + (dx+1), or 27 where only the exterior attains the
+    extremum. It is built pass by pass like the pool: a pass's winner is the
+    first in-volume window attaining the extremum, and its code is the
+    window's code plus the window's offset times the pass stride. The padding
+    and any output that took the exterior 0 carry code 27, so they lose ties
+    like the exterior itself. Writing windows last-first with the wrapping
+    uint8 blend ``code += hit * (candidate - code)`` leaves the first hit.
     """
     op = np.minimum if mode == "min" else np.maximum
-    cur = values
-    inside = np.ones(values.shape, dtype=bool)  # the winner is in the volume
-    passes = []
-    for axis in (2, 1, 0):
-        width = [(0, 0)] * 3
-        width[axis] = (1, 1)
-        v = np.pad(cur, width)
-        f = np.pad(inside, width)
+    cur = np.pad(values, 1)
+    code = np.pad(np.zeros(values.shape, dtype=np.uint8), 1, constant_values=_EXTERIOR)
+    for axis, stride in ((2, 1), (1, 3), (0, 9)):
         wins = [_shifted(axis, s, s - 2) for s in range(3)]
-        cur = op(op(v[wins[0]], v[wins[1]]), v[wins[2]])
-        hit = [(v[w] == cur) & f[w] for w in wins]
-        hit[1] &= ~hit[0]
-        inside = hit[0] | hit[1]
-        hit[2] &= ~inside
-        inside |= hit[2]
-        passes.append((axis, hit))
-    return cur, passes
+        pooled = op(cur[wins[0]], cur[wins[1]])
+        op(pooled, cur[wins[2]], out=pooled)
+        blended = np.full(pooled.shape, _EXTERIOR, dtype=np.uint8)
+        for s in (2, 1, 0):
+            hit = cur[wins[s]] == pooled
+            hit &= code[wins[s]] != _EXTERIOR
+            candidate = code[wins[s]] + np.uint8(s * stride)
+            candidate -= blended
+            candidate *= hit
+            blended += candidate
+        cur, code = pooled, blended
+    return cur, code
 
 
-def _pool_vjp(passes, grad: np.ndarray) -> np.ndarray:
-    """Route output gradients to the winning inputs, last pass first."""
-    for axis, (prev, centre, nxt) in reversed(passes):
-        out = grad * centre
-        out[_shifted(axis, 0, -1)] += (grad * prev)[_shifted(axis, 1, 0)]
-        out[_shifted(axis, 1, 0)] += (grad * nxt)[_shifted(axis, 0, -1)]
-        grad = out
-    return grad
+def _pool_vjp(code: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Send each output's gradient to its winner in one `np.bincount` scatter.
+
+    Outputs with code 27 go to a spare last bin that is dropped, so the
+    exterior takes no gradient.
+    """
+    nz, ny, nx = code.shape
+    c = np.arange(_EXTERIOR)
+    offsets = np.append((c // 9 - 1) * (ny * nx) + (c // 3 % 3 - 1) * nx + (c % 3 - 1), 0)
+    target = offsets[code.ravel()]
+    target += np.arange(code.size)
+    target[code.ravel() == _EXTERIOR] = code.size
+    return np.bincount(target, grad.ravel(), minlength=code.size + 1)[:-1].reshape(code.shape)
 
 
-def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, list]:
-    """Iterative soft skeleton in the input dtype, plus its stages.
+def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple]:
+    """Iterative soft skeleton in the input dtype, plus its checkpoints.
 
     S = relu(I - open(I)); then `iterations` times:
     I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
     Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
-    once. Returns ``(S, stages)``, where ``stages`` lists per stage the input
-    I_k and the running skeleton before it (None for stage 0). The loop stops
-    early once I is all zero, since later stages add nothing.
+    once. The loop stops early once I is all zero, since later stages add
+    nothing. Returns ``(S, (checkpoints, stages))``: ``checkpoints`` lists
+    ``(k, I_k, S_{k-1})`` every ceil(sqrt(iterations + 1)) stages from k = 0
+    (S_{-1} is None), as references to the arrays the loop built, and
+    ``stages`` counts the stages run. S is updated in place except when a
+    checkpoint holds it.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    stages = []
+    spacing = math.isqrt(iterations) + 1  # ceil(sqrt(iterations + 1))
+    checkpoints = []
     current, skel = values, None
     for k in range(iterations + 1):
+        held = k % spacing == 0  # a checkpoint holds I_k and S_{k-1}
+        if held:
+            checkpoints.append((k, current, skel))
         eroded = pool_array(current, "min")
-        delta = np.maximum(current - pool_array(eroded, "max"), 0)
-        stages.append((current, skel))
-        skel = delta if skel is None else skel + (1 - skel) * delta
+        delta = pool_array(eroded, "max")
+        np.subtract(current, delta, out=delta)
+        np.maximum(delta, 0, out=delta)
+        if skel is None:
+            skel = delta
+        elif held:
+            skel = skel + (1 - skel) * delta
+        else:
+            delta *= 1 - skel
+            skel += delta
         if k == iterations or not eroded.any():
             break
         current = eroded
-    return skel, stages
+    return skel, (checkpoints, k + 1)
 
 
-def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, list]:
-    skel, stages = soft_skeleton_array(volume.values, iterations)
-    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), stages
+def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, tuple]:
+    skel, checkpoints = soft_skeleton_array(volume.values, iterations)
+    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), checkpoints
 
 
-def soft_skeleton_grad(stages: list, grad_skel: np.ndarray) -> np.ndarray:
-    """Gradient of the soft skeleton w.r.t. its input, stage by stage in reverse.
+def _replay_segment(checkpoint: tuple, stages: int) -> list:
+    """Rerun `stages` forward stages from a checkpoint with winner-recording
+    pools: per stage (S before it, delta, min-pool code, max-pool code).
 
-    Each stage recomputes its two pools with winner masks. The gradient that
-    reaches I_{k+1} from later stages joins the one reaching stage k's eroded
-    image before the single min-pool backward.
+    Holds no reference to the checkpoint itself, so its stage input is
+    freed once the replay has moved past it.
     """
+    _, current, skel = checkpoint
+    del checkpoint
+    segment = []
+    for j in range(stages):
+        eroded, min_code = _pool_winners(current, "min")
+        delta, max_code = _pool_winners(eroded, "max")
+        np.subtract(current, delta, out=delta)
+        np.maximum(delta, 0, out=delta)
+        segment.append((skel, delta, min_code, max_code))
+        if j + 1 < stages:
+            skel = delta if skel is None else (1 - skel) * delta + skel
+            current = eroded
+    return segment
+
+
+def soft_skeleton_grad(checkpoints: tuple, grad_skel: np.ndarray) -> np.ndarray:
+    """Gradient of the soft skeleton w.r.t. its input.
+
+    Walks the checkpoint segments last-first. Each segment is replayed once
+    from its checkpoint, keeping per stage its delta and pool winner codes,
+    and its stages then run in reverse. Every pool is computed twice in
+    all, once forward and once here, and one segment is alive at a time.
+    The gradient that reaches I_{k+1} from later stages joins the one
+    reaching stage k's eroded image before the single min-pool backward.
+    The checkpoint list is consumed: each checkpoint is dropped once its
+    segment is replayed, so its arrays can be freed. `grad_skel` is not
+    modified.
+    """
+    saved, stages = checkpoints
     grad_s = grad_skel
     grad_next = None  # dL/dI_{k+1} from stages after k
-    for current, skel_before in reversed(stages):
-        eroded, min_passes = _pool_winners(current, "min")
-        opened, max_passes = _pool_winners(eroded, "max")
-        resid = current - opened
-        if skel_before is None:
-            grad_delta = grad_s
-        else:
-            grad_delta = grad_s * (1 - skel_before)
-            grad_s = grad_s * (1 - np.maximum(resid, 0))
-        grad_resid = np.where(resid > 0, grad_delta, 0.0)
-        grad_eroded = -_pool_vjp(max_passes, grad_resid)
-        if grad_next is not None:
-            grad_eroded += grad_next
-        grad_next = grad_resid + _pool_vjp(min_passes, grad_eroded)
+    end = stages
+    while saved:
+        start = saved[-1][0]
+        segment = _replay_segment(saved.pop(), end - start)
+        end = start
+        while segment:
+            skel_before, delta, min_code, max_code = segment.pop()
+            positive = delta > 0
+            if skel_before is None:
+                grad_resid = grad_s * positive
+            else:
+                grad_resid = 1 - skel_before
+                grad_resid *= grad_s
+                grad_resid *= positive
+                np.subtract(1, delta, out=delta)
+                delta *= grad_s
+                grad_s = delta
+            del skel_before, delta, positive  # drop what is read before the VJPs allocate
+            grad_eroded = _pool_vjp(max_code, grad_resid)
+            np.negative(grad_eroded, out=grad_eroded)
+            if grad_next is not None:
+                grad_eroded += grad_next
+            grad_next = _pool_vjp(min_code, grad_eroded)
+            grad_next += grad_resid
+            del grad_eroded, grad_resid
     return grad_next
 
 
@@ -216,13 +294,18 @@ def _squared_edt_axis(f: np.ndarray, axis: int, step: float) -> np.ndarray:
     return out
 
 
-def _edt_on_box(mask: BinaryMask, squared: bool) -> np.ndarray:
-    """Full-size distances, squared or not, computed on the mask's box."""
+def distance_transform_box(mask: BinaryMask, squared: bool = False) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Exact distances on the mask's bounding box, and that box.
+
+    Returns ``(box, dist)``: `box` is the foreground's (z, y, x) bounding box
+    (zero-size slices when empty) and `dist` the distances over it, in mm,
+    or mm^2 when `squared`. Every voxel outside the box is background, at
+    distance 0.
+    """
     sx, sy, sz = mask.geometry.spacing
-    out = np.zeros(mask.values.shape, dtype=np.float64)
     box = bounding_box(mask.values)
     if box is None:
-        return out
+        return (slice(0, 0),) * 3, np.zeros((0, 0, 0))
     padded = np.pad(mask.values[box], 1, constant_values=False)
 
     # 1D pass along x via nearest-background index arithmetic.
@@ -239,7 +322,14 @@ def _edt_on_box(mask: BinaryMask, squared: bool) -> np.ndarray:
 
     f = _squared_edt_axis(f, axis=1, step=sy)
     f = _squared_edt_axis(f, axis=0, step=sz)[1:-1, 1:-1, 1:-1]
-    out[box] = f if squared else np.sqrt(f)
+    return box, f if squared else np.sqrt(f)
+
+
+def _edt_grid(mask: BinaryMask, squared: bool) -> np.ndarray:
+    """`distance_transform_box` written into a zeroed full-size grid."""
+    box, dist = distance_transform_box(mask, squared)
+    out = np.zeros(mask.values.shape, dtype=np.float64)
+    out[box] = dist
     return out
 
 
@@ -252,9 +342,9 @@ def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
     bit for bit. The passes run on the mask's bounding box padded by one
     background voxel, which is exact: see the module docstring.
     """
-    return _edt_on_box(mask, squared=True)
+    return _edt_grid(mask, squared=True)
 
 
 def distance_transform(mask: BinaryMask) -> np.ndarray:
     """Exact Euclidean distance in mm to the nearest background voxel."""
-    return _edt_on_box(mask, squared=False)
+    return _edt_grid(mask, squared=False)

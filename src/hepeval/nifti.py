@@ -174,6 +174,22 @@ def _geometry_from_header(hdr: dict) -> Geometry:
     return Geometry(dims=(nx, ny, nz), spacing=tuple(spacing), origin=origin, orientation=orientation)
 
 
+def _scaling(hdr: dict, path: Path) -> tuple[float, float]:
+    """(scl_slope, scl_inter) to apply as slope * stored + inter.
+
+    Per NIfTI-1 a slope of 0 means the data are not scaled, so it gives
+    the identity (1, 0). A NaN or infinite slope means the same, as in the
+    reference nifti1_io reader; a writer may leave NaN there for unscaled data.
+    Only a real slope with a non-finite intercept is rejected.
+    """
+    slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
+    if slope == 0.0 or not np.isfinite(slope):
+        return 1.0, 0.0
+    if not np.isfinite(inter):
+        raise FormatError(f"{path}: scl_slope = {slope} with non-finite scl_inter = {inter}")
+    return slope, inter
+
+
 def read_nifti(
     path,
     intent: str = "auto",
@@ -182,7 +198,9 @@ def read_nifti(
     """Read a NIfTI-1 volume as labels or probabilities.
 
     With ``intent='auto'``, integer datatypes become a LabelVolume and
-    floating datatypes a ProbVolume. Probability values outside [0, 1] are
+    floating datatypes a ProbVolume. Probabilities are scaled by the
+    header's scl_slope and scl_inter; a label file with any scaling other
+    than the identity is rejected. Probability values outside [0, 1] are
     clamped and counted in a warning rather than rejected.
     """
     if intent not in ("auto", "labels", "prob"):
@@ -229,9 +247,14 @@ def read_nifti(
             raise OSError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
 
     data = np.frombuffer(payload, dtype=dtype).reshape(geometry.shape)
+    slope, inter = _scaling(hdr, path)
 
     as_labels = intent == "labels" or (intent == "auto" and code in _INTEGER_CODES)
     if as_labels:
+        if (slope, inter) != (1.0, 0.0):
+            raise FormatError(
+                f"{path}: label files must be unscaled, got scl_slope = {slope}, scl_inter = {inter}"
+            )
         if code not in _INTEGER_CODES:
             values = data.astype(np.float64)
             if not np.equal(values, np.round(values)).all():
@@ -242,6 +265,9 @@ def read_nifti(
         return LabelVolume(geometry, data, schema)
 
     values = data.astype(np.float64)
+    if (slope, inter) != (1.0, 0.0):
+        values *= slope
+        values += inter
     clipped = int((values < 0.0).sum() + (values > 1.0).sum())
     if clipped:
         log.warning("%s: clamped %d values outside [0, 1] to the unit interval", path, clipped)

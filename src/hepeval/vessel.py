@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .morphology import bounding_box, connected_components, distance_transform, soft_skeleton_array
+from .morphology import bounding_box, connected_components, distance_transform_box, soft_skeleton_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -118,13 +118,14 @@ class SkeletonGraph:
         }
 
 
-def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]], tuple[slice, ...]]:
     """Index of the skeleton voxels, taken in ascending linear order.
 
-    Returns their full-grid linear indices, their (x, y, z) positions, and for
+    Returns their full-grid linear indices, their (x, y, z) positions, for
     each voxel the indices (into this order) of its 26-neighbours in
-    `OFFSETS_26` order. The lookup runs on the skeleton's bounding box padded
-    by one background voxel, so no neighbour offset needs a bounds check.
+    `OFFSETS_26` order, and the skeleton's (z, y, x) bounding box. The lookup
+    runs on that box padded by one background voxel, so no neighbour offset
+    needs a bounds check.
     """
     box = bounding_box(sk)
     padded = np.pad(sk[box], 1)
@@ -138,7 +139,7 @@ def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[i
     ends = np.cumsum(present.sum(axis=1)).tolist()
     nbrs = [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]
     zyx = np.stack(np.unravel_index(at, padded.shape)) + np.array([[s.start - 1] for s in box])
-    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs
+    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs, box
 
 
 class _UnionFind:
@@ -172,17 +173,18 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     if not sk.any():
         return SkeletonGraph(geometry, [], [], [], None)
 
-    lin, xyz, nbrs = _skeleton_index(sk)
+    lin, xyz, nbrs, box = _skeleton_index(sk)
 
     # node ids: connected clusters of irregular voxels (degree != 2), ordered
-    # by first voxel; node_of is -1 on chain voxels
+    # by first voxel; node_of is -1 on chain voxels. They are labelled on the
+    # skeleton's box, which keeps the first-voxel order.
     irregular = np.array([len(nb) != 2 for nb in nbrs])
-    node_mask = np.zeros(sk.shape, dtype=bool)
-    node_mask.ravel()[lin[irregular]] = True
-    node_cc = connected_components(BinaryMask(geometry, node_mask), 26)
+    at = xyz[irregular, ::-1] - [s.start for s in box]
+    node_mask = np.zeros([s.stop - s.start for s in box], dtype=bool)
+    node_mask[tuple(at.T)] = True
+    node_cc = connected_components(BinaryMask(Geometry(node_mask.shape[::-1], geometry.spacing), node_mask), 26)
     node_of = np.full(len(lin), -1)
-    at = xyz[irregular, ::-1] - [s.start for s in node_cc.box]
-    node_of[irregular] = node_cc.labels[tuple(at.T)] - 1
+    node_of[irregular] = node_cc.labels[tuple((at - [s.start for s in node_cc.box]).T)] - 1
     node_of = node_of.tolist()
     node_members: list[list[int]] = [[] for _ in range(node_cc.count)]
     for i, node in enumerate(node_of):
@@ -190,7 +192,10 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
             node_members[node].append(i)
 
     spacing = np.asarray(geometry.spacing)
-    dt_flat = distance_transform(vessel_mask).ravel()
+    # radii from the vessel mask's distances on its own box, which holds
+    # every skeleton voxel
+    dt_box, dt = distance_transform_box(vessel_mask)
+    dt_at = xyz[:, ::-1] - [s.start for s in dt_box]
     claimed = [False] * len(lin)
     edges: list[SkeletonEdge] = []
 
@@ -220,7 +225,7 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
                     path=lin[path],
                     attach=(int(lin[attach_a]), int(lin[cur])),
                     length_mm=float(np.sqrt((steps**2).sum(axis=1)).sum()),
-                    mean_radius_mm=float(dt_flat[lin[walk]].mean()),
+                    mean_radius_mm=float(dt[tuple(dt_at[walk].T)].mean()),
                 )
             )
 

@@ -110,6 +110,7 @@ class TestEvalCommand:
         schema_check(report, load_schema("case_report"))
         manifest = json.loads((out / "manifest.json").read_text())
         schema_check(manifest, load_schema("manifest"))
+        assert manifest["failed_cases"] == []
 
     def test_partial_failure_exits_2_and_writes_rest(self, phantom_pair, tmp_path):
         truth, gt_path, pred_path = phantom_pair
@@ -127,6 +128,9 @@ class TestEvalCommand:
         reports = sorted(p.name for p in out.glob("case_*.report.json"))
         assert len(reports) == 2
         assert (out / "summary.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        schema_check(manifest, load_schema("manifest"))
+        assert manifest["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
 
     def test_mismatched_lists_exit_1(self, tmp_path):
         code = main(["eval", "--gt", "a.nii", "--pred", "b.nii", "c.nii", "--out", str(tmp_path)])

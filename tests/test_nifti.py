@@ -204,6 +204,61 @@ class TestHandConstructedFiles:
         assert "clamped" in caplog.text
         assert vol.values.min() >= 0.0 and vol.values.max() <= 1.0
 
+    def test_prob_scaling_applied(self, tmp_path):
+        hdr = _blank_header(datatype=16)
+        struct.pack_into("<2f", hdr, 112, 2.0, 0.1)  # scl_slope, scl_inter
+        stored = np.linspace(0.0, 0.4, 24, dtype="<f4")
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + stored.tobytes())
+        vol = read_nifti(path, intent="prob")
+        inter = float(np.float32(0.1))
+        assert np.array_equal(vol.values.ravel(), stored.astype(np.float64) * 2.0 + inter)
+
+    def test_zero_slope_means_unscaled(self, tmp_path):
+        hdr = _blank_header(datatype=16)
+        struct.pack_into("<2f", hdr, 112, 0.0, 0.5)
+        stored = np.linspace(0.0, 1.0, 24, dtype="<f4")
+        path = tmp_path / "zero_slope.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + stored.tobytes())
+        vol = read_nifti(path, intent="prob")
+        assert np.array_equal(vol.values.ravel(), stored.astype(np.float64))
+
+    @pytest.mark.parametrize("slope, inter", [(2.0, 0.0), (1.0, 1.0)])
+    def test_scaled_label_file_rejected(self, tmp_path, slope, inter):
+        hdr = _blank_header()
+        struct.pack_into("<2f", hdr, 112, slope, inter)
+        path = tmp_path / "scaled_labels.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(24))
+        with pytest.raises(FormatError, match="scl_slope.*scl_inter"):
+            read_label_volume(path)
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf")])
+    def test_non_finite_slope_means_unscaled(self, tmp_path, slope):
+        hdr = _blank_header(datatype=16)
+        struct.pack_into("<2f", hdr, 112, slope, float("nan"))
+        stored = np.linspace(0.0, 1.0, 24, dtype="<f4")
+        path = tmp_path / "nan_slope.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + stored.tobytes())
+        vol = read_nifti(path, intent="prob")
+        assert np.array_equal(vol.values.ravel(), stored.astype(np.float64))
+
+    def test_nan_slope_label_file_reads_unscaled(self, tmp_path):
+        hdr = _blank_header()
+        struct.pack_into("<2f", hdr, 112, float("nan"), float("nan"))
+        expected = np.arange(24) % 5
+        path = tmp_path / "nan_slope_labels.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(expected.astype(np.uint8).tolist()))
+        vol = read_label_volume(path)
+        assert np.array_equal(vol.labels.ravel(), expected)
+
+    def test_non_finite_intercept_with_real_slope_rejected(self, tmp_path):
+        hdr = _blank_header(datatype=16)
+        struct.pack_into("<2f", hdr, 112, 2.0, float("nan"))
+        path = tmp_path / "nan_inter.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(96))
+        with pytest.raises(FormatError, match="scl_slope.*scl_inter"):
+            read_nifti(path, intent="prob")
+
     def test_non_binary_mask_rejected(self, tmp_path):
         g = Geometry(dims=(3, 3, 3), spacing=(1, 1, 1))
         vol = ProbVolume(g, np.full(g.shape, 0.5))
