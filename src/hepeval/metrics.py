@@ -3,6 +3,7 @@ reports, aggregation, and the unpaired Mann-Whitney U test."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,6 +25,8 @@ from .volume import (
     extract_mask,
     require_same_geometry,
 )
+
+log = logging.getLogger(__name__)
 
 
 def dsc(a: BinaryMask, b: BinaryMask) -> float:
@@ -208,15 +211,28 @@ class CaseReport:
         }
 
 
-def _vessel_scores(gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig) -> tuple:
+def _vessel_scores(
+    gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig, case_id: str, name: str
+) -> tuple:
     """Central DSC, peripheral DSC and clDice of one venous tree; the split
-    comes from the truth's skeleton graph and is applied to both masks."""
+    comes from the truth's skeleton graph and is applied to both masks.
+
+    When the truth tree is present but its split leaves a side empty, or its
+    graph keeps no edge, a WARNING says so: the central and peripheral
+    scores then say nothing about the two regions."""
     skel = skeletonize(gt_mask, config.skeleton_iterations)
     graph = build_graph(skel, gt_mask)
     gt_split, pred_split = (
         classify_central_peripheral(graph, m, config.central_rule, config.max_central_generation)
         for m in (gt_mask, pred_mask)
     )
+    n_central, n_peripheral = gt_split.central.popcount(), gt_split.peripheral.popcount()
+    present = n_central + n_peripheral > 0
+    if present and (n_central == 0 or n_peripheral == 0 or not graph.edges):
+        log.warning(
+            "%s: degenerate %s split: %d central and %d peripheral truth voxels, %d kept edge(s)",
+            case_id, name, n_central, n_peripheral, len(graph.edges)
+        )
     pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
     cl = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, skel)
     return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
@@ -261,7 +277,7 @@ def evaluate_case(
     peripheral: dict[str, float | None] = {}
     cl: dict[str, float] = {}
     for name in VESSEL_STRUCTURES:
-        central[name], peripheral[name], cl[name] = _vessel_scores(*scored(name), config)
+        central[name], peripheral[name], cl[name] = _vessel_scores(*scored(name), config, case_id, name)
 
     # A dataset may fold the gallbladder into the biliary tree label; the
     # union is subdivided again by `identify_gallbladder`.

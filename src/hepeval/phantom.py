@@ -200,7 +200,12 @@ def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[Edg
 
 
 def _voxel_grids(geometry: Geometry, lo: np.ndarray, hi: np.ndarray):
-    """Index ranges and mm coordinate grids for a clipped bounding box."""
+    """Index ranges and mm coordinates for a clipped bounding box.
+
+    The coordinates are sparse (shapes (1, 1, nx), (1, ny, 1), (nz, 1, 1)):
+    an expression over them broadcasts to the box and computes each voxel's
+    value exactly as over dense grids, without three box-sized inputs.
+    """
     nx, ny, nz = geometry.dims
     spacing = np.asarray(geometry.spacing)
     lo_idx = np.maximum(np.floor(lo / spacing).astype(int), 0)
@@ -210,7 +215,7 @@ def _voxel_grids(geometry: Geometry, lo: np.ndarray, hi: np.ndarray):
     xs = np.arange(lo_idx[0], hi_idx[0]) * spacing[0]
     ys = np.arange(lo_idx[1], hi_idx[1]) * spacing[1]
     zs = np.arange(lo_idx[2], hi_idx[2]) * spacing[2]
-    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
+    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij", sparse=True)
     return lo_idx, hi_idx, xx, yy, zz
 
 

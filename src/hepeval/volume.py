@@ -189,10 +189,15 @@ class LabelVolume:
         labels = _check_grid(self.geometry, np.asarray(self.labels), "labels")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
-        present = np.unique(labels)
-        unknown = [int(v) for v in present if int(v) not in self.schema.ids]
-        if unknown:
-            raise SchemaError(f"labels {unknown} are not in the schema")
+        ids = self.schema.ids
+        # The range settles the check when the schema holds every integer in
+        # it, so only a range with a gap lists the values present (a range
+        # wider than the schema has one, and is not walked).
+        lo, hi = int(labels.min()), int(labels.max())
+        if hi - lo >= len(ids) or any(v not in ids for v in range(lo, hi + 1)):
+            unknown = [int(v) for v in np.unique(labels) if int(v) not in ids]
+            if unknown:
+                raise SchemaError(f"labels {unknown} are not in the schema")
         labels = labels.astype(np.uint8, copy=False)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)

@@ -1,4 +1,5 @@
 import itertools
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from hepeval.morphology import pool_array
 from hepeval.phantom import (
     DegradeSpec,
     Sphere,
+    axis_tree_spec,
     default_spec,
     degrade,
     generate_case,
@@ -302,6 +304,22 @@ class TestEvaluateCase:
         evaluate_case(truth.label_volume, truth.label_volume, config)
         assert sorted(calls) == sorted(2 * DEFAULT_SCHEMA.structure_ids())
         assert len(calls) == 12
+
+    def test_degenerate_split_is_logged(self, truth, caplog):
+        with caplog.at_level(logging.WARNING, logger="hepeval.metrics"):
+            evaluate_case(truth.label_volume, truth.label_volume, case_id="liver")
+        messages = [r.getMessage() for r in caplog.records if r.name == "hepeval.metrics"]
+        assert [m.split(":")[:2] for m in messages] == [
+            ["liver", " degenerate portal_vein split"],
+            ["liver", " degenerate hepatic_vein split"],
+        ]
+
+    def test_healthy_split_is_not_logged(self, caplog):
+        # The H-tree has no hepatic vein: an absent tree is not a degenerate split.
+        htree = generate_case(axis_tree_spec(4)).label_volume
+        with caplog.at_level(logging.WARNING, logger="hepeval.metrics"):
+            evaluate_case(htree, htree, case_id="htree")
+        assert [r for r in caplog.records if r.name == "hepeval.metrics"] == []
 
     def test_gallbladder_label_folded_into_biliary_scores_the_same(self, truth, config):
         # The phantom writes the gallbladder as biliary tree (5); give it its

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -33,6 +34,31 @@ class TestGenerate:
         assert np.array_equal(a.label_volume.labels, b.label_volume.labels)
         assert np.array_equal(a.edge_tag, b.edge_tag)
         assert np.array_equal(a.generation_tag, b.generation_tag)
+
+    PINNED = {
+        "default_spec": (
+            default_spec,
+            "213892c3e8ee00245f4f2d6c8c8ef5e57cded728f86d6fb0a7028ee944a7e897",
+            "c5468334a8f500bce41c1024d113445da78bbf1d06f5daa4301361740aa194e7",
+            "2f65884a503567742adebca0a9a433c8035a1d629e217d1021ee8dec3db78cd3",
+        ),
+        "axis_tree_spec_4": (
+            lambda: axis_tree_spec(4),
+            "3d05dc34932a96c9a93ae3b7ba380266278ed072742e31f641353ed4e9e4f898",
+            "bedf30290539b72306c06f20bd78d31193cbba24f2bd16dd6d61bd3a4d23770c",
+            "c90544627ffb590ad498c3135ec9ea813fdf32a0a7b3dfcea71e95a8c75e46b4",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_arrays_hash_is_pinned(self, name):
+        """SHA-256 of the labels, edge tags and generation tags: a change
+        meant only to make generation cheaper must leave every bit alone."""
+        make_spec, *expected = self.PINNED[name]
+        truth = generate_case(make_spec())
+        arrays = (truth.label_volume.labels, truth.edge_tag, truth.generation_tag)
+        assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int16]
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == expected
 
     def test_one_level_tree_generations(self):
         spec = axis_tree_spec(1)

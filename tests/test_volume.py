@@ -87,6 +87,51 @@ class TestVolumeTypes:
         assert values.flags.writeable and not mask.values.flags.writeable
 
 
+class TestLabelCheck:
+    """`LabelVolume` accepts exactly the arrays whose values are all schema ids
+    and otherwise names the unknown values, sorted, whatever the dtype."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_schema_ids(self, data):
+        structure_ids = data.draw(
+            st.one_of(
+                st.sets(st.integers(1, 255), max_size=10),
+                st.integers(0, 12).map(lambda n: set(range(1, n + 1))),
+            )
+        )
+        ids = {0: "background", **{i: f"s{i}" for i in structure_ids}}
+        dtype = np.dtype(data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64])))
+        info = np.iinfo(dtype)
+        value = st.one_of(
+            st.sampled_from([i for i in ids if i <= info.max]),
+            st.integers(-3, 260).filter(lambda v: info.min <= v <= info.max),
+            st.integers(int(info.min), int(info.max)),
+        )
+        g = Geometry(dims=(3, 2, 2), spacing=(1, 1, 1))
+        labels = np.array(data.draw(st.lists(value, min_size=12, max_size=12)), dtype=dtype)
+        labels = labels.reshape(g.shape)
+        unknown = sorted(set(np.unique(labels).tolist()) - set(ids))
+        if unknown:
+            with pytest.raises(SchemaError) as err:
+                LabelVolume(g, labels, LabelSchema(ids))
+            assert str(err.value) == f"labels {unknown} are not in the schema"
+        else:
+            vol = LabelVolume(g, labels, LabelSchema(ids))
+            assert vol.labels.dtype == np.uint8
+            assert np.array_equal(vol.labels, labels)
+
+    def test_contiguous_schema_does_not_list_the_values(self, monkeypatch):
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called on a label volume")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        g = Geometry(dims=(8, 4, 2), spacing=(1, 1, 1))
+        labels = (np.arange(64) % 7).astype(np.uint8).reshape(g.shape)
+        for view in (labels, labels.clip(2, 4), np.zeros_like(labels)):
+            assert np.array_equal(LabelVolume(g, view.copy()).labels, view)
+
+
 class TestLabelSchema:
     def test_default_schema_names(self):
         assert DEFAULT_SCHEMA.name_of(5) == "biliary_tree"
