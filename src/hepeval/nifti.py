@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, UnsupportedDatatypeError
+from .errors import FormatError, ParameterError, SchemaError, UnsupportedDatatypeError
 from .volume import (
     DEFAULT_SCHEMA,
     BinaryMask,
@@ -288,14 +288,15 @@ def read_prob_volume(path) -> ProbVolume:
 
 
 def read_binary_mask(path) -> BinaryMask:
-    """Read a mask; the file must contain only values 0 and 1."""
-    path = Path(path)
-    vol = read_nifti(path, intent="auto", schema=LabelSchema({0: "background", 1: "foreground"}))
-    if isinstance(vol, ProbVolume):
-        values = vol.values
-        if not np.isin(values, (0.0, 1.0)).all():
-            raise ParameterError(f"{path}: volume is not a binary mask")
-        return BinaryMask(vol.geometry, values > 0.5)
+    """Read a mask; the file must contain only values 0 and 1, unscaled.
+
+    It is read as labels, so a float file holding 2.0 or -1.0 is rejected
+    rather than clamped into [0, 1] as a probability file would be.
+    """
+    try:
+        vol = read_nifti(path, intent="labels", schema=LabelSchema({0: "background", 1: "foreground"}))
+    except (ParameterError, SchemaError) as exc:
+        raise ParameterError(f"{path}: volume is not a binary mask: {exc}") from None
     return BinaryMask(vol.geometry, vol.labels == 1)
 
 

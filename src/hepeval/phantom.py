@@ -15,23 +15,38 @@ metrics are known by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import (
-    DEFAULT_SCHEMA,
-    IDENTITY_ORIENTATION,
-    BinaryMask,
-    Geometry,
-    LabelVolume,
-)
+from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
+
+
+def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
+    """Raise ParameterError unless the named fields of `obj` hold integers,
+    finite numbers or three finite numbers; store the vectors as tuples."""
+    for name in integers + reals:
+        value = getattr(obj, name)
+        if not _is_number(value, numbers.Integral if name in integers else numbers.Real):
+            kind = "an integer" if name in integers else "a finite number"
+            raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    for name in vectors:
+        value = getattr(obj, name)
+        items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+        if len(items) != 3 or not all(_is_number(v) for v in items):
+            raise ParameterError(f"{name} must be three finite numbers, got {value!r}")
+        object.__setattr__(obj, name, items)
 
 
 @dataclass(frozen=True)
@@ -49,15 +64,20 @@ class TreeSpec:
     branch_normal: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
+        _check_fields(
+            self,
+            integers=("levels",),
+            reals=("root_radius_mm", "radius_decay", "segment_length_mm", "length_decay",
+                   "branch_angle_deg"),
+            vectors=("root_start_mm", "root_direction", "branch_normal"),
+        )
         if not 1 <= self.levels <= 4:
             raise ParameterError(f"levels must be in 1..4, got {self.levels}")
         if self.root_radius_mm <= 0 or self.segment_length_mm <= 0:
             raise ParameterError("root radius and segment length must be > 0")
         if not 0 < self.radius_decay <= 1 or not 0 < self.length_decay <= 1:
             raise ParameterError("decay ratios must lie in (0, 1]")
-        d = np.asarray(self.root_direction, dtype=np.float64)
-        n = np.asarray(self.branch_normal, dtype=np.float64)
-        if np.linalg.norm(d) == 0 or np.linalg.norm(n) == 0:
+        if np.linalg.norm(self.root_direction) == 0 or np.linalg.norm(self.branch_normal) == 0:
             raise ParameterError("direction and branch normal must be non-zero")
 
 
@@ -67,15 +87,14 @@ class Sphere:
     radius_mm: float
 
     def __post_init__(self):
+        _check_fields(self, reals=("radius_mm",), vectors=("center_mm",))
         if self.radius_mm <= 0:
             raise ParameterError("sphere radius must be > 0")
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    geometry: Geometry = field(
-        default_factory=lambda: Geometry(dims=(128, 128, 128), spacing=(2.0, 2.0, 3.0))
-    )
+    geometry: Geometry
     parenchyma_center_mm: tuple[float, float, float] | None = None  # default: volume center
     parenchyma_semiaxes_mm: tuple[float, float, float] = (105.0, 95.0, 150.0)
     trees: dict[str, TreeSpec] = field(default_factory=dict)
@@ -83,6 +102,10 @@ class PhantomSpec:
     gallbladder: Sphere | None = None
 
     def __post_init__(self):
+        center = () if self.parenchyma_center_mm is None else ("parenchyma_center_mm",)
+        _check_fields(self, vectors=("parenchyma_semiaxes_mm",) + center)
+        if min(self.parenchyma_semiaxes_mm) <= 0:
+            raise ParameterError("parenchyma semiaxes must be > 0")
         for name in self.trees:
             if name not in TREE_STRUCTURES:
                 raise ParameterError(f"unknown tree structure {name!r}")
@@ -259,6 +282,16 @@ def rasterize_sphere(geometry: Geometry, center_mm, radius_mm: float):
     return rasterize_capsule(geometry, center_mm, center_mm, radius_mm)
 
 
+def _capsule_mask(geometry: Geometry, start_mm, end_mm, radius_mm: float) -> np.ndarray:
+    """One strict capsule as a full-grid bool array."""
+    mask = np.zeros(geometry.shape, dtype=bool)
+    hit = rasterize_capsule(geometry, start_mm, end_mm, radius_mm)
+    if hit is not None:
+        inside, box, _ = hit
+        mask[box] = inside
+    return mask
+
+
 def _inside_ellipsoid(point, center, semiaxes, margin_mm: float) -> bool:
     p = np.asarray(point, dtype=np.float64)
     scaled = (p - center) / np.asarray(semiaxes)
@@ -310,16 +343,12 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
 
     gb = spec.gallbladder
     gb_mask = np.zeros(shape, dtype=bool)
+    # axis distance of each voxel's owning edge; a capsule compares it only
+    # where its own tree already holds the voxel, so trees never compete
+    best_d2 = np.full(shape, np.inf, dtype=np.float64)
     for name in ("biliary_tree", "hepatic_vein", "portal_vein"):
-        tree_edges = structure_edges.get(name, [])
-        with_gb = name == "biliary_tree" and gb is not None
-        if not tree_edges and not with_gb:
-            continue
-        mask = np.zeros(shape, dtype=bool)
-        best_d2 = np.full(shape, np.inf, dtype=np.float64)
-        tag_e = np.full(shape, -1, dtype=np.int32)
-        tag_g = np.full(shape, -1, dtype=np.int16)
-        for e in tree_edges:
+        sid = DEFAULT_SCHEMA.id_of(name)
+        for e in structure_edges.get(name, []):
             for endpoint in (e.start_mm, e.end_mm):
                 if not _inside_ellipsoid(endpoint, center, semis, e.radius_mm):
                     raise GenerationError(f"{name} edge {e.edge_id} exits the parenchyma")
@@ -329,16 +358,17 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             if hit is None:
                 continue
             inside, box, d2 = hit
+            sub_labels = labels[box]
             sub_best = best_d2[box]
             # nearest-axis ownership; the corner region of a junction is
             # equidistant to parent and child axes and goes to the deeper
             # branch (edges are visited parent-first)
-            claim = inside & (d2 <= sub_best)
-            mask[box] |= inside
+            claim = inside & ((sub_labels != sid) | (d2 <= sub_best))
+            sub_labels[claim] = sid
             sub_best[claim] = d2[claim]
-            tag_e[box][claim] = e.edge_id
-            tag_g[box][claim] = e.generation
-        if with_gb:
+            edge_tag[box][claim] = e.edge_id
+            gen_tag[box][claim] = e.generation
+        if name == "biliary_tree" and gb is not None:
             if not _inside_ellipsoid(gb.center_mm, center, semis, gb.radius_mm):
                 raise GenerationError("gallbladder exits the parenchyma")
             _check_inside_volume(geometry, gb.center_mm, gb.radius_mm, "gallbladder")
@@ -346,12 +376,8 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             if hit is not None:
                 inside, box, _ = hit
                 gb_mask[box] = inside
-            mask |= gb_mask
+                labels[box][inside] = sid
             volumes["gallbladder"] = 4.0 / 3.0 * math.pi * gb.radius_mm**3
-        sid = DEFAULT_SCHEMA.id_of(name)
-        labels[mask] = sid
-        edge_tag[mask] = tag_e[mask]
-        gen_tag[mask] = tag_g[mask]
 
     # the venous trees may overwrite part of the gallbladder sphere
     gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
@@ -408,11 +434,15 @@ class DegradeSpec:
     relabel_fraction: float = 0.0
 
     def __post_init__(self):
-        for name, steps in list(self.erode_steps.items()) + list(self.dilate_steps.items()):
+        _check_fields(self, integers=("seed",), reals=("relabel_fraction",))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for name, n in list(self.erode_steps.items()) + list(self.dilate_steps.items()):
             if name not in PRECEDENCE:
                 raise ParameterError(f"unknown structure {name!r}")
-            if steps < 0:
-                raise ParameterError("morphology step counts must be >= 0")
+            if not _is_number(n, numbers.Integral) or n < 0:
+                raise ParameterError(f"morphology step counts must be integers >= 0, got {n!r}")
+        object.__setattr__(self, "drop_edge_ids", tuple(self.drop_edge_ids))
         both = set(k for k, v in self.erode_steps.items() if v) & set(
             k for k, v in self.dilate_steps.items() if v
         )
@@ -563,11 +593,7 @@ def straight_tube_mask(
     x0 = (dims[0] - length_vox) // 2
     start = np.array([x0 * spacing[0], (dims[1] // 2) * spacing[1], (dims[2] // 2) * spacing[2]])
     end = start + np.array([(length_vox - 1) * spacing[0], 0.0, 0.0])
-    hit = rasterize_capsule(geometry, start, end, radius_vox * spacing[0])
-    mask = np.zeros(geometry.shape, dtype=bool)
-    if hit is not None:
-        inside, box, _ = hit
-        mask[box] |= inside
+    mask = _capsule_mask(geometry, start, end, radius_vox * spacing[0])
     return BinaryMask(geometry, mask), (start, end)
 
 
@@ -601,17 +627,9 @@ def y_phantom(
     branch_a = (junction, junction + np.array([branch_length, 0.0, 0.0]))
     branch_b = (junction, junction - np.array([branch_length, 0.0, 0.0]))
 
-    def raster(seg, radius):
-        m = np.zeros(geometry.shape, dtype=bool)
-        hit = rasterize_capsule(geometry, seg[0], seg[1], radius)
-        if hit is not None:
-            inside, box, _ = hit
-            m[box] |= inside
-        return m
-
-    trunk_m = raster(trunk_seg, trunk_radius)
-    a_m = raster(branch_a, branch_radius)
-    b_m = raster(branch_b, branch_radius)
+    trunk_m = _capsule_mask(geometry, *trunk_seg, trunk_radius)
+    a_m = _capsule_mask(geometry, *branch_a, branch_radius)
+    b_m = _capsule_mask(geometry, *branch_b, branch_radius)
     total = trunk_m | a_m | b_m
     return YPhantom(
         mask=BinaryMask(geometry, total),
@@ -623,24 +641,23 @@ def y_phantom(
 
 def _block(data, what: str, kind: type = dict, cls=None):
     """Return `data` after checking that it is a JSON object (an array when
-    `kind` is list) and, given a dataclass `cls`, that it has only its keys."""
+    `kind` is list) and, given a dataclass `cls`, that it has only its keys
+    and every field that has no default."""
     if not isinstance(data, kind):
         expected = "an object" if kind is dict else "an array"
         raise ParameterError(f"{what} must be {expected}, got {type(data).__name__}")
     if cls is not None:
-        _reject_unknown_keys(data, cls, what)
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ParameterError(f"unknown {what} keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+                raise ParameterError(f"{what} is missing field {f.name!r}")
     return data
 
 
 def _sphere(data, what: str) -> Sphere:
-    data = _block(data, what, dict, Sphere)
-    return Sphere(center_mm=tuple(data["center_mm"]), radius_mm=data["radius_mm"])
-
-
-def _reject_unknown_keys(data: dict, cls, what: str) -> None:
-    unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ParameterError(f"unknown {what} keys: {sorted(unknown)}")
+    return Sphere(**_block(data, what, dict, Sphere))
 
 
 def spec_to_json_dict(spec: PhantomSpec) -> dict:
@@ -660,44 +677,21 @@ def spec_to_json_dict(spec: PhantomSpec) -> dict:
 
 
 def spec_from_json_dict(data: dict) -> PhantomSpec:
-    _block(data, "phantom spec", dict, PhantomSpec)
-    try:
-        g = _block(data["geometry"], "geometry", dict, Geometry)
-        geometry = Geometry(
-            dims=g["dims"],
-            spacing=g["spacing"],
-            origin=g.get("origin", (0.0, 0.0, 0.0)),
-            orientation=g.get("orientation", IDENTITY_ORIENTATION),
+    """Read a spec; a key left out takes the dataclass default."""
+    kwargs = dict(_block(data, "phantom spec", dict, PhantomSpec))
+    kwargs["geometry"] = Geometry(**_block(data["geometry"], "geometry", dict, Geometry))
+    if "trees" in data:
+        kwargs["trees"] = {
+            name: TreeSpec(**_block(t, f"tree {name!r}", dict, TreeSpec))
+            for name, t in _block(data["trees"], "trees").items()
+        }
+    if "tumors" in data:
+        kwargs["tumors"] = tuple(
+            _sphere(t, f"tumor {i}") for i, t in enumerate(_block(data["tumors"], "tumors", list))
         )
-        trees = {}
-        for name, t in _block(data.get("trees", {}), "trees").items():
-            t = _block(t, f"tree {name!r}", dict, TreeSpec)
-            trees[name] = TreeSpec(
-                levels=t["levels"],
-                root_start_mm=tuple(t["root_start_mm"]),
-                root_direction=tuple(t["root_direction"]),
-                root_radius_mm=t["root_radius_mm"],
-                radius_decay=t["radius_decay"],
-                segment_length_mm=t["segment_length_mm"],
-                length_decay=t["length_decay"],
-                branch_angle_deg=t.get("branch_angle_deg", 40.0),
-                branch_normal=tuple(t.get("branch_normal", (0.0, 1.0, 0.0))),
-            )
-        tumors = tuple(
-            _sphere(t, f"tumor {i}") for i, t in enumerate(_block(data.get("tumors", []), "tumors", list))
-        )
-        gb = data.get("gallbladder")
-        center = data.get("parenchyma_center_mm")
-        return PhantomSpec(
-            geometry=geometry,
-            parenchyma_center_mm=tuple(center) if center else None,
-            parenchyma_semiaxes_mm=tuple(data.get("parenchyma_semiaxes_mm", (105.0, 95.0, 150.0))),
-            trees=trees,
-            tumors=tumors,
-            gallbladder=None if gb is None else _sphere(gb, "gallbladder"),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"phantom spec is missing field {exc}") from None
+    if data.get("gallbladder") is not None:
+        kwargs["gallbladder"] = _sphere(data["gallbladder"], "gallbladder")
+    return PhantomSpec(**kwargs)
 
 
 def truth_manifest(truth: PhantomTruth) -> dict:
@@ -723,20 +717,23 @@ def truth_manifest(truth: PhantomTruth) -> dict:
     }
 
 
+def _blob(data, what: str) -> tuple[str, Sphere]:
+    """A spurious blob: a structure name beside the sphere's own keys."""
+    sphere = dict(_block(data, what))
+    if "structure" not in sphere:
+        raise ParameterError(f"{what} is missing field 'structure'")
+    return sphere.pop("structure"), _sphere(sphere, what)
+
+
 def degrade_from_json_dict(data: dict) -> DegradeSpec:
-    _block(data, "degrade spec", dict, DegradeSpec)
-    blobs = []
-    try:
-        for i, b in enumerate(_block(data.get("spurious_blobs", []), "spurious_blobs", list)):
-            b = _block(b, f"spurious blob {i}")
-            blobs.append((b["structure"], Sphere(center_mm=tuple(b["center_mm"]), radius_mm=b["radius_mm"])))
-    except KeyError as exc:
-        raise ParameterError(f"degrade spec is missing field {exc}") from None
-    return DegradeSpec(
-        seed=data.get("seed", 0),
-        erode_steps=dict(_block(data.get("erode_steps", {}), "erode_steps")),
-        dilate_steps=dict(_block(data.get("dilate_steps", {}), "dilate_steps")),
-        drop_edge_ids=tuple(_block(data.get("drop_edge_ids", []), "drop_edge_ids", list)),
-        spurious_blobs=tuple(blobs),
-        relabel_fraction=data.get("relabel_fraction", 0.0),
-    )
+    """Read a degrade spec; a key left out takes the dataclass default."""
+    kwargs = dict(_block(data, "degrade spec", dict, DegradeSpec))
+    for key, kind in (("erode_steps", dict), ("dilate_steps", dict), ("drop_edge_ids", list)):
+        if key in data:
+            _block(data[key], key, kind)
+    if "spurious_blobs" in data:
+        kwargs["spurious_blobs"] = tuple(
+            _blob(b, f"spurious blob {i}")
+            for i, b in enumerate(_block(data["spurious_blobs"], "spurious_blobs", list))
+        )
+    return DegradeSpec(**kwargs)

@@ -212,6 +212,40 @@ class TestPhantomCommand:
         assert code == 1
         assert "invalid phantom spec: geometry must be an object, got int" in caplog.text
 
+    @pytest.mark.parametrize(
+        "path, value, degrade",
+        [
+            (("trees", "portal_vein", "levels"), "3", None),
+            (("trees", "portal_vein", "root_start_mm"), 5, None),
+            (("tumors",), [{"center_mm": [64.0, 40.0, 52.0], "radius_mm": "9"}], None),
+            (("trees", "portal_vein", "root_start_mm"), [64.0, 40.0], None),
+            (("parenchyma_semiaxes_mm",), [60.0, 36.0], None),
+            (None, None, {"erode_steps": {"portal_vein": "2"}}),
+            (None, None, {"relabel_fraction": "0.1"}),
+            (None, None, {"seed": -1, "relabel_fraction": 0.1}),
+        ],
+        ids=["levels", "root-start-scalar", "tumour-radius", "root-start-2", "semiaxes-2",
+             "erode-steps", "relabel-fraction", "negative-seed"],
+    )
+    def test_value_of_wrong_type_or_length_exits_1(self, tmp_path, caplog, path, value, degrade):
+        raw = spec_to_json_dict(axis_tree_spec(1))
+        if path is not None:
+            block = raw
+            for key in path[:-1]:
+                block = block[key]
+            block[path[-1]] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        argv = ["phantom", str(spec_path), "--out", str(tmp_path / "o")]
+        if degrade is not None:
+            dpath = tmp_path / "degrade.json"
+            dpath.write_text(json.dumps(degrade))
+            argv += ["--degrade", str(dpath)]
+        with caplog.at_level("ERROR"):
+            code = main(argv)
+        assert code == 1
+        assert f"invalid {'degrade' if degrade else 'phantom'} spec" in caplog.text
+
     def test_degrade_option_writes_prediction(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))

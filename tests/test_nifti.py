@@ -267,6 +267,15 @@ class TestHandConstructedFiles:
         with pytest.raises(ParameterError, match="binary"):
             read_binary_mask(path)
 
+    @pytest.mark.parametrize("value", [2.0, 1.5, -1.0])
+    def test_mask_value_outside_unit_interval_rejected_not_clamped(self, tmp_path, value):
+        stored = np.tile(np.array([0.0, 1.0], dtype="<f4"), 12)
+        stored[5] = value
+        path = tmp_path / "outside.nii"
+        path.write_bytes(bytes(_blank_header(datatype=16)) + b"\x00" * 4 + stored.tobytes())
+        with pytest.raises(ParameterError, match="binary"):
+            read_binary_mask(path)
+
     def test_wide_integer_labels_in_schema_are_read(self, tmp_path):
         g = Geometry(dims=(4, 3, 2), spacing=(1, 1, 1))
         labels = np.arange(24, dtype=np.int32).reshape(g.shape) % 7

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,30 +36,59 @@ class TestGenerate:
         assert np.array_equal(a.edge_tag, b.edge_tag)
         assert np.array_equal(a.generation_tag, b.generation_tag)
 
+    # SHA-256 of labels, edge tags, generation tags, gallbladder mask and the
+    # sorted structure volumes
     PINNED = {
         "default_spec": (
             default_spec,
             "213892c3e8ee00245f4f2d6c8c8ef5e57cded728f86d6fb0a7028ee944a7e897",
             "c5468334a8f500bce41c1024d113445da78bbf1d06f5daa4301361740aa194e7",
             "2f65884a503567742adebca0a9a433c8035a1d629e217d1021ee8dec3db78cd3",
+            "13b485b8fb2fa9696685d8bc0b9d22aa8b3c40a017dff8cbbd515520123fbf61",
+            "bb1ea0b4c196f221984a2a52ee6e6bf9a905517f6c83fd863063dbb8525f68aa",
+        ),
+        "default_spec_no_gallbladder": (
+            lambda: default_spec(gallbladder_present=False),
+            "67c24ba7486a6986c0f52b4f38ab95c5e51a7370e83539925ac7eb08b2338a90",
+            "c5468334a8f500bce41c1024d113445da78bbf1d06f5daa4301361740aa194e7",
+            "2f65884a503567742adebca0a9a433c8035a1d629e217d1021ee8dec3db78cd3",
+            "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee",
+            "c9dd86d5065c8fbfae231de176ad05f27d5eede512802d3dba4152d750369363",
         ),
         "axis_tree_spec_4": (
             lambda: axis_tree_spec(4),
             "3d05dc34932a96c9a93ae3b7ba380266278ed072742e31f641353ed4e9e4f898",
             "bedf30290539b72306c06f20bd78d31193cbba24f2bd16dd6d61bd3a4d23770c",
             "c90544627ffb590ad498c3135ec9ea813fdf32a0a7b3dfcea71e95a8c75e46b4",
+            "be06485f107d2e136240428bad947270f9540d16d548fb49ece3c8218b1bad6e",
+            "291779e2ea82335bace37a2d99ba2c20ad9e758d520676c12cf2e9e93ef84018",
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_arrays_hash_is_pinned(self, name):
-        """SHA-256 of the labels, edge tags and generation tags: a change
-        meant only to make generation cheaper must leave every bit alone."""
+        """A change meant only to make generation cheaper must leave every
+        bit of the arrays and volumes alone."""
         make_spec, *expected = self.PINNED[name]
         truth = generate_case(make_spec())
-        arrays = (truth.label_volume.labels, truth.edge_tag, truth.generation_tag)
-        assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int16]
-        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == expected
+        labels = truth.label_volume.labels
+        arrays = (labels, truth.edge_tag, truth.generation_tag, truth.gallbladder_mask)
+        assert [a.dtype for a in arrays] == [np.uint8, np.int32, np.int16, np.bool_]
+        volumes = json.dumps(sorted(truth.structure_volumes_mm3.items())).encode()
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+        assert digests + [hashlib.sha256(volumes).hexdigest()] == expected
+
+    def test_peak_memory_below_three_float_grids(self):
+        """Trees draw straight into the case grids through one distance grid,
+        with no per-tree full-grid masks or tags."""
+        spec = default_spec()
+        tracemalloc.start()
+        try:
+            generate_case(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * spec.geometry.n_voxels
 
     def test_one_level_tree_generations(self):
         spec = axis_tree_spec(1)
