@@ -2,11 +2,11 @@
 
 Soft Dice, (bootstrapped) cross-entropy with the warm-up K schedule, and the
 centerline-Dice loss, whose gradient runs back through the soft skeleton's
-stages with max-pool style argmax routing. The skeleton's forward hands the
-backward a few checkpoints, and the backward replays the stages between
-them bit for bit (see `morphology`), so the loss holds about one segment of
-stages at a time rather than all of them. Arrays no later step reads are
-updated in place or released before the backward runs.
+stages with max-pool style argmax routing. The skeleton's forward records,
+on each stage's residual support, the input voxels its values came from
+(see `morphology`), so the backward is sparse scatters onto the input and
+runs no pool. Arrays no later step reads are updated in place or released
+before the backward runs.
 """
 
 from __future__ import annotations
@@ -82,10 +82,32 @@ def soft_dice_loss(pred: ProbVolume, gt: BinaryMask, epsilon: float = 1e-5) -> G
 
 
 def _ce_field_and_grad(p: np.ndarray, g: np.ndarray, clip: float):
+    """Per-voxel CE -(g log pc + (1 - g) log(1 - pc)), pc = clip(p), and its
+    derivative, zero where p lies outside [clip, 1 - clip].
+
+    Works in place in the same operation order as the plain expressions, so
+    the results are the same bits; `g` (float64) is overwritten.
+    """
     pc = np.clip(p, clip, 1.0 - clip)
-    field = -(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))
-    active = (p >= clip) & (p <= 1.0 - clip)
-    dfield = np.where(active, -g / pc + (1.0 - g) / (1.0 - pc), 0.0)
+    field = np.log(pc)
+    field *= g
+    dfield = np.negative(g)
+    dfield /= pc
+    np.subtract(1.0, g, out=g)
+    tmp = np.negative(pc)
+    np.log1p(tmp, out=tmp)
+    tmp *= g
+    field += tmp
+    np.negative(field, out=field)
+    np.subtract(1.0, pc, out=tmp)
+    del pc
+    np.divide(g, tmp, out=tmp)
+    dfield += tmp
+    del tmp
+    active = p >= clip
+    active &= p <= 1.0 - clip
+    np.logical_not(active, out=active)
+    dfield[active] = 0.0
     return field, dfield
 
 
@@ -99,7 +121,8 @@ def cross_entropy_loss(
     """
     require_same_geometry(pred, gt)
     field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(np.float64), clip)
-    mean = GradedScalar(float(field.mean()), dfield / field.size)
+    dfield /= field.size
+    mean = GradedScalar(float(field.mean()), dfield)
     return field, mean
 
 
@@ -131,8 +154,9 @@ def bootstrapped_ce_loss(
     field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(np.float64), clip)
     flat = field.ravel()
     m = max(1, int(np.ceil(k * flat.size)))
+    dfield /= m
     if m == flat.size:
-        return GradedScalar(float(flat.mean()), dfield / m)
+        return GradedScalar(float(flat.mean()), dfield)
     # The m-th largest loss is the threshold; everything above it is in, and
     # voxels tied at it enter by smallest linear index.
     threshold = np.partition(flat, flat.size - m)[flat.size - m]
@@ -140,8 +164,9 @@ def bootstrapped_ce_loss(
     tied = np.flatnonzero(flat == threshold)
     selected[tied[: m - np.count_nonzero(selected)]] = True
     value = float(flat[selected].mean())
-    grad = np.where(selected, dfield.ravel() / m, 0.0)
-    return GradedScalar(value, grad.reshape(field.shape))
+    np.logical_not(selected, out=selected)
+    dfield.ravel()[selected] = 0.0
+    return GradedScalar(value, dfield)
 
 
 def cl_dice_loss(
@@ -163,7 +188,7 @@ def cl_dice_loss(
     g = gt.values.astype(np.float64)
 
     skel_g = soft_skeleton_array(gt.values.astype(np.uint8), iterations)[0]
-    skel_p, checkpoints = soft_skeleton_array(p, iterations)
+    skel_p, tape = soft_skeleton_array(p, iterations)
 
     sum_sp = float(skel_p.sum())
     sum_sg = float(skel_g.sum())
@@ -186,8 +211,8 @@ def cl_dice_loss(
     g -= tprec_num
     g /= tprec_den * tprec_den
     g *= dl_dtprec
-    grad = soft_skeleton_grad(checkpoints, g)
-    del checkpoints, g
+    grad = soft_skeleton_grad(tape, g)
+    del tape, g
     # Direct path: d tsens / d p.
     direct = dl_dtsens * skel_g
     direct /= tsens_den

@@ -4,19 +4,19 @@ Pooling uses the full 3x3x3 neighborhood with exterior cells contributing 0,
 so solid structures erode from the volume border. The box window is separable,
 so each pool runs as three 1D passes.
 
-The soft skeleton's gradient is checkpointed (Chen et al. 2016, "Training
-Deep Nets with Sublinear Memory Cost"). The forward keeps references to the
-stage input I_k and the running skeleton S_{k-1} every
-ceil(sqrt(iterations + 1)) stages, and the backward replays one segment at
-a time from its checkpoint. The replay is exact: it repeats the forward's
-arithmetic in the same order on the same inputs, and the winner-recording
-pool returns the same values as `pool_array`, so every replayed array is
-bit-identical to the forward's. The replay records one uint8 winner code
-per pooled voxel, the winner's 3-D offset, and the pool's backward is one
-`np.bincount` scatter through it, like an autodiff max-pool. The per-pass
-tie rule (in-volume beats exterior, then smallest coordinate) composes to
-the global rule: ties go to the smallest linear index, and the exterior
-wins, taking no gradient, only on a strict extremum.
+The soft skeleton of a floating input records where every value came from.
+Min and max over a box are separable under any total order, so pooling
+packed int64 keys (dense value rank, then linear position) with the same
+`pool_array` gives each pooled voxel its value's rank and its winner at
+once, with the tie rule of an autodiff max-pool: ties go to the smallest
+linear index, and the exterior 0 wins, taking no gradient, only on a strict
+extremum. Each stage keeps, on the voxels where its residual
+relu(I_k - open(I_k)) is positive, the input voxels that I_k and its opening
+took their values from; the residual is recomputed there from the input by
+the same float subtraction, so the skeleton is bit-identical to value
+pooling. The backward is two `np.bincount` scatters per stage onto those
+sources and runs no pool. Integer masks, which are constants of the loss,
+pool by value and have no gradient.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -32,7 +32,6 @@ distance, so the minimum, rounding included, is unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,163 +61,154 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     return cur
 
 
-_EXTERIOR = 27  # winner code of an output that only the exterior attains
+def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat, high, offset)`` for `_keyed_pool` on a floating grid.
 
-
-def _pool_winners(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Box pool plus each output's winner code.
-
-    The code is one uint8 per voxel: the winner's offset
-    9(dz+1) + 3(dy+1) + (dx+1), or 27 where only the exterior attains the
-    extremum. It is built pass by pass like the pool: a pass's winner is the
-    first in-volume window attaining the extremum, and its code is the
-    window's code plus the window's offset times the pass stride. The padding
-    and any output that took the exterior 0 carry code 27, so they lose ties
-    like the exterior itself. Writing windows last-first with the wrapping
-    uint8 blend ``code += hit * (candidate - code)`` leaves the first hit.
+    `flat` is the input with a trailing exterior 0 at index n. `high` is each
+    voxel's dense rank among the distinct values of `flat` (equal values
+    share a rank, and order is kept), minus the exterior's, times 2^b with
+    b = n.bit_length(). `offset` is each voxel's linear index minus n.
     """
-    op = np.minimum if mode == "min" else np.maximum
-    cur = np.pad(values, 1)
-    code = np.pad(np.zeros(values.shape, dtype=np.uint8), 1, constant_values=_EXTERIOR)
-    for axis, stride in ((2, 1), (1, 3), (0, 9)):
-        wins = [_shifted(axis, s, s - 2) for s in range(3)]
-        pooled = op(cur[wins[0]], cur[wins[1]])
-        op(pooled, cur[wins[2]], out=pooled)
-        blended = np.full(pooled.shape, _EXTERIOR, dtype=np.uint8)
-        for s in (2, 1, 0):
-            hit = cur[wins[s]] == pooled
-            hit &= code[wins[s]] != _EXTERIOR
-            candidate = code[wins[s]] + np.uint8(s * stride)
-            candidate -= blended
-            candidate *= hit
-            blended += candidate
-        cur, code = pooled, blended
-    return cur, code
+    n = values.size
+    if n >= 1 << 31:  # int32 routes; also keeps every key below 2^62
+        raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
+    flat = np.zeros(n + 1, dtype=values.dtype)
+    flat[:n] = values.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    high = np.empty(n + 1, dtype=np.int64)
+    high[order[0]] = 0
+    high[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    del order, ordered
+    high -= high[n]
+    high *= 1 << n.bit_length()
+    return flat, high[:n].reshape(values.shape), np.arange(-n, 0).reshape(values.shape)
 
 
-def _pool_vjp(code: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Send each output's gradient to its winner in one `np.bincount` scatter.
+def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Box pool of rank keys that names each output's winner.
 
-    Outputs with code 27 go to a spare last bin that is dropped, so the
-    exterior takes no gradient.
+    Pools high + offset (min) or high - offset (max): the rank, then the
+    index or n minus it, with the exterior at index n and rank 0, so its key
+    is `pool_array`'s zero padding. The keys are distinct, so ties go to the
+    smallest linear index and the exterior wins only on a strict extremum.
+    Returns ``(pooled high, winner)``, with winner n for the exterior.
     """
-    nz, ny, nx = code.shape
-    c = np.arange(_EXTERIOR)
-    offsets = np.append((c // 9 - 1) * (ny * nx) + (c // 3 % 3 - 1) * nx + (c % 3 - 1), 0)
-    target = offsets[code.ravel()]
-    target += np.arange(code.size)
-    target[code.ravel() == _EXTERIOR] = code.size
-    return np.bincount(target, grad.ravel(), minlength=code.size + 1)[:-1].reshape(code.shape)
+    n = high.size
+    if mode == "min":
+        key = pool_array(high + offset, mode)
+        key += n
+    else:
+        key = pool_array(high - offset, mode)
+    winner = key & ((1 << n.bit_length()) - 1)
+    key -= winner
+    if mode == "max":
+        np.subtract(n, winner, out=winner)
+    return key, winner
 
 
-def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple]:
-    """Iterative soft skeleton in the input dtype, plus its checkpoints.
-
-    S = relu(I - open(I)); then `iterations` times:
-    I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
-    Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
-    once. The loop stops early once I is all zero, since later stages add
-    nothing. Returns ``(S, (checkpoints, stages))``: ``checkpoints`` lists
-    ``(k, I_k, S_{k-1})`` every ceil(sqrt(iterations + 1)) stages from k = 0
-    (S_{-1} is None), as references to the arrays the loop built, and
-    ``stages`` counts the stages run. S is updated in place except when a
-    checkpoint holds it.
-    """
-    if iterations < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    spacing = math.isqrt(iterations) + 1  # ceil(sqrt(iterations + 1))
-    checkpoints = []
+def _value_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
+    """The soft skeleton from value pools, in the input dtype."""
     current, skel = values, None
     for k in range(iterations + 1):
-        held = k % spacing == 0  # a checkpoint holds I_k and S_{k-1}
-        if held:
-            checkpoints.append((k, current, skel))
         eroded = pool_array(current, "min")
         delta = pool_array(eroded, "max")
         np.subtract(current, delta, out=delta)
         np.maximum(delta, 0, out=delta)
         if skel is None:
             skel = delta
-        elif held:
-            skel = skel + (1 - skel) * delta
         else:
             delta *= 1 - skel
             skel += delta
         if k == iterations or not eroded.any():
             break
         current = eroded
-    return skel, (checkpoints, k + 1)
+    return skel
 
 
-def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, tuple]:
-    skel, checkpoints = soft_skeleton_array(volume.values, iterations)
-    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), checkpoints
+def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple | None]:
+    """Iterative soft skeleton in the input dtype, plus its gradient tape.
 
+    S = relu(I - open(I)); then `iterations` times:
+    I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
+    Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
+    once. The loop stops early once I is all zero, since later stages add
+    nothing. An integer input is pooled by value and its tape is None.
 
-def _replay_segment(checkpoint: tuple, stages: int) -> list:
-    """Rerun `stages` forward stages from a checkpoint with winner-recording
-    pools: per stage (S before it, delta, min-pool code, max-pool code).
-
-    Holds no reference to the checkpoint itself, so its stage input is
-    freed once the replay has moved past it.
+    A floating input is pooled through `_keyed_pool`, so every value of I_k
+    and of its opening O_k names the input voxel it came from (n for the
+    exterior). The residual is positive exactly on P_k = {rank(I_k) >
+    rank(O_k)}; it is recomputed there from those sources and S is updated
+    there only. The tape is ``(stages, flat)``: per stage the int32 P_k,
+    S_{k-1} on P_k (None at k = 0) and the int32 sources of I_k and O_k on
+    P_k (P_0 itself for I_0), and `flat` from `_rank_keys`.
     """
-    _, current, skel = checkpoint
-    del checkpoint
-    segment = []
-    for j in range(stages):
-        eroded, min_code = _pool_winners(current, "min")
-        delta, max_code = _pool_winners(eroded, "max")
-        np.subtract(current, delta, out=delta)
-        np.maximum(delta, 0, out=delta)
-        segment.append((skel, delta, min_code, max_code))
-        if j + 1 < stages:
-            skel = delta if skel is None else (1 - skel) * delta + skel
-            current = eroded
-    return segment
+    if iterations < 1:
+        raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    if not np.issubdtype(values.dtype, np.floating):
+        return _value_skeleton(values, iterations), None
+    n = values.size
+    flat, high_in, offset = _rank_keys(values)
+    source_in = None  # I_0 is the input
+    skel = np.zeros(n, dtype=values.dtype)
+    stages = []
+    for k in range(iterations + 1):
+        high_eroded, winner = _keyed_pool(high_in, offset, "min")
+        source = np.empty(n + 1, dtype=np.int32)
+        source[n] = n
+        if source_in is None:
+            source[:n] = winner.ravel()
+        else:
+            np.take(source_in, winner.ravel(), out=source[:n])
+        high_opened, winner = _keyed_pool(high_eroded, offset, "max")
+        where = np.flatnonzero(high_in > high_opened).astype(np.int32)
+        del high_opened
+        route_in = where if source_in is None else source_in[where]
+        route_out = source[winner.ravel()[where]]
+        del winner
+        delta = flat[route_in] - flat[route_out]
+        before = None if k == 0 else skel[where]
+        if before is not None:
+            delta *= 1 - before
+            delta += before
+        skel[where] = delta
+        stages.append((where, before, route_in, route_out))
+        if k == iterations or not high_eroded.any():
+            break
+        high_in, source_in = high_eroded, source
+    return skel.reshape(values.shape), (stages, flat)
 
 
-def soft_skeleton_grad(checkpoints: tuple, grad_skel: np.ndarray) -> np.ndarray:
-    """Gradient of the soft skeleton w.r.t. its input.
+def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, tuple | None]:
+    skel, tape = soft_skeleton_array(volume.values, iterations)
+    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), tape
 
-    Walks the checkpoint segments last-first. Each segment is replayed once
-    from its checkpoint, keeping per stage its delta and pool winner codes,
-    and its stages then run in reverse. Every pool is computed twice in
-    all, once forward and once here, and one segment is alive at a time.
-    The gradient that reaches I_{k+1} from later stages joins the one
-    reaching stage k's eroded image before the single min-pool backward.
-    The checkpoint list is consumed: each checkpoint is dropped once its
-    segment is replayed, so its arrays can be freed. `grad_skel` is not
-    modified.
+
+def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
+    """Gradient of the soft skeleton w.r.t. its floating input.
+
+    Walks the tape's stages last-first, each on its P_k only: with grad_s =
+    dL/dS_k, (1 - S_{k-1}) grad_s goes to the source of I_k and, negated,
+    to the source of O_k (the exterior's bin n is dropped), and grad_s
+    becomes (1 - delta) grad_s. The stage list is consumed, so its arrays
+    are freed as it goes. `grad_skel` is not modified.
     """
-    saved, stages = checkpoints
-    grad_s = grad_skel
-    grad_next = None  # dL/dI_{k+1} from stages after k
-    end = stages
-    while saved:
-        start = saved[-1][0]
-        segment = _replay_segment(saved.pop(), end - start)
-        end = start
-        while segment:
-            skel_before, delta, min_code, max_code = segment.pop()
-            positive = delta > 0
-            if skel_before is None:
-                grad_resid = grad_s * positive
-            else:
-                grad_resid = 1 - skel_before
-                grad_resid *= grad_s
-                grad_resid *= positive
-                np.subtract(1, delta, out=delta)
-                delta *= grad_s
-                grad_s = delta
-            del skel_before, delta, positive  # drop what is read before the VJPs allocate
-            grad_eroded = _pool_vjp(max_code, grad_resid)
-            np.negative(grad_eroded, out=grad_eroded)
-            if grad_next is not None:
-                grad_eroded += grad_next
-            grad_next = _pool_vjp(min_code, grad_eroded)
-            grad_next += grad_resid
-            del grad_eroded, grad_resid
-    return grad_next
+    if tape is None:
+        raise ParameterError("the soft skeleton of an integer input has no gradient")
+    stages, flat = tape
+    grad_s = grad_skel.ravel().copy()
+    grad = np.zeros(flat.size)
+    while stages:
+        where, before, route_in, route_out = stages.pop()
+        resid = grad_s[where]
+        if before is not None:
+            delta = flat[route_in] - flat[route_out]
+            grad_s[where] = resid * (1 - delta)
+            resid *= 1 - before
+        del before
+        grad += np.bincount(route_in, resid, minlength=flat.size)
+        grad -= np.bincount(route_out, resid, minlength=flat.size)
+    return grad[:-1].reshape(grad_skel.shape)
 
 
 @dataclass(frozen=True)

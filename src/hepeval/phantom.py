@@ -22,15 +22,11 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume
+from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _is_number, _three_numbers
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
 
 
 def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
@@ -43,8 +39,8 @@ def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
             raise ParameterError(f"{name} must be {kind}, got {value!r}")
     for name in vectors:
         value = getattr(obj, name)
-        items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
-        if len(items) != 3 or not all(_is_number(v) for v in items):
+        items = _three_numbers(value)
+        if items is None:
             raise ParameterError(f"{name} must be three finite numbers, got {value!r}")
         object.__setattr__(obj, name, items)
 

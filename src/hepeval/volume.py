@@ -14,6 +14,8 @@ caller who keeps writing to an array passes a copy.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,16 @@ from .errors import ParameterError, SchemaError, ShapeMismatchError
 IDENTITY_ORIENTATION = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 ORIENTATION_TOL = 1e-6
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
+
+
+def _three_numbers(value) -> tuple | None:
+    """The items of a list, tuple or array of three finite numbers, else None."""
+    items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+    return items if len(items) == 3 and all(_is_number(v) for v in items) else None
 
 
 @dataclass(frozen=True)
@@ -40,14 +52,20 @@ class Geometry:
     orientation: tuple[tuple[float, float, float], ...] = IDENTITY_ORIENTATION
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(n) != n or n < 1 for n in self.dims):
-            raise ParameterError(f"dims must be three positive integers, got {self.dims}")
-        if len(self.spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in self.spacing):
-            raise ParameterError(f"spacing must be three positive finite values, got {self.spacing}")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        m = np.asarray(self.orientation, dtype=np.float64)
+        dims, spacing, origin = (_three_numbers(v) for v in (self.dims, self.spacing, self.origin))
+        if dims is None or any(int(n) != n or n < 1 for n in dims):
+            raise ParameterError(f"dims must be three positive integers, got {self.dims!r}")
+        if spacing is None or min(spacing) <= 0:
+            raise ParameterError(f"spacing must be three positive finite values, got {self.spacing!r}")
+        if origin is None:
+            raise ParameterError(f"origin must be three finite numbers, got {self.origin!r}")
+        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
+        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
+        object.__setattr__(self, "origin", tuple(float(v) for v in origin))
+        try:
+            m = np.asarray(self.orientation, dtype=np.float64)
+        except (TypeError, ValueError):
+            m = np.empty(0)
         if m.shape != (3, 3) or not np.isfinite(m).all():
             raise ParameterError("orientation must be a finite 3x3 matrix")
         if np.abs(m.T @ m - np.eye(3)).max() > ORIENTATION_TOL:

@@ -213,6 +213,21 @@ class TestPhantomCommand:
         assert "invalid phantom spec: geometry must be an object, got int" in caplog.text
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("dims", 5), ("dims", ["a", "b", "c"]), ("origin", "abc")],
+        ids=["dims-scalar", "dims-strings", "origin-string"],
+    )
+    def test_geometry_of_wrong_type_exits_1(self, tmp_path, caplog, key, value):
+        raw = spec_to_json_dict(axis_tree_spec(1))
+        raw["geometry"][key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        with caplog.at_level("ERROR"):
+            code = main(["phantom", str(spec_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"invalid phantom spec: {key} must be three" in caplog.text
+
+    @pytest.mark.parametrize(
         "path, value, degrade",
         [
             (("trees", "portal_vein", "levels"), "3", None),

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from functools import partial
 
@@ -8,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from hepeval.errors import ParameterError
 from hepeval.morphology import (
-    _pool_vjp,
-    _pool_winners,
+    _keyed_pool,
+    _rank_keys,
     bounding_box,
     connected_components,
     distance_transform,
@@ -91,13 +91,21 @@ def oracle_skeleton_grad(values, iterations, grad_skel):
     return grad_next
 
 
+def keyed_pool(values, mode):
+    """Pooled values, pooled rank keys and winners (values.size for the
+    exterior) from `_keyed_pool`, plus the rank key of each winner."""
+    flat, high, offset = _rank_keys(values)
+    pooled_high, winner = _keyed_pool(high, offset, mode)
+    return flat[winner], pooled_high, winner, np.append(high.ravel(), 0)[winner]
+
+
 def pool_grad(values, mode, grad_out):
-    _, code = _pool_winners(values, mode)
-    return _pool_vjp(code, grad_out)
+    winner = keyed_pool(values, mode)[2]
+    return np.bincount(winner.ravel(), grad_out.ravel(), minlength=values.size + 1)[:-1].reshape(values.shape)
 
 
 # fwd+bwd tracemalloc peak of a 10-iteration soft skeleton, in float64 grids
-# of its input: 14.0 with checkpointed segments, 28.3 when every stage is kept
+# of its input: 12.5 with the sparse tape, 28.3 when every stage is kept
 GRID_PEAK_BOUND = 20.0
 
 MIN3 = partial(ndimage.minimum_filter, size=3, mode="constant", cval=0)
@@ -170,10 +178,11 @@ class TestPools:
             values = tie_heavy_grid(seed)
             grad_out = rng.normal(size=values.shape)
             want_pooled, win = oracle_pool(values, mode)
-            pooled, code = _pool_winners(values, mode)
+            pooled, pooled_high, winner, winner_high = keyed_pool(values, mode)
             assert np.array_equal(pooled, want_pooled)
             assert np.array_equal(pooled, pool_array(values, mode))
-            got = _pool_vjp(code, grad_out)
+            assert np.array_equal(pooled_high, winner_high)
+            got = pool_grad(values, mode, grad_out)
             assert np.abs(got - oracle_vjp(win, grad_out)).max() <= 1e-12
 
     def test_tie_breaks_to_smallest_linear_index(self):
@@ -254,20 +263,66 @@ class TestSoftSkeleton:
         assert skel.dtype == np.uint8
         assert np.array_equal(skel, scipy_skeleton(mask, 4))
 
-    def test_checkpoints(self):
+    def test_tape_matches_scipy_stages(self):
+        # P_k is where the SciPy reference residual is > 0, the routes
+        # recompute it there, and the tape keeps S_{k-1} on P_k
+        grids = [random_prob_volume(geometry((9, 8, 7)), seed=s).values for s in range(3)]
+        grids += [tie_heavy_grid(seed) for seed in range(20)]
+        for values in grids:
+            _, (stages, flat) = soft_skeleton_array(values, iterations=4)
+            assert np.array_equal(flat, np.append(values.ravel(), 0.0))
+            inputs = [values]  # I_k of each stage run: the loop stops once I is all zero
+            while len(inputs) < 5 and MIN3(inputs[-1]).any():
+                inputs.append(MIN3(inputs[-1]))
+            assert len(stages) == len(inputs)
+            for k, (current, (where, before, route_in, route_out)) in enumerate(zip(inputs, stages)):
+                delta = np.maximum(current - MAX3(MIN3(current)), 0).ravel()
+                assert where.dtype == route_in.dtype == route_out.dtype == np.int32
+                assert np.array_equal(where, np.flatnonzero(delta > 0))
+                assert np.array_equal(flat[route_in] - flat[route_out], delta[where])
+                if k == 0:
+                    assert before is None and route_in is where
+                else:
+                    assert np.array_equal(before, scipy_skeleton(values, k - 1).ravel()[where])
         vol = random_prob_volume(geometry((23, 23, 23)), seed=2)
         for iterations in (1, 3, 5, 8, 10):
-            _, (saved, stages) = soft_skeleton_array(vol.values, iterations)
-            assert len(saved) <= math.ceil(math.sqrt(iterations + 1))
-            assert saved[0][0] == 0 and saved[0][1] is vol.values and saved[0][2] is None
-            assert stages == iterations + 1
-        _, (saved, _) = soft_skeleton_array(vol.values, iterations=8)
-        assert [k for k, _, _ in saved] == [0, 3, 6]
-        assert np.array_equal(saved[1][1], MIN3(MIN3(MIN3(vol.values))))
-        assert np.array_equal(saved[1][2], scipy_skeleton(vol.values, 2))
+            _, (stages, _) = soft_skeleton_array(vol.values, iterations)
+            assert len(stages) == iterations + 1
         # stops once the input has eroded away
-        _, (_, stages) = soft_skeleton_array(np.ones((3, 3, 3)), iterations=5)
-        assert stages == 2
+        _, (stages, _) = soft_skeleton_array(np.ones((3, 3, 3)), iterations=5)
+        assert len(stages) == 2
+
+    def test_integer_input_has_no_gradient(self):
+        mask = random_mask(geometry((6, 5, 4)), seed=1, density=0.6).values.astype(np.uint8)
+        _, tape = soft_skeleton_array(mask, iterations=3)
+        assert tape is None
+        with pytest.raises(ParameterError):
+            soft_skeleton_grad(tape, np.ones(mask.shape))
+
+    def test_keys_that_do_not_fit_raise(self):
+        # a 2^31-voxel view allocates nothing: the check comes first
+        huge = np.broadcast_to(np.float64(0.5), (1 << 11, 1 << 10, 1 << 10))
+        with pytest.raises(ParameterError):
+            soft_skeleton_array(huge, iterations=1)
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        thin_axis=st.sampled_from([None, 0, 1, 2]),
+        seed=st.integers(0, 2**16),
+        iterations=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_key_encoding_matches_oracles(self, shape, thin_axis, seed, iterations):
+        # exact duplicates, -0.0 beside 0.0 and the exterior 0, negative
+        # values (a max pool's strict exterior win) and a 1-voxel axis
+        shape = tuple(1 if axis == thin_axis else d for axis, d in enumerate(shape))
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array([-0.75, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0]), size=shape)
+        grad_skel = rng.normal(size=shape)
+        skel, tape = soft_skeleton_array(values, iterations)
+        assert np.array_equal(skel, scipy_skeleton(values, iterations))
+        got = soft_skeleton_grad(tape, grad_skel)
+        assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
@@ -275,8 +330,8 @@ class TestSoftSkeleton:
             values = tie_heavy_grid(seed)
             iterations = int(rng.integers(1, 11))
             grad_skel = rng.normal(size=values.shape)
-            _, checkpoints = soft_skeleton_array(values, iterations)
-            got = soft_skeleton_grad(checkpoints, grad_skel)
+            _, tape = soft_skeleton_array(values, iterations)
+            got = soft_skeleton_grad(tape, grad_skel)
             want = oracle_skeleton_grad(values, iterations, grad_skel)
             assert np.abs(got - want).max() <= 1e-12
 
@@ -284,22 +339,22 @@ class TestSoftSkeleton:
         vol = random_prob_volume(geometry((9, 8, 7)), seed=4)
         grad_skel = np.random.default_rng(4).normal(size=vol.values.shape)
         before = grad_skel.copy()
-        _, checkpoints = soft_skeleton_array(vol.values, iterations=5)
-        soft_skeleton_grad(checkpoints, grad_skel)
+        _, tape = soft_skeleton_array(vol.values, iterations=5)
+        soft_skeleton_grad(tape, grad_skel)
         assert np.array_equal(grad_skel, before)
-        assert checkpoints[0] == []  # the backward consumes its checkpoints
+        assert tape[0] == []  # the backward consumes its stages
 
     def test_backward_peak_memory(self):
-        # forward plus backward on a noisy tube, in float64 grids: the
-        # backward holds checkpoints and one replayed segment, not every stage
+        # forward plus backward on a noisy tube, in float64 grids: the tape
+        # holds each stage's sparse residual support, not its dense arrays
         mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
         rng = np.random.default_rng(0)
         values = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
         grad_skel = rng.normal(size=values.shape)
         tracemalloc.start()
         try:
-            _, checkpoints = soft_skeleton_array(values, iterations=10)
-            soft_skeleton_grad(checkpoints, grad_skel)
+            _, tape = soft_skeleton_array(values, iterations=10)
+            soft_skeleton_grad(tape, grad_skel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
