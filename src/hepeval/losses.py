@@ -4,9 +4,9 @@ Soft Dice, (bootstrapped) cross-entropy with the warm-up K schedule, and the
 centerline-Dice loss, whose gradient runs back through the soft skeleton's
 stages with max-pool style argmax routing. The skeleton's forward records,
 on each stage's residual support, the input voxels its values came from
-(see `morphology`), so the backward is sparse scatters onto the input and
-runs no pool. Arrays no later step reads are updated in place or released
-before the backward runs.
+(see `morphology`), so the backward is sparse in-place scatters
+(`np.add.at`) onto the input and runs no pool. Arrays no later step reads
+are updated in place or released before the backward runs.
 """
 
 from __future__ import annotations

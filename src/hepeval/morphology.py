@@ -14,9 +14,11 @@ extremum. Each stage keeps, on the voxels where its residual
 relu(I_k - open(I_k)) is positive, the input voxels that I_k and its opening
 took their values from; the residual is recomputed there from the input by
 the same float subtraction, so the skeleton is bit-identical to value
-pooling. The backward is two `np.bincount` scatters per stage onto those
-sources and runs no pool. Integer masks, which are constants of the loss,
-pool by value and have no gradient.
+pooling. The opening's keys are compared with I_k's undecoded, and its
+winners are decoded on P_k only. The backward scatters each stage onto
+those sources in place (`np.add.at`, `np.subtract.at`) and runs no pool.
+Integer masks, which are constants of the loss, pool by value and have no
+gradient.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -75,7 +77,7 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = np.zeros(n + 1, dtype=values.dtype)
     flat[:n] = values.ravel()
     order = np.argsort(flat)
-    ordered = flat[order]
+    ordered = np.sort(flat)  # the values of flat[order], without the gather
     high = np.empty(n + 1, dtype=np.int64)
     high[order[0]] = 0
     high[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
@@ -85,26 +87,23 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, high[:n].reshape(values.shape), np.arange(-n, 0).reshape(values.shape)
 
 
-def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
     """Box pool of rank keys that names each output's winner.
 
     Pools high + offset (min) or high - offset (max): the rank, then the
     index or n minus it, with the exterior at index n and rank 0, so its key
     is `pool_array`'s zero padding. The keys are distinct, so ties go to the
     smallest linear index and the exterior wins only on a strict extremum.
-    Returns ``(pooled high, winner)``, with winner n for the exterior.
+    Returns the pooled keys, shifted by n on the min side: the winner's rank
+    key plus its index (min) or plus n minus its index (max). The low
+    n.bit_length() bits hold that index term; the rest is the rank key.
     """
     n = high.size
-    if mode == "min":
-        key = pool_array(high + offset, mode)
-        key += n
-    else:
-        key = pool_array(high - offset, mode)
-    winner = key & ((1 << n.bit_length()) - 1)
-    key -= winner
     if mode == "max":
-        np.subtract(n, winner, out=winner)
-    return key, winner
+        return pool_array(high - offset, mode)
+    key = pool_array(high + offset, mode)
+    key += n
+    return key
 
 
 def _value_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
@@ -138,10 +137,12 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     A floating input is pooled through `_keyed_pool`, so every value of I_k
     and of its opening O_k names the input voxel it came from (n for the
     exterior). The residual is positive exactly on P_k = {rank(I_k) >
-    rank(O_k)}; it is recomputed there from those sources and S is updated
-    there only. The tape is ``(stages, flat)``: per stage the int32 P_k,
-    S_{k-1} on P_k (None at k = 0) and the int32 sources of I_k and O_k on
-    P_k (P_0 itself for I_0), and `flat` from `_rank_keys`.
+    rank(O_k)}, which is where I_k's rank key exceeds O_k's raw pooled key;
+    O_k's winners are decoded there only. The residual is recomputed on P_k
+    from those sources and S is updated there only. The tape is
+    ``(stages, flat)``: per stage the int32 P_k, S_{k-1} on P_k (None at
+    k = 0) and the int32 sources of I_k and O_k on P_k (P_0 itself for I_0),
+    and `flat` from `_rank_keys`.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -152,20 +153,25 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     source_in = None  # I_0 is the input
     skel = np.zeros(n, dtype=values.dtype)
     stages = []
+    low = (1 << n.bit_length()) - 1
     for k in range(iterations + 1):
-        high_eroded, winner = _keyed_pool(high_in, offset, "min")
+        high_eroded = _keyed_pool(high_in, offset, "min")
+        winner = high_eroded & low
+        high_eroded -= winner
         source = np.empty(n + 1, dtype=np.int32)
         source[n] = n
         if source_in is None:
             source[:n] = winner.ravel()
         else:
             np.take(source_in, winner.ravel(), out=source[:n])
-        high_opened, winner = _keyed_pool(high_eroded, offset, "max")
-        where = np.flatnonzero(high_in > high_opened).astype(np.int32)
-        del high_opened
-        route_in = where if source_in is None else source_in[where]
-        route_out = source[winner.ravel()[where]]
         del winner
+        # The opened key is rank(O_k) plus an index term in [0, n], and ranks
+        # are multiples of 2^b > n, so it is below high_in exactly on P_k.
+        key = _keyed_pool(high_eroded, offset, "max").ravel()
+        where = np.flatnonzero(high_in.ravel() > key).astype(np.int32)
+        route_in = where if source_in is None else source_in[where]
+        route_out = source[n - (key[where] & low)]
+        del key
         delta = flat[route_in] - flat[route_out]
         before = None if k == 0 else skel[where]
         if before is not None:
@@ -190,8 +196,10 @@ def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
     Walks the tape's stages last-first, each on its P_k only: with grad_s =
     dL/dS_k, (1 - S_{k-1}) grad_s goes to the source of I_k and, negated,
     to the source of O_k (the exterior's bin n is dropped), and grad_s
-    becomes (1 - delta) grad_s. The stage list is consumed, so its arrays
-    are freed as it goes. `grad_skel` is not modified.
+    becomes (1 - delta) grad_s. Both scatters add into the gradient in place
+    with `np.add.at` and `np.subtract.at`, which sum repeated sources. The
+    stage list is consumed, so its arrays are freed as it goes. `grad_skel`
+    is not modified.
     """
     if tape is None:
         raise ParameterError("the soft skeleton of an integer input has no gradient")
@@ -206,8 +214,8 @@ def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
             grad_s[where] = resid * (1 - delta)
             resid *= 1 - before
         del before
-        grad += np.bincount(route_in, resid, minlength=flat.size)
-        grad -= np.bincount(route_out, resid, minlength=flat.size)
+        np.add.at(grad, route_in, resid)
+        np.subtract.at(grad, route_out, resid)
     return grad[:-1].reshape(grad_skel.shape)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def schema_check(instance, schema):
             assert instance >= schema["minimum"]
         if "maximum" in schema:
             assert instance <= schema["maximum"]
+
+
+def write_nan_srow(volume, path):
+    """Write `volume` uncompressed, then set its sform's srow_x[0] to NaN."""
+    write_nifti(volume, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 280, float("nan"))
+    path.write_bytes(bytes(raw))
 
 
 def load_schema(name):
@@ -304,6 +313,18 @@ class TestLossCommand:
         gt_path, pred_path = self.make_pair(tmp_path)
         assert main(["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "500"]) == 1
 
+    @pytest.mark.parametrize("corrupt", ["pred", "gt"])
+    def test_non_finite_srow_exits_1(self, tmp_path, caplog, corrupt):
+        truth = generate_case(axis_tree_spec(1))
+        mask = extract_mask(truth.label_volume, 3)
+        paths = {"pred": tmp_path / "pred.nii", "gt": tmp_path / "gt.nii"}
+        volumes = {"pred": ProbVolume(mask.geometry, mask.values.astype(np.float64)), "gt": mask}
+        for name, volume in volumes.items():
+            (write_nan_srow if name == corrupt else write_nifti)(volume, paths[name])
+        code = main(["loss", "--pred", str(paths["pred"]), "--gt", str(paths["gt"]), "--epoch", "0"])
+        assert code == 1
+        assert "srow_x" in caplog.text
+
     def test_total_epochs_key_exits_1(self, tmp_path):
         # total_epochs is derived from warmup_epochs + ramp_epochs, not a setting
         gt_path, pred_path = self.make_pair(tmp_path)
@@ -380,6 +401,14 @@ class TestSkeletonCommand:
         path = tmp_path / "prob.nii.gz"
         write_nifti(vol, path)
         assert main(["skeleton", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+    def test_non_finite_srow_exits_1(self, tmp_path, caplog):
+        g = Geometry(dims=(6, 6, 6), spacing=(1, 1, 1))
+        path = tmp_path / "mask.nii"
+        write_nan_srow(BinaryMask(g, np.ones(g.shape, bool)), path)
+        assert main(["skeleton", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "srow_x" in caplog.text
 
 
 class TestStatsCommand:

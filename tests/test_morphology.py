@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import tracemalloc
 from functools import partial
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from hepeval.errors import ParameterError
+from hepeval.losses import cl_dice_loss
 from hepeval.morphology import (
     _keyed_pool,
     _rank_keys,
@@ -95,8 +98,10 @@ def keyed_pool(values, mode):
     """Pooled values, pooled rank keys and winners (values.size for the
     exterior) from `_keyed_pool`, plus the rank key of each winner."""
     flat, high, offset = _rank_keys(values)
-    pooled_high, winner = _keyed_pool(high, offset, mode)
-    return flat[winner], pooled_high, winner, np.append(high.ravel(), 0)[winner]
+    key = _keyed_pool(high, offset, mode)
+    index_term = key & ((1 << values.size.bit_length()) - 1)
+    winner = index_term if mode == "min" else values.size - index_term
+    return flat[winner], key - index_term, winner, np.append(high.ravel(), 0)[winner]
 
 
 def pool_grad(values, mode, grad_out):
@@ -334,6 +339,34 @@ class TestSoftSkeleton:
             got = soft_skeleton_grad(tape, grad_skel)
             want = oracle_skeleton_grad(values, iterations, grad_skel)
             assert np.abs(got - want).max() <= 1e-12
+
+    def test_gradient_on_routes_sharing_one_source(self):
+        # a plateau around a unique minimum: erosion spreads the centre's
+        # value, so hundreds of P_k voxels route to the same input voxel
+        values = np.zeros((13, 13, 13))
+        values[1:-1, 1:-1, 1:-1] = 0.9
+        values[6, 6, 6] = 0.3
+        grad_skel = np.random.default_rng(13).normal(size=values.shape)
+        _, tape = soft_skeleton_array(values, iterations=5)
+        shared = max(np.bincount(route, minlength=1).max() for stage in tape[0] for route in stage[2:])
+        assert shared >= 100
+        got = soft_skeleton_grad(tape, grad_skel)
+        assert np.abs(got - oracle_skeleton_grad(values, 5, grad_skel)).max() <= 1e-12
+
+    def test_pinned_skeleton_and_loss_bytes(self):
+        # S and the clDice value on a noisy 48^3 tube pair are pinned byte
+        # for byte: a change to the keyed pools must not move either
+        mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
+        rng = np.random.default_rng(48)
+        values = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
+        skel, _ = soft_skeleton_array(values, iterations=10)
+        assert hashlib.sha256(skel.tobytes()).hexdigest() == (
+            "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331"
+        )
+        value = cl_dice_loss(ProbVolume(mask.geometry, values), mask).value
+        assert hashlib.sha256(struct.pack("<d", value)).hexdigest() == (
+            "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607"
+        )
 
     def test_gradient_leaves_its_argument_unchanged(self):
         vol = random_prob_volume(geometry((9, 8, 7)), seed=4)

@@ -1,9 +1,13 @@
+import gzip
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hepeval.errors import FormatError, ParameterError, SchemaError, UnsupportedDatatypeError
+from hepeval.errors import FormatError, HepevalError, ParameterError, SchemaError, UnsupportedDatatypeError
 from hepeval.nifti import (
     HEADER_SIZE,
     read_binary_mask,
@@ -292,6 +296,178 @@ class TestHandConstructedFiles:
         write_int_nifti(g, labels, path)
         with pytest.raises(SchemaError, match=rf"\[{value}\]"):
             read_label_volume(path)
+
+
+class TestHeaderChecks:
+    def write(self, tmp_path, hdr, payload=bytes(24)):
+        path = tmp_path / "h.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + payload)
+        return path
+
+    def test_zero_extent_is_named_not_read_as_one(self, tmp_path):
+        hdr = _blank_header(dims=(6, 6, 6))
+        struct.pack_into("<h", hdr, 42, 0)  # dim[1]
+        path = self.write(tmp_path, hdr, bytes(216))
+        with pytest.raises(FormatError, match=r"dim\[1\] = 0"):
+            read_nifti(path, intent="labels")
+
+    def test_second_volume_is_named(self, tmp_path):
+        hdr = _blank_header()
+        struct.pack_into("<2h", hdr, 40, 4, 4)  # dim[0] = 4
+        struct.pack_into("<h", hdr, 48, 2)  # dim[4]
+        with pytest.raises(UnsupportedDatatypeError, match=r"dim\[4\] = 2"):
+            read_nifti(self.write(tmp_path, hdr, bytes(48)), intent="labels")
+
+    @pytest.mark.parametrize("field, offset, code_offset", [
+        ("srow_x", 280, 254), ("srow_z", 324, 254), ("quatern_c", 260, 252), ("qoffset_y", 272, 252),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_transform_is_named(self, tmp_path, field, offset, code_offset, bad):
+        hdr = _blank_header()
+        struct.pack_into("<h", hdr, code_offset, 1)
+        struct.pack_into("<f", hdr, offset, bad)
+        with pytest.raises(FormatError, match=field):
+            read_nifti(self.write(tmp_path, hdr), intent="labels")
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -1.0, 0.0, 347.0, 352.5, 2.0**31, 1e30])
+    def test_bad_vox_offset_is_named(self, tmp_path, offset):
+        hdr = _blank_header()
+        struct.pack_into("<f", hdr, 108, offset)
+        with pytest.raises(FormatError, match="vox_offset"):
+            read_nifti(self.write(tmp_path, hdr), intent="labels")
+
+    def test_bitpix_must_match_datatype(self, tmp_path):
+        hdr = _blank_header()
+        struct.pack_into("<h", hdr, 72, 16)  # uint8 data
+        with pytest.raises(FormatError, match="bitpix = 16"):
+            read_nifti(self.write(tmp_path, hdr), intent="labels")
+
+    def test_two_file_pair_is_unsupported(self, tmp_path):
+        hdr = _blank_header()
+        hdr[344:348] = b"ni1\x00"
+        with pytest.raises(UnsupportedDatatypeError, match="magic"):
+            read_nifti(self.write(tmp_path, hdr), intent="labels")
+
+
+# Little-endian header fields the mutation test changes: (struct format, byte offset)
+HEADER_FIELDS = {
+    "dim": ("<8h", 40), "datatype": ("<h", 70), "bitpix": ("<h", 72), "pixdim": ("<8f", 76),
+    "vox_offset": ("<f", 108), "qform_code": ("<h", 252), "sform_code": ("<h", 254),
+    "quatern_b": ("<f", 256), "quatern_c": ("<f", 260), "quatern_d": ("<f", 264),
+    "qoffset_x": ("<f", 268), "qoffset_y": ("<f", 272), "qoffset_z": ("<f", 276),
+    "srow_x": ("<4f", 280), "srow_y": ("<4f", 296), "srow_z": ("<4f", 312), "magic": ("4s", 344),
+}
+ORACLE_DTYPES = {2: ("u1", 8), 4: ("<i2", 16), 8: ("<i4", 32), 16: ("<f4", 32), 64: ("<f8", 64), 512: ("<u2", 16)}
+ODD_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0, -2.0, 0.5, 1.0, 3.0, 1e30])
+MUTATIONS = st.one_of(
+    st.tuples(st.just("dim"), st.integers(0, 7), st.integers(-3, 9)),
+    st.tuples(st.just("pixdim"), st.integers(0, 3), ODD_FLOATS),
+    st.tuples(st.just("vox_offset"), st.just(0), st.sampled_from(
+        [float("nan"), float("inf"), -1.0, 0.0, 347.0, 348.0, 352.0, 352.5, 356.0, 2.0**31, 1e30])),
+    st.tuples(st.just("datatype"), st.just(0), st.sampled_from([0, 2, 4, 8, 16, 64, 128, 512])),
+    st.tuples(st.just("bitpix"), st.just(0), st.sampled_from([0, 8, 16, 32, 64])),
+    st.tuples(st.just("magic"), st.just(0), st.sampled_from([b"n+1\x00", b"ni1\x00", b"n+2\x00"])),
+    st.tuples(st.sampled_from(["qform_code", "sform_code"]), st.just(0), st.integers(-1, 2)),
+    st.tuples(st.sampled_from(["srow_x", "srow_y", "srow_z"]), st.integers(0, 3), ODD_FLOATS),
+    st.tuples(st.sampled_from(["quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z"]),
+              st.just(0), ODD_FLOATS),
+)
+
+
+def header_field(raw, name):
+    fmt, offset = HEADER_FIELDS[name]
+    return struct.unpack_from(fmt, raw, offset)
+
+
+def oracle_read(raw):
+    """``(problems, expected)`` from a plain `struct` decode of a mask file
+    read as probabilities: the header fields a reader must reject, and, when
+    there are none, (values, dims, spacing, origin, sform columns or None)."""
+    dim = header_field(raw, "dim")
+    if not 1 <= dim[0] <= 7:
+        return {"dim[0]"}, None
+    problems = set()
+    if header_field(raw, "magic")[0] != b"n+1\x00":
+        problems.add("magic")
+    code = header_field(raw, "datatype")[0]
+    if code not in ORACLE_DTYPES:
+        problems.add("datatype")
+    elif header_field(raw, "bitpix")[0] != ORACLE_DTYPES[code][1]:
+        problems |= {"bitpix", "datatype"}
+    for i in range(1, dim[0] + 1):
+        if dim[i] < 1 or (i > 3 and dim[i] > 1):
+            problems.add(f"dim[{i}]")
+    pixdim = header_field(raw, "pixdim")
+    for i in (1, 2, 3):
+        if not np.isfinite(pixdim[i]) or pixdim[i] == 0.0:
+            problems.add(f"pixdim[{i}]")
+    origin, columns = (0.0, 0.0, 0.0), None
+    if header_field(raw, "sform_code")[0] > 0:
+        rows = np.array([header_field(raw, f"srow_{a}") for a in "xyz"])
+        problems |= {f"srow_{a}" for a, row in zip("xyz", rows) if not np.isfinite(row).all()}
+        norms = np.sqrt((rows[:, :3] ** 2).sum(axis=0))
+        if np.isfinite(rows).all() and (norms == 0).any():
+            problems |= {"srow_x", "srow_y", "srow_z"}
+        if not problems:
+            origin, columns = tuple(rows[:, 3]), rows[:, :3] / norms
+    elif header_field(raw, "qform_code")[0] > 0:
+        names = ["quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z"]
+        problems |= {name for name in names if not np.isfinite(header_field(raw, name)[0])}
+        origin = tuple(header_field(raw, name)[0] for name in names[3:])
+    offset = header_field(raw, "vox_offset")[0]
+    if not (np.isfinite(offset) and offset == int(offset) and 348 <= offset < 2**31):
+        problems.add("vox_offset")
+    if problems:
+        return problems, None
+    dims = tuple(list(dim[1 : 1 + min(dim[0], 3)]) + [1] * (3 - min(dim[0], 3)))
+    nx, ny, nz = dims
+    dtype = np.dtype(ORACLE_DTYPES[code][0])
+    payload = raw[int(offset) : int(offset) + nx * ny * nz * dtype.itemsize]
+    assert len(payload) == nx * ny * nz * dtype.itemsize  # the file's tail is long enough
+    values = np.clip(np.frombuffer(payload, dtype=dtype).astype(np.float64), 0.0, 1.0).reshape(nz, ny, nx)
+    spacing = tuple(abs(pixdim[i]) for i in (1, 2, 3))
+    return problems, (values, dims, spacing, origin, columns)
+
+
+class TestHeaderMutations:
+    @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=2), gz=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_read_matches_struct_oracle_or_names_the_field(self, tmp_path, mutations, gz, seed):
+        # a 3x4x5 mask (bytes 0 and 1, which no datatype decodes to a
+        # non-finite value) with a rotated sform and a tail of 0/1 bytes, so
+        # a larger grid or a later vox_offset still finds data
+        rng = np.random.default_rng(seed)
+        g = Geometry(dims=(3, 4, 5), spacing=(2.0, 2.0, 3.0), origin=(5.0, -6.0, 7.5),
+                     orientation=((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+        written = tmp_path / "m.nii"
+        write_nifti(BinaryMask(g, rng.random(g.shape) < 0.5), written)
+        raw = bytearray(written.read_bytes() + rng.integers(0, 2, size=4096, dtype=np.uint8).tobytes())
+        for name, index, value in mutations:
+            fmt, offset = HEADER_FIELDS[name]
+            fields = list(struct.unpack_from(fmt, raw, offset))
+            fields[index] = value
+            struct.pack_into(fmt, raw, offset, *fields)
+        path = tmp_path / ("m.nii.gz" if gz else "m.nii")
+        path.write_bytes(gzip.compress(bytes(raw), mtime=0) if gz else bytes(raw))
+
+        problems, expected = oracle_read(bytes(raw))
+        if problems:
+            with pytest.raises(HepevalError) as info:
+                read_nifti(path, intent="prob")
+            named = {f for f in problems if re.search(rf"(?<![\w\[]){re.escape(f)}", str(info.value))}
+            assert named, f"{info.value} names none of {sorted(problems)}"
+            return
+        vol = read_nifti(path, intent="prob")
+        values, dims, spacing, origin, columns = expected
+        assert np.array_equal(vol.values, values)
+        assert vol.geometry.dims == dims
+        assert vol.geometry.spacing == spacing
+        assert vol.geometry.origin == origin
+        m = vol.geometry.orientation_matrix()
+        if columns is None:
+            assert np.array_equal(m, np.eye(3))
+        elif np.abs(columns.T @ columns - np.eye(3)).max() < 1e-9:
+            assert np.abs(m - columns).max() < 1e-6
 
 
 class TestRandomRoundtrips:
