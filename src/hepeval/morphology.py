@@ -5,20 +5,26 @@ so solid structures erode from the volume border. The box window is separable,
 so each pool runs as three 1D passes.
 
 The soft skeleton of a floating input records where every value came from.
-Min and max over a box are separable under any total order, so pooling
-packed int64 keys (dense value rank, then linear position) with the same
-`pool_array` gives each pooled voxel its value's rank and its winner at
-once, with the tie rule of an autodiff max-pool: ties go to the smallest
-linear index, and the exterior 0 wins, taking no gradient, only on a strict
-extremum. Each stage keeps, on the voxels where its residual
-relu(I_k - open(I_k)) is positive, the input voxels that I_k and its opening
-took their values from; the residual is recomputed there from the input by
-the same float subtraction, so the skeleton is bit-identical to value
-pooling. The opening's keys are compared with I_k's undecoded, and its
-winners are decoded on P_k only. The backward scatters each stage onto
-those sources in place (`np.add.at`, `np.subtract.at`) and runs no pool.
-Integer masks, which are constants of the loss, pool by value and have no
-gradient.
+Min and max over a box are separable under any total order, so the same
+`pool_array` pools integer keys that order the values, and the key width is
+chosen from the data. When the input and the exterior 0 hold no two equal
+values, the keys are int32 value ranks: each rank belongs to one voxel, so
+a pooled rank names its source, and equal ranks in a window are copies of
+one voxel's value. With ties, the tie rule of an autodiff max-pool needs
+each stage grid's positions: ties go to the smallest linear index, and the
+exterior 0 wins, taking no gradient, only on a strict extremum. Then the
+keys are packed int64 (dense value rank, then linear position), which name
+each pooled voxel's rank and winner at once, at several times an int32
+pool's cost: twice the bytes per pass, plus the key adds and decodes.
+
+Each stage keeps, on the voxels where its residual relu(I_k - open(I_k)) is
+positive, the input voxels that I_k and its opening took their values from;
+the residual is recomputed there from the input by the same float
+subtraction, so the skeleton is bit-identical to value pooling. The
+opening's keys are compared with I_k's undecoded, and its sources are
+decoded on P_k only. The backward scatters each stage onto those sources in
+place (`np.add.at`, `np.subtract.at`) and runs no pool. Integer masks, which
+are constants of the loss, pool by value and have no gradient.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -63,28 +69,51 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     return cur
 
 
-def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flat, high, offset)`` for `_keyed_pool` on a floating grid.
+def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(flat, keys, voxel)`` for the soft skeleton's pools of a floating grid.
 
-    `flat` is the input with a trailing exterior 0 at index n. `high` is each
-    voxel's dense rank among the distinct values of `flat` (equal values
-    share a rank, and order is kept), minus the exterior's, times 2^b with
-    b = n.bit_length(). `offset` is each voxel's linear index minus n.
+    `flat` is the input with a trailing exterior 0 at index n. Keys order the
+    voxels by their values in `flat`, and the exterior's key is 0, which is
+    `pool_array`'s padding. When no two values of `flat` are equal, `keys`
+    holds each voxel's int32 rank in `flat`'s sorted order minus the
+    exterior's, and `voxel` maps a rank back to its index in `flat`; a
+    negative rank indexes `voxel` from its end, as in Python. Otherwise
+    `keys` are `_packed_keys` and `voxel` is None.
     """
     n = values.size
-    if n >= 1 << 31:  # int32 routes; also keeps every key below 2^62
+    if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
     flat = np.zeros(n + 1, dtype=values.dtype)
     flat[:n] = values.ravel()
     order = np.argsort(flat)
     ordered = np.sort(flat)  # the values of flat[order], without the gather
+    step = ordered[1:] != ordered[:-1]
+    if step.all():
+        exterior = int(np.searchsorted(ordered, 0))  # the exterior's rank
+        del ordered, step
+        keys = np.empty(n + 1, dtype=np.int32)
+        keys[order] = np.arange(-exterior, n + 1 - exterior, dtype=np.int32)
+        return flat, keys[:n].reshape(values.shape), np.roll(order.astype(np.int32), -exterior)
+    del ordered
+    return flat, _packed_keys(order, step)[:n].reshape(values.shape), None
+
+
+def _packed_keys(order: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Dense-rank keys of `flat` for `_keyed_pool`, the exterior's included.
+
+    `order` is the argsort of `flat` (n + 1 values, the exterior 0 last) and
+    `step` marks each adjacent pair of its sorted values that differ. Each
+    key is the value's dense rank among the distinct values (equal values
+    share a rank, and order is kept), minus the exterior's, times 2^b with
+    b = n.bit_length(); the low b bits are left for `_keyed_pool`'s index.
+    """
+    n = order.size - 1
     high = np.empty(n + 1, dtype=np.int64)
     high[order[0]] = 0
-    high[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-    del order, ordered
+    high[order[1:]] = np.cumsum(step)
     high -= high[n]
     high *= 1 << n.bit_length()
-    return flat, high[:n].reshape(values.shape), np.arange(-n, 0).reshape(values.shape)
+    return high
 
 
 def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
@@ -134,13 +163,21 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     once. The loop stops early once I is all zero, since later stages add
     nothing. An integer input is pooled by value and its tape is None.
 
-    A floating input is pooled through `_keyed_pool`, so every value of I_k
-    and of its opening O_k names the input voxel it came from (n for the
-    exterior). The residual is positive exactly on P_k = {rank(I_k) >
-    rank(O_k)}, which is where I_k's rank key exceeds O_k's raw pooled key;
-    O_k's winners are decoded there only. The residual is recomputed on P_k
-    from those sources and S is updated there only. The tape is
-    ``(stages, flat)``: per stage the int32 P_k, S_{k-1} on P_k (None at
+    A floating input is pooled as keys from `_rank_keys`, so every value of
+    I_k and of its opening O_k names the input voxel it came from (n for the
+    exterior). The key width is chosen from the data. When the input and the
+    exterior 0 hold no two equal values, each int32 rank belongs to one
+    voxel, and ties inside a window are copies of one voxel's value, so the
+    pools need no positions and the sources come from `voxel` by rank.
+    Otherwise the tie rule picks among equal values by their positions in
+    the stage grid, so the pools run on packed int64 keys through
+    `_keyed_pool`: the erosion's winners are decoded into a map from stage
+    position to input voxel, and the opening's on P_k only.
+
+    The residual is positive exactly on P_k = {rank(I_k) > rank(O_k)}, which
+    is where I_k's key exceeds O_k's raw pooled key. The residual is
+    recomputed on P_k from the sources and S is updated there only. The tape
+    is ``(stages, flat)``: per stage the int32 P_k, S_{k-1} on P_k (None at
     k = 0) and the int32 sources of I_k and O_k on P_k (P_0 itself for I_0),
     and `flat` from `_rank_keys`.
     """
@@ -149,29 +186,40 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     if not np.issubdtype(values.dtype, np.floating):
         return _value_skeleton(values, iterations), None
     n = values.size
-    flat, high_in, offset = _rank_keys(values)
-    source_in = None  # I_0 is the input
+    flat, keys_in, voxel = _rank_keys(values)
+    packed = voxel is None
+    if packed:
+        offset = np.arange(-n, 0).reshape(values.shape)
+        low = (1 << n.bit_length()) - 1
+    source = None  # stage position -> input voxel, on packed keys only
     skel = np.zeros(n, dtype=values.dtype)
     stages = []
-    low = (1 << n.bit_length()) - 1
     for k in range(iterations + 1):
-        high_eroded = _keyed_pool(high_in, offset, "min")
-        winner = high_eroded & low
-        high_eroded -= winner
-        source = np.empty(n + 1, dtype=np.int32)
-        source[n] = n
-        if source_in is None:
-            source[:n] = winner.ravel()
+        if packed:
+            eroded = _keyed_pool(keys_in, offset, "min")
+            winner = eroded & low
+            eroded -= winner
+            source = np.empty(n + 1, dtype=np.int32)
+            source[n] = n
+            if k == 0:
+                source[:n] = winner.ravel()
+            else:
+                np.take(source_in, winner.ravel(), out=source[:n])
+            del winner
+            # The opened key is rank(O_k) plus an index term in [0, n], and
+            # ranks are multiples of 2^b > n, so it is below keys_in exactly
+            # on P_k.
+            opened = _keyed_pool(eroded, offset, "max").ravel()
         else:
-            np.take(source_in, winner.ravel(), out=source[:n])
-        del winner
-        # The opened key is rank(O_k) plus an index term in [0, n], and ranks
-        # are multiples of 2^b > n, so it is below high_in exactly on P_k.
-        key = _keyed_pool(high_eroded, offset, "max").ravel()
-        where = np.flatnonzero(high_in.ravel() > key).astype(np.int32)
-        route_in = where if source_in is None else source_in[where]
-        route_out = source[n - (key[where] & low)]
-        del key
+            eroded = pool_array(keys_in, "min")
+            opened = pool_array(eroded, "max").ravel()
+        where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
+        if k == 0:
+            route_in = where
+        else:
+            route_in = source_in[where] if packed else voxel[keys_in.ravel()[where]]
+        route_out = source[n - (opened[where] & low)] if packed else voxel[opened[where]]
+        del opened
         delta = flat[route_in] - flat[route_out]
         before = None if k == 0 else skel[where]
         if before is not None:
@@ -179,9 +227,9 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
             delta += before
         skel[where] = delta
         stages.append((where, before, route_in, route_out))
-        if k == iterations or not high_eroded.any():
+        if k == iterations or not eroded.any():
             break
-        high_in, source_in = high_eroded, source
+        keys_in, source_in = eroded, source
     return skel.reshape(values.shape), (stages, flat)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import logging
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,6 +34,10 @@ VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 _MAX_OFFSET = 2**31 - 1
+# A gzip payload is read in pieces of at most 4 MiB: a stream shorter than its
+# header claims costs no more than that, and a 128^3 grid of 1- or 2-byte
+# labels still takes one read.
+_CHUNK = 1 << 22
 
 # Fields in on-disk order; the format string is assembled below.
 _FIELDS = [
@@ -112,6 +117,31 @@ def _open_maybe_gzip(path: Path):
     if head == b"\x1f\x8b":
         return gzip.open(path, "rb")
     return open(path, "rb")
+
+
+def _read_payload(fh, nbytes: int, path: Path) -> bytes:
+    """The next `nbytes` of `fh`, or OSError naming the truncated payload.
+
+    The header's extents can claim more bytes than the file holds, so no
+    buffer of that size is made before its bytes are known to exist: a plain
+    file is checked against its size, and a gzip stream, whose length is
+    known only by reading it, is read in chunks of at most `_CHUNK` bytes.
+    """
+    if isinstance(fh, gzip.GzipFile):
+        chunks, size = [], 0
+        while size < nbytes:
+            chunk = fh.read(min(_CHUNK, nbytes - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+        payload = b"".join(chunks)
+    else:
+        available = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+        payload = fh.read(min(nbytes, available))
+    if len(payload) < nbytes:
+        raise OSError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
+    return payload
 
 
 def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarray:
@@ -276,15 +306,8 @@ def read_nifti(
         dtype = np.dtype(order + _DTYPES[code])
 
         geometry = _geometry_from_header(hdr)
-        n = geometry.n_voxels
-        nbytes = n * dtype.itemsize
-
-        skip = _data_offset(hdr) - HEADER_SIZE
-        if skip:
-            fh.read(skip)
-        payload = fh.read(nbytes)
-        if len(payload) < nbytes:
-            raise OSError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
+        fh.seek(_data_offset(hdr))
+        payload = _read_payload(fh, geometry.n_voxels * dtype.itemsize, path)
 
     data = np.frombuffer(payload, dtype=dtype).reshape(geometry.shape)
     slope, inter = _scaling(hdr, path)

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from hepeval import morphology
 from hepeval.errors import ParameterError
 from hepeval.losses import cl_dice_loss
 from hepeval.morphology import (
     _keyed_pool,
+    _packed_keys,
     _rank_keys,
     bounding_box,
     connected_components,
@@ -94,14 +96,41 @@ def oracle_skeleton_grad(values, iterations, grad_skel):
     return grad_next
 
 
+def packed_rank_keys(values):
+    """`_rank_keys` with packed keys, whether or not the grid has ties."""
+    flat = np.append(values.ravel(), 0.0)
+    ordered = np.sort(flat)
+    high = _packed_keys(np.argsort(flat), ordered[1:] != ordered[:-1])
+    return flat, high[:-1].reshape(values.shape), None
+
+
 def keyed_pool(values, mode):
     """Pooled values, pooled rank keys and winners (values.size for the
     exterior) from `_keyed_pool`, plus the rank key of each winner."""
-    flat, high, offset = _rank_keys(values)
+    flat, high, _ = packed_rank_keys(values)
+    offset = np.arange(-values.size, 0).reshape(values.shape)
     key = _keyed_pool(high, offset, mode)
     index_term = key & ((1 << values.size.bit_length()) - 1)
     winner = index_term if mode == "min" else values.size - index_term
     return flat[winner], key - index_term, winner, np.append(high.ravel(), 0)[winner]
+
+
+def noisy_tube(mask, seed):
+    """A sigmoid of +-2 logits plus Gaussian noise on a tube mask: inside
+    (0, 1) without clipping, so no two values tie, nor any with the exterior."""
+    rng = np.random.default_rng(seed)
+    logits = np.where(mask.values, 2.0, -2.0) + rng.normal(0.0, 0.5, mask.values.shape)
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
+def tie_free_grid(seed):
+    """Small grid of distinct values, with no exact 0: negative and positive
+    for odd seeds, in [0.05, 0.95] for even ones."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(d) for d in rng.integers(1, 9, size=3))
+    if seed % 2:
+        return rng.normal(size=shape)
+    return random_prob_volume(grid_geometry(shape), seed).values.copy()
 
 
 def pool_grad(values, mode, grad_out):
@@ -110,7 +139,8 @@ def pool_grad(values, mode, grad_out):
 
 
 # fwd+bwd tracemalloc peak of a 10-iteration soft skeleton, in float64 grids
-# of its input: 12.5 with the sparse tape, 28.3 when every stage is kept
+# of its input: with the sparse tape 11.5 on packed keys and 8.5 on int32
+# ranks, 28.3 when every stage is kept
 GRID_PEAK_BOUND = 20.0
 
 MIN3 = partial(ndimage.minimum_filter, size=3, mode="constant", cval=0)
@@ -330,15 +360,61 @@ class TestSoftSkeleton:
         assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_matches_brute_force_oracle(self):
+        # tie-heavy grids pool packed keys, tie-free ones int32 ranks
         rng = np.random.default_rng(5)
-        for seed in range(60):
-            values = tie_heavy_grid(seed)
+        grids = [tie_heavy_grid(seed) for seed in range(60)]
+        grids += [tie_free_grid(seed) for seed in range(30)]
+        for values in grids:
             iterations = int(rng.integers(1, 11))
             grad_skel = rng.normal(size=values.shape)
             _, tape = soft_skeleton_array(values, iterations)
             got = soft_skeleton_grad(tape, grad_skel)
             want = oracle_skeleton_grad(values, iterations, grad_skel)
             assert np.abs(got - want).max() <= 1e-12
+
+    def test_tie_free_grids_pool_int32_ranks(self, monkeypatch):
+        # without ties each rank names one voxel, and the tape is the one the
+        # packed keys give, array for array
+        grids = [tie_free_grid(seed) for seed in range(12)]
+        mask, _ = straight_tube_mask(length_vox=14, radius_vox=3.0, dims=(16, 16, 16))
+        grids.append(noisy_tube(mask, 16))
+        runs = []
+        for values in grids:
+            _, keys, voxel = _rank_keys(values)
+            assert keys.dtype == voxel.dtype == np.int32
+            runs.append(soft_skeleton_array(values, iterations=6))
+        monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
+        for values, (skel, (stages, flat)) in zip(grids, runs):
+            want_skel, (want_stages, want_flat) = soft_skeleton_array(values, iterations=6)
+            assert np.array_equal(skel, want_skel) and np.array_equal(flat, want_flat)
+            assert len(stages) == len(want_stages)
+            for k, (stage, want) in enumerate(zip(stages, want_stages)):
+                if k == 0:
+                    assert stage[1] is None and stage[2] is stage[0]
+                for got, expected in zip(stage, want):
+                    assert (got is None) == (expected is None)
+                    if got is not None:
+                        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("tie", ["duplicate", "zero", "negative zero"])
+    def test_one_tie_selects_packed_keys(self, tie):
+        # one repeated value, or a 0.0 or -0.0 tying the exterior, needs the
+        # stage-grid positions of the packed keys
+        rng = np.random.default_rng(17)
+        for seed in range(12):
+            values = tie_free_grid(seed)
+            if values.size == 1 and tie == "duplicate":
+                continue
+            flat = values.reshape(-1)
+            i, j = rng.choice(values.size, size=2, replace=values.size == 1)
+            flat[i] = {"duplicate": flat[j], "zero": 0.0, "negative zero": -0.0}[tie]
+            assert _rank_keys(values)[2] is None
+            iterations = int(rng.integers(1, 7))
+            grad_skel = rng.normal(size=values.shape)
+            skel, tape = soft_skeleton_array(values, iterations)
+            assert np.array_equal(skel, scipy_skeleton(values, iterations))
+            got = soft_skeleton_grad(tape, grad_skel)
+            assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_on_routes_sharing_one_source(self):
         # a plateau around a unique minimum: erosion spreads the centre's
@@ -354,19 +430,25 @@ class TestSoftSkeleton:
         assert np.abs(got - oracle_skeleton_grad(values, 5, grad_skel)).max() <= 1e-12
 
     def test_pinned_skeleton_and_loss_bytes(self):
-        # S and the clDice value on a noisy 48^3 tube pair are pinned byte
-        # for byte: a change to the keyed pools must not move either
+        # S and the clDice value on two noisy 48^3 tube pairs are pinned byte
+        # for byte: a change to the keyed pools must not move either. The
+        # clipped tube has exact-0 ties, so it pools packed keys; the
+        # unclipped sigmoid tube has none, so it pools int32 ranks.
         mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
         rng = np.random.default_rng(48)
-        values = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
-        skel, _ = soft_skeleton_array(values, iterations=10)
-        assert hashlib.sha256(skel.tobytes()).hexdigest() == (
-            "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331"
-        )
-        value = cl_dice_loss(ProbVolume(mask.geometry, values), mask).value
-        assert hashlib.sha256(struct.pack("<d", value)).hexdigest() == (
-            "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607"
-        )
+        clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
+        pins = [
+            (clipped, False, "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331",
+             "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607"),
+            (noisy_tube(mask, 48), True, "3782cf439f4af6e6b510fdae9de478b08417df688f0f0aecc30735a691353356",
+             "ecbfd5d7a94c801f7506585512edb7085bee9e2e5831531bdfbae86a128411ed"),
+        ]
+        for values, ranks, skel_hash, loss_hash in pins:
+            assert (_rank_keys(values)[2] is not None) == ranks
+            skel, _ = soft_skeleton_array(values, iterations=10)
+            assert hashlib.sha256(skel.tobytes()).hexdigest() == skel_hash
+            value = cl_dice_loss(ProbVolume(mask.geometry, values), mask).value
+            assert hashlib.sha256(struct.pack("<d", value)).hexdigest() == loss_hash
 
     def test_gradient_leaves_its_argument_unchanged(self):
         vol = random_prob_volume(geometry((9, 8, 7)), seed=4)
@@ -379,19 +461,21 @@ class TestSoftSkeleton:
 
     def test_backward_peak_memory(self):
         # forward plus backward on a noisy tube, in float64 grids: the tape
-        # holds each stage's sparse residual support, not its dense arrays
+        # holds each stage's sparse residual support, not its dense arrays.
+        # The clipped tube has exact-0 ties (packed keys), the other none.
         mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
         rng = np.random.default_rng(0)
-        values = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
-        grad_skel = rng.normal(size=values.shape)
-        tracemalloc.start()
-        try:
-            _, tape = soft_skeleton_array(values, iterations=10)
-            soft_skeleton_grad(tape, grad_skel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / values.nbytes <= GRID_PEAK_BOUND
+        clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
+        for values in (clipped, noisy_tube(mask, 0)):
+            grad_skel = rng.normal(size=values.shape)
+            tracemalloc.start()
+            try:
+                _, tape = soft_skeleton_array(values, iterations=10)
+                soft_skeleton_grad(tape, grad_skel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / values.nbytes <= GRID_PEAK_BOUND
 
 
 class TestConnectedComponents:

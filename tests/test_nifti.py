@@ -1,6 +1,7 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,31 @@ class TestHeaderChecks:
         struct.pack_into("<f", hdr, 108, offset)
         with pytest.raises(FormatError, match="vox_offset"):
             read_nifti(self.write(tmp_path, hdr), intent="labels")
+
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("fmt, offset, values, read", [
+        pytest.param("<3h", 42, (1000, 1000, 100), "216 of 100000000", id="dim"),
+        pytest.param("<f", 108, (2.0**30,), "0 of 216", id="vox_offset"),
+    ])
+    def test_payload_beyond_the_file_fails_before_allocating(self, tmp_path, gz, fmt, offset, values, read):
+        # a 568-byte 6x6x6 mask whose header claims a 100 MB grid, or a
+        # payload 1 GiB in: the read names the truncated payload within a few MB
+        g = Geometry(dims=(6, 6, 6), spacing=(1.0, 1.0, 1.0))
+        written = tmp_path / "m.nii"
+        write_nifti(BinaryMask(g, np.ones(g.shape, dtype=bool)), written)
+        raw = bytearray(written.read_bytes())
+        assert len(raw) == 568
+        struct.pack_into(fmt, raw, offset, *values)
+        path = tmp_path / ("big.nii.gz" if gz else "big.nii")
+        path.write_bytes(gzip.compress(bytes(raw), mtime=0) if gz else bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OSError, match=rf"truncated payload \({read} bytes\)"):
+                read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_bitpix_must_match_datatype(self, tmp_path):
         hdr = _blank_header()
