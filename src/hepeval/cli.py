@@ -116,9 +116,9 @@ def cmd_eval(args) -> int:
         return 1
     try:
         _, eval_cfg, raw_cfg = _load_config(args.config)
-        if args.connectivity:
+        if args.connectivity is not None:
             eval_cfg = replace(eval_cfg, connectivity=args.connectivity)
-        if args.skeleton_iters:
+        if args.skeleton_iters is not None:
             eval_cfg = replace(eval_cfg, skeleton_iterations=args.skeleton_iters)
     except (OSError, json.JSONDecodeError, HepevalError, TypeError) as exc:
         log.error("config error: %s", exc)
@@ -236,13 +236,17 @@ def cmd_phantom(args) -> int:
 def cmd_loss(args) -> int:
     try:
         loss_cfg, _, _ = _load_config(args.config)
+    except (OSError, json.JSONDecodeError, HepevalError, TypeError) as exc:
+        log.error("config error: %s", exc)
+        return 1
+    try:
         pred = read_prob_volume(args.pred)
         gt = read_binary_mask(args.gt)
         k, cld, bce, combined = loss_terms(pred, gt, args.epoch, loss_cfg)
     except RangeError as exc:
         log.error("epoch out of range: %s", exc)
         return 1
-    except (OSError, json.JSONDecodeError, HepevalError) as exc:
+    except (OSError, HepevalError) as exc:
         log.error("%s", exc)
         return 1
     print(
@@ -262,6 +266,10 @@ def cmd_loss(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
+    iterations = EvalConfig.skeleton_iterations if args.skeleton_iters is None else args.skeleton_iters
+    if iterations < 1:
+        log.error("config error: --skeleton-iters must be >= 1, got %d", iterations)
+        return 1
     try:
         mask = read_binary_mask(args.mask)
     except (OSError, HepevalError) as exc:
@@ -270,7 +278,6 @@ def cmd_skeleton(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    iterations = args.skeleton_iters or 10
     skel = skeletonize(mask, iterations)
     if skel.popcount() == 0:
         log.warning("empty skeleton: input mask has no stable foreground")

@@ -6,7 +6,10 @@ stages with max-pool style argmax routing. The skeleton's forward records,
 on each stage's residual support, the input voxels its values came from
 (see `morphology`), so the backward is sparse in-place scatters
 (`np.add.at`) onto the input and runs no pool. Arrays no later step reads
-are updated in place or released before the backward runs.
+are updated in place or released before the backward runs. The binary truth
+is read as booleans and never copied to floats: each CE and clDice term
+takes one of two forms on and off the truth (or its skeleton). At 128^3 on
+a tie-free prediction, `cl_dice_loss` peaks at about 149 MB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from .errors import ParameterError, RangeError
 from .morphology import soft_skeleton_array, soft_skeleton_grad
-from .volume import BinaryMask, ProbVolume, require_same_geometry
+from .vessel import skeletonize
+from .volume import BinaryMask, ProbVolume, _check_fields, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,17 @@ class LossConfig:
     k_end: float = 0.50
 
     def __post_init__(self):
+        _check_fields(
+            self,
+            integers=("skeleton_iterations", "warmup_epochs", "ramp_epochs"),
+            reals=("w_cldice", "w_bce", "epsilon", "ce_clip", "k_start", "k_end"),
+        )
         if self.w_cldice < 0 or self.w_bce < 0:
             raise ParameterError("loss weights must be >= 0")
         if self.skeleton_iterations < 1:
             raise ParameterError("skeleton_iterations must be >= 1")
+        if self.warmup_epochs < 0 or self.ramp_epochs < 0:
+            raise ParameterError("warmup_epochs and ramp_epochs must be >= 0")
         if self.epsilon <= 0 or self.ce_clip <= 0:
             raise ParameterError("epsilon and ce_clip must be > 0")
         if not 0 < self.k_start <= self.k_end <= 1:
@@ -82,32 +93,26 @@ def soft_dice_loss(pred: ProbVolume, gt: BinaryMask, epsilon: float = 1e-5) -> G
 
 
 def _ce_field_and_grad(p: np.ndarray, g: np.ndarray, clip: float):
-    """Per-voxel CE -(g log pc + (1 - g) log(1 - pc)), pc = clip(p), and its
-    derivative, zero where p lies outside [clip, 1 - clip].
+    """Per-voxel CE for the boolean truth `g`, pc = clip(p), and its derivative:
+    -log(pc) and -1/pc where g is set, -log1p(-pc) and 1/(1 - pc) elsewhere.
+    The derivative is zero where clipping moved p.
 
-    Works in place in the same operation order as the plain expressions, so
-    the results are the same bits; `g` (float64) is overwritten.
+    These are the bits of -(g log pc + (1 - g) log1p(-pc)) with g as 0.0 or
+    1.0, because the term that drops out is a signed zero added to a nonzero
+    value. log1p runs on every voxel; log runs on the truth voxels only and
+    overwrites it there.
     """
     pc = np.clip(p, clip, 1.0 - clip)
-    field = np.log(pc)
-    field *= g
-    dfield = np.negative(g)
-    dfield /= pc
-    np.subtract(1.0, g, out=g)
-    tmp = np.negative(pc)
-    np.log1p(tmp, out=tmp)
-    tmp *= g
-    field += tmp
+    at = np.flatnonzero(g)
+    fg = pc.ravel()[at]
+    field = np.negative(pc)
+    np.log1p(field, out=field)
+    field.ravel()[at] = np.log(fg)
     np.negative(field, out=field)
-    np.subtract(1.0, pc, out=tmp)
-    del pc
-    np.divide(g, tmp, out=tmp)
-    dfield += tmp
-    del tmp
-    active = p >= clip
-    active &= p <= 1.0 - clip
-    np.logical_not(active, out=active)
-    dfield[active] = 0.0
+    dfield = np.subtract(1.0, pc)
+    np.divide(1.0, dfield, out=dfield)
+    dfield.ravel()[at] = np.divide(-1.0, fg)
+    dfield[pc != p] = 0.0
     return field, dfield
 
 
@@ -120,7 +125,7 @@ def cross_entropy_loss(
     gradient.
     """
     require_same_geometry(pred, gt)
-    field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(np.float64), clip)
+    field, dfield = _ce_field_and_grad(pred.values, gt.values, clip)
     dfield /= field.size
     mean = GradedScalar(float(field.mean()), dfield)
     return field, mean
@@ -151,7 +156,7 @@ def bootstrapped_ce_loss(
     require_same_geometry(pred, gt)
     if not 0.0 < k <= 1.0:
         raise ParameterError(f"k must be in (0, 1], got {k}")
-    field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(np.float64), clip)
+    field, dfield = _ce_field_and_grad(pred.values, gt.values, clip)
     flat = field.ravel()
     m = max(1, int(np.ceil(k * flat.size)))
     dfield /= m
@@ -179,19 +184,22 @@ def cl_dice_loss(
 
     Topology precision compares the predicted soft skeleton against the truth
     mask; topology sensitivity compares the truth skeleton against the
-    prediction. The truth skeleton is a constant (built on the uint8 mask,
-    where every value is exactly 0 or 1), so the gradient combines the direct
-    sensitivity path with the backward pass of the prediction's skeleton.
+    prediction. The truth skeleton is a constant, the binary `skeletonize`
+    (on 0/1 input every soft-skeleton value is exactly 0 or 1), so the
+    gradient combines the direct sensitivity path with the backward pass of
+    the prediction's skeleton. Both paths take one value on the truth (or
+    its skeleton) and another off it, built from scalars in the operation
+    order of the whole-grid expressions, so their bits are the same.
     """
     require_same_geometry(pred, gt)
     p = pred.values
-    g = gt.values.astype(np.float64)
+    g = gt.values
 
-    skel_g = soft_skeleton_array(gt.values.astype(np.uint8), iterations)[0]
+    skel_g = skeletonize(gt, iterations).values
     skel_p, tape = soft_skeleton_array(p, iterations)
 
     sum_sp = float(skel_p.sum())
-    sum_sg = float(skel_g.sum())
+    sum_sg = float(np.count_nonzero(skel_g))
     tprec_num = float((skel_p * g).sum()) + epsilon
     del skel_p
     tprec_den = sum_sp + epsilon
@@ -205,18 +213,16 @@ def cl_dice_loss(
     dl_dtprec = -2.0 * tsens * tsens / (s * s)
     dl_dtsens = -2.0 * tprec * tprec / (s * s)
 
-    # Skeleton path: d tprec / d skel_p, built in g's buffer, then back
-    # through the skeleton to p.
-    g *= tprec_den
-    g -= tprec_num
-    g /= tprec_den * tprec_den
-    g *= dl_dtprec
-    grad = soft_skeleton_grad(tape, g)
-    del tape, g
-    # Direct path: d tsens / d p.
-    direct = dl_dtsens * skel_g
-    direct /= tsens_den
-    grad += direct
+    # Skeleton path: d tprec / d skel_p is (g tprec_den - tprec_num) /
+    # tprec_den^2, scaled, then back through the skeleton to p.
+    den2 = tprec_den * tprec_den
+    on = (tprec_den - tprec_num) / den2 * dl_dtprec
+    off = -tprec_num / den2 * dl_dtprec
+    grad = soft_skeleton_grad(tape, np.where(g, on, off))
+    del tape
+    # Direct path: d tsens / d p, which is -0.0 off the skeleton, and
+    # x + (-0.0) = x.
+    grad[skel_g] += dl_dtsens / tsens_den
     return GradedScalar(value, grad)
 
 
@@ -228,7 +234,8 @@ def loss_terms(
     cld = cl_dice_loss(pred, gt, config.skeleton_iterations, config.epsilon)
     bce = bootstrapped_ce_loss(pred, gt, k, config.ce_clip)
     value = config.w_cldice * cld.value + config.w_bce * bce.value
-    gradient = config.w_cldice * cld.gradient + config.w_bce * bce.gradient
+    gradient = config.w_cldice * cld.gradient
+    gradient += config.w_bce * bce.gradient
     return k, cld, bce, GradedScalar(value, gradient)
 
 

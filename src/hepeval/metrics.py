@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParameterError, SchemaError
 from .morphology import connected_components
 from .vessel import (
+    CENTRAL_RULES,
     build_graph,
     classify_central_peripheral,
     identify_gallbladder,
@@ -22,6 +23,7 @@ from .volume import (
     VESSEL_STRUCTURES,
     BinaryMask,
     LabelVolume,
+    _check_fields,
     extract_mask,
     require_same_geometry,
 )
@@ -181,6 +183,23 @@ class EvalConfig:
     max_central_generation: int = 1
     gallbladder_min_volume_mm3: float = 5000.0
     gallbladder_min_sphericity: float = 0.5
+
+    def __post_init__(self):
+        _check_fields(
+            self,
+            integers=("connectivity", "skeleton_iterations", "min_overlap_voxels", "max_central_generation"),
+            reals=("gallbladder_min_volume_mm3", "gallbladder_min_sphericity"),
+        )
+        if self.connectivity not in (6, 18, 26):
+            raise ParameterError(f"connectivity must be 6, 18 or 26, got {self.connectivity}")
+        if self.skeleton_iterations < 1 or self.min_overlap_voxels < 1:
+            raise ParameterError("skeleton_iterations and min_overlap_voxels must be >= 1")
+        if self.central_rule not in CENTRAL_RULES:
+            raise ParameterError(f"central_rule must be one of {CENTRAL_RULES}, got {self.central_rule!r}")
+        if self.max_central_generation < 0 or self.gallbladder_min_volume_mm3 < 0:
+            raise ParameterError("max_central_generation and gallbladder_min_volume_mm3 must be >= 0")
+        if not 0 <= self.gallbladder_min_sphericity <= 1:
+            raise ParameterError("gallbladder_min_sphericity must be in [0, 1]")
 
 
 @dataclass(frozen=True)

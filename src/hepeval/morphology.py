@@ -17,6 +17,16 @@ keys are packed int64 (dense value rank, then linear position), which name
 each pooled voxel's rank and winner at once, at several times an int32
 pool's cost: twice the bytes per pass, plus the key adds and decodes.
 
+Both key kinds come from one int64 sort, with no argsort over the grid.
+Each value gets an order-preserving int64 code (its float64 bits, with a
+negative value's magnitude bits flipped; -0.0 is first made 0.0), and the
+top 64 - b bits of the code are packed over the voxel index in the low b
+bits, b = n.bit_length(). Values closer than 2^b code steps can share those
+top bits: such prefix runs come out sorted by index, so only their positions
+are sorted again by full code (about 2,000 of 2.1 M positions on a 128^3
+sigmoid prediction). A NaN has no place in the order and raises
+ParameterError.
+
 Each stage keeps, on the voxels where its residual relu(I_k - open(I_k)) is
 positive, the input voxels that I_k and its opening took their values from;
 the residual is recomputed there from the input by the same float
@@ -69,6 +79,22 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     return cur
 
 
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _value_codes(x: np.ndarray) -> np.ndarray:
+    """int64 codes ordered as the values of `x`, read as float64.
+
+    The float64 bits are the code of a value >= 0; a negative value's
+    magnitude bits are flipped, so larger magnitudes sort lower. Adding 0.0
+    turns -0.0 into 0.0, whose code is 0, and a NaN's code lies above
+    +inf's or below -inf's.
+    """
+    code = np.add(x, 0.0, dtype=np.float64).view(np.int64)
+    code ^= (code >> 63) & _MAGNITUDE
+    return code
+
+
 def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(flat, keys, voxel)`` for the soft skeleton's pools of a floating grid.
 
@@ -79,29 +105,54 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     exterior's, and `voxel` maps a rank back to its index in `flat`; a
     negative rank indexes `voxel` from its end, as in Python. Otherwise
     `keys` are `_packed_keys` and `voxel` is None.
+
+    The order comes from one in-place sort of words holding each value's
+    code over its index (see the module docstring), and a stable argsort of
+    the prefix runs' positions by full code. Inputs wider than float64 and
+    NaN, which sorts to an end of the codes, raise ParameterError.
     """
     n = values.size
     if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
+    if values.dtype.itemsize > 8:
+        raise ParameterError(f"a soft skeleton gradient needs float64 or narrower values, got {values.dtype}")
     flat = np.zeros(n + 1, dtype=values.dtype)
     flat[:n] = values.ravel()
-    order = np.argsort(flat)
-    ordered = np.sort(flat)  # the values of flat[order], without the gather
-    step = ordered[1:] != ordered[:-1]
-    if step.all():
-        exterior = int(np.searchsorted(ordered, 0))  # the exterior's rank
-        del ordered, step
+    b = n.bit_length()
+    word = _value_codes(flat)
+    word >>= b
+    word <<= b
+    word |= np.arange(n + 1)
+    word.sort()
+    order = word & ((1 << b) - 1)
+    word >>= b
+    exterior = int(np.searchsorted(word, 0))  # negative values first; the exterior's rank if tie-free
+    runs = np.flatnonzero(word[1:] == word[:-1])
+    member = np.zeros(n + 1, dtype=bool)
+    member[runs] = True
+    member[runs + 1] = True
+    at = np.flatnonzero(member)  # the positions in prefix runs
+    del word, runs, member
+    code = _value_codes(flat[order[at]])
+    resort = np.argsort(code, kind="stable")
+    order[at] = order[at[resort]]
+    code = code[resort]
+    ties = at[:-1][code[1:] == code[:-1]]  # equal codes share a run, so at[j + 1] = at[j] + 1
+    if np.isnan(flat[order[[0, -1]]]).any():
+        raise ParameterError("a soft skeleton gradient needs values that are not NaN")
+    if ties.size == 0:
         keys = np.empty(n + 1, dtype=np.int32)
         keys[order] = np.arange(-exterior, n + 1 - exterior, dtype=np.int32)
         return flat, keys[:n].reshape(values.shape), np.roll(order.astype(np.int32), -exterior)
-    del ordered
+    step = np.ones(n, dtype=bool)
+    step[ties] = False
     return flat, _packed_keys(order, step)[:n].reshape(values.shape), None
 
 
 def _packed_keys(order: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Dense-rank keys of `flat` for `_keyed_pool`, the exterior's included.
 
-    `order` is the argsort of `flat` (n + 1 values, the exterior 0 last) and
+    `order` sorts `flat` (n + 1 values, the exterior 0 last) by value, and
     `step` marks each adjacent pair of its sorted values that differ. Each
     key is the value's dense rank among the distinct values (equal values
     share a rank, and order is kept), minus the exterior's, times 2^b with

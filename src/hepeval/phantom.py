@@ -22,27 +22,11 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _is_number, _three_numbers
+from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _is_number
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
-
-
-def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
-    """Raise ParameterError unless the named fields of `obj` hold integers,
-    finite numbers or three finite numbers; store the vectors as tuples."""
-    for name in integers + reals:
-        value = getattr(obj, name)
-        if not _is_number(value, numbers.Integral if name in integers else numbers.Real):
-            kind = "an integer" if name in integers else "a finite number"
-            raise ParameterError(f"{name} must be {kind}, got {value!r}")
-    for name in vectors:
-        value = getattr(obj, name)
-        items = _three_numbers(value)
-        if items is None:
-            raise ParameterError(f"{name} must be three finite numbers, got {value!r}")
-        object.__setattr__(obj, name, items)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
 
+# The rules `classify_central_peripheral` marks central skeleton voxels by.
+CENTRAL_RULES = ("generation", "strahler")
+
 # Neighbor offsets in (dz, dy, dx) lexicographic order, which is ascending
 # neighbor linear index; walks scan them in this order for determinism.
 OFFSETS_26 = tuple(
@@ -359,8 +362,8 @@ def _skeleton_central_flags(
     graph: SkeletonGraph, rule: str, max_generation: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Skeleton voxels (ascending linear index) with their central flag."""
-    if rule not in ("generation", "strahler"):
-        raise ParameterError(f"rule must be 'generation' or 'strahler', got {rule!r}")
+    if rule not in CENTRAL_RULES:
+        raise ParameterError(f"rule must be one of {CENTRAL_RULES}, got {rule!r}")
 
     root_strahler = None
     if rule == "strahler" and graph.root_edge_id is not None:

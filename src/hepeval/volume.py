@@ -37,6 +37,22 @@ def _three_numbers(value) -> tuple | None:
     return items if len(items) == 3 and all(_is_number(v) for v in items) else None
 
 
+def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
+    """Raise ParameterError unless the named fields of `obj` hold integers,
+    finite numbers or three finite numbers; store the vectors as tuples."""
+    for name in integers + reals:
+        value = getattr(obj, name)
+        if not _is_number(value, numbers.Integral if name in integers else numbers.Real):
+            kind = "an integer" if name in integers else "a finite number"
+            raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    for name in vectors:
+        value = getattr(obj, name)
+        items = _three_numbers(value)
+        if items is None:
+            raise ParameterError(f"{name} must be three finite numbers, got {value!r}")
+        object.__setattr__(obj, name, items)
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Voxel grid geometry: counts, physical spacing (mm), origin, orientation.

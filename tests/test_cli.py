@@ -173,6 +173,30 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
 
+    @pytest.mark.parametrize("raw", [
+        {"skeleton_iterations": 2.5},
+        {"min_overlap_voxels": 0},
+        {"central_rule": "bogus"},
+        {"connectivity": 7},
+    ])
+    def test_bad_config_value_is_a_config_error(self, phantom_pair, tmp_path, caplog, raw):
+        # caught before any case runs: exit 1, not 2 with every case failed
+        _, gt_path, pred_path = phantom_pair
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path),
+                     "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 1
+        assert "config error" in caplog.text
+
+    def test_zero_skeleton_iters_flag_exits_1(self, phantom_pair, tmp_path, caplog):
+        # 0 is a value, not a missing flag
+        _, gt_path, pred_path = phantom_pair
+        code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path),
+                     "--out", str(tmp_path / "x"), "--skeleton-iters", "0"])
+        assert code == 1
+        assert "config error" in caplog.text
+
 
 class TestPhantomCommand:
     def test_default_spec_generates_files(self, tmp_path):
@@ -333,6 +357,19 @@ class TestLossCommand:
         argv = ["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "0", "--config", str(cfg)]
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("raw", [
+        {"skeleton_iterations": 2.5},
+        {"warmup_epochs": 0, "ramp_epochs": 1.5},
+        {"warmup_epochs": True},
+    ])
+    def test_non_integer_counts_are_config_errors(self, tmp_path, caplog, raw):
+        gt_path, pred_path = self.make_pair(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["loss", "--pred", str(pred_path), "--gt", str(gt_path), "--epoch", "1", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert "config error" in caplog.text
+
     def test_agrees_with_library(self, tmp_path, capsys):
         gt = y_phantom().mask
         rng = np.random.default_rng(3)
@@ -394,6 +431,15 @@ class TestSkeletonCommand:
             code = main(["skeleton", str(mask_path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert "empty" in caplog.text.lower()
+
+    def test_zero_skeleton_iters_exits_1(self, tmp_path, caplog):
+        g = Geometry(dims=(8, 8, 8), spacing=(1, 1, 1))
+        mask_path = tmp_path / "empty.nii.gz"
+        write_nifti(BinaryMask(g, np.zeros(g.shape, bool)), mask_path)
+        out = tmp_path / "o"
+        assert main(["skeleton", str(mask_path), "--out", str(out), "--skeleton-iters", "0"]) == 1
+        assert "config error" in caplog.text
+        assert not out.exists()
 
     def test_non_binary_input_exits_1(self, tmp_path):
         g = Geometry(dims=(6, 6, 6), spacing=(1, 1, 1))

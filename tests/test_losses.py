@@ -179,7 +179,7 @@ class TestBootstrappedCE:
         rng = np.random.default_rng(3)
         pred = ProbVolume(g, rng.integers(1, 6, size=g.shape) / 6.0)
         gt = random_mask(g, seed=4, density=0.5)
-        field, dfield = _ce_field_and_grad(pred.values, gt.values.astype(float), 1e-7)
+        field, dfield = _ce_field_and_grad(pred.values, gt.values, 1e-7)
         flat = field.ravel()
         for k in (0.01, 0.15, 0.333, 0.5, 0.77, 1.0):
             m = max(1, math.ceil(k * flat.size))
@@ -203,9 +203,9 @@ class TestBootstrappedCE:
         rng = np.random.default_rng(8)
         p = rng.random((9, 8, 7))
         p.ravel()[:6] = [0.0, 1.0, 1e-9, 1 - 1e-9, 1e-7, 1 - 1e-7]  # clipped and edge voxels
-        g = (rng.random(p.shape) < 0.4).astype(np.float64)
-        want_field, want_dfield = plain_ce(p, g, 1e-7)
-        field, dfield = _ce_field_and_grad(p, g.copy(), 1e-7)
+        g = rng.random(p.shape) < 0.4
+        want_field, want_dfield = plain_ce(p, g.astype(np.float64), 1e-7)
+        field, dfield = _ce_field_and_grad(p, g, 1e-7)
         assert field.tobytes() == want_field.tobytes()
         assert dfield.tobytes() == want_dfield.tobytes()
 

@@ -11,7 +11,7 @@ from scipy import ndimage
 
 from hepeval import morphology
 from hepeval.errors import ParameterError
-from hepeval.losses import cl_dice_loss
+from hepeval.losses import cl_dice_loss, combined_loss
 from hepeval.morphology import (
     _keyed_pool,
     _packed_keys,
@@ -102,6 +102,20 @@ def packed_rank_keys(values):
     ordered = np.sort(flat)
     high = _packed_keys(np.argsort(flat), ordered[1:] != ordered[:-1])
     return flat, high[:-1].reshape(values.shape), None
+
+
+def argsort_rank_keys(values):
+    """`_rank_keys` by argsort, as the reference: int32 ranks when `flat`
+    holds no two equal values, else `packed_rank_keys`."""
+    flat = np.append(values.ravel(), 0.0)
+    order = np.argsort(flat)
+    ordered = flat[order]
+    if not (ordered[1:] != ordered[:-1]).all():
+        return packed_rank_keys(values)
+    exterior = int(np.searchsorted(ordered, 0))
+    keys = np.empty(flat.size, dtype=np.int32)
+    keys[order] = np.arange(-exterior, flat.size - exterior)
+    return flat, keys[:-1].reshape(values.shape), np.roll(order.astype(np.int32), -exterior)
 
 
 def keyed_pool(values, mode):
@@ -430,25 +444,81 @@ class TestSoftSkeleton:
         assert np.abs(got - oracle_skeleton_grad(values, 5, grad_skel)).max() <= 1e-12
 
     def test_pinned_skeleton_and_loss_bytes(self):
-        # S and the clDice value on two noisy 48^3 tube pairs are pinned byte
-        # for byte: a change to the keyed pools must not move either. The
-        # clipped tube has exact-0 ties, so it pools packed keys; the
-        # unclipped sigmoid tube has none, so it pools int32 ranks.
+        # S, the clDice value and gradient, and the combined gradient at
+        # K = 1 (epoch 0) and K < 1 (epoch 450) on two noisy 48^3 tube pairs
+        # are pinned byte for byte: a change to the keyed pools or the loss
+        # arithmetic must not move them. The clipped tube has exact-0 ties,
+        # so it pools packed keys; the unclipped sigmoid tube has none, so it
+        # pools int32 ranks.
         mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
         rng = np.random.default_rng(48)
         clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
         pins = [
             (clipped, False, "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331",
-             "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607"),
+             "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607",
+             ["5014b2e142429d0c7c3bc31648b37475f63ced6319cae15d2946c25b4af70638",
+              "dbb3042eb8ba429e86bc843739ff00eed2c4745255eb67c82f02f97fceaf26ab",
+              "0757728745c3a24af53faf3f3b9648508f8285b5991b6ea94d324888857403a4"]),
             (noisy_tube(mask, 48), True, "3782cf439f4af6e6b510fdae9de478b08417df688f0f0aecc30735a691353356",
-             "ecbfd5d7a94c801f7506585512edb7085bee9e2e5831531bdfbae86a128411ed"),
+             "ecbfd5d7a94c801f7506585512edb7085bee9e2e5831531bdfbae86a128411ed",
+             ["c1f91110dc30c1b150faf81cb74ea30ef07fca186d49c1ef437858110653af88",
+              "0441273dc3322e8112122a795f5dbe2b19f6445d573cd8489a0f893d2ea3a9d0",
+              "25dd2b67306e6c70b6163ef97db42ff89076754dd8282869739547c08ab32133"]),
         ]
-        for values, ranks, skel_hash, loss_hash in pins:
+        for values, ranks, skel_hash, loss_hash, grad_hashes in pins:
             assert (_rank_keys(values)[2] is not None) == ranks
             skel, _ = soft_skeleton_array(values, iterations=10)
             assert hashlib.sha256(skel.tobytes()).hexdigest() == skel_hash
-            value = cl_dice_loss(ProbVolume(mask.geometry, values), mask).value
-            assert hashlib.sha256(struct.pack("<d", value)).hexdigest() == loss_hash
+            pred = ProbVolume(mask.geometry, values)
+            cld = cl_dice_loss(pred, mask)
+            assert hashlib.sha256(struct.pack("<d", cld.value)).hexdigest() == loss_hash
+            grads = [cld.gradient] + [combined_loss(pred, mask, epoch).gradient for epoch in (0, 450)]
+            assert [hashlib.sha256(g.tobytes()).hexdigest() for g in grads] == grad_hashes
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        start=st.floats(allow_nan=False),
+        special=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rank_keys_match_argsort_oracle(self, shape, start, special, seed):
+        # an np.nextafter chain: neighbours share their top 64 - b bits, so
+        # the sorted words form prefix runs; mixed with -0.0 beside 0.0,
+        # +-inf, subnormals, exact duplicates and negative values
+        rng = np.random.default_rng(seed)
+        chain = [start]
+        toward = rng.choice([-np.inf, np.inf])
+        while len(chain) < np.prod(shape):
+            chain.append(np.nextafter(chain[-1], toward))
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5, start])
+        values = np.where(
+            rng.random(len(chain)) < special, rng.choice(specials, len(chain)), rng.permutation(chain)
+        ).reshape(shape)
+        flat, keys, voxel = _rank_keys(values)
+        want_flat, want_keys, want_voxel = argsort_rank_keys(values)
+        assert flat.tobytes() == want_flat.tobytes()
+        assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
+        assert (voxel is None) == (want_voxel is None)
+        if voxel is not None:
+            assert voxel.dtype == want_voxel.dtype and np.array_equal(voxel, want_voxel)
+
+    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here")
+    def test_wider_than_float64_raises(self):
+        # the codes are float64 bits, which would merge distinct long doubles
+        with pytest.raises(ParameterError, match="float64"):
+            _rank_keys(tie_free_grid(3).astype(np.longdouble))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nan_input_raises(self, sign):
+        # a NaN's code sorts beyond +inf's (or below -inf's, with its sign
+        # bit set), and it has no place in the order
+        values = tie_free_grid(3)
+        values.flat[values.size // 2] = np.copysign(np.nan, sign)
+        with pytest.raises(ParameterError, match="NaN"):
+            _rank_keys(values)
+        with pytest.raises(ParameterError, match="NaN"):
+            soft_skeleton_array(values, iterations=2)
 
     def test_gradient_leaves_its_argument_unchanged(self):
         vol = random_prob_volume(geometry((9, 8, 7)), seed=4)
