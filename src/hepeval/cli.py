@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -114,6 +115,9 @@ def cmd_eval(args) -> int:
     if len(args.gt) != len(args.pred):
         log.error("need equally many --gt and --pred paths")
         return 1
+    if args.jobs < 0:
+        log.error("usage error: --jobs must be >= 0, got %d", args.jobs)
+        return 1
     try:
         _, eval_cfg, raw_cfg = _load_config(args.config)
         if args.connectivity is not None:
@@ -137,11 +141,15 @@ def cmd_eval(args) -> int:
         _write_json(out / f"case_{case}.report.json", report.to_json_dict())
         return report
 
-    jobs = args.jobs or os.cpu_count() or 1
+    # One worker runs the cases in this thread: a pool thread made per batch
+    # works in its own malloc arena, which can be trimmed and grown again on
+    # every case (about 2,000 minor page faults per 128x80x112 case).
+    jobs = min(args.jobs or os.cpu_count() or 1, len(pairs))
     reports: list[CaseReport] = []
     failures: list[dict] = []  # {"case_id", "error": exception class name}, in batch order
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for pair, result in zip(pairs, pool.map(lambda p: _try(run_one, p), pairs)):
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(lambda p: _try(run_one, p), pairs)
+        for pair, result in zip(pairs, results):
             if isinstance(result, Exception):
                 log.error("case %s failed: %s", _case_id(pair[0]), result)
                 failures.append({"case_id": _case_id(pair[0]), "error": type(result).__name__})
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--connectivity", type=int, choices=(6, 18, 26))
     p_eval.add_argument("--skeleton-iters", type=int, dest="skeleton_iters")
-    p_eval.add_argument("--jobs", type=int, default=0, help="worker pool size")
+    p_eval.add_argument("--jobs", type=int, default=0, help="worker threads (0: one per CPU)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_ph = sub.add_parser("phantom", help="generate a phantom case from a JSON spec")

@@ -50,6 +50,8 @@ def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
     intermediate value is 0 or 1, so integer arithmetic is exact. It runs on
     the mask's bounding box; see the module docstring for why that is exact.
     """
+    if iterations < 1:
+        raise ParameterError(f"iterations must be >= 1, got {iterations}")
     out = np.zeros(mask.values.shape, dtype=bool)
     box = bounding_box(mask.values)
     if box is not None:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -140,6 +141,57 @@ class TestEvalCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         schema_check(manifest, load_schema("manifest"))
         assert manifest["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
+
+    @pytest.mark.parametrize("jobs", [["--jobs", "1"], []])
+    def test_one_worker_runs_cases_in_calling_thread(self, phantom_pair, tmp_path, monkeypatch, jobs):
+        import hepeval.cli
+        from hepeval.metrics import evaluate_case
+
+        _, gt_path, pred_path = phantom_pair
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return evaluate_case(*args, **kwargs)
+
+        monkeypatch.setattr(hepeval.cli, "evaluate_case", recording)
+        # --jobs 1 on two pairs; the default --jobs on one pair
+        gts, preds = [str(gt_path)], [str(pred_path)]
+        if jobs:
+            gts, preds = gts * 2, preds + [str(gt_path)]
+        code = main(["eval", "--gt", *gts, "--pred", *preds, "--out", str(tmp_path / "run"),
+                     "--skeleton-iters", "4", *jobs])
+        assert code == 0
+        assert threads == [threading.get_ident()] * len(gts)
+
+    def test_two_workers_write_what_one_worker_writes(self, phantom_pair, tmp_path):
+        _, gt_path, pred_path = phantom_pair
+        gt2 = tmp_path / "case02.nii.gz"
+        gt2.write_bytes(gt_path.read_bytes())
+        gts = [str(gt_path), str(tmp_path / "nope.nii.gz"), str(gt2)]
+        preds = [str(pred_path), str(gt_path), str(pred_path)]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"run{jobs}"
+            code = main(["eval", "--gt", *gts, "--pred", *preds, "--out", str(out),
+                         "--skeleton-iters", "4", "--jobs", jobs])
+            assert code == 2
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["timestamp"]
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            outputs.append((files, manifest))
+        assert sorted(outputs[0][0]) == [
+            "case_case01.report.json", "case_case02.report.json", "cases.csv", "summary.csv", "summary.json",
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
+
+    def test_negative_jobs_exits_1(self, phantom_pair, tmp_path, caplog):
+        _, gt_path, pred_path = phantom_pair
+        code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path),
+                     "--out", str(tmp_path / "x"), "--jobs", "-1"])
+        assert code == 1
+        assert "--jobs" in caplog.text
 
     def test_mismatched_lists_exit_1(self, tmp_path):
         code = main(["eval", "--gt", "a.nii", "--pred", "b.nii", "c.nii", "--out", str(tmp_path)])

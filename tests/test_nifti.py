@@ -2,6 +2,7 @@ import gzip
 import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -524,3 +525,35 @@ class TestRandomRoundtrips:
         write_nifti(vol, p1)
         write_nifti(vol, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _writers():
+    """One writer per on-disk kind, each writing the same volume to any path."""
+    g = Geometry(dims=(16, 12, 9), spacing=(2.0, 2.0, 3.0))
+    rng = np.random.default_rng(17)
+    mask = BinaryMask(g, rng.random(g.shape) < 0.3)
+    tags = rng.integers(-1, 40, size=g.shape).astype(np.int32)
+    return {
+        "labels": lambda path: write_nifti(label_volume(dims=g.dims, seed=17), path),
+        "mask": lambda path: write_nifti(mask, path),
+        "prob": lambda path: write_nifti(prob_volume(dims=g.dims, seed=17), path),
+        "int_tags": lambda path: write_int_nifti(g, tags, path),
+    }
+
+
+class TestGzipWriter:
+    @pytest.mark.parametrize("kind", ["labels", "mask", "prob", "int_tags"])
+    def test_one_fast_member_holding_the_plain_file(self, tmp_path, kind):
+        write = _writers()[kind]
+        gz_path, plain_path = tmp_path / "v.nii.gz", tmp_path / "v.nii"
+        write(gz_path)
+        write(plain_path)
+        data = gz_path.read_bytes()
+        # magic, deflate, no flags (so no file name), mtime 0, XFL 4 (fastest)
+        assert data[:4] == b"\x1f\x8b\x08\x00"
+        assert struct.unpack_from("<I", data, 4)[0] == 0
+        assert data[8] == 4
+        member = zlib.decompressobj(wbits=31)
+        body = member.decompress(data)
+        assert member.eof and member.unused_data == b""
+        assert body == gzip.decompress(data) == plain_path.read_bytes()

@@ -38,6 +38,15 @@ class TestSkeletonize:
         skel = skeletonize(BinaryMask(g, np.zeros(g.shape, bool)), 3)
         assert skel.popcount() == 0
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_bad_iterations_raise_before_the_mask_is_read(self, iterations, empty):
+        g = Geometry(dims=(4, 4, 4), spacing=(1, 1, 1))
+        m = np.zeros(g.shape, bool)
+        m[1:3, 1:3, 1:3] = not empty
+        with pytest.raises(ParameterError, match="iterations must be >= 1"):
+            skeletonize(BinaryMask(g, m), iterations)
+
     def test_single_voxel_is_its_own_skeleton(self):
         g = Geometry(dims=(5, 5, 5), spacing=(1, 1, 1))
         m = np.zeros(g.shape, bool)
