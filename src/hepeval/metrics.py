@@ -1,5 +1,14 @@
 """Evaluation protocol: DSC, binary clDice, lesion-wise detection, per-case
-reports, aggregation, and the unpaired Mann-Whitney U test."""
+reports, aggregation, and the unpaired Mann-Whitney U test.
+
+A case is scored on the joint foreground box: the union of the bounding
+boxes of its two label volumes' nonzero voxels. This is exact. Every
+reported number is a count or a ratio of counts; cropping is a translation,
+which keeps the first-voxel linear order that component ids and graph walks
+follow; pooling, the distance transform and the face counts already treat
+the outside of a box as background; and the nearest-skeleton split measures
+from the targets' own corner, not from the grid's.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .morphology import connected_components
+from .morphology import bounding_box, connected_components
 from .vessel import (
     CENTRAL_RULES,
     build_graph,
@@ -22,6 +31,7 @@ from .vessel import (
 from .volume import (
     VESSEL_STRUCTURES,
     BinaryMask,
+    Geometry,
     LabelVolume,
     _check_fields,
     extract_mask,
@@ -257,6 +267,30 @@ def _vessel_scores(
     return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
 
 
+def _crop_to_joint_foreground(gt: LabelVolume, pred: LabelVolume) -> tuple[LabelVolume, LabelVolume]:
+    """The pair cut to the union of their foreground boxes; the pair itself
+    when both are all background or the box is the whole grid.
+
+    A cut volume keeps its spacing and orientation; its origin is the
+    position of the box's first voxel."""
+    boxes = [b for b in (bounding_box(gt.labels), bounding_box(pred.labels)) if b is not None]
+    if not boxes:
+        return gt, pred
+    box = tuple(slice(min(b[i].start for b in boxes), max(b[i].stop for b in boxes)) for i in range(3))
+    if box == tuple(slice(0, n) for n in gt.labels.shape):
+        return gt, pred
+    first_xyz = [s.start for s in box[::-1]]
+    dims = [s.stop - s.start for s in box[::-1]]
+    return tuple(
+        LabelVolume(
+            Geometry(dims, v.geometry.spacing, tuple(v.geometry.position_mm(first_xyz)), v.geometry.orientation),
+            v.labels[box],
+            v.schema,
+        )
+        for v in (gt, pred)
+    )
+
+
 def evaluate_case(
     gt: LabelVolume,
     pred: LabelVolume,
@@ -271,12 +305,15 @@ def evaluate_case(
     with the central (gallbladder) comparison skipped for cholecystectomy
     cases; clDice for veins and ducts; lesion-wise tumor detection.
 
-    Each structure's masks are extracted once, scored for DSC and handed to
-    the one block that reads them; no mask pair outlives its block.
+    The pair is scored on its joint foreground box, which gives the same
+    report as the whole grid; see the module docstring for why. Each
+    structure's masks are extracted once, scored for DSC and handed to the
+    one block that reads them; no mask pair outlives its block.
     """
     require_same_geometry(gt, pred)
     if gt.schema != pred.schema:
         raise SchemaError("ground truth and prediction use different label schemas")
+    gt, pred = _crop_to_joint_foreground(gt, pred)
     names = [gt.schema.name_of(sid) for sid in gt.schema.structure_ids()]
     structure_dsc = {}
 

@@ -336,17 +336,26 @@ _STRUCTURES = {6: 1, 18: 2, 26: 3}
 def bounding_box(values: np.ndarray) -> tuple[slice, ...] | None:
     """Slices (z, y, x) of the smallest box holding every nonzero voxel.
 
-    Returns None when there is no nonzero voxel. Each axis is found on the
-    slab already cut to the earlier axes' extent.
+    Returns None when there is no nonzero voxel. Every reduction is a `max`
+    over a contiguous axis, on an unsigned grid (a bool grid read as uint8;
+    other dtypes as their nonzero test): each z-slice's maximum gives the z
+    extent, and the element-wise maximum of the slices in it the y and x
+    extents.
     """
-    box: tuple[slice, ...] = ()
-    for axis in range(values.ndim):
-        others = tuple(a for a in range(values.ndim) if a != axis)
-        hit = np.flatnonzero(values[box].any(axis=others))
-        if hit.size == 0:
-            return None
-        box += (slice(int(hit[0]), int(hit[-1]) + 1),)
-    return box
+    if values.dtype == bool:
+        v = values.view(np.uint8)
+    elif np.issubdtype(values.dtype, np.unsignedinteger):
+        v = values
+    else:
+        v = (values != 0).view(np.uint8)
+    if v.size == 0:
+        return None
+    z = np.flatnonzero(v.reshape(len(v), -1).max(axis=1))
+    if z.size == 0:
+        return None
+    plane = v[z[0] : z[-1] + 1].max(axis=0)
+    y, x = np.flatnonzero(plane.max(axis=1)), np.flatnonzero(plane.max(axis=0))
+    return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (z, y, x))
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentLabeling:

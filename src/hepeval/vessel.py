@@ -409,14 +409,19 @@ def _nearest_labels(
     Distances are anisotropic (spacing-weighted). Ties resolve to the source
     with the smallest linear index: sources are scanned in ascending order
     and only strictly closer candidates replace the incumbent.
+
+    Positions are in mm from the targets' box corner, their per-axis minimum
+    (x, y, z) index, subtracted as an integer before scaling by the spacing;
+    so the float rounding, and with it every near tie, does not depend on
+    where the vessel sits in the grid.
     """
+    tgt_xyz, src_xyz = (
+        np.stack(np.unravel_index(lin, geometry.shape)[::-1], axis=1) for lin in (targets_lin, sources_lin)
+    )
+    corner = tgt_xyz.min(axis=0)
     spacing = np.asarray(geometry.spacing)
-
-    def to_mm(lin):
-        return np.stack(np.unravel_index(lin, geometry.shape)[::-1], axis=1) * spacing
-
-    tgt = to_mm(targets_lin)
-    src = to_mm(sources_lin)
+    tgt = (tgt_xyz - corner) * spacing
+    src = (src_xyz - corner) * spacing
     tt = (tgt**2).sum(axis=1)
     best_d2 = np.full(len(tgt), np.inf)
     best_flag = np.zeros(len(tgt), dtype=bool)

@@ -31,7 +31,7 @@ from hepeval.phantom import (
 )
 from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume
 
-from conftest import random_mask
+from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry, random_mask
 
 
 def mask_of(values, spacing=(1.0, 1.0, 1.0)):
@@ -346,6 +346,95 @@ class TestEvaluateCase:
         assert "gallbladder" in separate.dsc and "gallbladder" not in together.dsc
         assert biliary(separate) == biliary(together)
         assert all(v < 1.0 for v in biliary(together))
+
+
+def report_of(gt_labels, pred_labels, spacing, config):
+    geometry = grid_geometry(gt_labels.shape, spacing)
+    return evaluate_case(LabelVolume(geometry, gt_labels), LabelVolume(geometry, pred_labels), config).to_json_dict()
+
+
+def uncropped(monkeypatch):
+    """Score on the whole grid: an oracle for the joint-foreground crop."""
+    monkeypatch.setattr(hepeval.metrics, "_crop_to_joint_foreground", lambda gt, pred: (gt, pred))
+
+
+def random_labels(seed):
+    """Labels 1..6 on a grid whose foreground touches all six faces."""
+    values = face_touching_values(seed, max_side=9)
+    ids = np.random.default_rng(seed).integers(1, 7, size=values.shape)
+    return np.where(values, ids, 0).astype(np.uint8)
+
+
+class TestJointForegroundCrop:
+    """A pair embedded at an offset in a larger zero grid gives the same
+    report, with or without the crop to its joint foreground box."""
+
+    @pytest.mark.parametrize("spacing", [(2.0, 2.0, 3.0), (0.7, 0.9, 1.3)])
+    def test_liver_pair_report_is_padding_invariant(self, truth, config, spacing, monkeypatch):
+        pred = degrade(
+            truth,
+            DegradeSpec(
+                seed=7,
+                erode_steps={"portal_vein": 1},
+                drop_edge_ids=(2,),
+                spurious_blobs=(("tumor", Sphere(center_mm=(170.0, 96.0, 130.0), radius_mm=8.0)),),
+                relabel_fraction=0.01,
+            ),
+        )
+        pair = truth.label_volume.labels, pred.labels
+        base = report_of(*pair, spacing, config)
+        for offset in EMBED_OFFSETS[:3]:
+            assert report_of(*(embed(v, offset) for v in pair), spacing, config) == base
+        uncropped(monkeypatch)
+        assert report_of(*(embed(v, EMBED_OFFSETS[-1]) for v in pair), spacing, config) == base
+
+    def test_htree_pair_report_is_padding_invariant(self, config, monkeypatch):
+        # The split's nearest-skeleton distances round differently per
+        # position at this spacing unless they are measured from the vessel.
+        truth = generate_case(axis_tree_spec(4))
+        pred = degrade(truth, DegradeSpec(seed=1, erode_steps={"portal_vein": 1}, relabel_fraction=0.01))
+        pair = truth.label_volume.labels, pred.labels
+        base = report_of(*pair, (0.7, 0.9, 1.3), config)
+        uncropped(monkeypatch)
+        for pad in ((3, 5, 7), (0, 0, 0)):
+            padded = [np.pad(v, [(p, 0) for p in pad]) for v in pair]
+            assert report_of(*padded, (0.7, 0.9, 1.3), config) == base
+
+    @pytest.mark.parametrize("side", ["truth", "prediction", "neither"])
+    def test_one_sided_and_empty_pairs(self, config, side, monkeypatch):
+        for seed in range(4):
+            labels = random_labels(seed)
+            zeros = np.zeros_like(labels)
+            pair = {"truth": (labels, zeros), "prediction": (zeros, labels), "neither": (zeros, zeros)}[side]
+            base = report_of(*pair, (0.7, 0.9, 1.3), config)
+            for offset in EMBED_OFFSETS:
+                assert report_of(*(embed(v, offset) for v in pair), (0.7, 0.9, 1.3), config) == base
+            with monkeypatch.context() as m:
+                uncropped(m)
+                assert report_of(*(embed(v, EMBED_OFFSETS[1]) for v in pair), (0.7, 0.9, 1.3), config) == base
+
+    def test_crop_geometry_and_no_copy(self):
+        labels = random_labels(3)  # foreground touches every face
+        swap_xy = ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+        def volume(values):
+            shape = values.shape
+            geometry = Geometry(shape[::-1], (0.7, 0.9, 1.3), origin=(5.0, -2.0, 1.5), orientation=swap_xy)
+            return LabelVolume(geometry, values)
+
+        whole, zeros = volume(labels), volume(np.zeros_like(labels))
+        for pair in ((whole, whole), (whole, zeros), (zeros, whole), (zeros, zeros)):
+            got = hepeval.metrics._crop_to_joint_foreground(*pair)
+            assert got[0] is pair[0] and got[1] is pair[1]
+
+        offset = (2, 1, 3)
+        big = volume(embed(labels, offset))
+        gt, pred = hepeval.metrics._crop_to_joint_foreground(big, volume(np.zeros_like(big.labels)))
+        assert np.array_equal(gt.labels, labels) and not pred.labels.any()
+        for v in (gt, pred):
+            assert v.geometry.dims == whole.geometry.dims
+            assert (v.geometry.spacing, v.geometry.orientation) == (whole.geometry.spacing, swap_xy)
+            assert v.geometry.origin == tuple(big.geometry.position_mm(offset[::-1]))
 
 
 class TestAggregate:

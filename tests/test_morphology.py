@@ -688,6 +688,7 @@ CROP_CASES = [np.ones((1, 1, 1), dtype=bool)] + [face_touching_values(seed) for 
 class TestBoundingBox:
     def test_empty_is_none(self):
         assert bounding_box(np.zeros((3, 4, 5), dtype=bool)) is None
+        assert bounding_box(np.zeros((0, 4, 5), dtype=bool)) is None
 
     def test_matches_foreground_extent(self):
         for values in CROP_CASES:
@@ -701,6 +702,21 @@ class TestBoundingBox:
         grid = np.zeros((4, 4, 4), dtype=np.uint8)
         grid[1, 3, 0] = grid[2, 0, 2] = 7
         assert bounding_box(grid) == (slice(1, 3), slice(0, 4), slice(0, 3))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int8, np.int32, np.float32, np.float64])
+    def test_matches_nonzero_oracle_on_random_grids(self, dtype):
+        rng = np.random.default_rng(11)
+        for density in (0.0, 0.002, 0.02, 0.2):
+            for _ in range(8):
+                shape = tuple(int(n) for n in rng.integers(1, 12, size=3))
+                values = np.where(rng.random(shape) < density, rng.choice([-3, -1, 1, 200], size=shape), 0)
+                # a grid whose only foreground is one negative voxel
+                lone = np.zeros(shape, dtype=np.int64)
+                lone[tuple(int(rng.integers(0, n)) for n in shape)] = -1
+                for grid in (values.astype(dtype), lone.astype(dtype), values.astype(dtype)[::2, :, ::-1]):
+                    hit = np.nonzero(grid)
+                    want = tuple(slice(int(i.min()), int(i.max()) + 1) for i in hit) if hit[0].size else None
+                    assert bounding_box(grid) == want
 
 
 class TestCropInvariance:

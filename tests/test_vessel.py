@@ -391,6 +391,20 @@ class TestCropInvariance:
                 got = graph_content(build_graph(skeletonize(mask, 4), mask), offset)
                 assert got == base
 
+    @pytest.mark.parametrize("rule", ["generation", "strahler"])
+    @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1)])
+    def test_split_shifts_at_non_integer_spacing(self, rule, spacing):
+        def split(values):
+            mask = BinaryMask(grid_geometry(values.shape, spacing), values)
+            regions = classify_central_peripheral(build_graph(skeletonize(mask, 4), mask), mask, rule)
+            return regions.central.values, regions.peripheral.values
+
+        for small in CROP_CASES:
+            base = split(small)
+            for offset in EMBED_OFFSETS:
+                got = split(embed(small, offset))
+                assert all(np.array_equal(g, embed(b, offset)) for g, b in zip(got, base))
+
     def test_empty_mask_gives_zeros(self):
         mask = BinaryMask(grid_geometry((3, 4, 5)), np.zeros((3, 4, 5), dtype=bool))
         skel = skeletonize(mask, 10)
