@@ -492,27 +492,14 @@ class MannWhitneyResult:
 EXACT_LIMIT = 12
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled), dtype=np.float64)
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def mann_whitney_u(xs, ys) -> MannWhitneyResult:
     """Unpaired two-sided Mann-Whitney U test.
 
     U is the statistic of the first sample, from midrank sums. The p-value is
     exact (full enumeration over label assignments) for tie-free samples with
     n1 + n2 <= 12, otherwise a normal approximation with tie and continuity
-    corrections. Two-sided p = min(1, 2 * one-sided).
+    corrections. Two-sided p = min(1, 2 * one-sided). NaN has no rank and
+    raises ParameterError; +-inf ranks like any other value.
     """
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
@@ -520,12 +507,16 @@ def mann_whitney_u(xs, ys) -> MannWhitneyResult:
         raise ParameterError("both samples must be non-empty")
     n1, n2 = len(xs), len(ys)
     pooled = np.asarray(xs + ys, dtype=np.float64)
-    ranks = _midranks(pooled)
+    if np.isnan(pooled).any():
+        raise ParameterError("samples must not contain NaN")
+    # midranks: a run of t equal values ending at rank c takes c - (t - 1) / 2
+    _, inverse, tie_counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[inverse]
     u_x = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     u_y = n1 * n2 - u_x
     u_min = min(u_x, u_y)
 
-    has_ties = len(np.unique(pooled)) < len(pooled)
+    has_ties = len(tie_counts) < len(pooled)
     if not has_ties and n1 + n2 <= EXACT_LIMIT:
         total = math.comb(n1 + n2, n1)
         all_ranks = ranks  # a permutation of 1..n when tie-free
@@ -540,10 +531,7 @@ def mann_whitney_u(xs, ys) -> MannWhitneyResult:
 
     n = n1 + n2
     mu = n1 * n2 / 2.0
-    tie_term = 0.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    for t in tie_counts:
-        tie_term += t**3 - t
+    tie_term = float((tie_counts**3 - tie_counts).sum())
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0:
         return MannWhitneyResult(

@@ -363,58 +363,31 @@ def read_binary_mask(path) -> BinaryMask:
     return BinaryMask(vol.geometry, vol.labels == 1)
 
 
-def _header_bytes(geometry: Geometry, datatype: int, descrip: bytes = b"hepeval") -> bytes:
+def _header_bytes(geometry: Geometry, datatype: int) -> bytes:
     nx, ny, nz = geometry.dims
     sx, sy, sz = geometry.spacing
     rot = geometry.orientation_matrix()
     affine = rot * np.array([sx, sy, sz])
     srow = np.concatenate([affine, np.array(geometry.origin).reshape(3, 1)], axis=1)
 
-    values = {
-        "sizeof_hdr": HEADER_SIZE,
-        "data_type": b"",
-        "db_name": b"",
-        "extents": 0,
-        "session_error": 0,
-        "regular": b"r",
-        "dim_info": b"\x00",
-        "dim": (3, nx, ny, nz, 1, 1, 1, 1),
-        "intent_p1": 0.0,
-        "intent_p2": 0.0,
-        "intent_p3": 0.0,
-        "intent_code": 0,
-        "datatype": datatype,
-        "bitpix": _BITPIX[datatype],
-        "slice_start": 0,
-        "pixdim": (1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0),
-        "vox_offset": float(VOX_OFFSET),
-        "scl_slope": 1.0,
-        "scl_inter": 0.0,
-        "slice_end": 0,
-        "slice_code": b"\x00",
-        "xyzt_units": b"\x02",  # NIFTI_UNITS_MM
-        "cal_max": 0.0,
-        "cal_min": 0.0,
-        "slice_duration": 0.0,
-        "toffset": 0.0,
-        "glmax": 0,
-        "glmin": 0,
-        "descrip": descrip,
-        "aux_file": b"",
-        "qform_code": 0,
-        "sform_code": 1,
-        "quatern_b": 0.0,
-        "quatern_c": 0.0,
-        "quatern_d": 0.0,
-        "qoffset_x": 0.0,
-        "qoffset_y": 0.0,
-        "qoffset_z": 0.0,
-        "srow_x": tuple(float(v) for v in srow[0]),
-        "srow_y": tuple(float(v) for v in srow[1]),
-        "srow_z": tuple(float(v) for v in srow[2]),
-        "intent_name": b"",
-        "magic": MAGIC_SINGLE,
-    }
+    values = _unpack_header(bytes(HEADER_SIZE), "<")  # every other field is zero
+    values.update(
+        sizeof_hdr=HEADER_SIZE,
+        regular=b"r",
+        dim=(3, nx, ny, nz, 1, 1, 1, 1),
+        datatype=datatype,
+        bitpix=_BITPIX[datatype],
+        pixdim=(1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0),
+        vox_offset=float(VOX_OFFSET),
+        scl_slope=1.0,
+        xyzt_units=b"\x02",  # NIFTI_UNITS_MM
+        descrip=b"hepeval",
+        sform_code=1,
+        srow_x=tuple(float(v) for v in srow[0]),
+        srow_y=tuple(float(v) for v in srow[1]),
+        srow_z=tuple(float(v) for v in srow[2]),
+        magic=MAGIC_SINGLE,
+    )
     flat = []
     for name, fmt in _FIELDS:
         v = values[name]

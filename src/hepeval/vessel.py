@@ -4,8 +4,10 @@ The skeleton comes from the same iterative soft-skeleton used by the losses,
 applied to the 0/1 field and thresholded. Graph extraction clusters adjacent
 irregular voxels (degree != 2) into nodes, walks degree-2 chains into edges,
 estimates per-edge radii from the exact distance transform of the vessel
-mask, breaks spurious cycles at their thinnest edge, and assigns generations
-(hops from the greatest-radius trunk edge) plus Strahler orders.
+mask, and breaks spurious cycles at their thinnest edge. One breadth-first
+walk over the kept forest, from each component's widest edge, then gives
+every edge its generation (hops from that root) and, read back in reverse,
+its Strahler order.
 
 The skeleton is computed on the bounding box of the mask's foreground. This
 is exact: voxels cut away are 0 and stay 0 at every skeleton stage, every
@@ -168,6 +170,17 @@ class _UnionFind:
 def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     """26-connectivity skeleton graph with radii, generations, Strahler orders.
 
+    Cycles are broken by a maximum-radius spanning forest: edges are taken
+    widest first (ties to the smaller id) and kept unless they close a cycle.
+    In that same order, the first edge of each forest component is its root
+    (generation 0), and the first root overall is `root_edge_id`. A
+    breadth-first walk from each root gives an edge's children, the kept
+    edges at its nodes not yet reached, their parent's generation + 1.
+    Strahler orders follow in reverse walk order: leaves get 1; any other
+    edge the largest child order, plus 1 when two or more children share it.
+    Removed edges get one more than the least kept generation at their nodes
+    and no Strahler order.
+
     The skeleton must be a subset of the vessel mask. An empty skeleton
     yields an empty graph rather than an error.
     """
@@ -259,48 +272,44 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
             removed.append(e)
     if removed:
         log.info("cycle breaking removed %d skeleton edge(s): %s", len(removed), [e.id for e in removed])
+
+    # one breadth-first walk; `kept` is still widest first, so an edge not yet
+    # reached opens a new component. In a forest each non-root edge is first
+    # reached from the one edge at its node nearer the root: its parent.
+    incident: dict[int, list[SkeletonEdge]] = {}
+    for e in kept:
+        for node in e.nodes:
+            incident.setdefault(node, []).append(e)
+    walk: list[SkeletonEdge] = []
+    children: list[list[SkeletonEdge]] = []
+    for root in kept:
+        if root.generation is not None:
+            continue
+        root.generation = 0
+        walk.append(root)
+        while len(children) < len(walk):
+            e = walk[len(children)]
+            kids = []
+            for node in e.nodes:
+                for other in incident[node]:
+                    if other.generation is None:
+                        other.generation = e.generation + 1
+                        kids.append(other)
+            children.append(kids)
+            walk.extend(kids)
+    # children come after their parent in the walk
+    for e, kids in zip(reversed(walk), reversed(children)):
+        orders = [k.strahler for k in kids]
+        top = max(orders, default=0)
+        e.strahler = top + 1 if top == 0 or orders.count(top) >= 2 else top
+    root_edge_id = walk[0].id if walk else None
     kept.sort(key=lambda e: e.id)
     removed.sort(key=lambda e: e.id)
 
-    # generations: BFS over edge adjacency from each component's widest edge
-    incident: dict[int, list[SkeletonEdge]] = {}
-    for e in kept:
-        incident.setdefault(e.nodes[0], []).append(e)
-        incident.setdefault(e.nodes[1], []).append(e)
-    by_component: dict[int, list[SkeletonEdge]] = {}
-    for e in kept:
-        by_component.setdefault(uf.find(e.nodes[0]), []).append(e)
-
-    root_edge_id = None
-    best_key = None
-    for comp_edges in by_component.values():
-        root = min(comp_edges, key=lambda e: (-e.mean_radius_mm, e.id))
-        key = (-root.mean_radius_mm, root.id)
-        if best_key is None or key < best_key:
-            best_key, root_edge_id = key, root.id
-        root.generation = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for node in e.nodes:
-                    for other in incident[node]:
-                        if other.generation is None:
-                            other.generation = e.generation + 1
-                            nxt.append(other)
-            frontier = nxt
-        _assign_strahler(root, incident)
-
     # removed edges inherit a generation for voxel classification only
-    node_gen: dict[int, int] = {}
-    for e in kept:
-        for node in e.nodes:
-            g = node_gen.get(node)
-            node_gen[node] = e.generation if g is None else min(g, e.generation)
     for e in removed:
-        gens = [node_gen[n] for n in e.nodes if n in node_gen]
+        gens = [min(k.generation for k in incident[n]) for n in e.nodes if n in incident]
         e.generation = (min(gens) + 1) if gens else 0
-        e.strahler = None
 
     nodes = []
     for node_id, members in enumerate(node_members):
@@ -314,42 +323,6 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
             )
         )
     return SkeletonGraph(geometry, nodes, kept, removed, root_edge_id)
-
-
-def _assign_strahler(root: SkeletonEdge, incident: dict[int, list[SkeletonEdge]]) -> None:
-    """Edge-rooted Strahler orders: leaves 1; a parent takes the max child
-    order, plus one when two or more children attain that max."""
-    # Iterative post-order over the tree of edges.
-    stack: list[tuple[SkeletonEdge, int | None, bool]] = [(root, None, False)]
-    children: dict[int, list[SkeletonEdge]] = {}
-    while stack:
-        edge, entry_node, expanded = stack.pop()
-        if expanded:
-            kids = children[edge.id]
-            if not kids:
-                edge.strahler = 1
-            else:
-                orders = [k.strahler for k in kids]
-                top = max(orders)
-                edge.strahler = top + 1 if orders.count(top) >= 2 else top
-            continue
-        if entry_node is None:
-            far_nodes = list(edge.nodes)
-        else:
-            far_nodes = [n for n in edge.nodes if n != entry_node] or [entry_node]
-        kids = []
-        kid_ids = set()
-        for node in far_nodes:
-            for other in incident[node]:
-                if other.id != edge.id and other.strahler is None and other.id not in kid_ids:
-                    kids.append(other)
-                    kid_ids.add(other.id)
-        children[edge.id] = kids
-        edge.strahler = -1  # mark visited to stop re-entry on cycles of logic
-        stack.append((edge, entry_node, True))
-        for kid in kids:
-            shared = kid.nodes[0] if kid.nodes[0] in far_nodes else kid.nodes[1]
-            stack.append((kid, shared, False))
 
 
 @dataclass(frozen=True)

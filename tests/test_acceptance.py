@@ -55,7 +55,7 @@ from hepeval.volume import (
     extract_mask,
 )
 
-from conftest import random_mask, separated_prob_volume
+from conftest import brute_force_squared_edt, random_mask, separated_prob_volume
 
 
 def report(criterion: int, text: str):
@@ -243,23 +243,12 @@ def test_criterion_06_lesion_oracle():
     report(6, "lesion detection rate and FP counts equal brute force on 20 degraded phantoms")
 
 
-def _edt_oracle(mask: BinaryMask) -> np.ndarray:
-    padded = np.pad(mask.values, 1, constant_values=False)
-    spacing = np.asarray(mask.geometry.spacing)
-    bg = np.argwhere(~padded).astype(np.float64)
-    out = np.zeros(padded.shape)
-    for z, y, x in np.argwhere(padded):
-        deltas = (bg - [z, y, x]) * spacing[::-1]
-        out[z, y, x] = (deltas**2).sum(axis=1).min()
-    return out[1:-1, 1:-1, 1:-1]
-
-
 def test_criterion_07_edt_oracle():
     for spacing in ((1.0, 1.0, 1.0), (2.0, 2.0, 3.0)):
         for seed in range(5):
             g = Geometry(dims=(16, 16, 16), spacing=spacing)
             mask = random_mask(g, seed=seed, density=0.5)
-            assert np.array_equal(distance_transform_squared(mask), _edt_oracle(mask))
+            assert np.array_equal(distance_transform_squared(mask), brute_force_squared_edt(mask))
     report(7, "squared EDT equals the O(n^2) oracle exactly on 10 random 16^3 masks")
 
 

@@ -533,6 +533,14 @@ class TestStatsCommand:
         self.write_cases_csv(a, [0.5])
         assert main(["stats", str(a), str(tmp_path / "missing.csv")]) == 1
 
+    def test_nan_dsc_exits_1_naming_the_structure(self, tmp_path, caplog, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_cases_csv(a, [0.1, "nan", 0.3])
+        self.write_cases_csv(b, [0.7, 0.8, 0.9])
+        assert main(["stats", str(a), str(b)]) == 1
+        assert "tumor" in caplog.text and "NaN" in caplog.text
+        assert capsys.readouterr().out == ""
+
 
 class TestCliBasics:
     def test_version_flag(self, capsys):

@@ -12,7 +12,6 @@ in CHANGES.md, together with the new value.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from hepeval.metrics import evaluate_case
@@ -20,7 +19,7 @@ from hepeval.phantom import DegradeSpec, Sphere, axis_tree_spec, default_spec, d
 from hepeval.vessel import build_graph, skeletonize
 from hepeval.volume import BinaryMask, extract_mask
 
-from conftest import grid_geometry
+from conftest import random_skeleton_mask
 
 PAIRS = {
     "liver_gallbladder": (
@@ -60,21 +59,11 @@ def test_case_report_hash_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
-def _random_mask(seed: int) -> BinaryMask:
-    """Seeded random mask, 4-11 voxels per axis, density 0.05-0.4: used as its
-    own skeleton it is rich in pure cycles and chains that close back onto
-    their own node."""
-    rng = np.random.default_rng(seed)
-    shape = tuple(int(n) for n in rng.integers(4, 12, size=3))
-    density = rng.uniform(0.05, 0.4)
-    return BinaryMask(grid_geometry(shape, (0.8, 1.0, 1.5)), rng.random(shape) < density)
-
-
 def _graph_inputs(name: str) -> tuple[BinaryMask, BinaryMask]:
     """(skeleton, vessel mask): a random mask as its own skeleton, or the
     skeleton of a phantom vein."""
     if name.startswith("random_"):
-        mask = _random_mask(int(name.removeprefix("random_")))
+        mask = random_skeleton_mask(int(name.removeprefix("random_")))
         return mask, mask
     phantom, vein = name.split("/")
     volume = generate_case({"liver": default_spec(), "htree": axis_tree_spec(4)}[phantom]).label_volume

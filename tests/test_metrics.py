@@ -564,3 +564,23 @@ class TestMannWhitney:
     def test_empty_sample_raises(self):
         with pytest.raises(ParameterError):
             mann_whitney_u([], [1.0])
+
+    def test_u_with_ties_counts_won_and_half_the_tied_pairs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n1, n2 = rng.integers(1, 15, size=2)
+            xs = rng.choice([-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf], n1).tolist()
+            ys = rng.choice([-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf], n2).tolist()
+            want = sum((x > y) + 0.5 * (x == y) for x in xs for y in ys)
+            assert mann_whitney_u(xs, ys).U == want
+
+    @pytest.mark.parametrize("xs, ys", [([np.nan, 1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0, np.nan])])
+    def test_nan_raises(self, xs, ys):
+        # NaN has no rank; ranked above every value, the first pair gave U = 2
+        with pytest.raises(ParameterError, match="NaN"):
+            mann_whitney_u(xs, ys)
+
+    def test_infinities_rank_at_the_ends(self):
+        r = mann_whitney_u([-np.inf, 3.0], [2.0, np.inf])
+        assert r.U == 1.0
+        assert r.method == "exact"

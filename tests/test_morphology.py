@@ -30,6 +30,7 @@ from hepeval.volume import BinaryMask, Geometry, ProbVolume
 
 from conftest import (
     EMBED_OFFSETS,
+    brute_force_squared_edt,
     embed,
     face_touching_values,
     grid_geometry,
@@ -600,18 +601,6 @@ class TestConnectedComponents:
         m[1:3, 2:4, 3:5] = True
         cc = connected_components(BinaryMask(g, m), 6)
         assert grid_boxes(cc) == [((3, 5), (2, 4), (1, 3))]
-
-
-def brute_force_squared_edt(mask: BinaryMask) -> np.ndarray:
-    """O(n^2) oracle: padded background ring, exhaustive nearest scan."""
-    padded = np.pad(mask.values, 1, constant_values=False)
-    spacing = np.asarray(mask.geometry.spacing)
-    bg = np.argwhere(~padded).astype(np.float64)
-    out = np.zeros(padded.shape)
-    for z, y, x in np.argwhere(padded):
-        deltas = (bg - [z, y, x]) * spacing[::-1]
-        out[z, y, x] = (deltas**2).sum(axis=1).min()
-    return out[1:-1, 1:-1, 1:-1]
 
 
 class TestDistanceTransform:

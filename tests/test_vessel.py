@@ -19,7 +19,7 @@ from hepeval.vessel import (
 )
 from hepeval.volume import BinaryMask, Geometry, extract_mask
 
-from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry
+from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry, random_skeleton_mask
 
 
 def capsule_union(geometry, segments, radius):
@@ -30,6 +30,59 @@ def capsule_union(geometry, segments, radius):
             inside, box, _ = hit
             mask[box] |= inside
     return BinaryMask(geometry, mask)
+
+
+def check_forest(graph) -> int:
+    """Check roots, generations and Strahler orders against a walk over nodes.
+
+    Each component of kept edges has one generation-0 edge, its widest (the
+    smallest id on ties), and `root_edge_id` is the widest root. Walking out
+    from a root's two nodes, an edge's parent is the edge through which its
+    nearer node was reached. Returns the number of components.
+    """
+    width = lambda e: (-e.mean_radius_mm, e.id)
+    incident = {}
+    for e in graph.edges:
+        for n in e.nodes:
+            incident.setdefault(n, []).append(e)
+    roots, parent, done = [], {}, set()
+    for e0 in graph.edges:
+        if e0.nodes[0] in done:
+            continue
+        comp, stack = {e0.nodes[0]}, [e0.nodes[0]]
+        while stack:
+            for f in incident[stack.pop()]:
+                new = set(f.nodes) - comp
+                comp |= new
+                stack.extend(new)
+        done |= comp
+        members = [f for f in graph.edges if f.nodes[0] in comp]
+        root = min(members, key=width)
+        assert [f.id for f in members if f.generation == 0] == [root.id]
+        roots.append(root)
+        up = {n: root for n in root.nodes}
+        stack = list(root.nodes)
+        while stack:
+            n = stack.pop()
+            for f in incident[n]:
+                if f is not up[n]:
+                    (m,) = set(f.nodes) - {n}
+                    assert m not in up  # kept edges form a forest
+                    parent[f.id], up[m] = up[n], f
+                    stack.append(m)
+    assert graph.root_edge_id == (min(roots, key=width).id if roots else None)
+    assert len(roots) + len(parent) == len(graph.edges)
+    children = {e.id: [] for e in graph.edges}
+    for e in graph.edges:
+        if e.id in parent:
+            assert e.generation == parent[e.id].generation + 1
+            children[parent[e.id].id].append(e.strahler)
+    for e in graph.edges:
+        orders = children[e.id]
+        top = max(orders, default=0)
+        assert e.strahler == (top + 1 if top == 0 or orders.count(top) >= 2 else top)
+    assert all(e.strahler is None for e in graph.removed_edges)
+    return len(roots)
 
 
 class TestSkeletonize:
@@ -180,6 +233,11 @@ class TestBuildGraph:
                     expect = top + 1 if kids.count(top) >= 2 else top
                     assert e.strahler == expect
                     order[e.id] = expect
+            check_forest(graph)
+
+        # multi-component forests: the golden guard's random skeletons
+        components = [check_forest(build_graph(m, m)) for m in map(random_skeleton_mask, range(12))]
+        assert max(components) > 1
 
     def test_perfect_tree_root_order(self):
         for levels in (1, 2, 3, 4):
