@@ -6,8 +6,9 @@ boxes of its two label volumes' nonzero voxels. This is exact. Every
 reported number is a count or a ratio of counts; cropping is a translation,
 which keeps the first-voxel linear order that component ids and graph walks
 follow; pooling, the distance transform and the face counts already treat
-the outside of a box as background; and the nearest-skeleton split measures
-from the targets' own corner, not from the grid's.
+the outside of a box as background; and the nearest-skeleton split computes
+each distance from integer index differences alone, which a shift leaves
+unchanged.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ParameterError
 from .morphology import bounding_box, connected_components, distance_transform_box, soft_skeleton_array
@@ -379,42 +380,30 @@ def _nearest_labels(
 ) -> np.ndarray:
     """Flag of the nearest source voxel for each target voxel.
 
-    Distances are anisotropic (spacing-weighted). Ties resolve to the source
-    with the smallest linear index: sources are scanned in ascending order
-    and only strictly closer candidates replace the incumbent.
+    The squared distance is (dx²·sx² + dy²·sy²) + dz²·sz², from the integer
+    index differences d and the spacing s, in that order of float64
+    operations. The squares d² are exact (on axes under 2^26 voxels), so the
+    distance depends on |d| alone: it does not change when both sets move
+    together in the grid, and mirrored offsets tie exactly. Each step is one
+    IEEE operation, so it does not depend on the CPU either. Ties go to the
+    smallest source linear index: sources come in ascending order and
+    `argmin` keeps the first minimum.
 
-    Positions are in mm from the targets' box corner, their per-axis minimum
-    (x, y, z) index, subtracted as an integer before scaling by the spacing;
-    so the float rounding, and with it every near tie, does not depend on
-    where the vessel sits in the grid.
+    Each axis term is tabulated once per source and target coordinate in the
+    targets' extent; targets then go in blocks of about 2^16 target-source
+    pairs.
     """
-    tgt_xyz, src_xyz = (
-        np.stack(np.unravel_index(lin, geometry.shape)[::-1], axis=1) for lin in (targets_lin, sources_lin)
+    tgt, src = (np.unravel_index(lin, geometry.shape) for lin in (targets_lin, sources_lin))
+    (z_sq, z_at), (y_sq, y_at), (x_sq, x_at) = (
+        (np.square(np.arange(t.min(), t.max() + 1)[:, None] - s, dtype=np.float64) * (w * w), t - t.min())
+        for t, s, w in zip(tgt, src, geometry.spacing[::-1])
     )
-    corner = tgt_xyz.min(axis=0)
-    spacing = np.asarray(geometry.spacing)
-    tgt = (tgt_xyz - corner) * spacing
-    src = (src_xyz - corner) * spacing
-    tt = (tgt**2).sum(axis=1)
-    best_d2 = np.full(len(tgt), np.inf)
-    best_flag = np.zeros(len(tgt), dtype=bool)
-
-    target_block = 16384
-    src_block = 1024
-    for t0 in range(0, len(tgt), target_block):
-        t1 = min(t0 + target_block, len(tgt))
-        tgt_blk = tgt[t0:t1]
-        tt_blk = tt[t0:t1]
-        for s0 in range(0, len(src), src_block):
-            s1 = min(s0 + src_block, len(src))
-            src_blk = src[s0:s1]
-            d2 = tt_blk[:, None] + (src_blk**2).sum(axis=1)[None, :] - 2.0 * (tgt_blk @ src_blk.T)
-            jmin = np.argmin(d2, axis=1)  # first minimum: smallest index in block
-            dmin = d2[np.arange(len(jmin)), jmin]
-            upd = dmin < best_d2[t0:t1]
-            best_d2[t0:t1][upd] = dmin[upd]
-            best_flag[t0:t1][upd] = source_flags[s0:s1][jmin[upd]]
-    return best_flag
+    block = max(1, 2**16 // len(sources_lin))
+    out = np.empty(len(targets_lin), dtype=bool)
+    for t0 in range(0, len(targets_lin), block):
+        b = slice(t0, t0 + block)
+        out[b] = source_flags[np.argmin((x_sq[x_at[b]] + y_sq[y_at[b]]) + z_sq[z_at[b]], axis=1)]
+    return out
 
 
 def classify_central_peripheral(
@@ -473,7 +462,9 @@ def identify_gallbladder(
     The gallbladder is the 26-connected component maximizing volume times
     sphericity, accepted only above both thresholds; with no qualifying
     component (cholecystectomy) the gallbladder mask is empty and everything
-    is ducts.
+    is ducts. Sphericity takes the surface of the component with its
+    enclosed holes filled, so voxels missing inside an organ do not count as
+    surface; the returned masks keep the holes.
     """
     geometry = biliary_mask.geometry
     gb = np.zeros(geometry.shape, dtype=bool)
@@ -486,7 +477,7 @@ def identify_gallbladder(
         if volume < min_volume_mm3:
             continue
         crop = cc.labels[sub] == cid
-        area = _surface_area_mm2(crop, geometry.spacing)
+        area = _surface_area_mm2(ndimage.binary_fill_holes(crop), geometry.spacing)
         sphericity = np.pi ** (1 / 3) * (6.0 * volume) ** (2 / 3) / area
         if sphericity < min_sphericity:
             continue

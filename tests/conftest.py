@@ -90,3 +90,14 @@ def brute_force_squared_edt(mask: BinaryMask) -> np.ndarray:
         deltas = (bg - [z, y, x]) * spacing[::-1]
         out[z, y, x] = (deltas**2).sum(axis=1).min()
     return out[1:-1, 1:-1, 1:-1]
+
+
+def noisy_tube(mask: BinaryMask, seed: int) -> np.ndarray:
+    """A softsign squashing, 0.5 + 0.5 z / (1 + |z|), of +-2 logits plus
+    Gaussian noise on a tube mask: inside (0, 1) without clipping, so no two
+    values tie, nor any with the exterior. It takes only basic IEEE
+    operations, so its bytes are the same on every machine; `np.exp` is not
+    (its AVX-512 and AVX2 kernels differ in the last bit)."""
+    rng = np.random.default_rng(seed)
+    z = np.where(mask.values, 2.0, -2.0) + rng.normal(0.0, 0.5, mask.values.shape)
+    return 0.5 + 0.5 * z / (1.0 + np.abs(z))

@@ -1,0 +1,94 @@
+"""The central/peripheral split and the pinned loss input are the same bytes
+under the kernels NumPy and OpenBLAS pick at run time.
+
+`digests` runs in a subprocess under each setting and must give the
+SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
+OpenBLAS's pre-FMA kernels, and `NPY_DISABLE_CPU_FEATURES` turns NumPy's
+AVX-512 loops off, as on a CPU without them. A setting this build cannot
+apply skips its leg and says why.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from hepeval.phantom import axis_tree_spec, generate_case, straight_tube_mask
+from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
+from hepeval.volume import BinaryMask, Geometry, extract_mask
+
+from conftest import noisy_tube
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def digests() -> dict[str, str]:
+    """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask at
+    0.7 x 0.9 x 1.3 mm and of the pinned `noisy_tube` input."""
+    values = extract_mask(generate_case(axis_tree_spec(4)).label_volume, 3).values
+    mask = BinaryMask(Geometry(values.shape[::-1], (0.7, 0.9, 1.3)), values)
+    split = classify_central_peripheral(build_graph(skeletonize(mask, 10), mask), mask)
+    tube, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
+    arrays = {"split": split.central.values, "noisy_tube": noisy_tube(tube, 48)}
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+
+
+def avx512_loops() -> bool:
+    return all(__cpu_features__.get(name, False) for name in AVX512_OFF.split())
+
+
+def avx512_skip_reason() -> str | None:
+    return None if avx512_loops() else "this CPU or NumPy build has no AVX-512 loops to turn off"
+
+
+def openblas_skip_reason() -> str | None:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this NumPy does not report its BLAS"
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"NumPy uses {blas.get('name')!r}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "OpenBLAS is not a DYNAMIC_ARCH build, so OPENBLAS_CORETYPE selects nothing"
+    return None
+
+
+LEGS = {
+    "openblas_nehalem": ({"OPENBLAS_CORETYPE": "Nehalem"}, openblas_skip_reason),
+    "numpy_avx512_off": ({"NPY_DISABLE_CPU_FEATURES": AVX512_OFF}, avx512_skip_reason),
+}
+
+
+@pytest.fixture(scope="module")
+def in_process():
+    return digests()
+
+
+@pytest.mark.parametrize("leg", sorted(LEGS))
+def test_digests_match_in_process_run(leg, in_process):
+    env, skip_reason = LEGS[leg]
+    reason = skip_reason()
+    if reason:
+        pytest.skip(reason)
+    code = "import json, test_machine_independence as t; print(json.dumps([t.digests(), t.avx512_loops()]))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    got, avx512 = json.loads(run.stdout)
+    if leg == "numpy_avx512_off":
+        assert not avx512  # the setting took effect
+    assert got == in_process

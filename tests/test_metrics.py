@@ -389,8 +389,8 @@ class TestJointForegroundCrop:
         assert report_of(*(embed(v, EMBED_OFFSETS[-1]) for v in pair), spacing, config) == base
 
     def test_htree_pair_report_is_padding_invariant(self, config, monkeypatch):
-        # The split's nearest-skeleton distances round differently per
-        # position at this spacing unless they are measured from the vessel.
+        # At this spacing mirrored skeleton voxels tie exactly; the split
+        # must break each tie the same way wherever the vessel sits.
         truth = generate_case(axis_tree_spec(4))
         pred = degrade(truth, DegradeSpec(seed=1, erode_steps={"portal_vein": 1}, relabel_fraction=0.01))
         pair = truth.label_volume.labels, pred.labels

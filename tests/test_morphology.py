@@ -34,6 +34,7 @@ from conftest import (
     embed,
     face_touching_values,
     grid_geometry,
+    noisy_tube,
     random_mask,
     random_prob_volume,
 )
@@ -128,14 +129,6 @@ def keyed_pool(values, mode):
     index_term = key & ((1 << values.size.bit_length()) - 1)
     winner = index_term if mode == "min" else values.size - index_term
     return flat[winner], key - index_term, winner, np.append(high.ravel(), 0)[winner]
-
-
-def noisy_tube(mask, seed):
-    """A sigmoid of +-2 logits plus Gaussian noise on a tube mask: inside
-    (0, 1) without clipping, so no two values tie, nor any with the exterior."""
-    rng = np.random.default_rng(seed)
-    logits = np.where(mask.values, 2.0, -2.0) + rng.normal(0.0, 0.5, mask.values.shape)
-    return 1.0 / (1.0 + np.exp(-logits))
 
 
 def tie_free_grid(seed):
@@ -449,7 +442,7 @@ class TestSoftSkeleton:
         # K = 1 (epoch 0) and K < 1 (epoch 450) on two noisy 48^3 tube pairs
         # are pinned byte for byte: a change to the keyed pools or the loss
         # arithmetic must not move them. The clipped tube has exact-0 ties,
-        # so it pools packed keys; the unclipped sigmoid tube has none, so it
+        # so it pools packed keys; the unclipped softsign tube has none, so it
         # pools int32 ranks.
         mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
         rng = np.random.default_rng(48)
@@ -460,11 +453,11 @@ class TestSoftSkeleton:
              ["5014b2e142429d0c7c3bc31648b37475f63ced6319cae15d2946c25b4af70638",
               "dbb3042eb8ba429e86bc843739ff00eed2c4745255eb67c82f02f97fceaf26ab",
               "0757728745c3a24af53faf3f3b9648508f8285b5991b6ea94d324888857403a4"]),
-            (noisy_tube(mask, 48), True, "3782cf439f4af6e6b510fdae9de478b08417df688f0f0aecc30735a691353356",
-             "ecbfd5d7a94c801f7506585512edb7085bee9e2e5831531bdfbae86a128411ed",
-             ["c1f91110dc30c1b150faf81cb74ea30ef07fca186d49c1ef437858110653af88",
-              "0441273dc3322e8112122a795f5dbe2b19f6445d573cd8489a0f893d2ea3a9d0",
-              "25dd2b67306e6c70b6163ef97db42ff89076754dd8282869739547c08ab32133"]),
+            (noisy_tube(mask, 48), True, "0b43b10a0eb396ba1c392cba6c207ea5254b51270ce2974f652e24b19a8dab5c",
+             "6e7ff907b0fa8d47f2b24cece84fa5eb8a582fa49ce77a3d73c848f733355a45",
+             ["a7a96e2ca585d0d03969f84637c003f980d006d669d40f556477ebf0e04c7357",
+              "e995867205ee6d02ec2ca9889509bdebe5edf05148d494f1febba88cead6ca63",
+              "5590570e1a3e0e87b23bbb46137e7dae620c0a7a6c85dc58f2b3701db7767333"]),
         ]
         for values, ranks, skel_hash, loss_hash, grad_hashes in pins:
             assert (_rank_keys(values)[2] is not None) == ranks

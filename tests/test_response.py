@@ -1,0 +1,68 @@
+"""Response cases on the liver-scale phantom.
+
+Each case degrades the `default_spec()` truth in one known way and checks
+that the report fields it touches move in the direction the construction
+says, by the amount it gives where it gives one, and that the fields it
+does not touch stay put.
+"""
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from hepeval.metrics import evaluate_case
+from hepeval.phantom import DegradeSpec, Sphere, default_spec, degrade, generate_case, rasterize_sphere
+from hepeval.volume import DEFAULT_SCHEMA
+
+
+@pytest.fixture(scope="module")
+def truth():
+    return generate_case(default_spec())
+
+
+@pytest.fixture(scope="module")
+def perfect(truth):
+    return evaluate_case(truth.label_volume, truth.label_volume)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dropout_keeps_the_gallbladder(truth, seed):
+    # Relabelling a fraction f of the foreground as background keeps about
+    # (1 - f) of each structure, so its DSC is near 2(1 - f)/(2 - f). The
+    # voxels dropped inside the gallbladder are enclosed holes: counted as
+    # surface, they would sink its sphericity below the threshold and make
+    # the case read as a cholecystectomy.
+    f = 0.05
+    report = evaluate_case(truth.label_volume, degrade(truth, DegradeSpec(seed=seed, relabel_fraction=f)))
+    assert not report.gallbladder_absent_gt and not report.gallbladder_absent_pred
+    for scores in (report.central_dsc, report.peripheral_dsc):
+        assert abs(scores["biliary_tree"] - 2 * (1 - f) / (2 - f)) <= 0.01
+
+
+def test_spurious_tumour_adds_one_false_positive(truth, perfect):
+    labels = truth.label_volume.labels
+    geometry = truth.label_volume.geometry
+    blob = Sphere(center_mm=(170.0, 96.0, 130.0), radius_mm=8.0)
+    inside, box, _ = rasterize_sphere(geometry, blob.center_mm, blob.radius_mm)
+    stamped = np.zeros(labels.shape, dtype=bool)
+    stamped[box] = inside
+    # inside the parenchyma and not 26-adjacent to anything else
+    parenchyma, tumour = DEFAULT_SCHEMA.id_of("parenchyma"), DEFAULT_SCHEMA.id_of("tumor")
+    assert np.unique(labels[ndimage.binary_dilation(stamped, np.ones((3, 3, 3)))]).tolist() == [parenchyma]
+
+    report = evaluate_case(truth.label_volume, degrade(truth, DegradeSpec(spurious_blobs=(("tumor", blob),))))
+    n_blob, n_tumour, n_parenchyma = (
+        int(np.count_nonzero(m)) for m in (stamped, labels == tumour, labels == parenchyma)
+    )
+    lesions = report.lesions
+    assert lesions.n_gt == lesions.n_detected == perfect.lesions.n_detected == 2
+    assert lesions.rows == perfect.lesions.rows
+    assert lesions.n_false_positive == perfect.lesions.n_false_positive + 1 == 1
+    assert lesions.fp_rows[0].volume_mm3 == pytest.approx(n_blob * geometry.voxel_volume_mm3, rel=1e-12)
+    assert report.dsc["tumor"] == 2 * n_tumour / (2 * n_tumour + n_blob)
+    assert report.dsc["parenchyma"] == 2 * (n_parenchyma - n_blob) / (2 * n_parenchyma - n_blob)
+    untouched = {k: v for k, v in report.dsc.items() if k not in ("tumor", "parenchyma")}
+    assert untouched == {k: perfect.dsc[k] for k in untouched}
+    for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
+        assert getattr(report, field) == getattr(perfect, field)
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)

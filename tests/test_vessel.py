@@ -12,6 +12,8 @@ from hepeval.phantom import (
     y_phantom,
 )
 from hepeval.vessel import (
+    _nearest_labels,
+    _skeleton_central_flags,
     build_graph,
     classify_central_peripheral,
     identify_gallbladder,
@@ -331,6 +333,49 @@ class TestClassify:
         # strahler >= root-1 equals generations {0, 1} on a perfect tree
         gen_split = classify_central_peripheral(graph, mask, rule="generation")
         assert np.array_equal(split.central.values, gen_split.central.values)
+
+
+def nearest_labels_oracle(geometry, targets, sources, flags):
+    """Plain loop over `_nearest_labels`'s documented rule: d² from integer
+    index differences, and only a strictly smaller d² replaces the best."""
+    sx2, sy2, sz2 = (s * s for s in geometry.spacing)
+    src = list(zip(*(a.tolist() for a in np.unravel_index(sources, geometry.shape)), flags.tolist()))
+    out = []
+    for z, y, x in zip(*(a.tolist() for a in np.unravel_index(targets, geometry.shape))):
+        best = None
+        for c, b, a, flag in src:
+            d2 = ((x - a) * (x - a) * sx2 + (y - b) * (y - b) * sy2) + (z - c) * (z - c) * sz2
+            if best is None or d2 < best:
+                best, best_flag = d2, flag
+        out.append(best_flag)
+    return np.array(out, dtype=bool)
+
+
+class TestNearestLabels:
+    @pytest.fixture(scope="class")
+    def portal(self):
+        return extract_mask(generate_case(axis_tree_spec(4)).label_volume, 3).values
+
+    @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1), (0.8, 0.8, 1.25), (0.6, 0.7, 1.9)])
+    def test_matches_oracle_on_htree_portal(self, portal, spacing):
+        # the truth portal re-wrapped at non-integer spacings, where exact
+        # ties between mirrored skeleton voxels are common
+        mask = BinaryMask(Geometry(portal.shape[::-1], spacing), portal)
+        sources, flags = _skeleton_central_flags(build_graph(skeletonize(mask, 10), mask), "generation", 1)
+        targets = np.flatnonzero(portal)
+        assert len(targets) == 2907 and len(sources) == 244 and 0 < flags.sum() < len(flags)
+        got = _nearest_labels(mask.geometry, targets, sources, flags)
+        assert np.array_equal(got, nearest_labels_oracle(mask.geometry, targets, sources, flags))
+
+    def test_mirrored_sources_tie_to_smaller_index(self):
+        # sources at -(3, 1, 2) and +(3, 1, 2) from the target (z, y, x);
+        # the grid corner is a target too, so the target is not at the origin
+        geometry = Geometry((9, 9, 9), (0.7, 0.9, 1.3))
+        targets = np.ravel_multi_index(([0, 4], [0, 4], [0, 4]), geometry.shape)
+        sources = np.ravel_multi_index(([1, 7], [3, 5], [2, 6]), geometry.shape)
+        for flags in ([True, False], [False, True]):
+            got = _nearest_labels(geometry, targets, sources, np.array(flags))
+            assert got.tolist() == [flags[0], flags[0]]
 
 
 class TestIdentifyGallbladder:
