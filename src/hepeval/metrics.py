@@ -1,14 +1,18 @@
 """Evaluation protocol: DSC, binary clDice, lesion-wise detection, per-case
 reports, aggregation, and the unpaired Mann-Whitney U test.
 
-A case is scored on the joint foreground box: the union of the bounding
-boxes of its two label volumes' nonzero voxels. This is exact. Every
-reported number is a count or a ratio of counts; cropping is a translation,
-which keeps the first-voxel linear order that component ids and graph walks
+A case is cut to the joint foreground box of its two label volumes (the
+union of their nonzero voxels' bounding boxes), and each structure is then
+scored on the joint box of its own truth and prediction masks inside it; a
+structure absent from both gets one voxel at the case box's first voxel.
+This is exact. Every number reported for a structure is a count or a ratio
+of counts from its own two masks, and both lie inside its box; cropping is
+a translation, which keeps the (z, y, x) lexicographic order that
+component ids, node and edge ids and the split's smallest-index tie rule
 follow; pooling, the distance transform and the face counts already treat
-the outside of a box as background; and the nearest-skeleton split computes
-each distance from integer index differences alone, which a shift leaves
-unchanged.
+the outside of a box as background; and the nearest-skeleton split
+computes each distance from integer index differences alone, which a shift
+leaves unchanged.
 """
 
 from __future__ import annotations
@@ -268,28 +272,27 @@ def _vessel_scores(
     return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
 
 
-def _crop_to_joint_foreground(gt: LabelVolume, pred: LabelVolume) -> tuple[LabelVolume, LabelVolume]:
-    """The pair cut to the union of their foreground boxes; the pair itself
-    when both are all background or the box is the whole grid.
+def _joint_box(geometry: Geometry, *arrays: np.ndarray) -> tuple[tuple[slice, ...], Geometry]:
+    """The union of the arrays' foreground boxes, and the geometry of the
+    grid cut to it; one voxel at the grid's first voxel when every array is
+    all background.
 
-    A cut volume keeps its spacing and orientation; its origin is the
-    position of the box's first voxel."""
-    boxes = [b for b in (bounding_box(gt.labels), bounding_box(pred.labels)) if b is not None]
-    if not boxes:
-        return gt, pred
+    A cut grid keeps its spacing and orientation; its origin is the position
+    of the box's first voxel."""
+    boxes = [b for b in map(bounding_box, arrays) if b is not None] or [(slice(0, 1),) * 3]
     box = tuple(slice(min(b[i].start for b in boxes), max(b[i].stop for b in boxes)) for i in range(3))
-    if box == tuple(slice(0, n) for n in gt.labels.shape):
-        return gt, pred
     first_xyz = [s.start for s in box[::-1]]
     dims = [s.stop - s.start for s in box[::-1]]
-    return tuple(
-        LabelVolume(
-            Geometry(dims, v.geometry.spacing, tuple(v.geometry.position_mm(first_xyz)), v.geometry.orientation),
-            v.labels[box],
-            v.schema,
-        )
-        for v in (gt, pred)
-    )
+    return box, Geometry(dims, geometry.spacing, tuple(geometry.position_mm(first_xyz)), geometry.orientation)
+
+
+def _crop_to_joint_foreground(gt: LabelVolume, pred: LabelVolume) -> tuple[LabelVolume, LabelVolume]:
+    """The pair cut to its `_joint_box`; the pair itself when that box is the
+    whole grid."""
+    box, geometry = _joint_box(gt.geometry, gt.labels, pred.labels)
+    if geometry.dims == gt.geometry.dims:
+        return gt, pred
+    return tuple(LabelVolume(geometry, v.labels[box], v.schema) for v in (gt, pred))
 
 
 def evaluate_case(
@@ -306,10 +309,11 @@ def evaluate_case(
     with the central (gallbladder) comparison skipped for cholecystectomy
     cases; clDice for veins and ducts; lesion-wise tumor detection.
 
-    The pair is scored on its joint foreground box, which gives the same
-    report as the whole grid; see the module docstring for why. Each
-    structure's masks are extracted once, scored for DSC and handed to the
-    one block that reads them; no mask pair outlives its block.
+    Each structure's masks are extracted once from the pair's joint
+    foreground box, cut to their own joint box, scored for DSC there and
+    handed to the one block that reads them; no mask pair outlives its
+    block. This gives the same report as the whole grid; see the module
+    docstring for why.
     """
     require_same_geometry(gt, pred)
     if gt.schema != pred.schema:
@@ -319,14 +323,16 @@ def evaluate_case(
     structure_dsc = {}
 
     def scored(*parts: str) -> tuple[BinaryMask, BinaryMask]:
-        """Truth and prediction masks of the union of `parts`; records each part's DSC."""
+        """Truth and prediction masks of the union of `parts`, cut to their
+        `_joint_box`; records each part's DSC."""
+        pairs = [(extract_mask(gt, sid), extract_mask(pred, sid)) for sid in map(gt.schema.id_of, parts)]
+        box, geometry = _joint_box(gt.geometry, *(m.values for pair in pairs for m in pair))
         union = None
-        for name in parts:
-            sid = gt.schema.id_of(name)
-            pair = extract_mask(gt, sid), extract_mask(pred, sid)
+        for name, whole in zip(parts, pairs):
+            pair = tuple(BinaryMask(geometry, m.values[box]) for m in whole)
             structure_dsc[name] = dsc(*pair)
             if union is not None:
-                pair = tuple(BinaryMask(gt.geometry, u.values | m.values) for u, m in zip(union, pair))
+                pair = tuple(BinaryMask(geometry, u.values | m.values) for u, m in zip(union, pair))
             union = pair
         return union
 

@@ -354,8 +354,11 @@ def report_of(gt_labels, pred_labels, spacing, config):
 
 
 def uncropped(monkeypatch):
-    """Score on the whole grid: an oracle for the joint-foreground crop."""
-    monkeypatch.setattr(hepeval.metrics, "_crop_to_joint_foreground", lambda gt, pred: (gt, pred))
+    """Score every structure on the whole grid: an oracle for the case crop
+    and the per-structure crops, which both take their box from `_joint_box`."""
+    monkeypatch.setattr(
+        hepeval.metrics, "_joint_box", lambda geometry, *arrays: (tuple(slice(0, n) for n in geometry.shape), geometry)
+    )
 
 
 def random_labels(seed):
@@ -400,6 +403,53 @@ class TestJointForegroundCrop:
             padded = [np.pad(v, [(p, 0) for p in pad]) for v in pair]
             assert report_of(*padded, (0.7, 0.9, 1.3), config) == base
 
+    @pytest.mark.parametrize("case", ["far_portal_blob", "truth_only_hepatic_vein"])
+    def test_structure_boxes_far_apart_or_one_sided(self, truth, config, case, monkeypatch):
+        # A spurious portal blob clear of the tree stretches the portal box
+        # over both; a hepatic vein missing from the prediction leaves its
+        # box to the truth alone.
+        labels = truth.label_volume.labels
+        if case == "far_portal_blob":
+            blob = Sphere(center_mm=(170.0, 96.0, 130.0), radius_mm=8.0)
+            pred = degrade(truth, DegradeSpec(spurious_blobs=(("portal_vein", blob),))).labels
+        else:
+            pred = np.where(labels == DEFAULT_SCHEMA.id_of("hepatic_vein"), 0, labels).astype(np.uint8)
+        base = report_of(labels, pred, (2.0, 2.0, 3.0), config)
+        uncropped(monkeypatch)
+        assert report_of(labels, pred, (2.0, 2.0, 3.0), config) == base
+
+    def test_each_structure_is_scored_on_its_joint_box(self, truth, config, monkeypatch):
+        shapes = {}
+
+        def spy(name):
+            real = getattr(hepeval.metrics, name)
+
+            def recorded(*args):
+                shapes.setdefault(name, []).extend(a.values.shape for a in args if isinstance(a, BinaryMask))
+                return real(*args)
+
+            return recorded
+
+        for name in ("build_graph", "identify_gallbladder", "lesion_match"):
+            monkeypatch.setattr(hepeval.metrics, name, spy(name))
+        evaluate_case(truth.label_volume, truth.label_volume, config)
+
+        labels = truth.label_volume.labels
+
+        def box_shape(*names):
+            index = np.nonzero(np.isin(labels, [DEFAULT_SCHEMA.id_of(n) for n in names]))
+            return tuple(int(i.max() - i.min() + 1) for i in index)
+
+        portal, hepatic = box_shape("portal_vein"), box_shape("hepatic_vein")
+        assert portal == (43, 27, 6)
+        assert shapes == {
+            # the skeleton and the truth mask of each tree
+            "build_graph": [portal, portal, hepatic, hepatic],
+            # the phantom writes the gallbladder as biliary tree
+            "identify_gallbladder": [box_shape("biliary_tree", "gallbladder")] * 2,
+            "lesion_match": [box_shape("tumor")] * 2,
+        }
+
     @pytest.mark.parametrize("side", ["truth", "prediction", "neither"])
     def test_one_sided_and_empty_pairs(self, config, side, monkeypatch):
         for seed in range(4):
@@ -423,9 +473,13 @@ class TestJointForegroundCrop:
             return LabelVolume(geometry, values)
 
         whole, zeros = volume(labels), volume(np.zeros_like(labels))
-        for pair in ((whole, whole), (whole, zeros), (zeros, whole), (zeros, zeros)):
+        for pair in ((whole, whole), (whole, zeros), (zeros, whole)):
             got = hepeval.metrics._crop_to_joint_foreground(*pair)
             assert got[0] is pair[0] and got[1] is pair[1]
+        # An all-background pair is cut to one voxel at the grid's first voxel.
+        for v in hepeval.metrics._crop_to_joint_foreground(zeros, zeros):
+            assert v.labels.shape == (1, 1, 1) and not v.labels.any()
+            assert (v.geometry.spacing, v.geometry.origin) == (zeros.geometry.spacing, zeros.geometry.origin)
 
         offset = (2, 1, 3)
         big = volume(embed(labels, offset))

@@ -66,3 +66,53 @@ def test_spurious_tumour_adds_one_false_positive(truth, perfect):
     for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
         assert getattr(report, field) == getattr(perfect, field)
     assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+
+
+def test_spurious_portal_blob_widens_only_the_portal_scores(truth, perfect):
+    # The blob of the tumour case above, stamped as portal vein: the portal
+    # box then spans the tree and the blob, the widest structure box of any
+    # case here.
+    labels = truth.label_volume.labels
+    blob = Sphere(center_mm=(170.0, 96.0, 130.0), radius_mm=8.0)
+    inside, _, _ = rasterize_sphere(truth.label_volume.geometry, blob.center_mm, blob.radius_mm)
+    report = evaluate_case(truth.label_volume, degrade(truth, DegradeSpec(spurious_blobs=(("portal_vein", blob),))))
+    n_blob = int(np.count_nonzero(inside))
+    n_portal, n_parenchyma = (
+        int(np.count_nonzero(labels == DEFAULT_SCHEMA.id_of(name))) for name in ("portal_vein", "parenchyma")
+    )
+    assert report.dsc["portal_vein"] == 2 * n_portal / (2 * n_portal + n_blob)
+    assert report.dsc["parenchyma"] == 2 * (n_parenchyma - n_blob) / (2 * n_parenchyma - n_blob)
+    assert report.cl_dice["portal_vein"] < 1.0
+    sides = report.central_dsc["portal_vein"], report.peripheral_dsc["portal_vein"]
+    assert min(sides) < 1.0 and max(sides) <= 1.0
+    assert report.lesions == perfect.lesions
+    untouched = {k: v for k, v in report.dsc.items() if k not in ("portal_vein", "parenchyma")}
+    assert untouched == {k: perfect.dsc[k] for k in untouched}
+    for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
+        others = {k: v for k, v in getattr(report, field).items() if k != "portal_vein"}
+        assert others == {k: getattr(perfect, field)[k] for k in others}
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+
+
+def test_tumour_erosion_keeps_both_lesions(truth, perfect):
+    # Erosion keeps each lesion's core, e of its t voxels, as one component
+    # inside it: the lesion is still detected and its best overlap DSC is
+    # 2e/(t + e).
+    tumour = DEFAULT_SCHEMA.id_of("tumor")
+    pred = degrade(truth, DegradeSpec(erode_steps={"tumor": 1}))
+    report = evaluate_case(truth.label_volume, pred)
+    lesions, n = ndimage.label(truth.label_volume.labels == tumour, np.ones((3, 3, 3)))
+    eroded = pred.labels == tumour
+    t = np.bincount(lesions.ravel(), minlength=n + 1)[1:]
+    e = np.bincount(lesions[eroded], minlength=n + 1)[1:]
+    assert n == ndimage.label(eroded, np.ones((3, 3, 3)))[1] == 2 and not (eroded & (lesions == 0)).any()
+    assert report.lesions.n_gt == report.lesions.n_detected == 2
+    assert report.lesions.n_false_positive == 0
+    dscs = [r.best_overlap_dsc for r in report.lesions.rows]
+    assert dscs == [2 * int(ei) / (int(ti) + int(ei)) for ti, ei in zip(t, e)]
+    assert [round(v, 3) for v in dscs] == [0.515, 0.322]
+    untouched = {k: v for k, v in report.dsc.items() if k != "tumor"}
+    assert untouched == {k: perfect.dsc[k] for k in untouched}
+    for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
+        assert getattr(report, field) == getattr(perfect, field)
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
