@@ -46,6 +46,9 @@ pads the box with one background voxel: clamping any background voxel's
 coordinates onto the padded box lands on background and never increases a
 per-axis distance, and the separable passes are monotone in each per-axis
 distance, so the minimum, rounding included, is unchanged.
+The passes visit foreground voxels only, each voxel stopping once no
+farther offset can lower its value; `distance_transform_box` says why that
+keeps every bit.
 """
 
 from __future__ import annotations
@@ -380,23 +383,20 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     return ComponentLabeling(mask.geometry, box, labels, count, sizes, boxes)
 
 
-def _squared_edt_axis(f: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Exact min over shifts of f + (d * step)^2 along one axis.
-
-    Brute force over offsets with an early cutoff once d^2 step^2 exceeds the
-    largest remaining value; exact because every quantity is an exact float.
-    """
-    out = f.copy()
-    moved_f = np.moveaxis(f, axis, 0)
-    moved_out = np.moveaxis(out, axis, 0)
-    n = moved_f.shape[0]
-    w2 = step * step
-    for d in range(1, n):
+def _squared_edt_pass(g: np.ndarray, at: np.ndarray, stride: int, w2: float) -> np.ndarray:
+    """Min over offsets d of g[j] + d * d * w2, j = at +- d * stride, per
+    voxel of `at`; a voxel leaves the active set once d * d * w2 reaches its
+    value (see `distance_transform_box`)."""
+    out = g[at]
+    live, src, cur = np.arange(len(at)), at, out.copy()
+    d = 1
+    while live.size:
         c = d * d * w2
-        if c >= moved_out.max():
-            break
-        np.minimum(moved_out[d:], moved_f[:-d] + c, out=moved_out[d:])
-        np.minimum(moved_out[:-d], moved_f[d:] + c, out=moved_out[:-d])
+        done = c >= cur
+        out[live[done]] = cur[done]
+        live, src, cur = live[~done], src[~done], cur[~done]
+        np.minimum(cur, np.minimum(g[src - d * stride], g[src + d * stride]) + c, out=cur)
+        d += 1
     return out
 
 
@@ -407,27 +407,34 @@ def distance_transform_box(mask: BinaryMask, squared: bool = False) -> tuple[tup
     (zero-size slices when empty) and `dist` the distances over it, in mm,
     or mm^2 when `squared`. Every voxel outside the box is background, at
     distance 0.
+
+    The separable passes visit the foreground voxels of the box padded by
+    one background voxel. Along x, a voxel's distance d to background comes
+    from its run of consecutive foreground indices, which the pad ends on
+    its own line: f = (d * sx)^2. Along y, then z, a voxel takes the minimum
+    of f[j] + d^2 w^2 over the voxels j at offset +-d, f being 0 on
+    background, and stops once d^2 w^2 reaches its value. Every candidate
+    skipped is at least that value, as f >= 0, so the result is the minimum
+    of the same floats as a pass over every offset. The pad voxel k lines
+    away caps the value at k^2 w^2, so the voxel stops by offset k + 1,
+    before any probe leaves its line.
     """
     sx, sy, sz = mask.geometry.spacing
     box = bounding_box(mask.values)
     if box is None:
         return (slice(0, 0),) * 3, np.zeros((0, 0, 0))
     padded = np.pad(mask.values[box], 1, constant_values=False)
-
-    # 1D pass along x via nearest-background index arithmetic.
-    nz, ny, nx = padded.shape
-    pos = np.arange(nx, dtype=np.int64)
-    big = nx + 1
-    bg = ~padded
-    left_src = np.where(bg, pos, -big)
-    left = np.maximum.accumulate(left_src, axis=2)
-    right_src = np.where(bg, pos, 2 * big)
-    right = np.flip(np.minimum.accumulate(np.flip(right_src, axis=2), axis=2), axis=2)
-    dist_vox = np.minimum(pos - left, right - pos).astype(np.float64)
-    f = (dist_vox * sx) ** 2
-
-    f = _squared_edt_axis(f, axis=1, step=sy)
-    f = _squared_edt_axis(f, axis=0, step=sz)[1:-1, 1:-1, 1:-1]
+    _, ny, nx = padded.shape
+    at = np.flatnonzero(padded)
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    runs = np.diff(starts, append=len(at))
+    i = np.arange(len(at)) - np.repeat(starts, runs)  # position in its run
+    dist_vox = np.minimum(i, np.repeat(runs, runs) - 1 - i) + 1
+    g = np.zeros(padded.size)
+    g[at] = (dist_vox.astype(np.float64) * sx) ** 2
+    g[at] = _squared_edt_pass(g, at, nx, sy * sy)
+    g[at] = _squared_edt_pass(g, at, ny * nx, sz * sz)
+    f = g.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
     return box, f if squared else np.sqrt(f)
 
 

@@ -16,6 +16,7 @@ and pooling treats the exterior as 0, just as the zeros around the box. The
 graph reads neighbours from one index of the skeleton voxels, built on the
 skeleton's own bounding box padded by one background voxel: every neighbour
 of a skeleton voxel lies in that padded box, so the index is exact too.
+Node clusters come from that index's neighbour table, with no grid labelled.
 """
 
 from __future__ import annotations
@@ -126,14 +127,15 @@ class SkeletonGraph:
         }
 
 
-def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]], tuple[slice, ...]]:
+def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]], np.ndarray]:
     """Index of the skeleton voxels, taken in ascending linear order.
 
     Returns their full-grid linear indices, their (x, y, z) positions, for
     each voxel the indices (into this order) of its 26-neighbours in
-    `OFFSETS_26` order, and the skeleton's (z, y, x) bounding box. The lookup
-    runs on that box padded by one background voxel, so no neighbour offset
-    needs a bounds check.
+    `OFFSETS_26` order, and the same as a table with one column per offset,
+    -1 where that neighbour is not a skeleton voxel. The lookup runs on the
+    skeleton's bounding box padded by one background voxel, so no neighbour
+    offset needs a bounds check.
     """
     box = bounding_box(sk)
     padded = np.pad(sk[box], 1)
@@ -147,7 +149,37 @@ def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[i
     ends = np.cumsum(present.sum(axis=1)).tolist()
     nbrs = [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]
     zyx = np.stack(np.unravel_index(at, padded.shape)) + np.array([[s.start - 1] for s in box])
-    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs, box
+    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs, table
+
+
+def _node_clusters(table: np.ndarray) -> np.ndarray:
+    """Node id of each skeleton voxel, -1 on chain voxels (degree 2).
+
+    Nodes are the 26-connected clusters of irregular voxels (degree != 2).
+    Each voxel starts as its own root. Each round hooks, for every pair of
+    adjacent irregular voxels, the larger of their roots onto the smaller,
+    then jumps every voxel to its root's root until no root moves; it stops
+    when a round changes nothing. Roots only decrease and stay in their
+    cluster, so each ends on its first voxel: numbering the roots in
+    ascending order gives the first-voxel order.
+    """
+    irregular = (table >= 0).sum(axis=1) != 2
+    later = table[:, 13:]  # offsets to larger linear indices, so each pair once
+    a, k = np.nonzero(irregular[:, None] & np.append(irregular, False)[later])  # -1 reads False
+    b = later[a, k]
+    root = np.arange(len(table))
+    while True:
+        before, ra, rb = root, root[a], root[b]
+        root = root.copy()
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        jump = root[root]
+        while not np.array_equal(jump, root):
+            root, jump = jump, jump[jump]
+        if np.array_equal(root, before):
+            break
+    node_of = np.full(len(table), -1)
+    node_of[irregular] = np.unique(root[irregular], return_inverse=True)[1]
+    return node_of
 
 
 class _UnionFind:
@@ -192,20 +224,11 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     if not sk.any():
         return SkeletonGraph(geometry, [], [], [], None)
 
-    lin, xyz, nbrs, box = _skeleton_index(sk)
-
-    # node ids: connected clusters of irregular voxels (degree != 2), ordered
-    # by first voxel; node_of is -1 on chain voxels. They are labelled on the
-    # skeleton's box, which keeps the first-voxel order.
-    irregular = np.array([len(nb) != 2 for nb in nbrs])
-    at = xyz[irregular, ::-1] - [s.start for s in box]
-    node_mask = np.zeros([s.stop - s.start for s in box], dtype=bool)
-    node_mask[tuple(at.T)] = True
-    node_cc = connected_components(BinaryMask(Geometry(node_mask.shape[::-1], geometry.spacing), node_mask), 26)
-    node_of = np.full(len(lin), -1)
-    node_of[irregular] = node_cc.labels[tuple((at - [s.start for s in node_cc.box]).T)] - 1
+    lin, xyz, nbrs, table = _skeleton_index(sk)
+    # node ids from the neighbour table, by first voxel; -1 on chain voxels
+    node_of = _node_clusters(table)
+    node_members: list[list[int]] = [[] for _ in range(node_of.max() + 1)]
     node_of = node_of.tolist()
-    node_members: list[list[int]] = [[] for _ in range(node_cc.count)]
     for i, node in enumerate(node_of):
         if node >= 0:
             node_members[node].append(i)

@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from hepeval.volume import BinaryMask, Geometry, ProbVolume
+from hepeval.phantom import axis_tree_spec, default_spec, generate_case
+from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
 
 
 @pytest.fixture
@@ -90,6 +93,49 @@ def brute_force_squared_edt(mask: BinaryMask) -> np.ndarray:
         deltas = (bg - [z, y, x]) * spacing[::-1]
         out[z, y, x] = (deltas**2).sum(axis=1).min()
     return out[1:-1, 1:-1, 1:-1]
+
+
+def separable_squared_edt(mask: BinaryMask) -> np.ndarray:
+    """Dense separable oracle of `distance_transform_squared`, in its float order.
+
+    On the whole grid padded by one background voxel: an x pass from the
+    nearest background index on each side, then per y and z line the
+    minimum over every offset d of f + (d * step)^2, as whole-grid passes
+    with a cutoff once d^2 step^2 exceeds the largest value left. It sums
+    in the library's order, so it matches bit for bit at any spacing.
+    """
+    sx, sy, sz = mask.geometry.spacing
+    padded = np.pad(mask.values, 1, constant_values=False)
+    nx = padded.shape[2]
+    pos = np.arange(nx, dtype=np.int64)
+    bg = ~padded
+    left = np.maximum.accumulate(np.where(bg, pos, -nx - 1), axis=2)
+    right = np.flip(np.minimum.accumulate(np.flip(np.where(bg, pos, 2 * nx + 2), axis=2), axis=2), axis=2)
+    f = (np.minimum(pos - left, right - pos).astype(np.float64) * sx) ** 2
+    for axis, step in ((1, sy), (0, sz)):
+        out = f.copy()
+        moved_f, moved_out = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+        w2 = step * step
+        for d in range(1, moved_f.shape[0]):
+            c = d * d * w2
+            if c >= moved_out.max():
+                break
+            np.minimum(moved_out[d:], moved_f[:-d] + c, out=moved_out[d:])
+            np.minimum(moved_out[:-d], moved_f[d:] + c, out=moved_out[:-d])
+        f = out
+    return f[1:-1, 1:-1, 1:-1]
+
+
+@lru_cache(maxsize=1)
+def phantom_vessel_masks() -> dict[str, BinaryMask]:
+    """The `default_spec()` portal and hepatic vein masks and the
+    `axis_tree_spec(3)` and `axis_tree_spec(4)` portal masks, generated once
+    and shared: callers must not modify them."""
+    liver = generate_case(default_spec()).label_volume
+    masks = {"liver_portal": extract_mask(liver, 3), "liver_hepatic": extract_mask(liver, 4)}
+    for levels in (3, 4):
+        masks[f"htree{levels}_portal"] = extract_mask(generate_case(axis_tree_spec(levels)).label_volume, 3)
+    return masks
 
 
 def noisy_tube(mask: BinaryMask, seed: int) -> np.ndarray:

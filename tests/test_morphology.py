@@ -35,8 +35,10 @@ from conftest import (
     face_touching_values,
     grid_geometry,
     noisy_tube,
+    phantom_vessel_masks,
     random_mask,
     random_prob_volume,
+    separable_squared_edt,
 )
 
 
@@ -596,6 +598,29 @@ class TestConnectedComponents:
         assert grid_boxes(cc) == [((3, 5), (2, 4), (1, 3))]
 
 
+EDT_SPACINGS = [(1.0, 1.0, 1.0), (2.0, 2.0, 3.0), (0.7, 0.9, 1.3), (0.7, 1.3, 2.1)]
+
+
+def same_order_cases() -> list[np.ndarray]:
+    """Phantom vessel masks; one-voxel lines and planes along each axis,
+    through the middle and along the grid's faces; random masks of density
+    0.02-0.3."""
+    cases = [m.values for m in phantom_vessel_masks().values()]
+    shape = (5, 6, 7)
+    for axis in range(3):
+        for at in (0, 2, -1):
+            line = np.zeros(shape, dtype=bool)
+            line[tuple(slice(None) if a == axis else at for a in range(3))] = True
+            plane = np.zeros(shape, dtype=bool)
+            plane[tuple(at if a == axis else slice(None) for a in range(3))] = True
+            cases += [line, plane]
+    rng = np.random.default_rng(19)
+    for density in (0.02, 0.05, 0.1, 0.2, 0.3):
+        for _ in range(4):
+            cases.append(rng.random(tuple(int(n) for n in rng.integers(1, 24, size=3))) < density)
+    return cases
+
+
 class TestDistanceTransform:
     def test_isolated_voxel_distance_one(self):
         g = geometry((5, 5, 5))
@@ -620,6 +645,12 @@ class TestDistanceTransform:
             got = distance_transform_squared(mask)
             want = brute_force_squared_edt(mask)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spacing", EDT_SPACINGS)
+    def test_matches_same_order_oracle(self, spacing):
+        for values in same_order_cases():
+            mask = BinaryMask(grid_geometry(values.shape, spacing), values)
+            assert np.array_equal(distance_transform_squared(mask), separable_squared_edt(mask))
 
     def test_background_maps_to_zero(self):
         mask = random_mask(geometry((6, 6, 6)), seed=5, density=0.3)
@@ -731,6 +762,7 @@ class TestCropInvariance:
         for small in CROP_CASES:
             mask = BinaryMask(grid_geometry(small.shape, spacing), small)
             base = distance_transform_squared(mask)
+            assert np.array_equal(base, separable_squared_edt(mask))
             if spacing != (0.7, 1.3, 2.1):  # the oracle sums in another order
                 assert np.array_equal(base, brute_force_squared_edt(mask))
             for offset in EMBED_OFFSETS:

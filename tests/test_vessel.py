@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from hepeval.errors import ParameterError
 from hepeval.morphology import soft_skeleton_array
@@ -21,7 +22,14 @@ from hepeval.vessel import (
 )
 from hepeval.volume import BinaryMask, Geometry, extract_mask
 
-from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry, random_skeleton_mask
+from conftest import (
+    EMBED_OFFSETS,
+    embed,
+    face_touching_values,
+    grid_geometry,
+    phantom_vessel_masks,
+    random_skeleton_mask,
+)
 
 
 def capsule_union(geometry, segments, radius):
@@ -240,6 +248,28 @@ class TestBuildGraph:
         # multi-component forests: the golden guard's random skeletons
         components = [check_forest(build_graph(m, m)) for m in map(random_skeleton_mask, range(12))]
         assert max(components) > 1
+
+    def test_nodes_are_scipy_clusters_of_irregular_voxels(self):
+        """Each node but the pure-cycle anchors (single degree-2 voxels, last)
+        is one 26-connected component of the voxels whose skeleton degree is
+        not 2, and the ids follow the components' first voxels."""
+        cases = [(m, m) for m in map(random_skeleton_mask, range(12))]
+        cases += [(skeletonize(m), m) for m in phantom_vessel_masks().values()]
+        cube = np.ones((3, 3, 3), dtype=int)
+        for skel, mask in cases:
+            graph = build_graph(skel, mask)
+            sk = skel.values
+            degree = ndimage.convolve(sk.astype(int), cube, mode="constant") - 1
+            labels, count = ndimage.label(sk & (degree != 2), structure=cube)
+            flat = labels.ravel()
+            ids, firsts = np.unique(flat, return_index=True)
+            order = ids[ids > 0][np.argsort(firsts[ids > 0])]
+            assert [n.id for n in graph.nodes] == list(range(len(graph.nodes)))
+            for node, cid in zip(graph.nodes, order, strict=False):
+                assert np.array_equal(node.voxels, np.flatnonzero(flat == cid))
+            assert len(graph.nodes) >= count
+            for node in graph.nodes[count:]:
+                assert len(node.voxels) == 1 and degree.ravel()[node.voxels[0]] == 2
 
     def test_perfect_tree_root_order(self):
         for levels in (1, 2, 3, 4):
