@@ -13,6 +13,8 @@ import logging
 import math
 import os
 import struct
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,20 @@ def _open_maybe_gzip(path: Path):
     return open(path, "rb")
 
 
+@contextmanager
+def _gzip_errors(path: Path):
+    """Name `path` in what a damaged gzip stream raises while it is read: a
+    FormatError for corrupt data, a failed CRC-32 or length check, or bytes
+    after the member that are not another member; an OSError for a stream
+    that ends early."""
+    try:
+        yield
+    except EOFError as exc:
+        raise OSError(f"{path}: truncated gzip stream ({exc})") from None
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from None
+
+
 def _read_payload(fh, nbytes: int, path: Path) -> bytes:
     """The next `nbytes` of `fh`, or OSError naming the truncated payload.
 
@@ -126,6 +142,9 @@ def _read_payload(fh, nbytes: int, path: Path) -> bytes:
     buffer of that size is made before its bytes are known to exist: a plain
     file is checked against its size, and a gzip stream, whose length is
     known only by reading it, is read in chunks of at most `_CHUNK` bytes.
+    A gzip stream is then read to its end and the rest discarded, because
+    `GzipFile` checks a member's CRC-32 and length, and what follows it, only
+    there; it skips zero padding after the member.
     """
     if isinstance(fh, gzip.GzipFile):
         chunks, size = [], 0
@@ -135,6 +154,8 @@ def _read_payload(fh, nbytes: int, path: Path) -> bytes:
                 break
             chunks.append(chunk)
             size += len(chunk)
+        while fh.read(_CHUNK):
+            pass
         payload = b"".join(chunks)
     else:
         available = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
@@ -273,7 +294,7 @@ def read_nifti(
         raise ParameterError(f"intent must be auto, labels or prob, got {intent!r}")
     path = Path(path)
 
-    with _open_maybe_gzip(path) as fh:
+    with _open_maybe_gzip(path) as fh, _gzip_errors(path):
         raw = fh.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
             raise OSError(f"{path}: truncated header ({len(raw)} bytes)")

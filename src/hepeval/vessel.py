@@ -16,11 +16,17 @@ and pooling treats the exterior as 0, just as the zeros around the box. The
 graph reads neighbours from one index of the skeleton voxels, built on the
 skeleton's own bounding box padded by one background voxel: every neighbour
 of a skeleton voxel lies in that padded box, so the index is exact too.
-Node clusters come from that index's neighbour table, with no grid labelled.
+Node clusters come from that index's neighbour table, with no grid labelled,
+and so do the walks: their starts are the table's (node voxel, chain
+neighbour) entries, and each chain voxel's two neighbours are read from it
+as arrays. Python steps once per start and once per chain voxel, never once
+per node voxel, which matters on thick skeletons, where most voxels are
+node voxels.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -127,15 +133,15 @@ class SkeletonGraph:
         }
 
 
-def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]], np.ndarray]:
+def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index of the skeleton voxels, taken in ascending linear order.
 
-    Returns their full-grid linear indices, their (x, y, z) positions, for
-    each voxel the indices (into this order) of its 26-neighbours in
-    `OFFSETS_26` order, and the same as a table with one column per offset,
-    -1 where that neighbour is not a skeleton voxel. The lookup runs on the
-    skeleton's bounding box padded by one background voxel, so no neighbour
-    offset needs a bounds check.
+    Returns their full-grid linear indices, their (x, y, z) positions and
+    their neighbour table: one row per voxel and one column per `OFFSETS_26`
+    offset, holding the neighbour's index into this order, or -1 where that
+    neighbour is not a skeleton voxel. The table is one gather, at each
+    voxel's linear index plus each offset's step, on the skeleton's bounding
+    box padded by one background voxel, so no step needs a bounds check.
     """
     box = bounding_box(sk)
     padded = np.pad(sk[box], 1)
@@ -143,13 +149,9 @@ def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[i
     at = np.flatnonzero(padded)
     slot = np.full(padded.size, -1, dtype=np.intp)
     slot[at] = np.arange(len(at))
-    table = np.stack([slot[at + (dz * py + dy) * px + dx] for dz, dy, dx in OFFSETS_26], axis=1)
-    present = table >= 0
-    flat = table[present].tolist()
-    ends = np.cumsum(present.sum(axis=1)).tolist()
-    nbrs = [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    table = slot[at[:, None] + np.array(OFFSETS_26) @ (py * px, px, 1)]
     zyx = np.stack(np.unravel_index(at, padded.shape)) + np.array([[s.start - 1] for s in box])
-    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, nbrs, table
+    return np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T, table
 
 
 def _node_clusters(table: np.ndarray) -> np.ndarray:
@@ -214,6 +216,12 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     Removed edges get one more than the least kept generation at their nodes
     and no Strahler order.
 
+    Edges are numbered in walk order. Each chain is walked from the first of
+    its starts, the (node voxel, chain neighbour) pairs of the neighbour
+    table in (node id, voxel, offset) order, and the start at its other end
+    is skipped. Chain voxels still unclaimed then form pure cycles; each is
+    anchored at its smallest voxel as a node of its own, with one self-loop.
+
     The skeleton must be a subset of the vessel mask. An empty skeleton
     yields an empty graph rather than an error.
     """
@@ -224,66 +232,94 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     if not sk.any():
         return SkeletonGraph(geometry, [], [], [], None)
 
-    lin, xyz, nbrs, table = _skeleton_index(sk)
+    lin, xyz, table = _skeleton_index(sk)
     # node ids from the neighbour table, by first voxel; -1 on chain voxels
     node_of = _node_clusters(table)
-    node_members: list[list[int]] = [[] for _ in range(node_of.max() + 1)]
-    node_of = node_of.tolist()
-    for i, node in enumerate(node_of):
-        if node >= 0:
-            node_members[node].append(i)
+    chain = node_of < 0
+    # node voxels in (node id, voxel) order, split into each node's members
+    at_node = np.flatnonzero(~chain)
+    by_node = at_node[np.argsort(node_of[at_node], kind="stable")]
+    cuts = np.cumsum(np.bincount(node_of[at_node])).tolist()
+    node_members = [by_node[a:b] for a, b in zip([0, *cuts], cuts)]
+    # walk starts: every (node voxel, chain neighbour) pair, in (node id,
+    # voxel, offset) order, the order a scan of each node's voxels visits them
+    near = table[by_node]
+    r, k = np.nonzero(np.append(chain, False)[near])  # -1 reads False
+    starts = zip(by_node[r].tolist(), near[r, k].tolist())
+    # a chain voxel's two neighbours, in offset order; the walk leaves it for
+    # their sum less the voxel it came from
+    ends = table[chain]
+    pair = np.zeros((len(lin), 2), dtype=np.intp)
+    pair[chain] = ends[ends >= 0].reshape(-1, 2)
+    link = pair.sum(axis=1).tolist()
+    node_id = node_of.tolist()
 
-    spacing = np.asarray(geometry.spacing)
-    # radii from the vessel mask's distances on its own box, which holds
-    # every skeleton voxel
-    dt_box, dt = distance_transform_box(vessel_mask)
-    dt_at = xyz[:, ::-1] - [s.start for s in dt_box]
-    claimed = [False] * len(lin)
-    edges: list[SkeletonEdge] = []
+    claimed = bytearray(len(lin))
+    walks: list[list[int]] = []  # node voxel, chain voxels, node voxel
 
-    def walk_chains(node_a: int, attach_a: int):
-        """One edge per unclaimed chain voxel next to a node voxel.
+    def walk_chain(attach: int, first: int):
+        """Walk from node voxel `attach` through chain voxel `first`.
 
         A chain voxel has exactly two skeleton neighbours, one of them the
         voxel the walk came from, so a walk can neither stop nor re-enter its
         own path before it reaches a node voxel.
         """
-        for first in nbrs[attach_a]:
-            if node_of[first] >= 0 or claimed[first]:
-                continue
-            path = []
-            prev, cur = attach_a, first
-            while node_of[cur] < 0:
-                claimed[cur] = True
-                path.append(cur)
-                a, b = nbrs[cur]
-                prev, cur = cur, (b if a == prev else a)
-            walk = [attach_a, *path, cur]
-            steps = np.diff(xyz[walk].astype(np.float64), axis=0) * spacing
-            edges.append(
-                SkeletonEdge(
-                    id=len(edges),
-                    nodes=(node_a, node_of[cur]),
-                    path=lin[path],
-                    attach=(int(lin[attach_a]), int(lin[cur])),
-                    length_mm=float(np.sqrt((steps**2).sum(axis=1)).sum()),
-                    mean_radius_mm=float(dt[tuple(dt_at[walk].T)].mean()),
-                )
-            )
+        walk = [attach]
+        prev, cur = attach, first
+        while node_id[cur] < 0:
+            claimed[cur] = True
+            walk.append(cur)
+            prev, cur = cur, link[cur] - prev
+        walk.append(cur)
+        walks.append(walk)
 
-    for node_id, members in enumerate(node_members):
-        for v in members:
-            walk_chains(node_id, v)
+    # each chain is walked from the first of its two starts
+    for attach, first in starts:
+        if not claimed[first]:
+            walk_chain(attach, first)
 
-    # components made only of degree-2 voxels (pure cycles): anchor at the
-    # smallest unclaimed voxel, producing a self-loop that cycle-breaking drops
-    for i in range(len(lin)):
-        if node_of[i] < 0 and not claimed[i]:
-            node_of[i] = len(node_members)
-            node_members.append([i])
+    # components made only of chain voxels (pure cycles): anchor each at its
+    # smallest voxel and walk it from its first neighbour, producing a
+    # self-loop that cycle-breaking drops
+    for i in np.flatnonzero(chain & ~np.frombuffer(claimed, dtype=bool)).tolist():
+        if not claimed[i]:
             claimed[i] = True
-            walk_chains(node_of[i], i)
+            node_id[i] = len(node_members)
+            node_members.append(np.array([i]))
+            walk_chain(i, int(pair[i, 0]))
 
+    # step lengths and radii along all walks at once; each edge reduces its
+    # own contiguous slice, the same values in the same order as an array of
+    # its walk alone, so its sums are that array's to the bit
+    flat = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.intp)
+    bounds = np.cumsum([0] + [len(w) for w in walks]).tolist()
+    steps = np.diff(xyz[flat].astype(np.float64), axis=0) * np.asarray(geometry.spacing)
+    step_mm = np.sqrt((steps**2).sum(axis=1))
+    # radii from the vessel mask's distances on its own box, which holds
+    # every skeleton voxel
+    dt_box, dt = distance_transform_box(vessel_mask)
+    radius = dt[tuple((xyz[flat, ::-1] - [s.start for s in dt_box]).T)]
+    flat_lin = lin[flat]
+    edges = [
+        SkeletonEdge(
+            id=i,
+            nodes=(node_id[w[0]], node_id[w[-1]]),
+            path=flat_lin[a + 1 : b - 1],
+            attach=(int(flat_lin[a]), int(flat_lin[b - 1])),
+            length_mm=float(step_mm[a : b - 1].sum()),
+            mean_radius_mm=float(radius[a:b].mean()),
+        )
+        for i, (w, a, b) in enumerate(zip(walks, bounds[:-1], bounds[1:]))
+    ]
+    return _spanning_forest(geometry, lin, xyz, node_members, edges)
+
+
+def _spanning_forest(
+    geometry: Geometry, lin: np.ndarray, xyz: np.ndarray, node_members: list[np.ndarray], edges: list[SkeletonEdge]
+) -> SkeletonGraph:
+    """The graph of walked nodes and edges, cycles broken and edges ordered as
+    `build_graph` describes; nodes and edges index the skeleton voxels
+    `_skeleton_index` returns."""
     # cycle breaking: maximum-radius spanning forest; dropped edges are the
     # thinnest within each cycle
     uf = _UnionFind(len(node_members))
@@ -341,7 +377,7 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
         nodes.append(
             SkeletonNode(
                 id=node_id,
-                voxel=tuple(int(c) for c in xyz[members[0]]),
+                voxel=tuple(xyz[members[0]].tolist()),
                 kind="endpoint" if n_edges <= 1 else "junction",
                 voxels=lin[members],
             )

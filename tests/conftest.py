@@ -3,7 +3,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from hepeval.morphology import bounding_box, distance_transform_box
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case
+from hepeval.vessel import OFFSETS_26, SkeletonEdge, SkeletonGraph, _node_clusters, _spanning_forest
 from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
 
 
@@ -124,6 +126,79 @@ def separable_squared_edt(mask: BinaryMask) -> np.ndarray:
             np.minimum(moved_out[:-d], moved_f[d:] + c, out=moved_out[:-d])
         f = out
     return f[1:-1, 1:-1, 1:-1]
+
+
+def reference_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
+    """Per-voxel oracle of `build_graph`'s walk, with the library's node
+    clusters and forest step.
+
+    Each skeleton voxel gets a Python list of its neighbours in `OFFSETS_26`
+    order, from 26 separate gathers. Every node voxel, by node id and then
+    voxel, scans its neighbours and walks a chain from each one not yet
+    claimed; then a scan of every voxel anchors each pure cycle at its
+    smallest unclaimed chain voxel. Edge lengths and radii use the library's
+    arrays and reductions, so the graphs match bit for bit.
+    """
+    geometry, sk = skeleton.geometry, skeleton.values
+    if not sk.any():
+        return SkeletonGraph(geometry, [], [], [], None)
+    box = bounding_box(sk)
+    padded = np.pad(sk[box], 1)
+    _, py, px = padded.shape
+    at = np.flatnonzero(padded)
+    slot = np.full(padded.size, -1, dtype=np.intp)
+    slot[at] = np.arange(len(at))
+    table = np.stack([slot[at + (dz * py + dy) * px + dx] for dz, dy, dx in OFFSETS_26], axis=1)
+    nbrs = [[j for j in row if j >= 0] for row in table.tolist()]
+    zyx = np.stack(np.unravel_index(at, padded.shape)) + np.array([[s.start - 1] for s in box])
+    lin, xyz = np.ravel_multi_index(tuple(zyx), sk.shape), zyx[::-1].T
+
+    node_of = _node_clusters(table).tolist()
+    node_members = [[] for _ in range(max(node_of) + 1)]
+    for i, node in enumerate(node_of):
+        if node >= 0:
+            node_members[node].append(i)
+    spacing = np.asarray(geometry.spacing)
+    dt_box, dt = distance_transform_box(vessel_mask)
+    dt_at = xyz[:, ::-1] - [s.start for s in dt_box]
+    claimed = [False] * len(lin)
+    edges = []
+
+    def walk_chains(node_a, attach_a):
+        for first in nbrs[attach_a]:
+            if node_of[first] >= 0 or claimed[first]:
+                continue
+            path = []
+            prev, cur = attach_a, first
+            while node_of[cur] < 0:
+                claimed[cur] = True
+                path.append(cur)
+                a, b = nbrs[cur]
+                prev, cur = cur, (b if a == prev else a)
+            walk = [attach_a, *path, cur]
+            steps = np.diff(xyz[walk].astype(np.float64), axis=0) * spacing
+            edges.append(
+                SkeletonEdge(
+                    id=len(edges),
+                    nodes=(node_a, node_of[cur]),
+                    path=lin[path],
+                    attach=(int(lin[attach_a]), int(lin[cur])),
+                    length_mm=float(np.sqrt((steps**2).sum(axis=1)).sum()),
+                    mean_radius_mm=float(dt[tuple(dt_at[walk].T)].mean()),
+                )
+            )
+
+    for node_id, members in enumerate(node_members):
+        for v in members:
+            walk_chains(node_id, v)
+    for i in range(len(lin)):
+        if node_of[i] < 0 and not claimed[i]:
+            node_of[i] = len(node_members)
+            node_members.append([i])
+            claimed[i] = True
+            walk_chains(node_of[i], i)
+    members = [np.array(m, dtype=np.intp) for m in node_members]
+    return _spanning_forest(geometry, lin, xyz, members, edges)
 
 
 @lru_cache(maxsize=1)

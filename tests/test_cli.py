@@ -142,6 +142,21 @@ class TestEvalCommand:
         schema_check(manifest, load_schema("manifest"))
         assert manifest["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
 
+    def test_corrupt_gzip_case_is_named_in_failed_cases(self, phantom_pair, tmp_path):
+        # one flipped bit in the CRC-32: the labels decode, the check fails
+        _, gt_path, pred_path = phantom_pair
+        data = bytearray(gt_path.read_bytes())
+        data[-8] ^= 1
+        bad = tmp_path / "case02.nii.gz"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(gt_path), str(bad), "--pred", str(pred_path), str(pred_path),
+                     "--out", str(out), "--skeleton-iters", "4", "--jobs", "1"])
+        assert code == 2
+        assert [p.name for p in out.glob("case_*.report.json")] == ["case_case01.report.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_cases"] == [{"case_id": "case02", "error": "FormatError"}]
+
     @pytest.mark.parametrize("jobs", [["--jobs", "1"], []])
     def test_one_worker_runs_cases_in_calling_thread(self, phantom_pair, tmp_path, monkeypatch, jobs):
         import hepeval.cli

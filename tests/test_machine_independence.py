@@ -1,5 +1,5 @@
-"""The central/peripheral split and the pinned loss input are the same bytes
-under the kernels NumPy and OpenBLAS pick at run time.
+"""The central/peripheral split, the skeleton graph and the pinned loss input
+are the same bytes under the kernels NumPy and OpenBLAS pick at run time.
 
 `digests` runs in a subprocess under each setting and must give the
 SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from hepeval.phantom import axis_tree_spec, generate_case, straight_tube_mask
+from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
 from hepeval.volume import BinaryMask, Geometry, extract_mask
 
@@ -31,15 +31,26 @@ except ImportError:  # NumPy 1.x
 AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
+def at_odd_spacing(spec) -> BinaryMask:
+    """The truth portal of `spec` on a 0.7 x 0.9 x 1.3 mm grid."""
+    values = extract_mask(generate_case(spec).label_volume, 3).values
+    return BinaryMask(Geometry(values.shape[::-1], (0.7, 0.9, 1.3)), values)
+
+
 def digests() -> dict[str, str]:
-    """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask at
-    0.7 x 0.9 x 1.3 mm and of the pinned `noisy_tube` input."""
-    values = extract_mask(generate_case(axis_tree_spec(4)).label_volume, 3).values
-    mask = BinaryMask(Geometry(values.shape[::-1], (0.7, 0.9, 1.3)), values)
+    """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask and
+    the `default_spec()` truth portal's graph JSON, both at 0.7 x 0.9 x 1.3 mm,
+    and of the pinned `noisy_tube` input. The `default_spec()` label array is
+    the same under every kernel tried, so its digest checks the graph code."""
+    mask = at_odd_spacing(axis_tree_spec(4))
     split = classify_central_peripheral(build_graph(skeletonize(mask, 10), mask), mask)
     tube, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
     arrays = {"split": split.central.values, "noisy_tube": noisy_tube(tube, 48)}
-    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    out = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    mask = at_odd_spacing(default_spec())
+    graph = json.dumps(build_graph(skeletonize(mask, 10), mask).to_json_dict(), sort_keys=True)
+    out["liver_portal_graph"] = hashlib.sha256(graph.encode()).hexdigest()
+    return out
 
 
 def avx512_loops() -> bool:

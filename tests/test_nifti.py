@@ -557,3 +557,49 @@ class TestGzipWriter:
         body = member.decompress(data)
         assert member.eof and member.unused_data == b""
         assert body == gzip.decompress(data) == plain_path.read_bytes()
+
+
+def _flip(data: bytes, at: int, bits: int) -> bytes:
+    out = bytearray(data)
+    out[at] ^= bits
+    return bytes(out)
+
+
+# How each damaged `.nii.gz` must fail. The payload is random labels, which
+# deflate stores mostly as literals, so the flipped bit mid-stream decodes
+# without a zlib error to other labels: only the CRC-32 check catches it.
+# Damage to the first deflate block fails while the header is read.
+GZIP_DAMAGE = {
+    "damaged_first_block": (lambda z: _flip(z, 20, 0x55), FormatError, "corrupt gzip stream"),
+    "flipped_deflate_bit": (lambda z: _flip(z, len(z) // 2, 0x10), FormatError, "CRC check failed"),
+    "flipped_crc_byte": (lambda z: _flip(z, -8, 0x01), FormatError, "CRC check failed"),
+    "flipped_isize_byte": (lambda z: _flip(z, -1, 0x01), FormatError, "Incorrect length"),
+    "trailing_garbage": (lambda z: z + b"garbage", FormatError, "Not a gzipped file"),
+    "missing_trailer": (lambda z: z[:-8], OSError, "truncated gzip stream"),
+}
+
+
+class TestGzipIntegrity:
+    """A gzip stream is read to its end, so its CRC-32 and length are checked."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        vol = label_volume(dims=(24, 24, 24))
+        path = tmp_path / "labels.nii.gz"
+        write_nifti(vol, path)
+        return vol, path.read_bytes()
+
+    @pytest.mark.parametrize("damage", sorted(GZIP_DAMAGE))
+    def test_damaged_stream_raises_a_named_error(self, tmp_path, written, damage):
+        corrupt, error, message = GZIP_DAMAGE[damage]
+        path = tmp_path / "damaged.nii.gz"
+        path.write_bytes(corrupt(written[1]))
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}: .*{message}") as info:
+            read_nifti(path)
+        assert type(info.value) is error
+
+    def test_zero_padding_after_the_member_is_accepted(self, tmp_path, written):
+        vol, data = written
+        path = tmp_path / "padded.nii.gz"
+        path.write_bytes(data + bytes(64))
+        assert np.array_equal(read_label_volume(path).labels, vol.labels)

@@ -116,3 +116,25 @@ def test_tumour_erosion_keeps_both_lesions(truth, perfect):
     for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
         assert getattr(report, field) == getattr(perfect, field)
     assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+
+
+@pytest.mark.parametrize("vein, other", [("portal_vein", "hepatic_vein"), ("hepatic_vein", "portal_vein")])
+def test_dilated_vein_keeps_its_topology(truth, perfect, vein, other):
+    # One dilation step grows the vein by a voxel shell: the truth lies
+    # inside the prediction, so its DSC is 2n/(n + m) from the two counts,
+    # while the skeleton, and so clDice, stays near the truth's.
+    pred = degrade(truth, DegradeSpec(dilate_steps={vein: 1}))
+    report = evaluate_case(truth.label_volume, pred)
+    vein_id = DEFAULT_SCHEMA.id_of(vein)
+    gt_mask, pred_mask = truth.label_volume.labels == vein_id, pred.labels == vein_id
+    assert not (gt_mask & ~pred_mask).any()
+    n, m = int(np.count_nonzero(gt_mask)), int(np.count_nonzero(pred_mask))
+    assert report.dsc[vein] == 2 * n / (n + m)
+    assert report.cl_dice[vein] >= 0.98
+    # the other vein and the biliary tree in every field, and the lesions
+    for field in ("dsc", "central_dsc", "peripheral_dsc", "cl_dice"):
+        kept = {k: v for k, v in getattr(perfect, field).items() if k in (other, "biliary_tree")}
+        assert {k: getattr(report, field)[k] for k in kept} == kept
+    assert other in report.cl_dice and "biliary_tree" in report.central_dsc
+    assert report.lesions == perfect.lesions
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)

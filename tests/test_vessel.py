@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -29,6 +31,7 @@ from conftest import (
     grid_geometry,
     phantom_vessel_masks,
     random_skeleton_mask,
+    reference_graph,
 )
 
 
@@ -451,6 +454,70 @@ class TestIdentifyGallbladder:
         mask[box] |= inside
         gb, _ = identify_gallbladder(BinaryMask(g, mask))
         assert gb.popcount() == 0
+
+
+def voxel_mask(points) -> BinaryMask:
+    """Mask of the (z, y, x) `points`, shifted to a one-voxel margin."""
+    zyx = np.array(points) - np.min(points, axis=0) + 1
+    values = np.zeros(tuple(zyx.max(axis=0) + 2), dtype=bool)
+    values[tuple(zyx.T)] = True
+    return BinaryMask(grid_geometry(values.shape, (0.8, 1.0, 1.5)), values)
+
+
+# In-plane rings whose voxels have exactly two 26-neighbours each: a diamond
+# |y| + |x| = 3 (12 voxels) and an octagon in a 4 x 4 square (8 voxels).
+DIAMOND = [(0, y, x) for y in range(-3, 4) for x in {3 - abs(y), abs(y) - 3}]
+OCTAGON = [(0, 0, 1), (0, 0, 2), (0, 1, 3), (0, 2, 3), (0, 3, 2), (0, 3, 1), (0, 2, 0), (0, 1, 0)]
+# name: (voxels, (nodes, kept edges, removed edges))
+GRAPH_SHAPES = {
+    "single_voxel": ([(0, 0, 0)], (1, 0, 0)),
+    "adjacent_endpoints": ([(0, 0, 0), (1, 1, 1)], (1, 0, 0)),
+    "pure_8_cycle": (OCTAGON, (1, 0, 1)),
+    # a tail into one diamond vertex, whose loop returns to that voxel
+    "lasso": (DIAMOND + [(0, 0, -4), (0, 0, -5)], (2, 1, 1)),
+    # tails at two opposite vertices: two chains join the same two nodes
+    "parallel_chains": (DIAMOND + [(0, 0, -4), (0, 0, -5), (0, 0, 4), (0, 0, 5)], (4, 3, 1)),
+    # node {(0,0,0), (0,0,1)}; chain voxel (0,1,0) touches both of its voxels
+    "chain_between_one_nodes_voxels": (
+        [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, -1, -1), (0, -2, -2), (0, -1, 2), (0, -2, 3)],
+        (3, 2, 1),
+    ),
+}
+
+
+def graph_record(graph):
+    """Every field of a graph; floats as hex, so equal means equal bits."""
+    return (
+        json.dumps(graph.to_json_dict()),
+        [(n.voxel, n.voxels.tolist()) for n in graph.nodes],
+        [
+            (e.id, e.nodes, e.path.tolist(), e.attach, e.length_mm.hex(), e.mean_radius_mm.hex(), e.generation)
+            for e in graph.edges + graph.removed_edges
+        ],
+    )
+
+
+class TestGraphOracle:
+    """`build_graph` equals the per-voxel walk of `reference_graph` bit for bit."""
+
+    def test_random_skeletons_raw_and_skeletonized(self):
+        for seed in range(200):
+            mask = random_skeleton_mask(seed)
+            for skel in (mask, skeletonize(mask)):
+                assert graph_record(build_graph(skel, mask)) == graph_record(reference_graph(skel, mask))
+
+    def test_phantom_skeletons(self):
+        for mask in phantom_vessel_masks().values():
+            skel = skeletonize(mask)
+            assert graph_record(build_graph(skel, mask)) == graph_record(reference_graph(skel, mask))
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_SHAPES))
+    def test_hand_built_shapes(self, name):
+        points, counts = GRAPH_SHAPES[name]
+        mask = voxel_mask(points)
+        graph = build_graph(mask, mask)
+        assert (len(graph.nodes), len(graph.edges), len(graph.removed_edges)) == counts
+        assert graph_record(graph) == graph_record(reference_graph(mask, mask))
 
 
 class TestGraphExport:
