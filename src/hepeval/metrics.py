@@ -1,18 +1,19 @@
 """Evaluation protocol: DSC, binary clDice, lesion-wise detection, per-case
 reports, aggregation, and the unpaired Mann-Whitney U test.
 
-A case is cut to the joint foreground box of its two label volumes (the
-union of their nonzero voxels' bounding boxes), and each structure is then
-scored on the joint box of its own truth and prediction masks inside it; a
-structure absent from both gets one voxel at the case box's first voxel.
-This is exact. Every number reported for a structure is a count or a ratio
-of counts from its own two masks, and both lie inside its box; cropping is
-a translation, which keeps the (z, y, x) lexicographic order that
-component ids, node and edge ids and the split's smallest-index tie rule
-follow; pooling, the distance transform and the face counts already treat
-the outside of a box as background; and the nearest-skeleton split
-computes each distance from integer index differences alone, which a shift
-leaves unchanged.
+Each structure is scored on the joint box of its own truth and prediction
+masks: the union of its parts' boxes in the two volumes, which
+`label_boxes` gives exactly from one shift-and-or pass per volume (bit k
+of a group's shifted grid marks one id's voxels, so an or-profile holds
+the bit at every plane the id meets); a structure absent from both gets
+one voxel at the grid's first voxel. This is exact. Every number reported
+for a structure is a count or a ratio of counts from its own two masks,
+and both lie inside its box; cropping is a translation, which keeps the
+(z, y, x) lexicographic order that component ids, node and edge ids and
+the split's smallest-index tie rule follow; pooling, the distance
+transform and the face counts already treat the outside of a box as
+background; and the nearest-skeleton split computes each distance from
+integer index differences alone, which a shift leaves unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .morphology import bounding_box, connected_components
+from .morphology import connected_components, label_boxes
 from .vessel import (
     CENTRAL_RULES,
     build_graph,
@@ -39,7 +40,6 @@ from .volume import (
     Geometry,
     LabelVolume,
     _check_fields,
-    extract_mask,
     require_same_geometry,
 )
 
@@ -113,16 +113,8 @@ class LesionReport:
             "n_detected": self.n_detected,
             "detection_rate": self.detection_rate,
             "n_false_positive": self.n_false_positive,
-            "lesions": [
-                {
-                    "id": r.id,
-                    "volume_mm3": r.volume_mm3,
-                    "detected": r.detected,
-                    "best_overlap_dsc": r.best_overlap_dsc,
-                }
-                for r in self.rows
-            ],
-            "false_positives": [{"id": r.id, "volume_mm3": r.volume_mm3} for r in self.fp_rows],
+            "lesions": [dict(vars(r)) for r in self.rows],
+            "false_positives": [dict(vars(r)) for r in self.fp_rows],
         }
 
 
@@ -272,27 +264,23 @@ def _vessel_scores(
     return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
 
 
-def _joint_box(geometry: Geometry, *arrays: np.ndarray) -> tuple[tuple[slice, ...], Geometry]:
-    """The union of the arrays' foreground boxes, and the geometry of the
-    grid cut to it; one voxel at the grid's first voxel when every array is
-    all background.
+def _joint_box(geometry: Geometry, *boxes: tuple[slice, ...] | None) -> tuple[tuple[slice, ...], Geometry]:
+    """The union of the boxes (None for an absent structure), and the
+    geometry of the grid cut to it; one voxel at the grid's first voxel when
+    every box is None.
 
     A cut grid keeps its spacing and orientation; its origin is the position
     of the box's first voxel."""
-    boxes = [b for b in map(bounding_box, arrays) if b is not None] or [(slice(0, 1),) * 3]
+    boxes = [b for b in boxes if b is not None] or [(slice(0, 1),) * 3]
     box = tuple(slice(min(b[i].start for b in boxes), max(b[i].stop for b in boxes)) for i in range(3))
     first_xyz = [s.start for s in box[::-1]]
     dims = [s.stop - s.start for s in box[::-1]]
     return box, Geometry(dims, geometry.spacing, tuple(geometry.position_mm(first_xyz)), geometry.orientation)
 
 
-def _crop_to_joint_foreground(gt: LabelVolume, pred: LabelVolume) -> tuple[LabelVolume, LabelVolume]:
-    """The pair cut to its `_joint_box`; the pair itself when that box is the
-    whole grid."""
-    box, geometry = _joint_box(gt.geometry, gt.labels, pred.labels)
-    if geometry.dims == gt.geometry.dims:
-        return gt, pred
-    return tuple(LabelVolume(geometry, v.labels[box], v.schema) for v in (gt, pred))
+def _box_mask(volume: LabelVolume, label_id: int, box: tuple[slice, ...], geometry: Geometry) -> BinaryMask:
+    """`extract_mask(volume, label_id)` cut to `box`, whose grid is `geometry`."""
+    return BinaryMask(geometry, volume.labels[box] == label_id)
 
 
 def evaluate_case(
@@ -309,27 +297,31 @@ def evaluate_case(
     with the central (gallbladder) comparison skipped for cholecystectomy
     cases; clDice for veins and ducts; lesion-wise tumor detection.
 
-    Each structure's masks are extracted once from the pair's joint
-    foreground box, cut to their own joint box, scored for DSC there and
-    handed to the one block that reads them; no mask pair outlives its
-    block. This gives the same report as the whole grid; see the module
-    docstring for why.
+    There is no crop of the whole case. Each structure's masks are built
+    once, on the `_joint_box` of its parts' boxes in both volumes, or on
+    one voxel at the grid's first voxel when it is absent from both; they
+    are scored for DSC there and handed to the one block that reads them,
+    and no mask pair outlives its block. The boxes come from `label_boxes`,
+    one shift-and-or pass per volume, and are exact because a voxel sets
+    its own id's bit only. This gives the same report as the whole grid;
+    see the module docstring for why.
     """
     require_same_geometry(gt, pred)
     if gt.schema != pred.schema:
         raise SchemaError("ground truth and prediction use different label schemas")
-    gt, pred = _crop_to_joint_foreground(gt, pred)
-    names = [gt.schema.name_of(sid) for sid in gt.schema.structure_ids()]
+    ids = gt.schema.structure_ids()
+    names = [gt.schema.name_of(sid) for sid in ids]
+    boxes = [label_boxes(v.labels, ids) for v in (gt, pred)]
     structure_dsc = {}
 
     def scored(*parts: str) -> tuple[BinaryMask, BinaryMask]:
-        """Truth and prediction masks of the union of `parts`, cut to their
+        """Truth and prediction masks of the union of `parts` on their
         `_joint_box`; records each part's DSC."""
-        pairs = [(extract_mask(gt, sid), extract_mask(pred, sid)) for sid in map(gt.schema.id_of, parts)]
-        box, geometry = _joint_box(gt.geometry, *(m.values for pair in pairs for m in pair))
+        sids = [gt.schema.id_of(name) for name in parts]
+        box, geometry = _joint_box(gt.geometry, *(b[sid] for sid in sids for b in boxes))
         union = None
-        for name, whole in zip(parts, pairs):
-            pair = tuple(BinaryMask(geometry, m.values[box]) for m in whole)
+        for name, sid in zip(parts, sids):
+            pair = tuple(_box_mask(v, sid, box, geometry) for v in (gt, pred))
             structure_dsc[name] = dsc(*pair)
             if union is not None:
                 pair = tuple(BinaryMask(geometry, u.values | m.values) for u, m in zip(union, pair))
@@ -397,19 +389,7 @@ class Summary:
     def to_json_dict(self) -> dict:
         return {
             "n_cases": self.n_cases,
-            "structures": {
-                key: None
-                if e is None
-                else {
-                    "mean": e.mean,
-                    "sd": e.sd,
-                    "median": e.median,
-                    "min": e.min,
-                    "max": e.max,
-                    "n": e.n,
-                }
-                for key, e in self.entries.items()
-            },
+            "structures": {key: None if e is None else dict(vars(e)) for key, e in self.entries.items()},
             "tumor_detection": {
                 "rate_mean": self.detection_rate_mean,
                 "rate_sd": self.detection_rate_sd,

@@ -361,22 +361,39 @@ def bounding_box(values: np.ndarray) -> tuple[slice, ...] | None:
     return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in (z, y, x))
 
 
+def label_boxes(labels: np.ndarray, ids: list[int]) -> dict[int, tuple[slice, ...] | None]:
+    """`bounding_box(labels == i)` for each id in `ids` of a uint8 grid, from
+    one shift-and-or pass per group g of 8 ids.
+
+    Bit k of `1 << (labels - 8g)` is set exactly at the voxels of id 8g + k:
+    any other id leaves a uint8 shift of 8 or more (one below 8g wraps to at
+    least 256 - 8g), which NumPy takes to 0. So bit k of an or over (y, x),
+    the z profile, or over the z extent and then x or y, the y and x
+    profiles, is set exactly at the planes that hold id 8g + k."""
+    boxes = dict.fromkeys(ids)
+    for g in {i >> 3 for i in ids}:
+        bits = np.left_shift(np.uint8(1), labels - np.uint8(8 * g) if g else labels, dtype=np.uint8)
+        z = np.bitwise_or.reduce(bits, axis=(1, 2))
+        hit = np.flatnonzero(z)
+        if hit.size == 0:
+            continue
+        plane = np.bitwise_or.reduce(bits[hit[0] : hit[-1] + 1], axis=0)
+        profiles = z, np.bitwise_or.reduce(plane, axis=1), np.bitwise_or.reduce(plane, axis=0)
+        for i in (i for i in ids if i >> 3 == g):
+            hits = [np.flatnonzero(p & np.uint8(1 << (i & 7))) for p in profiles]
+            if hits[0].size:
+                boxes[i] = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+    return boxes
+
+
 def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentLabeling:
-    """Label components under 6/18/26 adjacency, deterministically ordered."""
+    """Label components under 6/18/26 adjacency; `ndimage.label` numbers them
+    in the linear order of their first voxels, which a test pins."""
     if connectivity not in _STRUCTURES:
         raise ParameterError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, _STRUCTURES[connectivity])
     box = bounding_box(mask.values) or (slice(0, 0),) * 3
-    raw, count = ndimage.label(mask.values[box], structure=structure)
-
-    # Renumber so component ids follow the first-voxel linear order.
-    flat = raw.ravel()
-    fg = np.flatnonzero(flat)
-    _, firsts = np.unique(flat[fg], return_index=True)  # raw ids are 1..count
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[1 + np.argsort(firsts, kind="stable")] = np.arange(1, count + 1, dtype=np.int32)
-    labels = remap[raw]
-
+    labels, count = ndimage.label(mask.values[box], structure=structure)
     sizes = np.bincount(labels.ravel(), minlength=count + 1).astype(np.int64)
     sizes[0] = 0
     boxes = tuple(ndimage.find_objects(labels)) if count else ()

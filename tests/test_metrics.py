@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hepeval.metrics import (
     lesion_match,
     mann_whitney_u,
 )
-from hepeval.morphology import pool_array
+from hepeval.morphology import bounding_box, pool_array
 from hepeval.phantom import (
     DegradeSpec,
     Sphere,
@@ -293,17 +294,30 @@ class TestEvaluateCase:
         assert report.lesions.detection_rate == 1.0
 
     def test_extracts_each_structure_once(self, truth, config, monkeypatch):
+        # Every structure mask is built by `_box_mask`, once per volume.
         calls = []
-        real = hepeval.metrics.extract_mask
+        real = hepeval.metrics._box_mask
 
-        def counted(volume, label_id):
+        def counted(volume, label_id, box, geometry):
             calls.append(label_id)
-            return real(volume, label_id)
+            return real(volume, label_id, box, geometry)
 
-        monkeypatch.setattr(hepeval.metrics, "extract_mask", counted)
+        monkeypatch.setattr(hepeval.metrics, "_box_mask", counted)
         evaluate_case(truth.label_volume, truth.label_volume, config)
         assert sorted(calls) == sorted(2 * DEFAULT_SCHEMA.structure_ids())
         assert len(calls) == 12
+
+    def test_ids_of_eight_and_above_give_the_same_report(self, truth, config):
+        # Ids 1-6 moved to 9/17/64/130/200/255, each in its own group of 8
+        # for `label_boxes`, in the same order, so the JSON keeps its keys.
+        dspec = DegradeSpec(seed=11, erode_steps={"portal_vein": 1}, relabel_fraction=0.02)
+        pair = truth.label_volume, degrade(truth, dspec)
+        new_ids = [0, 9, 17, 64, 130, 200, 255]
+        schema = LabelSchema({new_ids[i]: name for i, name in DEFAULT_SCHEMA.ids.items()})
+        lut = np.array(new_ids, dtype=np.uint8)
+        moved = [LabelVolume(v.geometry, lut[v.labels], schema) for v in pair]
+        base = json.dumps(evaluate_case(*pair, config).to_json_dict())
+        assert json.dumps(evaluate_case(*moved, config).to_json_dict()) == base
 
     def test_degenerate_split_is_logged(self, truth, caplog):
         with caplog.at_level(logging.WARNING, logger="hepeval.metrics"):
@@ -354,10 +368,10 @@ def report_of(gt_labels, pred_labels, spacing, config):
 
 
 def uncropped(monkeypatch):
-    """Score every structure on the whole grid: an oracle for the case crop
-    and the per-structure crops, which both take their box from `_joint_box`."""
+    """Score every structure on the whole grid: an oracle for the
+    per-structure crops, which take their box from `_joint_box`."""
     monkeypatch.setattr(
-        hepeval.metrics, "_joint_box", lambda geometry, *arrays: (tuple(slice(0, n) for n in geometry.shape), geometry)
+        hepeval.metrics, "_joint_box", lambda geometry, *boxes: (tuple(slice(0, n) for n in geometry.shape), geometry)
     )
 
 
@@ -370,7 +384,7 @@ def random_labels(seed):
 
 class TestJointForegroundCrop:
     """A pair embedded at an offset in a larger zero grid gives the same
-    report, with or without the crop to its joint foreground box."""
+    report, with or without each structure's crop to its joint box."""
 
     @pytest.mark.parametrize("spacing", [(2.0, 2.0, 3.0), (0.7, 0.9, 1.3)])
     def test_liver_pair_report_is_padding_invariant(self, truth, config, spacing, monkeypatch):
@@ -463,32 +477,33 @@ class TestJointForegroundCrop:
                 uncropped(m)
                 assert report_of(*(embed(v, EMBED_OFFSETS[1]) for v in pair), (0.7, 0.9, 1.3), config) == base
 
-    def test_crop_geometry_and_no_copy(self):
+    def test_joint_box_geometry(self):
         labels = random_labels(3)  # foreground touches every face
         swap_xy = ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-
-        def volume(values):
-            shape = values.shape
-            geometry = Geometry(shape[::-1], (0.7, 0.9, 1.3), origin=(5.0, -2.0, 1.5), orientation=swap_xy)
-            return LabelVolume(geometry, values)
-
-        whole, zeros = volume(labels), volume(np.zeros_like(labels))
-        for pair in ((whole, whole), (whole, zeros), (zeros, whole)):
-            got = hepeval.metrics._crop_to_joint_foreground(*pair)
-            assert got[0] is pair[0] and got[1] is pair[1]
-        # An all-background pair is cut to one voxel at the grid's first voxel.
-        for v in hepeval.metrics._crop_to_joint_foreground(zeros, zeros):
-            assert v.labels.shape == (1, 1, 1) and not v.labels.any()
-            assert (v.geometry.spacing, v.geometry.origin) == (zeros.geometry.spacing, zeros.geometry.origin)
+        whole = Geometry(labels.shape[::-1], (0.7, 0.9, 1.3), origin=(5.0, -2.0, 1.5), orientation=swap_xy)
+        grid = tuple(slice(0, n) for n in labels.shape)
+        assert bounding_box(labels) == grid
+        for boxes in ((grid, grid), (grid, None), (None, grid)):
+            assert hepeval.metrics._joint_box(whole, *boxes) == (grid, whole)
+        # A structure absent from both volumes is cut to one voxel at the
+        # grid's first voxel.
+        box, geometry = hepeval.metrics._joint_box(whole, None, None)
+        assert box == (slice(0, 1),) * 3 and geometry.dims == (1, 1, 1)
+        assert (geometry.spacing, geometry.origin, geometry.orientation) == (whole.spacing, whole.origin, swap_xy)
 
         offset = (2, 1, 3)
-        big = volume(embed(labels, offset))
-        gt, pred = hepeval.metrics._crop_to_joint_foreground(big, volume(np.zeros_like(big.labels)))
-        assert np.array_equal(gt.labels, labels) and not pred.labels.any()
-        for v in (gt, pred):
-            assert v.geometry.dims == whole.geometry.dims
-            assert (v.geometry.spacing, v.geometry.orientation) == (whole.geometry.spacing, swap_xy)
-            assert v.geometry.origin == tuple(big.geometry.position_mm(offset[::-1]))
+        big_labels = embed(labels, offset)
+        big = Geometry(big_labels.shape[::-1], whole.spacing, whole.origin, swap_xy)
+        box, geometry = hepeval.metrics._joint_box(big, bounding_box(big_labels), None)
+        assert np.array_equal(big_labels[box], labels)
+        assert geometry.dims == whole.dims
+        assert (geometry.spacing, geometry.orientation) == (whole.spacing, swap_xy)
+        assert geometry.origin == tuple(big.position_mm(offset[::-1]))
+        # The union of two boxes spans both.
+        parts = (slice(2, 3), slice(1, 4), slice(5, 6)), (slice(4, 6), slice(0, 2), slice(3, 4))
+        box, geometry = hepeval.metrics._joint_box(big, *parts)
+        assert box == (slice(2, 6), slice(0, 4), slice(3, 6))
+        assert geometry.origin == tuple(big.position_mm((3, 0, 2)))
 
 
 class TestAggregate:

@@ -1,3 +1,4 @@
+import itertools
 import hashlib
 import struct
 import tracemalloc
@@ -20,12 +21,13 @@ from hepeval.morphology import (
     connected_components,
     distance_transform,
     distance_transform_squared,
+    label_boxes,
     pool_array,
     soft_skeleton,
     soft_skeleton_array,
     soft_skeleton_grad,
 )
-from hepeval.phantom import straight_tube_mask
+from hepeval.phantom import DegradeSpec, default_spec, degrade, generate_case, straight_tube_mask
 from hepeval.volume import BinaryMask, Geometry, ProbVolume
 
 from conftest import (
@@ -598,6 +600,33 @@ class TestConnectedComponents:
         assert grid_boxes(cc) == [((3, 5), (2, 4), (1, 3))]
 
 
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_scipy_label_ids_follow_first_voxel_order(self, connectivity):
+        # `connected_components` keeps `ndimage.label`'s ids as they come, so
+        # their first-voxel linear order is pinned here, on whole grids and
+        # on the box views it labels: a SciPy that numbers components in
+        # another order must fail this test rather than reorder reports.
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        truth = generate_case(default_spec())
+        cases = []
+        for volume in (truth.label_volume, degrade(truth, DegradeSpec(seed=2, relabel_fraction=0.05))):
+            cases += [volume.labels == 2, volume.labels == 5]  # tumours; biliary tree with the gallbladder
+        rng = np.random.default_rng(23)
+        for density in (0.02, 0.06, 0.12, 0.2, 0.3, 0.45):
+            for _ in range(16):
+                cases.append(rng.random(tuple(int(n) for n in rng.integers(1, 21, size=3))) < density)
+        counts = []
+        for values in cases:
+            box = bounding_box(values) or (slice(0, 0),) * 3
+            for grid in (values, values[box]):
+                labels, count = ndimage.label(grid, structure=structure)
+                flat = labels.ravel()
+                ids, firsts = np.unique(flat, return_index=True)
+                assert flat[np.sort(firsts[ids > 0])].tolist() == list(range(1, count + 1))
+            counts.append(count)
+        assert sum(counts) >= 1000  # the order is checked over many components
+
+
 EDT_SPACINGS = [(1.0, 1.0, 1.0), (2.0, 2.0, 3.0), (0.7, 0.9, 1.3), (0.7, 1.3, 2.1)]
 
 
@@ -730,6 +759,59 @@ class TestBoundingBox:
                     hit = np.nonzero(grid)
                     want = tuple(slice(int(i.min()), int(i.max()) + 1) for i in hit) if hit[0].size else None
                     assert bounding_box(grid) == want
+
+
+def nonzero_box(grid):
+    hit = np.nonzero(grid)
+    return tuple(slice(int(i.min()), int(i.max()) + 1) for i in hit) if hit[0].size else None
+
+
+class TestLabelBoxes:
+    """`label_boxes` against `bounding_box(labels == id)` and a nonzero
+    oracle, for every id asked for."""
+
+    def check(self, labels, ids):
+        got = label_boxes(labels, ids)
+        assert list(got) == list(ids)
+        for i in ids:
+            assert got[i] == bounding_box(labels == i) == nonzero_box(labels == i)
+
+    def test_random_label_grids(self):
+        rng = np.random.default_rng(29)
+        for density in (0.0, 0.01, 0.1, 0.5, 1.0):
+            for _ in range(12):
+                shape = tuple(int(n) for n in rng.integers(1, 14, size=3))
+                labels = np.where(rng.random(shape) < density, rng.integers(1, 7, size=shape), 0).astype(np.uint8)
+                self.check(labels, list(range(1, 7)))
+                self.check(labels[::2, 1:, ::-1], [1, 3, 6])
+
+    def test_all_background(self):
+        labels = np.zeros((4, 5, 6), dtype=np.uint8)
+        assert label_boxes(labels, [1, 2, 9, 255]) == dict.fromkeys([1, 2, 9, 255])
+        self.check(labels, [0, 1])
+
+    def test_one_voxel_at_each_corner(self):
+        shape = (5, 6, 7)
+        for corner in itertools.product(*((0, n - 1) for n in shape)):
+            for label in (1, 7, 8, 255):
+                labels = np.zeros(shape, dtype=np.uint8)
+                labels[corner] = label
+                assert label_boxes(labels, [label])[label] == tuple(slice(c, c + 1) for c in corner)
+                self.check(labels, [1, 7, 8, 255])
+
+    def test_ids_of_eight_and_above(self):
+        # Groups of 8 ids: each id below its group's base wraps to a shift of
+        # 8 or more, which must give 0, never a stray bit.
+        ids = [9, 17, 64, 130, 200, 255]
+        rng = np.random.default_rng(31)
+        for density in (0.005, 0.05, 0.5):
+            for _ in range(8):
+                shape = tuple(int(n) for n in rng.integers(1, 14, size=3))
+                labels = np.where(rng.random(shape) < density, rng.choice(ids, size=shape), 0).astype(np.uint8)
+                self.check(labels, ids)
+                self.check(labels, [0, 1, 8, 16, 254])  # absent ids beside present ones
+        labels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)  # every id, once
+        self.check(labels, list(range(256)))
 
 
 class TestCropInvariance:

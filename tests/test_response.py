@@ -1,16 +1,19 @@
 """Response cases on the liver-scale phantom.
 
-Each case degrades the `default_spec()` truth in one known way and checks
-that the report fields it touches move in the direction the construction
-says, by the amount it gives where it gives one, and that the fields it
-does not touch stay put.
+Each case degrades the `default_spec()` truth in one known way, or scores
+a truth without a gallbladder against it, and checks that the report
+fields it touches move in the direction the construction says, by the
+amount it gives where it gives one, and that the fields it does not touch
+stay put.
 """
+
+import copy
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from hepeval.metrics import evaluate_case
+from hepeval.metrics import LesionRow, evaluate_case
 from hepeval.phantom import DegradeSpec, Sphere, default_spec, degrade, generate_case, rasterize_sphere
 from hepeval.volume import DEFAULT_SCHEMA
 
@@ -138,3 +141,92 @@ def test_dilated_vein_keeps_its_topology(truth, perfect, vein, other):
     assert other in report.cl_dice and "biliary_tree" in report.central_dsc
     assert report.lesions == perfect.lesions
     assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+
+
+def without(report, paths):
+    """A copy of the report's JSON dict with the dotted `paths` left out."""
+    doc = copy.deepcopy(report.to_json_dict())
+    for path in paths:
+        *head, last = path.split(".")
+        node = doc
+        for key in head:
+            node = node[key]
+        del node[last]
+    return doc
+
+
+def subset_dsc(inner, outer):
+    """DSC of two masks, one inside the other: 2n/(n + m) from the counts."""
+    assert not (inner & ~outer).any()
+    n, m = int(np.count_nonzero(inner)), int(np.count_nonzero(outer))
+    return 2 * n / (n + m)
+
+
+def test_parenchyma_over_the_gallbladder_reads_it_absent(truth, perfect):
+    # A parenchyma blob a little wider than the gallbladder (16 mm) and on
+    # its centre erases it from the prediction: the central biliary DSC
+    # drops to 0, while the ducts, and so the peripheral DSC and clDice,
+    # stay whole.
+    labels = truth.label_volume.labels
+    blob = Sphere(center_mm=(62.0, 108.0, 116.0), radius_mm=17.5)
+    predicted = degrade(truth, DegradeSpec(spurious_blobs=(("parenchyma", blob),)))
+    report, pred = evaluate_case(truth.label_volume, predicted), predicted.labels
+    parenchyma, biliary = DEFAULT_SCHEMA.id_of("parenchyma"), DEFAULT_SCHEMA.id_of("biliary_tree")
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, True)
+    assert report.central_dsc["biliary_tree"] == 0.0 and report.peripheral_dsc["biliary_tree"] == 1.0
+    assert report.dsc["biliary_tree"] == subset_dsc(pred == biliary, labels == biliary)
+    assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, pred == parenchyma)
+    moved = ("dsc.parenchyma", "dsc.biliary_tree", "central_dsc.biliary_tree", "flags.gallbladder_absent_pred")
+    assert without(report, moved) == without(perfect, moved)
+
+
+def test_parenchyma_over_a_tumour_misses_that_lesion(truth, perfect):
+    # A parenchyma blob wider than tumour 2 (9 mm) on its centre erases it:
+    # one of two lesions is detected, and the missed one keeps its truth
+    # volume with a best overlap DSC of 0.
+    labels = truth.label_volume.labels
+    blob = Sphere(center_mm=(90.0, 150.0, 250.0), radius_mm=10.5)
+    predicted = degrade(truth, DegradeSpec(spurious_blobs=(("parenchyma", blob),)))
+    report, pred = evaluate_case(truth.label_volume, predicted), predicted.labels
+    tumour, parenchyma = DEFAULT_SCHEMA.id_of("tumor"), DEFAULT_SCHEMA.id_of("parenchyma")
+    lesions = report.lesions
+    assert (lesions.n_gt, lesions.n_detected, lesions.detection_rate, lesions.n_false_positive) == (2, 1, 0.5, 0)
+    assert lesions.rows[0] == perfect.lesions.rows[0]
+    missed = perfect.lesions.rows[1]
+    assert lesions.rows[1] == LesionRow(missed.id, missed.volume_mm3, False, 0.0)
+    assert report.dsc["tumor"] == subset_dsc(pred == tumour, labels == tumour)
+    assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, pred == parenchyma)
+    moved = ("dsc.tumor", "dsc.parenchyma", "lesions.n_detected", "lesions.detection_rate", "lesions.lesions")
+    assert without(report, moved) == without(perfect, moved)
+
+
+def test_cholecystectomy_truth_leaves_biliary_central_out(truth, perfect):
+    # Truth without a gallbladder against a prediction with one: the central
+    # biliary comparison is left out (null), and the prediction's
+    # gallbladder counts against the biliary and parenchyma DSCs only.
+    gt = generate_case(default_spec(gallbladder_present=False)).label_volume
+    report = evaluate_case(gt, truth.label_volume)
+    labels = truth.label_volume.labels
+    parenchyma, biliary = DEFAULT_SCHEMA.id_of("parenchyma"), DEFAULT_SCHEMA.id_of("biliary_tree")
+    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (True, False)
+    assert report.central_dsc["biliary_tree"] is None
+    assert report.to_json_dict()["central_dsc"]["biliary_tree"] is None
+    assert report.dsc["biliary_tree"] == subset_dsc(gt.labels == biliary, labels == biliary)
+    assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, gt.labels == parenchyma)
+    moved = ("dsc.parenchyma", "dsc.biliary_tree", "central_dsc.biliary_tree", "flags.gallbladder_absent_gt")
+    assert without(report, moved) == without(perfect, moved)
+
+
+def test_dropped_biliary_edge_lowers_duct_scores(truth, perfect):
+    # Dropping one generation-2 duct removes a branch from the ducts alone:
+    # the biliary DSC, the peripheral (duct) DSC and the duct clDice fall,
+    # and the gallbladder comparison stays whole.
+    edge = min(e.edge_id for e in truth.edges if e.tree == "biliary_tree" and e.generation == 2)
+    predicted = degrade(truth, DegradeSpec(drop_edge_ids=(edge,)))
+    report, pred = evaluate_case(truth.label_volume, predicted), predicted.labels
+    biliary = DEFAULT_SCHEMA.id_of("biliary_tree")
+    assert report.dsc["biliary_tree"] == subset_dsc(pred == biliary, truth.label_volume.labels == biliary) < 1.0
+    assert report.peripheral_dsc["biliary_tree"] < 1.0
+    assert 0.9 <= report.cl_dice["biliary_ducts"] < 1.0
+    moved = ("dsc.biliary_tree", "peripheral_dsc.biliary_tree", "cl_dice.biliary_ducts")
+    assert without(report, moved) == without(perfect, moved)
