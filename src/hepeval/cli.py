@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 partial data failure (a batch
 ran but at least one case failed). Outputs are UTF-8 JSON and RFC 4180 CSV;
-every command writes a run manifest with SHA-256 digests of its inputs.
+eval, phantom and skeleton write a run manifest with the SHA-256 digest of
+the bytes each input held when it was read.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from .vessel import build_graph, classify_central_peripheral, skeletonize
 log = logging.getLogger("hepeval")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read_json(path, digests: dict[str, str | None]):
+    """Parse the JSON file at `path`, storing the SHA-256 of the bytes parsed
+    in `digests` under ``str(path)``."""
+    data = Path(path).read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return json.loads(data)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -88,11 +89,8 @@ def _run_manifest(command: list[str], config: dict, input_digests: dict[str, str
     }
 
 
-def _load_config(path: str | None) -> tuple[LossConfig, EvalConfig, dict]:
-    raw = {}
-    if path:
-        with open(path) as fh:
-            raw = json.load(fh)
+def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[LossConfig, EvalConfig, dict]:
+    raw = _read_json(path, digests) if path else {}
     loss_fields = set(LossConfig.__dataclass_fields__)
     eval_fields = set(EvalConfig.__dataclass_fields__)
     unknown = set(raw) - loss_fields - eval_fields
@@ -118,13 +116,15 @@ def cmd_eval(args) -> int:
     if args.jobs < 0:
         log.error("usage error: --jobs must be >= 0, got %d", args.jobs)
         return 1
+    # an input the batch never reads keeps a null digest
+    digests = dict.fromkeys(map(str, [*args.gt, *args.pred]))
     try:
-        _, eval_cfg, raw_cfg = _load_config(args.config)
+        _, eval_cfg, raw_cfg = _load_config(args.config, digests)
         if args.connectivity is not None:
             eval_cfg = replace(eval_cfg, connectivity=args.connectivity)
         if args.skeleton_iters is not None:
             eval_cfg = replace(eval_cfg, skeleton_iterations=args.skeleton_iters)
-    except (OSError, json.JSONDecodeError, HepevalError, TypeError) as exc:
+    except (OSError, ValueError, HepevalError, TypeError) as exc:
         log.error("config error: %s", exc)
         return 1
 
@@ -135,8 +135,8 @@ def cmd_eval(args) -> int:
     def run_one(pair):
         gt_path, pred_path = pair
         case = _case_id(gt_path)
-        gt = read_label_volume(gt_path)
-        pred = read_label_volume(pred_path)
+        gt = read_label_volume(gt_path, digests=digests)
+        pred = read_label_volume(pred_path, digests=digests)
         report = evaluate_case(gt, pred, eval_cfg, case_id=case)
         _write_json(out / f"case_{case}.report.json", report.to_json_dict())
         return report
@@ -156,15 +156,6 @@ def cmd_eval(args) -> int:
             else:
                 reports.append(result)
 
-    digests = {}
-    for gt_path, pred_path in pairs:
-        for p in (gt_path, pred_path):
-            try:
-                digests[str(p)] = _sha256(Path(p))
-            except OSError:
-                digests[str(p)] = None
-    if args.config:
-        digests[str(args.config)] = _sha256(Path(args.config))
     manifest = _run_manifest(["eval", *map(str, args.gt), *map(str, args.pred)], raw_cfg, digests)
     manifest["failed_cases"] = failures
     _write_json(out / "manifest.json", manifest)
@@ -206,11 +197,11 @@ def _blank(v):
 
 
 def cmd_phantom(args) -> int:
+    digests: dict[str, str | None] = {}
     try:
-        with open(args.spec) as fh:
-            spec = spec_from_json_dict(json.load(fh))
+        spec = spec_from_json_dict(_read_json(args.spec, digests))
         truth = generate_case(spec)
-    except (OSError, json.JSONDecodeError, HepevalError) as exc:
+    except (OSError, ValueError, HepevalError) as exc:
         log.error("invalid phantom spec: %s", exc)
         return 1
 
@@ -224,18 +215,14 @@ def cmd_phantom(args) -> int:
 
     if args.degrade:
         try:
-            with open(args.degrade) as fh:
-                dspec = degrade_from_json_dict(json.load(fh))
+            dspec = degrade_from_json_dict(_read_json(args.degrade, digests))
             degraded = degrade(truth, dspec)
-        except (OSError, json.JSONDecodeError, HepevalError) as exc:
+        except (OSError, ValueError, HepevalError) as exc:
             log.error("invalid degrade spec: %s", exc)
             return 1
         write_nifti(degraded, out / "prediction.nii.gz")
         manifest["degrade_applied"] = True
 
-    digests = {str(args.spec): _sha256(Path(args.spec))}
-    if args.degrade:
-        digests[str(args.degrade)] = _sha256(Path(args.degrade))
     manifest["run"] = _run_manifest(["phantom", str(args.spec)], {}, digests)
     _write_json(out / "truth_manifest.json", manifest)
     return 0
@@ -243,8 +230,8 @@ def cmd_phantom(args) -> int:
 
 def cmd_loss(args) -> int:
     try:
-        loss_cfg, _, _ = _load_config(args.config)
-    except (OSError, json.JSONDecodeError, HepevalError, TypeError) as exc:
+        loss_cfg, _, _ = _load_config(args.config, {})
+    except (OSError, ValueError, HepevalError, TypeError) as exc:
         log.error("config error: %s", exc)
         return 1
     try:
@@ -278,8 +265,9 @@ def cmd_skeleton(args) -> int:
     if iterations < 1:
         log.error("config error: --skeleton-iters must be >= 1, got %d", iterations)
         return 1
+    digests: dict[str, str | None] = {}
     try:
-        mask = read_binary_mask(args.mask)
+        mask = read_binary_mask(args.mask, digests=digests)
     except (OSError, HepevalError) as exc:
         log.error("%s", exc)
         return 1
@@ -299,7 +287,7 @@ def cmd_skeleton(args) -> int:
     manifest = _run_manifest(
         ["skeleton", str(args.mask)],
         {"skeleton_iterations": iterations},
-        {str(args.mask): _sha256(Path(args.mask))},
+        digests,
     )
     _write_json(out / "manifest.json", manifest)
     return 0

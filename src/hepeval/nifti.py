@@ -9,9 +9,10 @@ qform, and only the datatypes produced by segmentation tools.
 from __future__ import annotations
 
 import gzip
+import hashlib
+import io
 import logging
 import math
-import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -113,14 +114,6 @@ def _unpack_header(raw: bytes, byte_order: str) -> dict:
     return out
 
 
-def _open_maybe_gzip(path: Path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 @contextmanager
 def _gzip_errors(path: Path):
     """Name `path` in what a damaged gzip stream raises while it is read: a
@@ -138,28 +131,23 @@ def _gzip_errors(path: Path):
 def _read_payload(fh, nbytes: int, path: Path) -> bytes:
     """The next `nbytes` of `fh`, or OSError naming the truncated payload.
 
-    The header's extents can claim more bytes than the file holds, so no
-    buffer of that size is made before its bytes are known to exist: a plain
-    file is checked against its size, and a gzip stream, whose length is
-    known only by reading it, is read in chunks of at most `_CHUNK` bytes.
-    A gzip stream is then read to its end and the rest discarded, because
-    `GzipFile` checks a member's CRC-32 and length, and what follows it, only
-    there; it skips zero padding after the member.
+    The header's extents can claim more bytes than the file holds, so the
+    payload is read in chunks of at most `_CHUNK` bytes and no buffer of the
+    claimed size is made before its bytes are known to exist. The stream is
+    then read to its end and the rest discarded, because `GzipFile` checks a
+    member's CRC-32 and length, and what follows it, only there; it skips
+    zero padding after the member.
     """
-    if isinstance(fh, gzip.GzipFile):
-        chunks, size = [], 0
-        while size < nbytes:
-            chunk = fh.read(min(_CHUNK, nbytes - size))
-            if not chunk:
-                break
-            chunks.append(chunk)
-            size += len(chunk)
-        while fh.read(_CHUNK):
-            pass
-        payload = b"".join(chunks)
-    else:
-        available = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
-        payload = fh.read(min(nbytes, available))
+    chunks, size = [], 0
+    while size < nbytes:
+        chunk = fh.read(min(_CHUNK, nbytes - size))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+    while fh.read(_CHUNK):
+        pass
+    payload = b"".join(chunks)
     if len(payload) < nbytes:
         raise OSError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
     return payload
@@ -281,6 +269,7 @@ def read_nifti(
     path,
     intent: str = "auto",
     schema: LabelSchema = DEFAULT_SCHEMA,
+    digests: dict[str, str | None] | None = None,
 ) -> LabelVolume | ProbVolume:
     """Read a NIfTI-1 volume as labels or probabilities.
 
@@ -289,12 +278,20 @@ def read_nifti(
     header's scl_slope and scl_inter; a label file with any scaling other
     than the identity is rejected. Probability values outside [0, 1] are
     clamped and counted in a warning rather than rejected.
+
+    The file is read once and decoded from memory. If `digests` is given, the
+    SHA-256 of the bytes read is stored in it under ``str(path)`` before they
+    are decoded, so a file that fails to decode is still named by its bytes.
     """
     if intent not in ("auto", "labels", "prob"):
         raise ParameterError(f"intent must be auto, labels or prob, got {intent!r}")
-    path = Path(path)
+    key, path = str(path), Path(path)
+    data = path.read_bytes()
+    if digests is not None:
+        digests[key] = hashlib.sha256(data).hexdigest()
+    fh = gzip.GzipFile(fileobj=io.BytesIO(data)) if data[:2] == b"\x1f\x8b" else io.BytesIO(data)
 
-    with _open_maybe_gzip(path) as fh, _gzip_errors(path):
+    with fh, _gzip_errors(path):
         raw = fh.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
             raise OSError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -359,8 +356,8 @@ def read_nifti(
     return ProbVolume(geometry, values)
 
 
-def read_label_volume(path, schema: LabelSchema = DEFAULT_SCHEMA) -> LabelVolume:
-    vol = read_nifti(path, intent="labels", schema=schema)
+def read_label_volume(path, schema: LabelSchema = DEFAULT_SCHEMA, digests: dict | None = None) -> LabelVolume:
+    vol = read_nifti(path, intent="labels", schema=schema, digests=digests)
     assert isinstance(vol, LabelVolume)
     return vol
 
@@ -371,14 +368,15 @@ def read_prob_volume(path) -> ProbVolume:
     return vol
 
 
-def read_binary_mask(path) -> BinaryMask:
+def read_binary_mask(path, digests: dict | None = None) -> BinaryMask:
     """Read a mask; the file must contain only values 0 and 1, unscaled.
 
     It is read as labels, so a float file holding 2.0 or -1.0 is rejected
     rather than clamped into [0, 1] as a probability file would be.
     """
+    schema = LabelSchema({0: "background", 1: "foreground"})
     try:
-        vol = read_nifti(path, intent="labels", schema=LabelSchema({0: "background", 1: "foreground"}))
+        vol = read_nifti(path, intent="labels", schema=schema, digests=digests)
     except (ParameterError, SchemaError) as exc:
         raise ParameterError(f"{path}: volume is not a binary mask: {exc}") from None
     return BinaryMask(vol.geometry, vol.labels == 1)

@@ -29,6 +29,17 @@ PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumo
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
 
 
+def _dot(u, v) -> float:
+    """u . v of two 3-vectors, summed in a fixed order. `np.dot` and
+    `np.linalg.norm` go through BLAS, whose kernels, picked per CPU, can
+    round the last bit differently, and that bit decides edge voxels."""
+    return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1]) + float(u[2]) * float(v[2])
+
+
+def _norm(u) -> float:
+    return math.sqrt(_dot(u, u))
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """Recursive symmetric bifurcation parameters for one vessel tree."""
@@ -57,7 +68,7 @@ class TreeSpec:
             raise ParameterError("root radius and segment length must be > 0")
         if not 0 < self.radius_decay <= 1 or not 0 < self.length_decay <= 1:
             raise ParameterError("decay ratios must lie in (0, 1]")
-        if np.linalg.norm(self.root_direction) == 0 or np.linalg.norm(self.branch_normal) == 0:
+        if _norm(self.root_direction) == 0 or _norm(self.branch_normal) == 0:
             raise ParameterError("direction and branch normal must be non-zero")
 
 
@@ -112,9 +123,7 @@ class EdgeRecord:
 
     @property
     def length_mm(self) -> float:
-        a = np.asarray(self.start_mm)
-        b = np.asarray(self.end_mm)
-        return float(np.linalg.norm(b - a))
+        return _norm(np.subtract(self.end_mm, self.start_mm))
 
     @property
     def analytic_volume_mm3(self) -> float:
@@ -145,20 +154,20 @@ class PhantomTruth:
 
 
 def _rotate(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / _norm(axis)
     c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return v * c + np.cross(axis, v) * s + axis * float(axis @ v) * (1.0 - c)
+    return v * c + np.cross(axis, v) * s + axis * _dot(axis, v) * (1.0 - c)
 
 
 def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[EdgeRecord]:
     """Breadth-first symmetric bifurcation; edge ids are parent-before-child."""
     direction = np.asarray(spec.root_direction, dtype=np.float64)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / _norm(direction)
     normal = np.asarray(spec.branch_normal, dtype=np.float64)
-    normal = normal - direction * float(direction @ normal)
-    if np.linalg.norm(normal) < 1e-12:
+    normal = normal - direction * _dot(direction, normal)
+    if _norm(normal) < 1e-12:
         raise ParameterError(f"{tree_name}: branch normal is parallel to the root direction")
-    normal = normal / np.linalg.norm(normal)
+    normal = normal / _norm(normal)
 
     edges: list[EdgeRecord] = []
     start = np.asarray(spec.root_start_mm, dtype=np.float64)
@@ -183,7 +192,7 @@ def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[Edg
             base = np.asarray(parent.end_mm)
             for sign in (+1.0, -1.0):
                 cdir = _rotate(pdir, pnormal, sign * half_angle)
-                cdir = cdir / np.linalg.norm(cdir)
+                cdir = cdir / _norm(cdir)
                 child = EdgeRecord(
                     edge_id=next_id,
                     tree=tree_name,
@@ -247,7 +256,7 @@ def rasterize_capsule(
         return None
     lo_idx, hi_idx, xx, yy, zz = grids
     ab = b - a
-    denom = float(ab @ ab)
+    denom = _dot(ab, ab)
     px, py, pz = xx - a[0], yy - a[1], zz - a[2]
     if denom == 0.0:
         d2 = px * px + py * py + pz * pz
@@ -275,7 +284,7 @@ def _capsule_mask(geometry: Geometry, start_mm, end_mm, radius_mm: float) -> np.
 def _inside_ellipsoid(point, center, semiaxes, margin_mm: float) -> bool:
     p = np.asarray(point, dtype=np.float64)
     scaled = (p - center) / np.asarray(semiaxes)
-    return float(np.linalg.norm(scaled)) + margin_mm / float(min(semiaxes)) <= 1.0
+    return _norm(scaled) + margin_mm / float(min(semiaxes)) <= 1.0
 
 
 def _check_inside_volume(geometry: Geometry, point, margin_mm: float, what: str):

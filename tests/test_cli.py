@@ -201,6 +201,48 @@ class TestEvalCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0][1]["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
 
+    def test_manifest_names_the_bytes_evaluated(self, phantom_pair, tmp_path, monkeypatch):
+        # the truth file is overwritten after both reads: the manifest still
+        # names the bytes that were scored, and the config's own bytes
+        import hepeval.cli
+        from hepeval.metrics import evaluate_case
+
+        _, gt_path, pred_path = phantom_pair
+        gt = tmp_path / "case01.nii.gz"
+        evaluated = gt_path.read_bytes()
+        gt.write_bytes(evaluated)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"skeleton_iterations": 4}))
+
+        def overwriting(*args, **kwargs):
+            gt.write_bytes(pred_path.read_bytes())
+            return evaluate_case(*args, **kwargs)
+
+        monkeypatch.setattr(hepeval.cli, "evaluate_case", overwriting)
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred_path), "--out", str(out),
+                     "--config", str(cfg), "--jobs", "1"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            str(gt): hashlib.sha256(evaluated).hexdigest(),
+            str(pred_path): hashlib.sha256(pred_path.read_bytes()).hexdigest(),
+            str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest(),
+        }
+
+    def test_an_input_never_read_has_a_null_digest(self, phantom_pair, tmp_path):
+        # the missing truth fails its case before that case's prediction is read
+        _, gt_path, pred_path = phantom_pair
+        pred = tmp_path / "unread_pred.nii.gz"
+        pred.write_bytes(pred_path.read_bytes())
+        missing = tmp_path / "nope.nii.gz"
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(missing), "--pred", str(pred), "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        schema_check(manifest, load_schema("manifest"))
+        assert manifest["input_digests"] == {str(missing): None, str(pred): None}
+
     def test_negative_jobs_exits_1(self, phantom_pair, tmp_path, caplog):
         _, gt_path, pred_path = phantom_pair
         code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path),
@@ -555,6 +597,23 @@ class TestStatsCommand:
         assert main(["stats", str(a), str(b)]) == 1
         assert "tumor" in caplog.text and "NaN" in caplog.text
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    (["eval", "--gt", "a.nii", "--pred", "b.nii", "--out", "{out}", "--config", "{bad}"], "config error"),
+    (["loss", "--pred", "a.nii", "--gt", "b.nii", "--config", "{bad}"], "config error"),
+    (["phantom", "{bad}", "--out", "{out}"], "invalid phantom spec"),
+    (["phantom", "{spec}", "--degrade", "{bad}", "--out", "{out}"], "invalid degrade spec"),
+], ids=["eval-config", "loss-config", "phantom-spec", "degrade-spec"])
+def test_json_input_that_is_not_utf8_exits_1(tmp_path, caplog, command, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+    argv = [a.format(bad=bad, spec=spec, out=tmp_path / "out") for a in command]
+    with caplog.at_level("ERROR"):
+        assert main(argv) == 1
+    assert message in caplog.text
 
 
 class TestCliBasics:

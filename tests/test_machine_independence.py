@@ -1,5 +1,6 @@
-"""The central/peripheral split, the skeleton graph and the pinned loss input
-are the same bytes under the kernels NumPy and OpenBLAS pick at run time.
+"""The central/peripheral split, the skeleton graph, the pinned loss input and
+the phantom's edge geometry are the same bytes under the kernels NumPy and
+OpenBLAS pick at run time.
 
 `digests` runs in a subprocess under each setting and must give the
 SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask
+from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask, truth_manifest
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
 from hepeval.volume import BinaryMask, Geometry, extract_mask
 
@@ -40,8 +41,9 @@ def at_odd_spacing(spec) -> BinaryMask:
 def digests() -> dict[str, str]:
     """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask and
     the `default_spec()` truth portal's graph JSON, both at 0.7 x 0.9 x 1.3 mm,
-    and of the pinned `noisy_tube` input. The `default_spec()` label array is
-    the same under every kernel tried, so its digest checks the graph code."""
+    of the pinned `noisy_tube` input, and of the `default_spec()` edge records
+    and edge tags. The `default_spec()` label array is the same under every
+    kernel tried, so its digest checks the graph code."""
     mask = at_odd_spacing(axis_tree_spec(4))
     split = classify_central_peripheral(build_graph(skeletonize(mask, 10), mask), mask)
     tube, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
@@ -50,6 +52,10 @@ def digests() -> dict[str, str]:
     mask = at_odd_spacing(default_spec())
     graph = json.dumps(build_graph(skeletonize(mask, 10), mask).to_json_dict(), sort_keys=True)
     out["liver_portal_graph"] = hashlib.sha256(graph.encode()).hexdigest()
+    truth = generate_case(default_spec())
+    edges = json.dumps(truth_manifest(truth)["edges"])
+    out["liver_edge_records"] = hashlib.sha256(edges.encode()).hexdigest()
+    out["liver_edge_tag"] = hashlib.sha256(truth.edge_tag.tobytes()).hexdigest()
     return out
 
 

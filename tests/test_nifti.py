@@ -598,6 +598,15 @@ class TestGzipIntegrity:
             read_nifti(path)
         assert type(info.value) is error
 
+    def test_two_members_read_as_the_one_member_file(self, tmp_path, written):
+        # the cut falls inside the header, so the header read spans both members
+        plain = gzip.decompress(written[1])
+        path = tmp_path / "two_members.nii.gz"
+        path.write_bytes(gzip.compress(plain[:200], mtime=0) + gzip.compress(plain[200:], mtime=0))
+        one, two = read_label_volume(tmp_path / "labels.nii.gz"), read_label_volume(path)
+        assert np.array_equal(two.labels, one.labels)
+        assert two.geometry == one.geometry
+
     def test_zero_padding_after_the_member_is_accepted(self, tmp_path, written):
         vol, data = written
         path = tmp_path / "padded.nii.gz"

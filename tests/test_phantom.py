@@ -42,18 +42,18 @@ class TestGenerate:
         "default_spec": (
             default_spec,
             "213892c3e8ee00245f4f2d6c8c8ef5e57cded728f86d6fb0a7028ee944a7e897",
-            "c5468334a8f500bce41c1024d113445da78bbf1d06f5daa4301361740aa194e7",
+            "c89f079065735ed1d957eb772b87ddce675b46965993d43c0340619dcfb52fb9",
             "2f65884a503567742adebca0a9a433c8035a1d629e217d1021ee8dec3db78cd3",
             "13b485b8fb2fa9696685d8bc0b9d22aa8b3c40a017dff8cbbd515520123fbf61",
-            "bb1ea0b4c196f221984a2a52ee6e6bf9a905517f6c83fd863063dbb8525f68aa",
+            "3b7cf2bc1b4bc300d1927271c60fcea490a962ec9726116827f88f1550d9a6c1",
         ),
         "default_spec_no_gallbladder": (
             lambda: default_spec(gallbladder_present=False),
             "67c24ba7486a6986c0f52b4f38ab95c5e51a7370e83539925ac7eb08b2338a90",
-            "c5468334a8f500bce41c1024d113445da78bbf1d06f5daa4301361740aa194e7",
+            "c89f079065735ed1d957eb772b87ddce675b46965993d43c0340619dcfb52fb9",
             "2f65884a503567742adebca0a9a433c8035a1d629e217d1021ee8dec3db78cd3",
             "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee",
-            "c9dd86d5065c8fbfae231de176ad05f27d5eede512802d3dba4152d750369363",
+            "f69ba4a440678c857b4383b6ef4e1a9f7838b85d8750d5ade1045e2a98d4b632",
         ),
         "axis_tree_spec_4": (
             lambda: axis_tree_spec(4),
