@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -101,7 +102,7 @@ def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[Loss
     return loss, ev, raw
 
 
-def _case_id(path: str) -> str:
+def _case_id(path: str | Path) -> str:
     name = Path(path).name
     for suffix in (".nii.gz", ".nii"):
         if name.endswith(suffix):
@@ -115,6 +116,13 @@ def cmd_eval(args) -> int:
         return 1
     if args.jobs < 0:
         log.error("usage error: --jobs must be >= 0, got %d", args.jobs)
+        return 1
+    # each case writes case_<id>.report.json, so two truth files must not
+    # share an id (one truth file given twice is allowed)
+    ids = Counter(map(_case_id, {Path(p) for p in args.gt}))
+    repeated = sorted(case for case, n in ids.items() if n > 1)
+    if repeated:
+        log.error("usage error: more than one --gt file gives case id %r", repeated[0])
         return 1
     # an input the batch never reads keeps a null digest
     digests = dict.fromkeys(map(str, [*args.gt, *args.pred]))

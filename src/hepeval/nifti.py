@@ -3,19 +3,18 @@
 The parser is deliberately hand-rolled over the 348-byte header so that the
 supported surface stays auditable: little-endian primary with a big-endian
 fallback decided by the dim[0] in [1, 7] heuristic, sform preferred over
-qform, and only the datatypes produced by segmentation tools.
+qform, and only the datatypes produced by segmentation tools. A file is
+read into memory once; a `.nii.gz` is decoded there by zlib, member by member.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 import logging
 import math
 import struct
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +36,8 @@ VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 _MAX_OFFSET = 2**31 - 1
-# A gzip payload is read in pieces of at most 4 MiB: a stream shorter than its
-# header claims costs no more than that, and a 128^3 grid of 1- or 2-byte
-# labels still takes one read.
-_CHUNK = 1 << 22
+# zlib's wording of a failed gzip trailer check -> the wording read_nifti reports
+_TRAILER_ERRORS = {"incorrect data check": "CRC check failed", "incorrect length check": "Incorrect length"}
 
 # Fields in on-disk order; the format string is assembled below.
 _FIELDS = [
@@ -114,43 +111,27 @@ def _unpack_header(raw: bytes, byte_order: str) -> dict:
     return out
 
 
-@contextmanager
-def _gzip_errors(path: Path):
-    """Name `path` in what a damaged gzip stream raises while it is read: a
-    FormatError for corrupt data, a failed CRC-32 or length check, or bytes
-    after the member that are not another member; an OSError for a stream
-    that ends early."""
-    try:
-        yield
-    except EOFError as exc:
-        raise OSError(f"{path}: truncated gzip stream ({exc})") from None
-    except (gzip.BadGzipFile, zlib.error) as exc:
-        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from None
+def _gunzip(data: bytes, path: Path) -> bytes:
+    """The decoded bytes of every gzip member in `data`, joined.
 
-
-def _read_payload(fh, nbytes: int, path: Path) -> bytes:
-    """The next `nbytes` of `fh`, or OSError naming the truncated payload.
-
-    The header's extents can claim more bytes than the file holds, so the
-    payload is read in chunks of at most `_CHUNK` bytes and no buffer of the
-    claimed size is made before its bytes are known to exist. The stream is
-    then read to its end and the rest discarded, because `GzipFile` checks a
-    member's CRC-32 and length, and what follows it, only there; it skips
-    zero padding after the member.
+    zlib checks each member's CRC-32 and length. Zero bytes after a member
+    are padding; anything else must start another member. Damage raises a
+    FormatError naming `path`, and a stream that ends early an OSError.
     """
-    chunks, size = [], 0
-    while size < nbytes:
-        chunk = fh.read(min(_CHUNK, nbytes - size))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size += len(chunk)
-    while fh.read(_CHUNK):
-        pass
-    payload = b"".join(chunks)
-    if len(payload) < nbytes:
-        raise OSError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
-    return payload
+    parts = []
+    while data:
+        if data[:2] != b"\x1f\x8b":
+            raise FormatError(f"{path}: corrupt gzip stream (Not a gzipped file ({data[:2]!r}))")
+        member = zlib.decompressobj(wbits=31)
+        try:
+            parts.append(member.decompress(data))
+        except zlib.error as exc:
+            reason = str(exc).rpartition(": ")[2]
+            raise FormatError(f"{path}: corrupt gzip stream ({_TRAILER_ERRORS.get(reason, reason)})") from None
+        if not member.eof:
+            raise OSError(f"{path}: truncated gzip stream (it ended before the end-of-stream marker)")
+        data = member.unused_data.lstrip(b"\x00")
+    return b"".join(parts)
 
 
 def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarray:
@@ -279,9 +260,12 @@ def read_nifti(
     than the identity is rejected. Probability values outside [0, 1] are
     clamped and counted in a warning rather than rejected.
 
-    The file is read once and decoded from memory. If `digests` is given, the
-    SHA-256 of the bytes read is stored in it under ``str(path)`` before they
-    are decoded, so a file that fails to decode is still named by its bytes.
+    The file is read once and decoded from memory, a gzip stream by
+    `_gunzip`. The payload is a view on the decoded bytes, made after their
+    length is checked, so no buffer is ever sized by what the header claims.
+    If `digests` is given, the SHA-256 of the bytes read is stored in it under
+    ``str(path)`` before they are decoded, so a file that fails to decode is
+    still named by its bytes.
     """
     if intent not in ("auto", "labels", "prob"):
         raise ParameterError(f"intent must be auto, labels or prob, got {intent!r}")
@@ -289,45 +273,44 @@ def read_nifti(
     data = path.read_bytes()
     if digests is not None:
         digests[key] = hashlib.sha256(data).hexdigest()
-    fh = gzip.GzipFile(fileobj=io.BytesIO(data)) if data[:2] == b"\x1f\x8b" else io.BytesIO(data)
+    if data[:2] == b"\x1f\x8b":
+        data = _gunzip(data, path)
+    if len(data) < HEADER_SIZE:
+        raise OSError(f"{path}: truncated header ({len(data)} bytes)")
+    raw = data[:HEADER_SIZE]
 
-    with fh, _gzip_errors(path):
-        raw = fh.read(HEADER_SIZE)
-        if len(raw) < HEADER_SIZE:
-            raise OSError(f"{path}: truncated header ({len(raw)} bytes)")
-
-        dim0_le = struct.unpack_from("<h", raw, 40)[0]
-        if 1 <= dim0_le <= 7:
-            order = "<"
+    dim0_le = struct.unpack_from("<h", raw, 40)[0]
+    if 1 <= dim0_le <= 7:
+        order = "<"
+    else:
+        dim0_be = struct.unpack_from(">h", raw, 40)[0]
+        if 1 <= dim0_be <= 7:
+            order = ">"
         else:
-            dim0_be = struct.unpack_from(">h", raw, 40)[0]
-            if 1 <= dim0_be <= 7:
-                order = ">"
-            else:
-                raise FormatError(f"{path}: dim[0] not in [1, 7] under either byte order")
-        hdr = _unpack_header(raw, order)
+            raise FormatError(f"{path}: dim[0] not in [1, 7] under either byte order")
+    hdr = _unpack_header(raw, order)
 
-        if hdr["sizeof_hdr"] != HEADER_SIZE:
-            raise FormatError(f"{path}: sizeof_hdr = {hdr['sizeof_hdr']}, expected {HEADER_SIZE}")
-        if hdr["magic"] == MAGIC_PAIR:
-            raise UnsupportedDatatypeError(
-                f"{path}: magic {MAGIC_PAIR!r} marks a two-file .hdr/.img pair, which is not supported"
-            )
-        if hdr["magic"] != MAGIC_SINGLE:
-            raise FormatError(f"{path}: bad magic field {hdr['magic']!r}")
+    if hdr["sizeof_hdr"] != HEADER_SIZE:
+        raise FormatError(f"{path}: sizeof_hdr = {hdr['sizeof_hdr']}, expected {HEADER_SIZE}")
+    if hdr["magic"] == MAGIC_PAIR:
+        raise UnsupportedDatatypeError(
+            f"{path}: magic {MAGIC_PAIR!r} marks a two-file .hdr/.img pair, which is not supported"
+        )
+    if hdr["magic"] != MAGIC_SINGLE:
+        raise FormatError(f"{path}: bad magic field {hdr['magic']!r}")
 
-        code = hdr["datatype"]
-        if code not in _DTYPES:
-            raise UnsupportedDatatypeError(f"{path}: datatype code {code} is not supported")
-        if hdr["bitpix"] != _BITPIX[code]:
-            raise FormatError(f"{path}: bitpix = {hdr['bitpix']} does not match datatype {code} ({_BITPIX[code]})")
-        dtype = np.dtype(order + _DTYPES[code])
+    code = hdr["datatype"]
+    if code not in _DTYPES:
+        raise UnsupportedDatatypeError(f"{path}: datatype code {code} is not supported")
+    if hdr["bitpix"] != _BITPIX[code]:
+        raise FormatError(f"{path}: bitpix = {hdr['bitpix']} does not match datatype {code} ({_BITPIX[code]})")
+    dtype = np.dtype(order + _DTYPES[code])
 
-        geometry = _geometry_from_header(hdr)
-        fh.seek(_data_offset(hdr))
-        payload = _read_payload(fh, geometry.n_voxels * dtype.itemsize, path)
-
-    data = np.frombuffer(payload, dtype=dtype).reshape(geometry.shape)
+    geometry = _geometry_from_header(hdr)
+    offset, nbytes = _data_offset(hdr), geometry.n_voxels * dtype.itemsize
+    if len(data) < offset + nbytes:
+        raise OSError(f"{path}: truncated payload ({max(len(data) - offset, 0)} of {nbytes} bytes)")
+    data = np.frombuffer(data, dtype, count=geometry.n_voxels, offset=offset).reshape(geometry.shape)
     slope, inter = _scaling(hdr, path)
 
     as_labels = intent == "labels" or (intent == "auto" and code in _INTEGER_CODES)

@@ -250,6 +250,19 @@ class TestEvalCommand:
         assert code == 1
         assert "--jobs" in caplog.text
 
+    def test_duplicate_case_ids_exit_1_before_any_read(self, phantom_pair, tmp_path, caplog):
+        # two truths named case01.nii.gz would write one case_case01.report.json
+        _, gt_path, pred_path = phantom_pair
+        other = tmp_path / "elsewhere" / gt_path.name
+        other.parent.mkdir()
+        other.write_bytes(gt_path.read_bytes())
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(gt_path), str(other), "--pred", str(pred_path), str(pred_path),
+                     "--out", str(out)])
+        assert code == 1
+        assert "usage error" in caplog.text and "'case01'" in caplog.text
+        assert not out.exists()
+
     def test_mismatched_lists_exit_1(self, tmp_path):
         code = main(["eval", "--gt", "a.nii", "--pred", "b.nii", "c.nii", "--out", str(tmp_path)])
         assert code == 1

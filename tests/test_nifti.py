@@ -598,11 +598,13 @@ class TestGzipIntegrity:
             read_nifti(path)
         assert type(info.value) is error
 
-    def test_two_members_read_as_the_one_member_file(self, tmp_path, written):
-        # the cut falls inside the header, so the header read spans both members
+    @pytest.mark.parametrize("gap", [0, 37])
+    def test_two_members_read_as_the_one_member_file(self, tmp_path, written, gap):
+        # the cut falls inside the header, so the header read spans both
+        # members; zero bytes between them are padding
         plain = gzip.decompress(written[1])
         path = tmp_path / "two_members.nii.gz"
-        path.write_bytes(gzip.compress(plain[:200], mtime=0) + gzip.compress(plain[200:], mtime=0))
+        path.write_bytes(gzip.compress(plain[:200], mtime=0) + bytes(gap) + gzip.compress(plain[200:], mtime=0))
         one, two = read_label_volume(tmp_path / "labels.nii.gz"), read_label_volume(path)
         assert np.array_equal(two.labels, one.labels)
         assert two.geometry == one.geometry
@@ -612,3 +614,13 @@ class TestGzipIntegrity:
         path = tmp_path / "padded.nii.gz"
         path.write_bytes(data + bytes(64))
         assert np.array_equal(read_label_volume(path).labels, vol.labels)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_bytes_after_the_payload_are_not_read_as_voxels(self, tmp_path, written, gz):
+        vol, data = written
+        plain = gzip.decompress(data) + b"\x07" * 100
+        path = tmp_path / ("extra.nii.gz" if gz else "extra.nii")
+        path.write_bytes(gzip.compress(plain, mtime=0) if gz else plain)
+        back = read_label_volume(path)
+        assert back.geometry == vol.geometry
+        assert np.array_equal(back.labels, vol.labels)

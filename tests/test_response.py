@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from hepeval.metrics import LesionRow, evaluate_case
 from hepeval.phantom import DegradeSpec, Sphere, default_spec, degrade, generate_case, rasterize_sphere
-from hepeval.volume import DEFAULT_SCHEMA
+from hepeval.volume import DEFAULT_SCHEMA, LabelVolume
 
 
 @pytest.fixture(scope="module")
@@ -229,4 +229,21 @@ def test_dropped_biliary_edge_lowers_duct_scores(truth, perfect):
     assert report.peripheral_dsc["biliary_tree"] < 1.0
     assert 0.9 <= report.cl_dice["biliary_ducts"] < 1.0
     moved = ("dsc.biliary_tree", "peripheral_dsc.biliary_tree", "cl_dice.biliary_ducts")
+    assert without(report, moved) == without(perfect, moved)
+
+
+def test_gallbladder_relabelled_moves_only_its_dsc_and_the_biliary_dsc(truth, perfect):
+    # The phantom draws its gallbladder as biliary tree (5). A prediction
+    # that labels those voxels gallbladder (6) scores 0 on a structure the
+    # truth lacks and loses them from the biliary DSC; the split and the
+    # flags work on the biliary union, so nothing else moves.
+    labels = truth.label_volume.labels
+    gallbladder, biliary = DEFAULT_SCHEMA.id_of("gallbladder"), DEFAULT_SCHEMA.id_of("biliary_tree")
+    relabelled = np.where(truth.gallbladder_mask, gallbladder, labels)
+    pred = LabelVolume(truth.label_volume.geometry, relabelled)
+    report = evaluate_case(truth.label_volume, pred)
+    assert perfect.dsc["gallbladder"] == 1.0 and report.dsc["gallbladder"] == 0.0
+    assert report.dsc["biliary_tree"] == subset_dsc(relabelled == biliary, labels == biliary)
+    assert report.dsc["biliary_tree"] == pytest.approx(0.4545, abs=1e-4)
+    moved = ("dsc.gallbladder", "dsc.biliary_tree")
     assert without(report, moved) == without(perfect, moved)
