@@ -117,9 +117,9 @@ def cmd_eval(args) -> int:
     if args.jobs < 0:
         log.error("usage error: --jobs must be >= 0, got %d", args.jobs)
         return 1
-    # each case writes case_<id>.report.json, so two truth files must not
-    # share an id (one truth file given twice is allowed)
-    ids = Counter(map(_case_id, {Path(p) for p in args.gt}))
+    # each case writes case_<id>.report.json, so no two --gt paths may share
+    # an id, the same path given twice included
+    ids = Counter(map(_case_id, args.gt))
     repeated = sorted(case for case, n in ids.items() if n > 1)
     if repeated:
         log.error("usage error: more than one --gt file gives case id %r", repeated[0])

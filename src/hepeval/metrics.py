@@ -240,28 +240,30 @@ class CaseReport:
 def _vessel_scores(
     gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig, case_id: str, name: str
 ) -> tuple:
-    """Central DSC, peripheral DSC and clDice of one venous tree; the split
-    comes from the truth's skeleton graph and is applied to both masks.
+    """Central DSC, peripheral DSC and clDice of one venous tree. The truth's
+    skeleton graph splits truth ∪ prediction once, and each side keeps its
+    own voxels: exact, as a voxel's class needs only its position and graph.
 
     When the truth tree is present but its split leaves a side empty, or its
     graph keeps no edge, a WARNING says so: the central and peripheral
-    scores then say nothing about the two regions."""
+    scores then say nothing about the two regions. An absent truth tree
+    logs the split's "empty skeleton graph" WARNING, with the union's count."""
     skel = skeletonize(gt_mask, config.skeleton_iterations)
     graph = build_graph(skel, gt_mask)
-    gt_split, pred_split = (
-        classify_central_peripheral(graph, m, config.central_rule, config.max_central_generation)
-        for m in (gt_mask, pred_mask)
+    union = BinaryMask(gt_mask.geometry, gt_mask.values | pred_mask.values)
+    split = classify_central_peripheral(graph, union, config.central_rule, config.max_central_generation)
+    gt_central, gt_peripheral, pred_central, pred_peripheral = (
+        BinaryMask(union.geometry, region.values & m.values)
+        for m in (gt_mask, pred_mask) for region in (split.central, split.peripheral)
     )
-    n_central, n_peripheral = gt_split.central.popcount(), gt_split.peripheral.popcount()
-    present = n_central + n_peripheral > 0
-    if present and (n_central == 0 or n_peripheral == 0 or not graph.edges):
+    n_central, n_peripheral = gt_central.popcount(), gt_peripheral.popcount()
+    if n_central + n_peripheral and (n_central == 0 or n_peripheral == 0 or not graph.edges):
         log.warning(
             "%s: degenerate %s split: %d central and %d peripheral truth voxels, %d kept edge(s)",
             case_id, name, n_central, n_peripheral, len(graph.edges)
         )
-    pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
-    cl = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, skel)
-    return dsc(gt_split.central, pred_split.central), dsc(gt_split.peripheral, pred_split.peripheral), cl
+    cl = _cl_dice_from_skeletons(pred_mask, gt_mask, skeletonize(pred_mask, config.skeleton_iterations), skel)
+    return dsc(gt_central, pred_central), dsc(gt_peripheral, pred_peripheral), cl
 
 
 def _joint_box(geometry: Geometry, *boxes: tuple[slice, ...] | None) -> tuple[tuple[slice, ...], Geometry]:

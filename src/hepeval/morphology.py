@@ -33,8 +33,8 @@ the residual is recomputed there from the input by the same float
 subtraction, so the skeleton is bit-identical to value pooling. The
 opening's keys are compared with I_k's undecoded, and its sources are
 decoded on P_k only. The backward scatters each stage onto those sources in
-place (`np.add.at`, `np.subtract.at`) and runs no pool. Integer masks, which
-are constants of the loss, pool by value and have no gradient.
+place (`np.add.at`, `np.subtract.at`) and runs no pool. Integer masks, the
+loss's constants, must be 0/1: their skeleton is their depth map's ridge.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -189,23 +189,20 @@ def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
     return key
 
 
-def _value_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
-    """The soft skeleton from value pools, in the input dtype."""
-    current, skel = values, None
-    for k in range(iterations + 1):
-        eroded = pool_array(current, "min")
-        delta = pool_array(eroded, "max")
-        np.subtract(current, delta, out=delta)
-        np.maximum(delta, 0, out=delta)
-        if skel is None:
-            skel = delta
-        else:
-            delta *= 1 - skel
-            skel += delta
-        if k == iterations or not eroded.any():
+def _binary_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
+    """The soft skeleton of a 0/1 grid, in its dtype: where depth, the count of
+    erosions E^k (E^0 the grid) holding a voxel, capped at iterations + 2, is
+    at most iterations + 1 and its own 3x3x3 maximum (`vessel.skeletonize`)."""
+    if values.size and (values.min() < 0 or values.max() > 1):
+        raise ParameterError("the soft skeleton of an integer grid needs 0/1 values")
+    depth = values.astype(np.min_scalar_type(iterations + 2))
+    eroded = depth
+    for _ in range(iterations + 1):
+        eroded = pool_array(eroded, "min")
+        if not eroded.any():
             break
-        current = eroded
-    return skel
+        depth += eroded
+    return ((depth == pool_array(depth, "max")) & (depth >= 1) & (depth <= iterations + 1)).astype(values.dtype)
 
 
 def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple | None]:
@@ -215,7 +212,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
     Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
     once. The loop stops early once I is all zero, since later stages add
-    nothing. An integer input is pooled by value and its tape is None.
+    nothing. An integer input must be 0/1 (`_binary_skeleton`); no tape.
 
     A floating input is pooled as keys from `_rank_keys`, so every value of
     I_k and of its opening O_k names the input voxel it came from (n for the
@@ -238,7 +235,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if not np.issubdtype(values.dtype, np.floating):
-        return _value_skeleton(values, iterations), None
+        return _binary_skeleton(values, iterations), None
     n = values.size
     flat, keys_in, voxel = _rank_keys(values)
     packed = voxel is None

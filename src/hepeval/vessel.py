@@ -1,13 +1,13 @@
 """Skeleton graphs for binary vessel masks and the central/peripheral split.
 
-The skeleton comes from the same iterative soft-skeleton used by the losses,
-applied to the 0/1 field and thresholded. Graph extraction clusters adjacent
-irregular voxels (degree != 2) into nodes, walks degree-2 chains into edges,
-estimates per-edge radii from the exact distance transform of the vessel
-mask, and breaks spurious cycles at their thinnest edge. One breadth-first
-walk over the kept forest, from each component's widest edge, then gives
-every edge its generation (hops from that root) and, read back in reverse,
-its Strahler order.
+The skeleton is the losses' soft skeleton of the 0/1 field, which is the
+ridge of its chessboard depth map (see `skeletonize`). Graph extraction
+clusters adjacent irregular voxels (degree != 2) into nodes, walks degree-2
+chains into edges, estimates per-edge radii from the exact distance
+transform of the vessel mask, and breaks spurious cycles at their thinnest
+edge. One breadth-first walk over the kept forest, from each component's
+widest edge, then gives every edge its generation (hops from that root)
+and, read back in reverse, its Strahler order.
 
 The skeleton is computed on the bounding box of the mask's foreground. This
 is exact: voxels cut away are 0 and stay 0 at every skeleton stage, every
@@ -54,10 +54,13 @@ OFFSETS_26 = tuple(
 
 
 def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
-    """Binary skeleton: the soft skeleton of the 0/1 field, thresholded at 0.5.
+    """Binary skeleton: Lantuéjoul's skeleton for the 3x3x3 cube, in the mask.
 
-    Guaranteed to be a subset of the input mask. On binary input every
-    intermediate value is 0 or 1, so integer arithmetic is exact. It runs on
+    It is the soft skeleton of the 0/1 field, whose stage k adds the erosion
+    E^k less its opening. With depth the number of erosions holding a voxel,
+    E^k = {depth >= k + 1} and its opening, the dilation of E^(k+1), is
+    {maxpool(depth) >= k + 2}; as maxpool(depth) >= depth, stage k adds
+    {depth = maxpool(depth) = k + 1} exactly, for k <= iterations. It runs on
     the mask's bounding box; see the module docstring for why that is exact.
     """
     if iterations < 1:
@@ -65,9 +68,7 @@ def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
     out = np.zeros(mask.values.shape, dtype=bool)
     box = bounding_box(mask.values)
     if box is not None:
-        crop = mask.values[box]
-        skel, _ = soft_skeleton_array(crop.astype(np.uint8), iterations)
-        out[box] = (skel > 0) & crop
+        out[box] = soft_skeleton_array(mask.values[box], iterations)[0]
     return BinaryMask(mask.geometry, out)
 
 

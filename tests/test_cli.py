@@ -173,7 +173,9 @@ class TestEvalCommand:
         # --jobs 1 on two pairs; the default --jobs on one pair
         gts, preds = [str(gt_path)], [str(pred_path)]
         if jobs:
-            gts, preds = gts * 2, preds + [str(gt_path)]
+            copy = tmp_path / "case02.nii.gz"
+            copy.write_bytes(gt_path.read_bytes())
+            gts, preds = gts + [str(copy)], preds + [str(gt_path)]
         code = main(["eval", "--gt", *gts, "--pred", *preds, "--out", str(tmp_path / "run"),
                      "--skeleton-iters", "4", *jobs])
         assert code == 0
@@ -259,6 +261,16 @@ class TestEvalCommand:
         out = tmp_path / "run"
         code = main(["eval", "--gt", str(gt_path), str(other), "--pred", str(pred_path), str(pred_path),
                      "--out", str(out)])
+        assert code == 1
+        assert "usage error" in caplog.text and "'case01'" in caplog.text
+        assert not out.exists()
+
+    def test_repeated_truth_path_exits_1_and_writes_no_report(self, phantom_pair, tmp_path, caplog):
+        # one truth path given twice would write one report for two cases
+        _, gt_path, pred_path = phantom_pair
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(gt_path), str(gt_path), "--pred", str(gt_path), str(pred_path),
+                     "--out", str(out), "--jobs", "1"])
         assert code == 1
         assert "usage error" in caplog.text and "'case01'" in caplog.text
         assert not out.exists()

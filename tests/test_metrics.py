@@ -335,6 +335,22 @@ class TestEvaluateCase:
             evaluate_case(htree, htree, case_id="htree")
         assert [r for r in caplog.records if r.name == "hepeval.metrics"] == []
 
+    def test_absent_truth_tree_logs_one_empty_graph_warning_per_tree(self, caplog):
+        # The H-tree has no hepatic vein. A prediction that has 27 hepatic
+        # voxels gets them all peripheral from the one split of the tree,
+        # over truth and prediction together.
+        htree = generate_case(axis_tree_spec(4)).label_volume
+        labels = htree.labels.copy()
+        assert not labels[:3, :3, :3].any()
+        labels[:3, :3, :3] = DEFAULT_SCHEMA.id_of("hepatic_vein")
+        pred = LabelVolume(htree.geometry, labels, htree.schema)
+        with caplog.at_level(logging.WARNING):
+            report = evaluate_case(htree, pred, case_id="htree")
+        assert [r.getMessage() for r in caplog.records if r.name == "hepeval.vessel"] == [
+            "empty skeleton graph: classifying all 27 vessel voxels as peripheral"
+        ]
+        assert report.central_dsc["hepatic_vein"] == 1.0 and report.peripheral_dsc["hepatic_vein"] == 0.0
+
     def test_gallbladder_label_folded_into_biliary_scores_the_same(self, truth, config):
         # The phantom writes the gallbladder as biliary tree (5); give it its
         # own label (6) for the default schema, and drop 6 from the other.

@@ -28,6 +28,7 @@ from hepeval.morphology import (
     soft_skeleton_grad,
 )
 from hepeval.phantom import DegradeSpec, default_spec, degrade, generate_case, straight_tube_mask
+from hepeval.vessel import skeletonize
 from hepeval.volume import BinaryMask, Geometry, ProbVolume
 
 from conftest import (
@@ -544,6 +545,58 @@ class TestSoftSkeleton:
             finally:
                 tracemalloc.stop()
             assert peak / values.nbytes <= GRID_PEAK_BOUND
+
+
+def binary_skeleton_cases() -> list[np.ndarray]:
+    """200 seeded 0/1 grids, in turn: random at density 0.3-0.95, a single
+    voxel, face-touching, and a solid block 20-27 voxels a side (deeper
+    than 11 erosions), some with a few voxels cut out."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        kind = seed % 4
+        if kind == 0:
+            shape = tuple(int(n) for n in rng.integers(1, 13, size=3))
+            cases.append(rng.random(shape) < rng.uniform(0.3, 0.95))
+        elif kind == 1:
+            values = np.zeros(tuple(int(n) for n in rng.integers(1, 6, size=3)), dtype=bool)
+            values[tuple(int(rng.integers(0, n)) for n in values.shape)] = True
+            cases.append(values)
+        elif kind == 2:
+            cases.append(face_touching_values(seed, max_side=10))
+        else:
+            side = tuple(int(n) for n in rng.integers(20, 28, size=3))
+            values = np.zeros(tuple(n + 4 for n in side), dtype=bool)
+            values[tuple(slice(2, 2 + n) for n in side)] = True
+            if seed % 8 == 7:
+                values &= rng.random(values.shape) > 0.002
+            cases.append(values)
+    return cases
+
+
+class TestBinarySkeleton:
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
+    def test_matches_scipy_soft_skeleton(self, iterations):
+        # the depth-map skeleton against the soft skeleton of the 0/1 field
+        # from SciPy's min/max filters, stage by stage
+        for values in binary_skeleton_cases():
+            got = skeletonize(BinaryMask(grid_geometry(values.shape), values), iterations).values
+            assert np.array_equal(got, scipy_skeleton(values.astype(float), iterations) > 0)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
+    def test_matches_scipy_on_phantom_trees(self, iterations):
+        # SciPy runs on the trees' boxes: its exterior is 0 as the grid's is
+        for name, mask in phantom_vessel_masks().items():
+            box = bounding_box(mask.values)
+            got = skeletonize(mask, iterations).values
+            want = scipy_skeleton(mask.values[box].astype(float), iterations) > 0
+            assert got.sum() == want.sum() > 0, name
+            assert np.array_equal(got[box], want), name
+
+    @pytest.mark.parametrize("values", [np.full((3, 3, 3), 2, np.uint8), np.full((2, 2, 2), -1, np.int8)])
+    def test_non_binary_integer_input_raises(self, values):
+        with pytest.raises(ParameterError, match="0/1"):
+            soft_skeleton_array(values, iterations=2)
 
 
 class TestConnectedComponents:

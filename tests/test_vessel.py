@@ -15,6 +15,7 @@ from hepeval.phantom import (
     y_phantom,
 )
 from hepeval.vessel import (
+    CENTRAL_RULES,
     _nearest_labels,
     _skeleton_central_flags,
     build_graph,
@@ -358,6 +359,17 @@ class TestClassify:
         assert split.central.popcount() == 0
         assert "peripheral" in caplog.text
 
+    def test_split_of_a_superset_cut_to_the_mask_is_its_split(self):
+        # random skeletons, rich in branches, as the graphs of random masks
+        # around them; about a third of the splits have both regions
+        for seed in range(60):
+            skeleton = random_skeleton_mask(seed)
+            rng = np.random.default_rng(seed)
+            a = skeleton.values | (rng.random(skeleton.values.shape) < rng.uniform(0.1, 0.5))
+            b = a | (rng.random(a.shape) < rng.uniform(0.05, 0.5))
+            mask = BinaryMask(skeleton.geometry, a)
+            check_split_restricts(build_graph(skeleton, mask), mask, b)
+
     def test_strahler_rule_selectable(self):
         truth = generate_case(axis_tree_spec(2))
         mask = extract_mask(truth.label_volume, 3)
@@ -366,6 +378,18 @@ class TestClassify:
         # strahler >= root-1 equals generations {0, 1} on a perfect tree
         gen_split = classify_central_peripheral(graph, mask, rule="generation")
         assert np.array_equal(split.central.values, gen_split.central.values)
+
+
+def check_split_restricts(graph, subset: BinaryMask, superset: np.ndarray):
+    """The split of the superset, cut to the subset, is the subset's own
+    split, region by region, under both rules."""
+    for rule in CENTRAL_RULES:
+        whole, part = (
+            classify_central_peripheral(graph, m, rule)
+            for m in (BinaryMask(subset.geometry, superset), subset)
+        )
+        assert np.array_equal(whole.central.values & subset.values, part.central.values)
+        assert np.array_equal(whole.peripheral.values & subset.values, part.peripheral.values)
 
 
 def nearest_labels_oracle(geometry, targets, sources, flags):
@@ -399,6 +423,17 @@ class TestNearestLabels:
         assert len(targets) == 2907 and len(sources) == 244 and 0 < flags.sum() < len(flags)
         got = _nearest_labels(mask.geometry, targets, sources, flags)
         assert np.array_equal(got, nearest_labels_oracle(mask.geometry, targets, sources, flags))
+
+    @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1), (0.8, 0.8, 1.25), (0.6, 0.7, 1.9)])
+    def test_split_of_portal_and_its_rim_cut_to_portal_is_its_split(self, portal, spacing):
+        # a prediction-like superset: the portal plus half of its one-voxel rim
+        mask = BinaryMask(Geometry(portal.shape[::-1], spacing), portal)
+        rim = ndimage.binary_dilation(portal, np.ones((3, 3, 3), bool)) & ~portal
+        superset = portal | (rim & (np.random.default_rng(0).random(portal.shape) < 0.5))
+        graph = build_graph(skeletonize(mask, 10), mask)
+        split = classify_central_peripheral(graph, mask)
+        assert 0 < split.central.popcount() < mask.popcount()
+        check_split_restricts(graph, mask, superset)
 
     def test_mirrored_sources_tie_to_smaller_index(self):
         # sources at -(3, 1, 2) and +(3, 1, 2) from the target (z, y, x);
