@@ -14,6 +14,12 @@ the split's smallest-index tie rule follow; pooling, the distance
 transform and the face counts already treat the outside of a box as
 background; and the nearest-skeleton split computes each distance from
 integer index differences alone, which a shift leaves unchanged.
+
+A venous tree's central and peripheral DSC need no region masks: the split
+flags each voxel of truth ∪ prediction once, and the six counts that the
+two DSCs are made of (each side's central voxels, each side's voxels, and
+their shared ones) are read off those flags. `dsc` and the vessel scores
+share one `_dice` rule.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .errors import ParameterError, SchemaError
 from .morphology import connected_components, label_boxes
 from .vessel import (
     CENTRAL_RULES,
+    _split_flags,
     build_graph,
-    classify_central_peripheral,
     identify_gallbladder,
     skeletonize,
 )
@@ -46,14 +52,18 @@ from .volume import (
 log = logging.getLogger(__name__)
 
 
+def _dice(na: int, nb: int, inter: int) -> float:
+    """2 inter / (na + nb) for sets of na and nb voxels sharing inter; 1.0
+    when both are empty."""
+    if na == 0 and nb == 0:
+        return 1.0
+    return 2.0 * inter / (na + nb)
+
+
 def dsc(a: BinaryMask, b: BinaryMask) -> float:
     """Dice similarity coefficient; 1.0 when both masks are empty."""
     require_same_geometry(a, b)
-    na, nb = a.popcount(), b.popcount()
-    if na == 0 and nb == 0:
-        return 1.0
-    inter = int(np.count_nonzero(a.values & b.values))
-    return 2.0 * inter / (na + nb)
+    return _dice(a.popcount(), b.popcount(), int(np.count_nonzero(a.values & b.values)))
 
 
 def cl_dice_metric(pred: BinaryMask, gt: BinaryMask, iterations: int = 10) -> float:
@@ -241,8 +251,9 @@ def _vessel_scores(
     gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig, case_id: str, name: str
 ) -> tuple:
     """Central DSC, peripheral DSC and clDice of one venous tree. The truth's
-    skeleton graph splits truth ∪ prediction once, and each side keeps its
-    own voxels: exact, as a voxel's class needs only its position and graph.
+    skeleton graph gives each voxel of truth ∪ prediction its central flag
+    once, and each region's DSC is counted on those voxels: exact, as a
+    voxel's class needs only its position and graph.
 
     When the truth tree is present but its split leaves a side empty, or its
     graph keeps no edge, a WARNING says so: the central and peripheral
@@ -251,19 +262,23 @@ def _vessel_scores(
     skel = skeletonize(gt_mask, config.skeleton_iterations)
     graph = build_graph(skel, gt_mask)
     union = BinaryMask(gt_mask.geometry, gt_mask.values | pred_mask.values)
-    split = classify_central_peripheral(graph, union, config.central_rule, config.max_central_generation)
-    gt_central, gt_peripheral, pred_central, pred_peripheral = (
-        BinaryMask(union.geometry, region.values & m.values)
-        for m in (gt_mask, pred_mask) for region in (split.central, split.peripheral)
+    targets, central = _split_flags(graph, union, config.central_rule, config.max_central_generation)
+    in_gt, in_pred = gt_mask.values.ravel()[targets], pred_mask.values.ravel()[targets]
+    (n_gt, n_central), (n_pred, pred_central), (n_both, both_central) = (
+        (int(np.count_nonzero(m)), int(np.count_nonzero(m & central))) for m in (in_gt, in_pred, in_gt & in_pred)
     )
-    n_central, n_peripheral = gt_central.popcount(), gt_peripheral.popcount()
-    if n_central + n_peripheral and (n_central == 0 or n_peripheral == 0 or not graph.edges):
+    n_peripheral = n_gt - n_central
+    if n_gt and (n_central == 0 or n_peripheral == 0 or not graph.edges):
         log.warning(
             "%s: degenerate %s split: %d central and %d peripheral truth voxels, %d kept edge(s)",
             case_id, name, n_central, n_peripheral, len(graph.edges)
         )
     cl = _cl_dice_from_skeletons(pred_mask, gt_mask, skeletonize(pred_mask, config.skeleton_iterations), skel)
-    return dsc(gt_central, pred_central), dsc(gt_peripheral, pred_peripheral), cl
+    return (
+        _dice(n_central, pred_central, both_central),
+        _dice(n_peripheral, n_pred - pred_central, n_both - both_central),
+        cl,
+    )
 
 
 def _joint_box(geometry: Geometry, *boxes: tuple[slice, ...] | None) -> tuple[tuple[slice, ...], Geometry]:

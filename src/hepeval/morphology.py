@@ -192,8 +192,9 @@ def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
 def _binary_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
     """The soft skeleton of a 0/1 grid, in its dtype: where depth, the count of
     erosions E^k (E^0 the grid) holding a voxel, capped at iterations + 2, is
-    at most iterations + 1 and its own 3x3x3 maximum (`vessel.skeletonize`)."""
-    if values.size and (values.min() < 0 or values.max() > 1):
+    at most iterations + 1 and its own 3x3x3 maximum (`vessel.skeletonize`).
+    A bool grid holds only 0 and 1, so only other integer grids are scanned."""
+    if values.dtype != bool and values.size and (values.min() < 0 or values.max() > 1):
         raise ParameterError("the soft skeleton of an integer grid needs 0/1 values")
     depth = values.astype(np.min_scalar_type(iterations + 2))
     eroded = depth

@@ -21,7 +21,13 @@ and so do the walks: their starts are the table's (node voxel, chain
 neighbour) entries, and each chain voxel's two neighbours are read from it
 as arrays. Python steps once per start and once per chain voxel, never once
 per node voxel, which matters on thick skeletons, where most voxels are
-node voxels.
+node voxels. Edge radii are the square roots of the mask's squared distance
+transform, taken at the walked voxels only.
+
+The central/peripheral split has one implementation, `_split_flags`: one
+central flag per voxel of a mask, from its nearest skeleton voxel, and the
+empty-graph WARNING. `classify_central_peripheral` writes the flags into two
+masks; `metrics` counts them on the voxels of truth ∪ prediction directly.
 """
 
 from __future__ import annotations
@@ -296,10 +302,11 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     bounds = np.cumsum([0] + [len(w) for w in walks]).tolist()
     steps = np.diff(xyz[flat].astype(np.float64), axis=0) * np.asarray(geometry.spacing)
     step_mm = np.sqrt((steps**2).sum(axis=1))
-    # radii from the vessel mask's distances on its own box, which holds
-    # every skeleton voxel
-    dt_box, dt = distance_transform_box(vessel_mask)
-    radius = dt[tuple((xyz[flat, ::-1] - [s.start for s in dt_box]).T)]
+    # radii from the vessel mask's squared distances on its own box, which
+    # holds every skeleton voxel, rooted at the walked voxels only (the
+    # square root is correctly rounded, so this is the rooted grid's value)
+    dt_box, dt2 = distance_transform_box(vessel_mask, squared=True)
+    radius = np.sqrt(dt2[tuple((xyz[flat, ::-1] - [s.start for s in dt_box]).T)])
     flat_lin = lin[flat]
     edges = [
         SkeletonEdge(
@@ -466,6 +473,23 @@ def _nearest_labels(
     return out
 
 
+def _split_flags(
+    graph: SkeletonGraph, vessel_mask: BinaryMask, rule: str, max_generation: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mask's voxels (ascending linear index) with their central flag.
+
+    Each voxel takes the flag of its nearest skeleton voxel; with no
+    skeleton voxel every flag is False, and a WARNING says so."""
+    targets = np.flatnonzero(vessel_mask.values.ravel())
+    if len(targets) == 0:
+        return targets, np.zeros(0, dtype=bool)
+    src_lin, src_flags = _skeleton_central_flags(graph, rule, max_generation)
+    if len(src_lin) == 0:
+        log.warning("empty skeleton graph: classifying all %d vessel voxels as peripheral", len(targets))
+        return targets, np.zeros(len(targets), dtype=bool)
+    return targets, _nearest_labels(vessel_mask.geometry, targets, src_lin, src_flags)
+
+
 def classify_central_peripheral(
     graph: SkeletonGraph,
     vessel_mask: BinaryMask,
@@ -476,28 +500,15 @@ def classify_central_peripheral(
 
     Central skeleton voxels are those of edges with generation <= 1 (default)
     or, under the Strahler rule, orders within one of the root order. Every
-    mask voxel takes the class of its nearest skeleton voxel. The two masks
+    mask voxel takes the class of its nearest skeleton voxel; with an empty
+    graph every voxel is peripheral, and a WARNING says so. The two masks
     partition the input mask.
     """
-    geometry = vessel_mask.geometry
-    targets = np.flatnonzero(vessel_mask.values.ravel())
-    empty = np.zeros(geometry.shape, dtype=bool)
-    if len(targets) == 0:
-        return VesselRegionSplit(BinaryMask(geometry, empty), BinaryMask(geometry, empty))
-
-    src_lin, src_flags = _skeleton_central_flags(graph, rule, max_generation)
-    if len(src_lin) == 0:
-        log.warning("empty skeleton graph: classifying all %d vessel voxels as peripheral", len(targets))
-        peripheral = empty.copy()
-        peripheral.ravel()[targets] = True
-        return VesselRegionSplit(BinaryMask(geometry, empty), BinaryMask(geometry, peripheral))
-
-    central_flags = _nearest_labels(geometry, targets, src_lin, src_flags)
-    central = empty.copy()
+    targets, central_flags = _split_flags(graph, vessel_mask, rule, max_generation)
+    central, peripheral = (np.zeros(vessel_mask.values.shape, dtype=bool) for _ in range(2))
     central.ravel()[targets[central_flags]] = True
-    peripheral = empty.copy()
     peripheral.ravel()[targets[~central_flags]] = True
-    return VesselRegionSplit(BinaryMask(geometry, central), BinaryMask(geometry, peripheral))
+    return VesselRegionSplit(BinaryMask(vessel_mask.geometry, central), BinaryMask(vessel_mask.geometry, peripheral))
 
 
 def _surface_area_mm2(mask: np.ndarray, spacing: tuple[float, float, float]) -> float:

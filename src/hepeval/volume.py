@@ -10,6 +10,9 @@ already has the right dtype and layout (C-contiguous float64 for
 `ProbVolume`, bool for `BinaryMask`, uint8 for `LabelVolume`) without
 copying it and marks it read-only; any other input is converted first. A
 caller who keeps writing to an array passes a copy.
+
+`Geometry` holds plain Python ints and floats, and it validates and places
+voxels in scalar Python, with no NumPy or BLAS call.
 """
 
 from __future__ import annotations
@@ -28,13 +31,21 @@ ORIENTATION_TOL = 1e-6
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
+    # a plain int, or a plain float where a real is asked for, skips the ABC checks
+    if type(value) is int or (type(value) is float and kind is numbers.Real):
+        return math.isfinite(value)
     return not isinstance(value, bool) and isinstance(value, kind) and math.isfinite(value)
+
+
+def _items(value) -> tuple:
+    """The items of a list, tuple or array, else ()."""
+    return tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
 
 
 def _three_numbers(value) -> tuple | None:
     """The items of a list, tuple or array of three finite numbers, else None."""
-    items = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
-    return items if len(items) == 3 and all(_is_number(v) for v in items) else None
+    items = _items(value)
+    return items if len(items) == 3 and all(map(_is_number, items)) else None
 
 
 def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
@@ -58,8 +69,11 @@ class Geometry:
     """Voxel grid geometry: counts, physical spacing (mm), origin, orientation.
 
     ``orientation`` holds direction cosines as rows of 3-tuples; column j is
-    the patient-space direction of voxel axis j. Columns must be orthonormal
-    within an absolute tolerance of 1e-6.
+    the patient-space direction of voxel axis j. Its entries are finite
+    numbers under the rule of ``spacing`` (no strings, no bools), and its
+    columns must be orthonormal within an absolute tolerance of 1e-6.
+    Validation and `position_mm` are scalar Python in a fixed order, with
+    no NumPy or BLAS call, so both are the same on every CPU.
     """
 
     dims: tuple[int, int, int]
@@ -75,18 +89,19 @@ class Geometry:
             raise ParameterError(f"spacing must be three positive finite values, got {self.spacing!r}")
         if origin is None:
             raise ParameterError(f"origin must be three finite numbers, got {self.origin!r}")
-        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in origin))
-        try:
-            m = np.asarray(self.orientation, dtype=np.float64)
-        except (TypeError, ValueError):
-            m = np.empty(0)
-        if m.shape != (3, 3) or not np.isfinite(m).all():
+        rows = [_three_numbers(row) for row in _items(self.orientation)]
+        if len(rows) != 3 or None in rows:
             raise ParameterError("orientation must be a finite 3x3 matrix")
-        if np.abs(m.T @ m - np.eye(3)).max() > ORIENTATION_TOL:
+        m = tuple(tuple(map(float, row)) for row in rows)
+        # each entry of M^T M - I, its dot product summed in row order
+        x, y, z = zip(*m)
+        gram = ((x, x, 1.0), (y, y, 1.0), (z, z, 1.0), (x, y, 0.0), (x, z, 0.0), (y, z, 0.0))
+        if any(abs((u[0] * v[0] + u[1] * v[1]) + u[2] * v[2] - eye) > ORIENTATION_TOL for u, v, eye in gram):
             raise ParameterError("orientation columns are not orthonormal within 1e-6")
-        object.__setattr__(self, "orientation", tuple(tuple(float(v) for v in row) for row in m))
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "spacing", tuple(map(float, spacing)))
+        object.__setattr__(self, "origin", tuple(map(float, origin)))
+        object.__setattr__(self, "orientation", m)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -107,10 +122,13 @@ class Geometry:
     def orientation_matrix(self) -> np.ndarray:
         return np.asarray(self.orientation, dtype=np.float64)
 
-    def position_mm(self, index_xyz) -> np.ndarray:
-        """Patient-space position of a voxel index (x, y, z)."""
-        idx = np.asarray(index_xyz, dtype=np.float64)
-        return self.orientation_matrix() @ (idx * np.asarray(self.spacing)) + np.asarray(self.origin)
+    def position_mm(self, index_xyz) -> tuple[float, float, float]:
+        """Patient-space position of a voxel index (x, y, z): origin + M (index * spacing).
+
+        Each coordinate is summed in a fixed order, ((m0 v0 + m1 v1) + m2 v2)
+        + origin, one IEEE operation per step, so it is the same on every CPU."""
+        v = [float(i) * s for i, s in zip(index_xyz, self.spacing, strict=True)]
+        return tuple((r[0] * v[0] + r[1] * v[1]) + r[2] * v[2] + o for r, o in zip(self.orientation, self.origin))
 
 
 def _check_grid(geometry: Geometry, values: np.ndarray, name: str) -> np.ndarray:
@@ -226,8 +244,12 @@ class LabelVolume:
         ids = self.schema.ids
         # The range settles the check when the schema holds every integer in
         # it, so only a range with a gap lists the values present (a range
-        # wider than the schema has one, and is not walked).
-        lo, hi = int(labels.min()), int(labels.max())
+        # wider than the schema has one, and is not walked). Unsigned labels
+        # take 0, the schema's background, as the range's floor, so they need
+        # no min pass: a wider range only sends more grids to the listing,
+        # which gives the same verdict and message.
+        lo = 0 if np.issubdtype(labels.dtype, np.unsignedinteger) else int(labels.min())
+        hi = int(labels.max())
         if hi - lo >= len(ids) or any(v not in ids for v in range(lo, hi + 1)):
             unknown = [int(v) for v in np.unique(labels) if int(v) not in ids]
             if unknown:

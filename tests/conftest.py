@@ -3,9 +3,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from hepeval.metrics import EvalConfig, cl_dice_metric, dsc
 from hepeval.morphology import bounding_box, distance_transform_box
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case
-from hepeval.vessel import OFFSETS_26, SkeletonEdge, SkeletonGraph, _node_clusters, _spanning_forest
+from hepeval.vessel import (
+    OFFSETS_26,
+    SkeletonEdge,
+    SkeletonGraph,
+    _node_clusters,
+    _spanning_forest,
+    build_graph,
+    classify_central_peripheral,
+    skeletonize,
+)
 from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
 
 
@@ -199,6 +209,26 @@ def reference_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGr
             walk_chains(node_of[i], i)
     members = [np.array(m, dtype=np.intp) for m in node_members]
     return _spanning_forest(geometry, lin, xyz, members, edges)
+
+
+def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> tuple[float, float, float]:
+    """Mask oracle of `metrics._vessel_scores`: the truth's graph splits
+    truth ∪ prediction into two region masks, each region is cut to each
+    side, and each region's pair is scored by `dsc`; clDice by
+    `cl_dice_metric`."""
+    graph = build_graph(skeletonize(gt, config.skeleton_iterations), gt)
+    union = BinaryMask(gt.geometry, gt.values | pred.values)
+    split = classify_central_peripheral(graph, union, config.central_rule, config.max_central_generation)
+    gt_central, gt_peripheral, pred_central, pred_peripheral = (
+        BinaryMask(gt.geometry, region.values & m.values)
+        for m in (gt, pred)
+        for region in (split.central, split.peripheral)
+    )
+    return (
+        dsc(gt_central, pred_central),
+        dsc(gt_peripheral, pred_peripheral),
+        cl_dice_metric(pred, gt, config.skeleton_iterations),
+    )
 
 
 @lru_cache(maxsize=1)

@@ -380,6 +380,25 @@ class TestPhantomCommand:
         assert "invalid phantom spec: geometry must be an object, got int" in caplog.text
 
     @pytest.mark.parametrize(
+        "orientation",
+        [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [[True, False, False], [False, True, False], [False, False, True]],
+        ],
+        ids=["strings", "bools"],
+    )
+    def test_orientation_of_wrong_type_exits_1(self, tmp_path, caplog, orientation):
+        raw = spec_to_json_dict(axis_tree_spec(1))
+        raw["geometry"]["orientation"] = orientation
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        with caplog.at_level("ERROR"):
+            code = main(["phantom", str(spec_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "invalid phantom spec: orientation must be a finite 3x3 matrix" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("dims", 5), ("dims", ["a", "b", "c"]), ("origin", "abc")],
         ids=["dims-scalar", "dims-strings", "origin-string"],

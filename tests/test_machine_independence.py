@@ -18,6 +18,8 @@ import sys
 import numpy as np
 import pytest
 
+from hepeval.metrics import _joint_box
+from hepeval.morphology import label_boxes
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask, truth_manifest
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
 from hepeval.volume import BinaryMask, Geometry, extract_mask
@@ -31,6 +33,16 @@ except ImportError:  # NumPy 1.x
 
 AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
 
+# A rational rotation (entries ±1/3 and 2/3), written as literals so that no
+# kernel computes it, on an anisotropic grid with an off-grid origin: every
+# product and sum in `position_mm` rounds.
+ROTATED = Geometry(
+    (128, 128, 128),
+    (0.7, 0.9, 1.3),
+    (-3.1, 2.2, 17.5),
+    ((2 / 3, -1 / 3, 2 / 3), (2 / 3, 2 / 3, -1 / 3), (-1 / 3, 2 / 3, 2 / 3)),
+)
+
 
 def at_odd_spacing(spec) -> BinaryMask:
     """The truth portal of `spec` on a 0.7 x 0.9 x 1.3 mm grid."""
@@ -41,8 +53,10 @@ def at_odd_spacing(spec) -> BinaryMask:
 def digests() -> dict[str, str]:
     """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask and
     the `default_spec()` truth portal's graph JSON, both at 0.7 x 0.9 x 1.3 mm,
-    of the pinned `noisy_tube` input, and of the `default_spec()` edge records
-    and edge tags. The `default_spec()` label array is the same under every
+    of the pinned `noisy_tube` input, of the `default_spec()` edge records
+    and edge tags, of `ROTATED.position_mm` at a few indices, and of the
+    `_joint_box` geometries of the `default_spec()` structures on the
+    `ROTATED` grid. The `default_spec()` label array is the same under every
     kernel tried, so its digest checks the graph code."""
     mask = at_odd_spacing(axis_tree_spec(4))
     split = classify_central_peripheral(build_graph(skeletonize(mask, 10), mask), mask)
@@ -56,6 +70,12 @@ def digests() -> dict[str, str]:
     edges = json.dumps(truth_manifest(truth)["edges"])
     out["liver_edge_records"] = hashlib.sha256(edges.encode()).hexdigest()
     out["liver_edge_tag"] = hashlib.sha256(truth.edge_tag.tobytes()).hexdigest()
+    positions = [ROTATED.position_mm(i) for i in ((0, 0, 0), (1, 2, 3), (127, 5, 64), (31, 127, 90))]
+    ids = truth.label_volume.schema.structure_ids()
+    boxes = label_boxes(truth.label_volume.labels, ids)
+    joint = [vars(_joint_box(ROTATED, boxes[sid])[1]) for sid in ids]
+    for name, value in (("rotated_positions", positions), ("liver_joint_box_geometries", joint)):
+        out[name] = hashlib.sha256(json.dumps(value).encode()).hexdigest()
     return out
 
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import hepeval.metrics
 from hepeval.errors import ParameterError, ShapeMismatchError
 from hepeval.metrics import (
     EvalConfig,
+    _vessel_scores,
     aggregate,
     cl_dice_metric,
     dsc,
@@ -30,9 +32,19 @@ from hepeval.phantom import (
     straight_tube_mask,
     y_phantom,
 )
+from hepeval.vessel import CENTRAL_RULES
 from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume
 
-from conftest import EMBED_OFFSETS, embed, face_touching_values, grid_geometry, random_mask
+from conftest import (
+    EMBED_OFFSETS,
+    embed,
+    face_touching_values,
+    grid_geometry,
+    phantom_vessel_masks,
+    random_mask,
+    random_skeleton_mask,
+    reference_vessel_scores,
+)
 
 
 def mask_of(values, spacing=(1.0, 1.0, 1.0)):
@@ -396,6 +408,51 @@ def random_labels(seed):
     values = face_touching_values(seed, max_side=9)
     ids = np.random.default_rng(seed).integers(1, 7, size=values.shape)
     return np.where(values, ids, 0).astype(np.uint8)
+
+
+class TestVesselScores:
+    """`_vessel_scores` counts each region's DSC on the union's voxels; the
+    mask oracle builds the regions and cuts and calls `dsc`. They agree to
+    the bit, under both central rules."""
+
+    @pytest.mark.parametrize("rule", CENTRAL_RULES)
+    def test_matches_mask_oracle_on_random_trees(self, rule):
+        # random masks around random skeletons, rich in branches and cycles;
+        # every tenth pair has an empty prediction and the next an empty
+        # truth, and some pairs share part of both regions
+        config = EvalConfig(central_rule=rule)
+        two_regions = 0
+        for seed in range(100):
+            skeleton = random_skeleton_mask(seed)
+            rng = np.random.default_rng(seed)
+            shape = skeleton.values.shape
+            gt = skeleton.values | (rng.random(shape) < rng.uniform(0.0, 0.2))
+            pred = (gt & (rng.random(shape) >= rng.uniform(0.0, 0.3))) | (rng.random(shape) < rng.uniform(0.0, 0.3))
+            if seed % 10 == 0:
+                pred[...] = False
+            if seed % 10 == 1:
+                gt[...] = False
+            gt, pred = (BinaryMask(skeleton.geometry, m) for m in (gt, pred))
+            want = reference_vessel_scores(gt, pred, config)
+            assert _vessel_scores(gt, pred, config, "case", "portal_vein") == want
+            two_regions += 0 < want[0] < 1 and 0 < want[1] < 1
+        assert two_regions >= 5
+
+    @pytest.mark.parametrize("rule", CENTRAL_RULES)
+    @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1), (0.8, 0.8, 1.25), (0.6, 0.7, 1.9)])
+    @pytest.mark.parametrize("tree", ["htree4_portal", "liver_portal"])
+    def test_matches_mask_oracle_on_phantom_trees(self, tree, spacing, rule):
+        # the truth re-wrapped at non-integer spacings, where exact ties
+        # between mirrored skeleton voxels are common; the prediction drops
+        # 5 % of it and adds half of its one-voxel rim
+        portal = phantom_vessel_masks()[tree].values
+        rng = np.random.default_rng(7)
+        rim = ndimage.binary_dilation(portal, np.ones((3, 3, 3), bool)) & ~portal
+        pred = (portal & (rng.random(portal.shape) >= 0.05)) | (rim & (rng.random(portal.shape) < 0.5))
+        geometry = Geometry(portal.shape[::-1], spacing)
+        gt, pred = BinaryMask(geometry, portal), BinaryMask(geometry, pred)
+        config = EvalConfig(central_rule=rule)
+        assert _vessel_scores(gt, pred, config, "case", "portal_vein") == reference_vessel_scores(gt, pred, config)
 
 
 class TestJointForegroundCrop:

@@ -42,6 +42,42 @@ class TestGeometry:
         g = Geometry(dims=(4, 4, 4), spacing=(2.0, 2.0, 3.0), origin=(10.0, 0.0, -5.0))
         assert np.allclose(g.position_mm((1, 2, 3)), [12.0, 4.0, 4.0])
 
+    @pytest.mark.parametrize(
+        "orientation",
+        [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [[True, False, False], [False, True, False], [False, False, True]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, float("nan")]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            "abc",
+            5,
+        ],
+        ids=["strings", "bools", "one-bool", "nan", "two-rows", "long-row", "string", "scalar"],
+    )
+    def test_orientation_entries_follow_the_spacing_rule(self, orientation):
+        with pytest.raises(ParameterError, match="orientation must be a finite 3x3 matrix"):
+            Geometry(dims=(2, 2, 2), spacing=(1, 1, 1), orientation=orientation)
+
+    def test_orientation_accepts_numbers_of_any_real_type(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rows = ([c, -s, 0], [s, c, 0], [0, 0, 1])
+        for orientation in (rows, np.array(rows), tuple(np.array(rows, dtype=np.float32).astype(np.float64))):
+            g = Geometry(dims=(2, 2, 2), spacing=(1, 1, 1), orientation=orientation)
+            assert g.orientation == tuple(tuple(float(v) for v in row) for row in np.asarray(orientation))
+            assert all(type(v) is float for row in g.orientation for v in row)
+
+    def test_position_mm_sums_each_row_in_a_fixed_order(self):
+        # ((m0 v0 + m1 v1) + m2 v2) + origin per coordinate, on a rotated,
+        # anisotropic grid; the same expression in Python floats is the oracle
+        m = ((2 / 3, -1 / 3, 2 / 3), (2 / 3, 2 / 3, -1 / 3), (-1 / 3, 2 / 3, 2 / 3))
+        g = Geometry(dims=(9, 9, 9), spacing=(0.7, 0.9, 1.3), origin=(-3.1, 2.2, 17.5), orientation=m)
+        for index in [(0, 0, 0), (1, 2, 3), (8, 5, 7), (7, 3, 8), np.array([3, 1, 4])]:
+            v = [float(i) * w for i, w in zip(index, g.spacing)]
+            want = tuple(((r[0] * v[0] + r[1] * v[1]) + r[2] * v[2]) + o for r, o in zip(g.orientation, g.origin))
+            assert g.position_mm(index) == want
+
 
 class TestVolumeTypes:
     def test_prob_volume_rejects_out_of_range(self, unit_geometry):
