@@ -25,7 +25,6 @@ from .morphology import (  # noqa: F401
     connected_components,
     distance_transform,
     pool_array,
-    soft_skeleton,
 )
 from .losses import (  # noqa: F401
     GradedScalar,

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -252,6 +253,8 @@ def cmd_loss(args) -> int:
     except (OSError, HepevalError) as exc:
         log.error("%s", exc)
         return 1
+    # np.linalg.norm is BLAS ddot, whose kernel and last bits vary by CPU
+    norm = math.sqrt(float(np.square(combined.gradient).sum()))
     print(
         json.dumps(
             {
@@ -259,7 +262,7 @@ def cmd_loss(args) -> int:
                 "bootstrapped_ce": bce.value,
                 "combined": combined.value,
                 "k_used": k,
-                "gradient_norm": float(np.linalg.norm(combined.gradient)),
+                "gradient_norm": norm,
             },
             indent=2,
             sort_keys=True,

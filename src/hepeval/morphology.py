@@ -17,6 +17,16 @@ keys are packed int64 (dense value rank, then linear position), which name
 each pooled voxel's rank and winner at once, at several times an int32
 pool's cost: twice the bytes per pass, plus the key adds and decodes.
 
+Erosion thins the int32 ranks: on a noisy 128^3 prediction 62,944 distinct
+keys are left after two stages. So after each stage, until they narrow, the
+next stage's ranks are renumbered densely over the keys present, in order
+and with the exterior's 0 kept, on the narrowest integer type that holds
+them (uint16 there). A strictly increasing relabelling that fixes 0
+commutes with min and max pools and with the zero padding, so every pool
+and comparison gives the same voxels, and the sources are then read from
+the table of the keys present. Keys that thin too slowly to fit in time,
+as on a strongly smoothed prediction, stop the counting after one scan.
+
 Both key kinds come from one int64 sort, with no argsort over the grid.
 Each value gets an order-preserving int64 code (its float64 bits, with a
 negative value's magnitude bits flipped; -0.0 is first made 0.0), and the
@@ -59,7 +69,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .volume import BinaryMask, Geometry, ProbVolume
+from .volume import BinaryMask, Geometry
 
 
 def _shifted(axis: int, lo: int, hi: int):
@@ -206,6 +216,32 @@ def _binary_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
     return ((depth == pool_array(depth, "max")) & (depth >= 1) & (depth <= iterations + 1)).astype(values.dtype)
 
 
+def _narrowed(keys: np.ndarray, voxel: np.ndarray, flat: np.ndarray) -> tuple:
+    """``(keys, voxel, count)``: `count` is the number of rank keys present in
+    `keys`, the exterior's 0 included. If a narrower integer type holds that
+    many, `keys` comes back renumbered densely on it, in order and with 0
+    kept, and `voxel` as the table of the keys present by new key (a
+    negative key indexes it from its end); otherwise both come back as given.
+    """
+    present = np.zeros(voxel.size, dtype=bool)
+    present[0] = True
+    present[keys.ravel()] = True
+    count = int(np.count_nonzero(present))
+    if count > 1 << 16:  # no type narrower than int32 holds them
+        return keys, voxel, count
+    at = np.flatnonzero(present)  # old keys 0, 1, ..., then the negative ones
+    table = voxel[at]
+    neg = int(np.count_nonzero(flat[table] < 0))
+    dtype = np.result_type(np.min_scalar_type(-neg), np.min_scalar_type(count - neg - 1))
+    if dtype.itemsize >= keys.itemsize:
+        return keys, voxel, count
+    code = np.arange(count)
+    code[count - neg :] -= count
+    recode = np.zeros(voxel.size, dtype=dtype)
+    recode[at] = code
+    return recode[keys], table, count
+
+
 def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple | None]:
     """Iterative soft skeleton in the input dtype, plus its gradient tape.
 
@@ -221,6 +257,15 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     exterior 0 hold no two equal values, each int32 rank belongs to one
     voxel, and ties inside a window are copies of one voxel's value, so the
     pools need no positions and the sources come from `voxel` by rank.
+    Once the next stage's keys fit a narrower type, `_narrowed` renumbers
+    them and swaps `voxel` for the table of the keys present. The
+    renumbering is strictly increasing and keeps the exterior at 0, so it
+    commutes with the min and max pools and their zero padding, and every
+    bit is kept. Each stage's keys are counted, one grid scan each, until
+    they narrow or until they thin too slowly to pay: at the rate of the
+    last count (against the grid's n + 1 before the first), they would not
+    fit a narrower type within half the stages left, and the narrow pools
+    of the rest would not save what the counts up to then cost.
     Otherwise the tie rule picks among equal values by their positions in
     the stage grid, so the pools run on packed int64 keys through
     `_keyed_pool`: the erosion's winners are decoded into a map from stage
@@ -244,6 +289,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         offset = np.arange(-n, 0).reshape(values.shape)
         low = (1 << n.bit_length()) - 1
     source = None  # stage position -> input voxel, on packed keys only
+    last_count = 0 if packed else n + 1  # keys at the last count; 0 once counting stops
     skel = np.zeros(n, dtype=values.dtype)
     stages = []
     for k in range(iterations + 1):
@@ -281,13 +327,13 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         stages.append((where, before, route_in, route_out))
         if k == iterations or not eroded.any():
             break
+        if last_count:
+            narrowed, voxel, count = _narrowed(eroded, voxel, flat)
+            late = count * (count / last_count) ** ((iterations - k) / 2) > 1 << 16
+            last_count = 0 if narrowed.dtype != eroded.dtype or late else count
+            eroded = narrowed
         keys_in, source_in = eroded, source
     return skel.reshape(values.shape), (stages, flat)
-
-
-def soft_skeleton(volume: ProbVolume, iterations: int = 10) -> tuple[ProbVolume, tuple | None]:
-    skel, tape = soft_skeleton_array(volume.values, iterations)
-    return ProbVolume(volume.geometry, np.clip(skel, 0.0, 1.0)), tape
 
 
 def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
@@ -298,13 +344,14 @@ def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
     to the source of O_k (the exterior's bin n is dropped), and grad_s
     becomes (1 - delta) grad_s. Both scatters add into the gradient in place
     with `np.add.at` and `np.subtract.at`, which sum repeated sources. The
-    stage list is consumed, so its arrays are freed as it goes. `grad_skel`
-    is not modified.
+    stage list is consumed, so its arrays are freed as it goes, and
+    `grad_skel` is the working dL/dS, so it is overwritten: pass a copy to
+    keep it.
     """
     if tape is None:
         raise ParameterError("the soft skeleton of an integer input has no gradient")
     stages, flat = tape
-    grad_s = grad_skel.ravel().copy()
+    grad_s = grad_skel.ravel()
     grad = np.zeros(flat.size)
     while stages:
         where, before, route_in, route_out = stages.pop()

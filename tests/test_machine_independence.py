@@ -11,6 +11,7 @@ apply skips its leg and says why.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +19,12 @@ import sys
 import numpy as np
 import pytest
 
+from hepeval.losses import loss_terms
 from hepeval.metrics import _joint_box
 from hepeval.morphology import label_boxes
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask, truth_manifest
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
-from hepeval.volume import BinaryMask, Geometry, extract_mask
+from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
 
 from conftest import noisy_tube
 
@@ -53,11 +55,17 @@ def at_odd_spacing(spec) -> BinaryMask:
 def digests() -> dict[str, str]:
     """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask and
     the `default_spec()` truth portal's graph JSON, both at 0.7 x 0.9 x 1.3 mm,
-    of the pinned `noisy_tube` input, of the `default_spec()` edge records
+    of the pinned `noisy_tube` input and, at epochs 0 and 450, of its
+    `loss_terms` clDice and combined gradients, with the clDice value and the
+    combined gradient's norm as text, of the `default_spec()` edge records
     and edge tags, of `ROTATED.position_mm` at a few indices, and of the
     `_joint_box` geometries of the `default_spec()` structures on the
     `ROTATED` grid. The `default_spec()` label array is the same under every
-    kernel tried, so its digest checks the graph code."""
+    kernel tried, so its digest checks the graph code. The bootstrapped CE's
+    value, and so the combined value, is left out: at K = 1 it is a mean of
+    `np.log` and `np.log1p` terms, which move in their last bit with the
+    AVX-512 loops. Its gradient holds only divisions, which are correctly
+    rounded on every kernel."""
     mask = at_odd_spacing(axis_tree_spec(4))
     split = classify_central_peripheral(build_graph(skeletonize(mask, 10), mask), mask)
     tube, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
@@ -70,6 +78,13 @@ def digests() -> dict[str, str]:
     edges = json.dumps(truth_manifest(truth)["edges"])
     out["liver_edge_records"] = hashlib.sha256(edges.encode()).hexdigest()
     out["liver_edge_tag"] = hashlib.sha256(truth.edge_tag.tobytes()).hexdigest()
+    pred = ProbVolume(tube.geometry, arrays["noisy_tube"])
+    for epoch in (0, 450):
+        _, cld, _, combined = loss_terms(pred, tube, epoch)
+        norm = math.sqrt(float(np.square(combined.gradient).sum()))  # as `hepeval loss` prints it
+        out[f"noisy_tube_loss_{epoch}"] = json.dumps([cld.value, norm])
+        for name, term in (("cl_dice", cld), ("combined", combined)):
+            out[f"noisy_tube_{name}_gradient_{epoch}"] = hashlib.sha256(term.gradient.tobytes()).hexdigest()
     positions = [ROTATED.position_mm(i) for i in ((0, 0, 0), (1, 2, 3), (127, 5, 64), (31, 127, 90))]
     ids = truth.label_volume.schema.structure_ids()
     boxes = label_boxes(truth.label_volume.labels, ids)

@@ -23,7 +23,6 @@ from hepeval.morphology import (
     distance_transform_squared,
     label_boxes,
     pool_array,
-    soft_skeleton,
     soft_skeleton_array,
     soft_skeleton_grad,
 )
@@ -169,6 +168,60 @@ def scipy_skeleton(values, iterations):
     return skel
 
 
+def stage_key_types(values, iterations):
+    """The integer type of each stage's pooled keys on a tie-free grid: int32
+    ranks until the first stage k >= 1 whose input I_k (SciPy erosions) and
+    the exterior 0 hold few enough distinct values, counted by `np.unique`,
+    for a narrower type, and that type from then on. Counting stops at the
+    first count c that, at the rate c / (the count before, n + 1 at first),
+    would not fit 2^16 within half the stages left."""
+    types, current, narrow, present = [], values, None, values.size + 1
+    for k in range(iterations + 1):
+        if k and narrow is None and present:
+            distinct = np.unique(np.append(current, 0.0))
+            below = np.count_nonzero(distinct < 0)
+            fit = np.result_type(np.min_scalar_type(-below), np.min_scalar_type(distinct.size - below - 1))
+            narrow = fit if fit.itemsize < 4 else None
+            left = iterations + 1 - k
+            present = 0 if distinct.size * (distinct.size / present) ** (left / 2) > 1 << 16 else distinct.size
+        types.append(narrow or np.dtype(np.int32))
+        current = MIN3(current)
+        if not current.any():
+            break
+    return types
+
+
+def pooled_key_types(monkeypatch, values, iterations):
+    """The dtype of every `pool_array` call of one `soft_skeleton_array` run."""
+    seen = []
+
+    def spy(keys, mode):
+        seen.append(keys.dtype)
+        return pool_array(keys, mode)
+
+    monkeypatch.setattr(morphology, "pool_array", spy)
+    run = soft_skeleton_array(values, iterations)
+    monkeypatch.undo()
+    return seen, run
+
+
+def assert_tape_matches_packed_keys(monkeypatch, values, iterations, run):
+    """`run`'s skeleton and tape equal the packed keys', array for array."""
+    skel, (stages, flat) = run
+    monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
+    want_skel, (want_stages, want_flat) = soft_skeleton_array(values, iterations)
+    monkeypatch.undo()
+    assert np.array_equal(skel, want_skel) and np.array_equal(flat, want_flat)
+    assert len(stages) == len(want_stages)
+    for k, (stage, want) in enumerate(zip(stages, want_stages)):
+        if k == 0:
+            assert stage[1] is None and stage[2] is stage[0]
+        for got, expected in zip(stage, want):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 class TestPools:
     def test_constant_volume_interior_stays(self):
         pooled = pool_array(np.full((5, 5, 5), 0.7), "max")
@@ -259,15 +312,15 @@ class TestPools:
 class TestSoftSkeleton:
     def test_all_zero_gives_all_zero(self):
         g = geometry((5, 5, 5))
-        skel, _ = soft_skeleton(ProbVolume(g, np.zeros(g.shape)), iterations=3)
-        assert skel.values.max() == 0.0
+        skel, _ = soft_skeleton_array(np.zeros(g.shape), iterations=3)
+        assert skel.max() == 0.0
 
     def test_isolated_voxel_is_its_own_skeleton(self):
         g = geometry((5, 5, 5))
         values = np.zeros(g.shape)
         values[2, 2, 2] = 1.0
-        skel, _ = soft_skeleton(ProbVolume(g, values), iterations=2)
-        assert np.array_equal(skel.values, values)
+        skel, _ = soft_skeleton_array(values, iterations=2)
+        assert np.array_equal(skel, values)
 
     def test_tube_skeleton_hugs_centerline(self):
         mask, (start, end) = straight_tube_mask(length_vox=30, radius_vox=2.0, dims=(40, 12, 12))
@@ -369,7 +422,7 @@ class TestSoftSkeleton:
         grad_skel = rng.normal(size=shape)
         skel, tape = soft_skeleton_array(values, iterations)
         assert np.array_equal(skel, scipy_skeleton(values, iterations))
-        got = soft_skeleton_grad(tape, grad_skel)
+        got = soft_skeleton_grad(tape, grad_skel.copy())
         assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_matches_brute_force_oracle(self):
@@ -381,9 +434,60 @@ class TestSoftSkeleton:
             iterations = int(rng.integers(1, 11))
             grad_skel = rng.normal(size=values.shape)
             _, tape = soft_skeleton_array(values, iterations)
-            got = soft_skeleton_grad(tape, grad_skel)
+            got = soft_skeleton_grad(tape, grad_skel.copy())
             want = oracle_skeleton_grad(values, iterations, grad_skel)
             assert np.abs(got - want).max() <= 1e-12
+
+    def test_noisy_grid_narrows_its_keys_at_stage_two(self, monkeypatch):
+        # as on a noisy 128^3 prediction: the first erosion keeps more than
+        # 2^16 distinct values, the second fewer, so stages 0 and 1 pool
+        # int32 ranks and the later ones uint16 keys, with the same tape
+        mask, _ = straight_tube_mask(length_vox=80, radius_vox=12.0, dims=(96, 96, 96))
+        values = noisy_tube(mask, 96)
+        assert np.unique(MIN3(values)).size + 1 > 1 << 16
+        seen, run = pooled_key_types(monkeypatch, values, iterations=10)
+        types = stage_key_types(values, 10)
+        assert types[:3] == [np.int32, np.int32, np.uint16]
+        assert seen == [t for t in types for _ in ("min", "max")]
+        assert np.array_equal(run[0], scipy_skeleton(values, 10))
+        assert_tape_matches_packed_keys(monkeypatch, values, 10, run)
+
+    def test_keys_on_both_sides_of_the_exterior_narrow_to_signed(self, monkeypatch):
+        # N(0, 1) values rank on both sides of the exterior's 0, so the
+        # narrowed keys are signed and the tables are read at negative keys
+        values = np.random.default_rng(9).normal(size=(14, 13, 12))
+        grad_skel = np.random.default_rng(10).normal(size=values.shape)
+        seen, run = pooled_key_types(monkeypatch, values, iterations=4)
+        assert seen[:2] == [np.int32] * 2 and seen[2] == np.int16
+        assert seen == [t for t in stage_key_types(values, 4) for _ in ("min", "max")]
+        assert np.array_equal(run[0], scipy_skeleton(values, 4))
+        _, tape = soft_skeleton_array(values, iterations=4)
+        got = soft_skeleton_grad(tape, grad_skel.copy())
+        assert np.abs(got - oracle_skeleton_grad(values, 4, grad_skel)).max() <= 1e-12
+        assert_tape_matches_packed_keys(monkeypatch, values, 4, run)
+
+    @pytest.mark.parametrize("side, counted", [(48, 4), (64, 1)])
+    def test_slowly_thinning_keys_are_counted_while_they_can_fit_in_time(self, monkeypatch, side, counted):
+        # each erosion of a ramp keeps its interior, (side - 2k)^3 values and
+        # the exterior's 0: at 48^3 the keys would fit 2^16 within half the
+        # stages left, so they are counted until they narrow at stage 4; at
+        # 64^3 they would not, so one count stops it and they stay int32
+        z, y, x = np.indices((side, side, side))
+        values = (x + side * y + side * side * z + 1.0) / side**3
+        counts = []
+
+        def counted_keys(keys, voxel, flat):
+            out = narrowed(keys, voxel, flat)
+            counts.append(out[2])
+            return out
+
+        narrowed = morphology._narrowed
+        monkeypatch.setattr(morphology, "_narrowed", counted_keys)
+        seen, run = pooled_key_types(monkeypatch, values, iterations=10)
+        assert counts == [(side - 2 * k) ** 3 + 1 for k in range(1, counted + 1)]
+        assert seen == [t for t in stage_key_types(values, 10) for _ in ("min", "max")]
+        assert (seen[-1] == np.int32) == (counted == 1)
+        assert np.array_equal(run[0], scipy_skeleton(values, 10))
 
     def test_tie_free_grids_pool_int32_ranks(self, monkeypatch):
         # without ties each rank names one voxel, and the tape is the one the
@@ -426,7 +530,7 @@ class TestSoftSkeleton:
             grad_skel = rng.normal(size=values.shape)
             skel, tape = soft_skeleton_array(values, iterations)
             assert np.array_equal(skel, scipy_skeleton(values, iterations))
-            got = soft_skeleton_grad(tape, grad_skel)
+            got = soft_skeleton_grad(tape, grad_skel.copy())
             assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_on_routes_sharing_one_source(self):
@@ -439,7 +543,7 @@ class TestSoftSkeleton:
         _, tape = soft_skeleton_array(values, iterations=5)
         shared = max(np.bincount(route, minlength=1).max() for stage in tape[0] for route in stage[2:])
         assert shared >= 100
-        got = soft_skeleton_grad(tape, grad_skel)
+        got = soft_skeleton_grad(tape, grad_skel.copy())
         assert np.abs(got - oracle_skeleton_grad(values, 5, grad_skel)).max() <= 1e-12
 
     def test_pinned_skeleton_and_loss_bytes(self):
@@ -519,14 +623,18 @@ class TestSoftSkeleton:
         with pytest.raises(ParameterError, match="NaN"):
             soft_skeleton_array(values, iterations=2)
 
-    def test_gradient_leaves_its_argument_unchanged(self):
+    def test_gradient_consumes_its_arguments(self):
+        # the backward pops the tape's stages and works in grad_skel, so a
+        # caller that needs grad_skel again passes a copy, which gives the
+        # same bits
         vol = random_prob_volume(geometry((9, 8, 7)), seed=4)
         grad_skel = np.random.default_rng(4).normal(size=vol.values.shape)
-        before = grad_skel.copy()
         _, tape = soft_skeleton_array(vol.values, iterations=5)
-        soft_skeleton_grad(tape, grad_skel)
-        assert np.array_equal(grad_skel, before)
-        assert tape[0] == []  # the backward consumes its stages
+        _, other_tape = soft_skeleton_array(vol.values, iterations=5)
+        want = soft_skeleton_grad(other_tape, grad_skel.copy())
+        got = soft_skeleton_grad(tape, grad_skel)
+        assert tape[0] == [] and other_tape[0] == []
+        assert got.tobytes() == want.tobytes()
 
     def test_backward_peak_memory(self):
         # forward plus backward on a noisy tube, in float64 grids: the tape
