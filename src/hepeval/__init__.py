@@ -18,7 +18,6 @@ from .volume import (  # noqa: F401
     LabelVolume,
     ProbVolume,
     extract_mask,
-    physical_volume,
 )
 from .nifti import read_nifti, write_nifti  # noqa: F401
 from .morphology import (  # noqa: F401

@@ -42,8 +42,13 @@ positive, the input voxels that I_k and its opening took their values from;
 the residual is recomputed there from the input by the same float
 subtraction, so the skeleton is bit-identical to value pooling. The
 opening's keys are compared with I_k's undecoded, and its sources are
-decoded on P_k only. The backward scatters each stage onto those sources in
-place (`np.add.at`, `np.subtract.at`) and runs no pool. Integer masks, the
+decoded on P_k only, except at stage 0, which runs on the whole grid: off
+P_0 a voxel's opening source holds its own value (or the exterior 0, above
+a negative value), so the relu gives +0.0 there, as a scatter on P_0 only
+would. Once the keys narrow, a stage's sources are its keys, read through
+the one table of the keys present. The backward scatters each stage onto
+those sources in place (`np.add.at`, `np.subtract.at`), the narrowed stages
+into a table-sized array first, and runs no pool. Integer masks, the
 loss's constants, must be 0/1: their skeleton is their depth map's ridge.
 
 Connected components and the distance transform run on the bounding box of
@@ -129,12 +134,12 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
     if values.dtype.itemsize > 8:
         raise ParameterError(f"a soft skeleton gradient needs float64 or narrower values, got {values.dtype}")
-    flat = np.zeros(n + 1, dtype=values.dtype)
+    flat = np.empty(n + 1, dtype=values.dtype)
     flat[:n] = values.ravel()
+    flat[n] = 0
     b = n.bit_length()
     word = _value_codes(flat)
-    word >>= b
-    word <<= b
+    word &= -1 << b
     word |= np.arange(n + 1)
     word.sort()
     order = word & ((1 << b) - 1)
@@ -156,7 +161,10 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     if ties.size == 0:
         keys = np.empty(n + 1, dtype=np.int32)
         keys[order] = np.arange(-exterior, n + 1 - exterior, dtype=np.int32)
-        return flat, keys[:n].reshape(values.shape), np.roll(order.astype(np.int32), -exterior)
+        voxel = np.empty(n + 1, dtype=np.int32)  # order rotated left by `exterior`
+        voxel[: n + 1 - exterior] = order[exterior:]
+        voxel[n + 1 - exterior :] = order[:exterior]
+        return flat, keys[:n].reshape(values.shape), voxel
     step = np.ones(n, dtype=bool)
     step[ties] = False
     return flat, _packed_keys(order, step)[:n].reshape(values.shape), None
@@ -273,10 +281,25 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
 
     The residual is positive exactly on P_k = {rank(I_k) > rank(O_k)}, which
     is where I_k's key exceeds O_k's raw pooled key. The residual is
-    recomputed on P_k from the sources and S is updated there only. The tape
-    is ``(stages, flat)``: per stage the int32 P_k, S_{k-1} on P_k (None at
-    k = 0) and the int32 sources of I_k and O_k on P_k (P_0 itself for I_0),
-    and `flat` from `_rank_keys`.
+    recomputed on P_k from the sources and S is updated there only, except
+    at stage 0, which runs on the whole grid: S_0 is relu(I_0 - O_0) from
+    O_0's source at every voxel, with no compaction and no scatter. Off P_0
+    that source holds the voxel's own value (on int32 ranks it is the voxel
+    itself), giving +0.0, or at the border the exterior 0 above a negative
+    value, giving a negative difference. The relu is `fmax`, which also maps
+    a -inf voxel's -inf - -inf = NaN to 0. Only packed keys admit a -0.0
+    input beside a 0.0 source, whose -0.0 difference `fmax`'s scalar loop
+    keeps, so +0.0 is added to their S_0. So S_0 is +0.0 off P_0, bit for
+    bit as if it were written on P_0 only.
+
+    The tape is ``(stages, keyed, table, flat)``. Stage k >= 1 is ``(P_k,
+    S_{k-1} on P_k, source of I_k, source of O_k)``, all on P_k, in int32
+    voxel indices. Stage 0 is ``(P_0 as a bool grid, None, None, source of
+    O_0 on the whole grid)``: I_0's source is the voxel itself. The stages
+    after the keys narrow are `keyed`: their sources are the narrowed keys
+    themselves, and `table` (None if the keys never narrow) maps a key to
+    its voxel, a negative key from its end, so the residual is read from
+    `flat[table]`, at most 65,536 values. `flat` is from `_rank_keys`.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -290,8 +313,8 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         low = (1 << n.bit_length()) - 1
     source = None  # stage position -> input voxel, on packed keys only
     last_count = 0 if packed else n + 1  # keys at the last count; 0 once counting stops
-    skel = np.zeros(n, dtype=values.dtype)
-    stages = []
+    value, table = flat, None  # value by route: by voxel, then by key once the keys narrow
+    stages, keyed = [], []
     for k in range(iterations + 1):
         if packed:
             eroded = _keyed_pool(keys_in, offset, "min")
@@ -311,29 +334,46 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         else:
             eroded = pool_array(keys_in, "min")
             opened = pool_array(eroded, "max").ravel()
-        where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
         if k == 0:
-            route_in = where
+            # The whole grid: off P_0 the source holds the voxel's own value,
+            # or at the border the exterior 0 above a negative value, and
+            # the relu leaves +0.0 there (see the docstring).
+            residual = keys_in.ravel() > opened
+            route_out = source[n - (opened & low)] if packed else voxel[opened]
+            del opened
+            with np.errstate(invalid="ignore"):
+                skel = flat[:n] - flat[route_out]
+            np.fmax(skel, 0, out=skel)
+            if packed:
+                skel += 0.0  # a -0.0 input beside a 0.0 source left -0.0
+            stages.append((residual, None, None, route_out))
         else:
-            route_in = source_in[where] if packed else voxel[keys_in.ravel()[where]]
-        route_out = source[n - (opened[where] & low)] if packed else voxel[opened[where]]
-        del opened
-        delta = flat[route_in] - flat[route_out]
-        before = None if k == 0 else skel[where]
-        if before is not None:
+            where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
+            if packed:
+                route_in, route_out = source_in[where], source[n - (opened[where] & low)]
+            elif table is None:
+                route_in, route_out = voxel[keys_in.ravel()[where]], voxel[opened[where]]
+            else:
+                route_in, route_out = keys_in.ravel()[where], opened[where]
+            del opened
+            delta = value[route_in] - value[route_out]
+            before = skel[where]
             delta *= 1 - before
             delta += before
-        skel[where] = delta
-        stages.append((where, before, route_in, route_out))
+            skel[where] = delta
+            (stages if table is None else keyed).append((where, before, route_in, route_out))
         if k == iterations or not eroded.any():
             break
         if last_count:
             narrowed, voxel, count = _narrowed(eroded, voxel, flat)
             late = count * (count / last_count) ** ((iterations - k) / 2) > 1 << 16
-            last_count = 0 if narrowed.dtype != eroded.dtype or late else count
+            if narrowed.dtype != eroded.dtype:
+                last_count, table, value = 0, voxel, flat[voxel]
+            else:
+                last_count = 0 if late else count
             eroded = narrowed
         keys_in, source_in = eroded, source
-    return skel.reshape(values.shape), (stages, flat)
+    return skel.reshape(values.shape), (stages, keyed, table, flat)
 
 
 def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
@@ -344,26 +384,49 @@ def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
     to the source of O_k (the exterior's bin n is dropped), and grad_s
     becomes (1 - delta) grad_s. Both scatters add into the gradient in place
     with `np.add.at` and `np.subtract.at`, which sum repeated sources. The
-    stage list is consumed, so its arrays are freed as it goes, and
+    stage lists are consumed, so their arrays are freed as they go, and
     `grad_skel` is the working dL/dS, so it is overwritten: pass a copy to
     keep it.
+
+    The keyed stages, the last ones, scatter into an array indexed by key,
+    which then lands in the zero gradient at once through the injective
+    table: each voxel gets the same sums in the same order, from +0.0.
+    Stage 0, last, adds its dL/dS, masked to 0.0 off P_0, over the grid and
+    subtracts it at every voxel's O_0 source. The gradient starts at +0.0
+    and only gains sums, which are never -0.0, so adding +0.0 or
+    subtracting 0.0 keeps every bit, and on P_0 each voxel gets the same
+    sums in the same order as from scatters on P_0 only.
     """
     if tape is None:
         raise ParameterError("the soft skeleton of an integer input has no gradient")
-    stages, flat = tape
+    stages, keyed, table, flat = tape
     grad_s = grad_skel.ravel()
     grad = np.zeros(flat.size)
+    if keyed:
+        by_key = np.zeros(table.size)
+        _scatter_stages(keyed, grad_s, flat[table], by_key)
+        grad[table] = by_key
+    _scatter_stages(stages, grad_s, flat, grad)
+    return grad[:-1].reshape(grad_skel.shape)
+
+
+def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: np.ndarray) -> None:
+    """Pop `stages` last-first, scattering each into `grad` at its routes,
+    which index `value` and `grad` alike; stage 0 has P_0 as a bool grid,
+    no route_in (the identity) and route_out on the whole grid."""
     while stages:
         where, before, route_in, route_out = stages.pop()
-        resid = grad_s[where]
-        if before is not None:
-            delta = flat[route_in] - flat[route_out]
+        if route_in is None:
+            resid = np.where(where, grad_s, 0.0)
+            grad[:-1] += resid
+        else:
+            resid = grad_s[where]
+            delta = value[route_in] - value[route_out]
             grad_s[where] = resid * (1 - delta)
             resid *= 1 - before
-        del before
-        np.add.at(grad, route_in, resid)
+            del before
+            np.add.at(grad, route_in, resid)
         np.subtract.at(grad, route_out, resid)
-    return grad[:-1].reshape(grad_skel.shape)
 
 
 @dataclass(frozen=True)

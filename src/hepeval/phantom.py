@@ -141,9 +141,6 @@ class PhantomTruth:
     gallbladder_mask: np.ndarray
     structure_volumes_mm3: dict[str, float]
 
-    def edges_of_tree(self, tree: str) -> list[EdgeRecord]:
-        return [e for e in self.edges if e.tree == tree]
-
     def centerline_points_mm(self, edge_id: int, step_mm: float = 1.0) -> np.ndarray:
         e = next(rec for rec in self.edges if rec.edge_id == edge_id)
         a = np.asarray(e.start_mm)

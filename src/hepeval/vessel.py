@@ -112,11 +112,6 @@ class SkeletonGraph:
                 return e
         raise ParameterError(f"no edge with id {edge_id}")
 
-    def skeleton_voxel_count(self) -> int:
-        n = sum(len(node.voxels) for node in self.nodes)
-        n += sum(len(e.path) for e in self.edges + self.removed_edges)
-        return n
-
     def to_json_dict(self) -> dict:
         return {
             "root_edge_id": self.root_edge_id,

@@ -264,8 +264,3 @@ def extract_mask(volume: LabelVolume, label_id: int) -> BinaryMask:
     if label_id not in volume.schema.ids:
         raise SchemaError(f"label id {label_id} is not in the schema")
     return BinaryMask(volume.geometry, volume.labels == label_id)
-
-
-def physical_volume(mask: BinaryMask) -> float:
-    """Mask volume in cubic millimetres."""
-    return mask.popcount() * mask.geometry.voxel_volume_mm3

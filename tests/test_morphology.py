@@ -205,11 +205,61 @@ def pooled_key_types(monkeypatch, values, iterations):
     return seen, run
 
 
+def tape_stages(tape):
+    """``(stages, flat)`` of a soft skeleton tape, each stage as ``(P_k,
+    S_{k-1} on P_k or None, source of I_k, source of O_k)`` in int32 input
+    voxel indices on P_k: the tape keeps stage 0's P_0 as a bool grid, no
+    source of I_0 and the source of O_0 on the whole grid, and a stage after
+    the keys narrow routes by key into the tape's table."""
+    stages, keyed, table, flat = tape
+    decoded = []
+    for where, before, route_in, route_out in stages:
+        if route_in is None:
+            where = np.flatnonzero(where).astype(np.int32)
+            route_in, route_out = where, route_out[where]
+        decoded.append((where, before, route_in, route_out))
+    decoded += [(where, before, table[key_in], table[key_out]) for where, before, key_in, key_out in keyed]
+    return decoded, flat
+
+
+def sparse_replay(tape, shape, grad_skel):
+    """The skeleton and its gradient at `grad_skel`, replayed from the tape's
+    decoded stages by scatters on P_k only: every stage sparse, in voxel
+    indices, in the float operations and order of the skeleton's forward."""
+    stages, flat = tape_stages(tape)
+    skel = np.zeros(flat.size - 1, dtype=flat.dtype)
+    for where, before, route_in, route_out in stages:
+        delta = flat[route_in] - flat[route_out]
+        skel[where] = delta if before is None else delta * (1 - before) + before
+    grad_s, grad = grad_skel.ravel().copy(), np.zeros(flat.size)
+    for where, before, route_in, route_out in reversed(stages):
+        resid = grad_s[where]
+        if before is not None:
+            grad_s[where] = resid * (1 - (flat[route_in] - flat[route_out]))
+            resid *= 1 - before
+        np.add.at(grad, route_in, resid)
+        np.subtract.at(grad, route_out, resid)
+    return skel.reshape(shape), grad[:-1].reshape(shape)
+
+
+def assert_matches_sparse_replay(values, iterations):
+    """One run's skeleton and gradient bytes, stage 0 on the whole grid,
+    equal `sparse_replay`'s."""
+    grad_skel = np.random.default_rng(values.size).normal(size=values.shape)
+    skel, tape = soft_skeleton_array(values, iterations)
+    assert tape[0][0][0].dtype == bool
+    want_skel, want_grad = sparse_replay(tape, values.shape, grad_skel)
+    assert skel.tobytes() == want_skel.tobytes()
+    assert soft_skeleton_grad(tape, grad_skel.copy()).tobytes() == want_grad.tobytes()
+
+
 def assert_tape_matches_packed_keys(monkeypatch, values, iterations, run):
     """`run`'s skeleton and tape equal the packed keys', array for array."""
-    skel, (stages, flat) = run
+    skel, tape = run
+    stages, flat = tape_stages(tape)
     monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
-    want_skel, (want_stages, want_flat) = soft_skeleton_array(values, iterations)
+    want_skel, want_tape = soft_skeleton_array(values, iterations)
+    want_stages, want_flat = tape_stages(want_tape)
     monkeypatch.undo()
     assert np.array_equal(skel, want_skel) and np.array_equal(flat, want_flat)
     assert len(stages) == len(want_stages)
@@ -370,7 +420,7 @@ class TestSoftSkeleton:
         grids = [random_prob_volume(geometry((9, 8, 7)), seed=s).values for s in range(3)]
         grids += [tie_heavy_grid(seed) for seed in range(20)]
         for values in grids:
-            _, (stages, flat) = soft_skeleton_array(values, iterations=4)
+            stages, flat = tape_stages(soft_skeleton_array(values, iterations=4)[1])
             assert np.array_equal(flat, np.append(values.ravel(), 0.0))
             inputs = [values]  # I_k of each stage run: the loop stops once I is all zero
             while len(inputs) < 5 and MIN3(inputs[-1]).any():
@@ -387,10 +437,10 @@ class TestSoftSkeleton:
                     assert np.array_equal(before, scipy_skeleton(values, k - 1).ravel()[where])
         vol = random_prob_volume(geometry((23, 23, 23)), seed=2)
         for iterations in (1, 3, 5, 8, 10):
-            _, (stages, _) = soft_skeleton_array(vol.values, iterations)
+            stages, _ = tape_stages(soft_skeleton_array(vol.values, iterations)[1])
             assert len(stages) == iterations + 1
         # stops once the input has eroded away
-        _, (stages, _) = soft_skeleton_array(np.ones((3, 3, 3)), iterations=5)
+        stages, _ = tape_stages(soft_skeleton_array(np.ones((3, 3, 3)), iterations=5)[1])
         assert len(stages) == 2
 
     def test_integer_input_has_no_gradient(self):
@@ -495,23 +545,36 @@ class TestSoftSkeleton:
         grids = [tie_free_grid(seed) for seed in range(12)]
         mask, _ = straight_tube_mask(length_vox=14, radius_vox=3.0, dims=(16, 16, 16))
         grids.append(noisy_tube(mask, 16))
-        runs = []
         for values in grids:
             _, keys, voxel = _rank_keys(values)
             assert keys.dtype == voxel.dtype == np.int32
-            runs.append(soft_skeleton_array(values, iterations=6))
+            assert_tape_matches_packed_keys(monkeypatch, values, 6, soft_skeleton_array(values, iterations=6))
+
+    def test_dense_stage_zero_on_a_noisy_grid(self, monkeypatch):
+        # stage 0 on the whole grid gives the bytes of scatters on P_0 only,
+        # on int32 ranks and packed keys
+        mask, _ = straight_tube_mask(length_vox=20, radius_vox=5.0, dims=(24, 24, 24))
+        values = noisy_tube(mask, 24)
+        assert_matches_sparse_replay(values, 10)
         monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
-        for values, (skel, (stages, flat)) in zip(grids, runs):
-            want_skel, (want_stages, want_flat) = soft_skeleton_array(values, iterations=6)
-            assert np.array_equal(skel, want_skel) and np.array_equal(flat, want_flat)
-            assert len(stages) == len(want_stages)
-            for k, (stage, want) in enumerate(zip(stages, want_stages)):
-                if k == 0:
-                    assert stage[1] is None and stage[2] is stage[0]
-                for got, expected in zip(stage, want):
-                    assert (got is None) == (expected is None)
-                    if got is not None:
-                        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert_matches_sparse_replay(values, 10)
+
+    def test_dense_stage_zero_off_p0_is_plus_zero_beside_negative_zero(self):
+        # -0.0 ties 0.0, so off P_0 a -0.0 voxel can take its opening from a
+        # 0.0 one: -0.0 - 0.0 is -0.0, which fmax's scalar loop keeps
+        values = np.array([1.0, 1.0, 1.0, 0.0, -0.0, 1.0, 0.5, 0.0, -0.0]).reshape(3, 3, 1)
+        assert_matches_sparse_replay(values, 1)
+
+    def test_all_negative_grid_needs_the_dense_relu(self):
+        # the exterior 0 opens every border voxel above its negative value,
+        # and a -inf voxel is its own source (-inf - -inf is NaN): the relu
+        # leaves +0.0 there, and the backward's P_0 mask keeps their dL/dS
+        # out of the gradient
+        values = -np.random.default_rng(3).uniform(0.05, 1.0, size=(18, 17, 16))
+        assert_matches_sparse_replay(values, 6)
+        assert np.array_equal(soft_skeleton_array(values, 6)[0], scipy_skeleton(values, 6))
+        values[9, 8, 7] = -np.inf
+        assert_matches_sparse_replay(values, 6)
 
     @pytest.mark.parametrize("tie", ["duplicate", "zero", "negative zero"])
     def test_one_tie_selects_packed_keys(self, tie):
@@ -541,7 +604,7 @@ class TestSoftSkeleton:
         values[6, 6, 6] = 0.3
         grad_skel = np.random.default_rng(13).normal(size=values.shape)
         _, tape = soft_skeleton_array(values, iterations=5)
-        shared = max(np.bincount(route, minlength=1).max() for stage in tape[0] for route in stage[2:])
+        shared = max(np.bincount(route, minlength=1).max() for stage in tape_stages(tape)[0] for route in stage[2:])
         assert shared >= 100
         got = soft_skeleton_grad(tape, grad_skel.copy())
         assert np.abs(got - oracle_skeleton_grad(values, 5, grad_skel)).max() <= 1e-12
@@ -633,12 +696,12 @@ class TestSoftSkeleton:
         _, other_tape = soft_skeleton_array(vol.values, iterations=5)
         want = soft_skeleton_grad(other_tape, grad_skel.copy())
         got = soft_skeleton_grad(tape, grad_skel)
-        assert tape[0] == [] and other_tape[0] == []
+        assert tape[:2] == ([], []) and other_tape[:2] == ([], [])
         assert got.tobytes() == want.tobytes()
 
     def test_backward_peak_memory(self):
         # forward plus backward on a noisy tube, in float64 grids: the tape
-        # holds each stage's sparse residual support, not its dense arrays.
+        # holds the stages after the first on their residual support only.
         # The clipped tube has exact-0 ties (packed keys), the other none.
         mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
         rng = np.random.default_rng(0)

@@ -93,7 +93,7 @@ class TestGenerate:
     def test_one_level_tree_generations(self):
         spec = axis_tree_spec(1)
         truth = generate_case(spec)
-        edges = truth.edges_of_tree("portal_vein")
+        edges = [e for e in truth.edges if e.tree == "portal_vein"]
         assert len(edges) == 3
         assert sorted(e.generation for e in edges) == [0, 1, 1]
         present = set(np.unique(truth.generation_tag)) - {-1}
@@ -210,7 +210,7 @@ class TestDegrade:
         assert np.array_equal(a.labels, b.labels)
 
     def test_drop_edge_removes_exactly_tagged_voxels(self, truth):
-        edge = truth.edges_of_tree("portal_vein")[2]
+        edge = [e for e in truth.edges if e.tree == "portal_vein"][2]
         tagged = int((truth.edge_tag == edge.edge_id).sum())
         assert tagged > 0
         out = degrade(truth, DegradeSpec(drop_edge_ids=(edge.edge_id,)))

@@ -289,7 +289,8 @@ class TestBuildGraph:
         mask = extract_mask(truth.label_volume, 3)
         skel = skeletonize(mask, 6)
         graph = build_graph(skel, mask)
-        assert graph.skeleton_voxel_count() == skel.popcount()
+        paths = graph.edges + graph.removed_edges
+        assert sum(len(n.voxels) for n in graph.nodes) + sum(len(e.path) for e in paths) == skel.popcount()
 
     def test_deterministic_ids(self):
         truth = generate_case(axis_tree_spec(2))

@@ -12,7 +12,6 @@ from hepeval.volume import (
     LabelVolume,
     ProbVolume,
     extract_mask,
-    physical_volume,
 )
 
 
@@ -222,13 +221,13 @@ class TestPhysicalVolume:
     def test_spacing_product(self):
         g = Geometry(dims=(10, 1, 1), spacing=(2.0, 2.0, 3.0))
         mask = BinaryMask(g, np.ones(g.shape, dtype=bool))
-        assert physical_volume(mask) == pytest.approx(120.0)
+        assert mask.popcount() * mask.geometry.voxel_volume_mm3 == pytest.approx(120.0)
 
     def test_empty_mask(self, unit_geometry):
         mask = BinaryMask(unit_geometry, np.zeros(unit_geometry.shape, dtype=bool))
-        assert physical_volume(mask) == 0.0
+        assert mask.popcount() * mask.geometry.voxel_volume_mm3 == 0.0
 
     def test_full_cube(self):
         g = Geometry(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0))
         mask = BinaryMask(g, np.ones(g.shape, dtype=bool))
-        assert physical_volume(mask) == pytest.approx(64.0)
+        assert mask.popcount() * mask.geometry.voxel_volume_mm3 == pytest.approx(64.0)
