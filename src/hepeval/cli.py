@@ -338,7 +338,10 @@ def _read_case_csv(path) -> dict[str, list[float]]:
     """Per-structure DSC samples from an eval run's cases.csv."""
     out: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has fewer fields than the header")
             if row["dsc"] != "":
                 out.setdefault(row["structure"], []).append(float(row["dsc"]))
     return out
@@ -398,7 +401,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except HepevalError as exc:
+    except (HepevalError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -4,7 +4,8 @@ Pooling uses the full 3x3x3 neighborhood with exterior cells contributing 0,
 so solid structures erode from the volume border. The box window is separable,
 so each pool runs as three 1D passes.
 
-The soft skeleton of a floating input records where every value came from.
+The soft skeleton takes probabilities: floating values in [0, 1], which
+the exterior 0 lies at or below. It records where every value came from.
 Min and max over a box are separable under any total order, so the same
 `pool_array` pools integer keys that order the values, and the key width is
 chosen from the data. When the input and the exterior 0 hold no two equal
@@ -20,7 +21,7 @@ pool's cost: twice the bytes per pass, plus the key adds and decodes.
 Erosion thins the int32 ranks: on a noisy 128^3 prediction 62,944 distinct
 keys are left after two stages. So after each stage, until they narrow, the
 next stage's ranks are renumbered densely over the keys present, in order
-and with the exterior's 0 kept, on the narrowest integer type that holds
+and with the exterior's 0 kept, on the narrowest unsigned type that holds
 them (uint16 there). A strictly increasing relabelling that fixes 0
 commutes with min and max pools and with the zero padding, so every pool
 and comparison gives the same voxels, and the sources are then read from
@@ -28,14 +29,15 @@ the table of the keys present. Keys that thin too slowly to fit in time,
 as on a strongly smoothed prediction, stop the counting after one scan.
 
 Both key kinds come from one int64 sort, with no argsort over the grid.
-Each value gets an order-preserving int64 code (its float64 bits, with a
-negative value's magnitude bits flipped; -0.0 is first made 0.0), and the
+Each value gets an order-preserving int64 code (its float64 bits, which
+sort as the values do for values >= 0; -0.0 is first made 0.0), and the
 top 64 - b bits of the code are packed over the voxel index in the low b
 bits, b = n.bit_length(). Values closer than 2^b code steps can share those
 top bits: such prefix runs come out sorted by index, so only their positions
 are sorted again by full code (about 2,000 of 2.1 M positions on a 128^3
-sigmoid prediction). A NaN has no place in the order and raises
-ParameterError.
+sigmoid prediction). Every value below 0 and -NaN sort first, and every
+value above 1, +inf and +NaN last, so reading the two ends of the sorted
+codes finds any value outside [0, 1], and it raises ParameterError.
 
 Each stage keeps, on the voxels where its residual relu(I_k - open(I_k)) is
 positive, the input voxels that I_k and its opening took their values from;
@@ -43,13 +45,12 @@ the residual is recomputed there from the input by the same float
 subtraction, so the skeleton is bit-identical to value pooling. The
 opening's keys are compared with I_k's undecoded, and its sources are
 decoded on P_k only, except at stage 0, which runs on the whole grid: off
-P_0 a voxel's opening source holds its own value (or the exterior 0, above
-a negative value), so the relu gives +0.0 there, as a scatter on P_0 only
-would. Once the keys narrow, a stage's sources are its keys, read through
-the one table of the keys present. The backward scatters each stage onto
-those sources in place (`np.add.at`, `np.subtract.at`), the narrowed stages
-into a table-sized array first, and runs no pool. Integer masks, the
-loss's constants, must be 0/1: their skeleton is their depth map's ridge.
+P_0 a voxel's opening source holds its own value, so the difference is
++0.0 there, as a scatter on P_0 only would leave it. Once the keys narrow,
+a stage's sources are its keys, read through the one table of the keys
+present. The backward scatters each stage onto those sources in place
+(`np.add.at`, `np.subtract.at`), the narrowed stages into a table-sized
+array first, and runs no pool.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -97,37 +98,31 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     return cur
 
 
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
 def _value_codes(x: np.ndarray) -> np.ndarray:
-    """int64 codes ordered as the values of `x`, read as float64.
+    """int64 codes ordered as the values of `x` in [0, 1], read as float64.
 
-    The float64 bits are the code of a value >= 0; a negative value's
-    magnitude bits are flipped, so larger magnitudes sort lower. Adding 0.0
-    turns -0.0 into 0.0, whose code is 0, and a NaN's code lies above
-    +inf's or below -inf's.
+    The float64 bits of a value >= 0 sort in its order. Adding 0.0 turns
+    -0.0 into 0.0, whose code is 0. Any value below 0 (or -NaN) codes below
+    0, and any above 1 (+inf and +NaN too) above 1.0's code.
     """
-    code = np.add(x, 0.0, dtype=np.float64).view(np.int64)
-    code ^= (code >> 63) & _MAGNITUDE
-    return code
+    return np.add(x, 0.0, dtype=np.float64).view(np.int64)
 
 
 def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(flat, keys, voxel)`` for the soft skeleton's pools of a floating grid.
+    """``(flat, keys, voxel)`` for the soft skeleton's pools of a grid in [0, 1].
 
     `flat` is the input with a trailing exterior 0 at index n. Keys order the
     voxels by their values in `flat`, and the exterior's key is 0, which is
-    `pool_array`'s padding. When no two values of `flat` are equal, `keys`
-    holds each voxel's int32 rank in `flat`'s sorted order minus the
-    exterior's, and `voxel` maps a rank back to its index in `flat`; a
-    negative rank indexes `voxel` from its end, as in Python. Otherwise
-    `keys` are `_packed_keys` and `voxel` is None.
+    `pool_array`'s padding: no value lies below it. When no two values of
+    `flat` are equal, `keys` holds each voxel's int32 rank in `flat`'s
+    sorted order, and `voxel` maps a rank back to its index in `flat`.
+    Otherwise `keys` are `_packed_keys` and `voxel` is None.
 
     The order comes from one in-place sort of words holding each value's
     code over its index (see the module docstring), and a stable argsort of
-    the prefix runs' positions by full code. Inputs wider than float64 and
-    NaN, which sorts to an end of the codes, raise ParameterError.
+    the prefix runs' positions by full code. Inputs wider than float64
+    raise ParameterError, and so does a value outside [0, 1] or a NaN,
+    which sorts to an end of the codes.
     """
     n = values.size
     if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
@@ -144,7 +139,6 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     word.sort()
     order = word & ((1 << b) - 1)
     word >>= b
-    exterior = int(np.searchsorted(word, 0))  # negative values first; the exterior's rank if tie-free
     runs = np.flatnonzero(word[1:] == word[:-1])
     member = np.zeros(n + 1, dtype=bool)
     member[runs] = True
@@ -156,15 +150,13 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     order[at] = order[at[resort]]
     code = code[resort]
     ties = at[:-1][code[1:] == code[:-1]]  # equal codes share a run, so at[j + 1] = at[j] + 1
-    if np.isnan(flat[order[[0, -1]]]).any():
-        raise ParameterError("a soft skeleton gradient needs values that are not NaN")
+    lo, hi = flat[order[[0, -1]]]
+    if not (lo >= 0 and hi <= 1):
+        raise ParameterError(f"a soft skeleton needs values in [0, 1] and no NaN, got {lo} to {hi}")
     if ties.size == 0:
         keys = np.empty(n + 1, dtype=np.int32)
-        keys[order] = np.arange(-exterior, n + 1 - exterior, dtype=np.int32)
-        voxel = np.empty(n + 1, dtype=np.int32)  # order rotated left by `exterior`
-        voxel[: n + 1 - exterior] = order[exterior:]
-        voxel[n + 1 - exterior :] = order[:exterior]
-        return flat, keys[:n].reshape(values.shape), voxel
+        keys[order] = np.arange(n + 1, dtype=np.int32)
+        return flat, keys[:n].reshape(values.shape), order.astype(np.int32)
     step = np.ones(n, dtype=bool)
     step[ties] = False
     return flat, _packed_keys(order, step)[:n].reshape(values.shape), None
@@ -176,14 +168,14 @@ def _packed_keys(order: np.ndarray, step: np.ndarray) -> np.ndarray:
     `order` sorts `flat` (n + 1 values, the exterior 0 last) by value, and
     `step` marks each adjacent pair of its sorted values that differ. Each
     key is the value's dense rank among the distinct values (equal values
-    share a rank, and order is kept), minus the exterior's, times 2^b with
-    b = n.bit_length(); the low b bits are left for `_keyed_pool`'s index.
+    share a rank, and order is kept; the exterior 0 has rank 0), times 2^b
+    with b = n.bit_length(); the low b bits are left for `_keyed_pool`'s
+    index.
     """
     n = order.size - 1
     high = np.empty(n + 1, dtype=np.int64)
     high[order[0]] = 0
     high[order[1:]] = np.cumsum(step)
-    high -= high[n]
     high *= 1 << n.bit_length()
     return high
 
@@ -207,29 +199,12 @@ def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
     return key
 
 
-def _binary_skeleton(values: np.ndarray, iterations: int) -> np.ndarray:
-    """The soft skeleton of a 0/1 grid, in its dtype: where depth, the count of
-    erosions E^k (E^0 the grid) holding a voxel, capped at iterations + 2, is
-    at most iterations + 1 and its own 3x3x3 maximum (`vessel.skeletonize`).
-    A bool grid holds only 0 and 1, so only other integer grids are scanned."""
-    if values.dtype != bool and values.size and (values.min() < 0 or values.max() > 1):
-        raise ParameterError("the soft skeleton of an integer grid needs 0/1 values")
-    depth = values.astype(np.min_scalar_type(iterations + 2))
-    eroded = depth
-    for _ in range(iterations + 1):
-        eroded = pool_array(eroded, "min")
-        if not eroded.any():
-            break
-        depth += eroded
-    return ((depth == pool_array(depth, "max")) & (depth >= 1) & (depth <= iterations + 1)).astype(values.dtype)
-
-
-def _narrowed(keys: np.ndarray, voxel: np.ndarray, flat: np.ndarray) -> tuple:
+def _narrowed(keys: np.ndarray, voxel: np.ndarray) -> tuple:
     """``(keys, voxel, count)``: `count` is the number of rank keys present in
-    `keys`, the exterior's 0 included. If a narrower integer type holds that
-    many, `keys` comes back renumbered densely on it, in order and with 0
-    kept, and `voxel` as the table of the keys present by new key (a
-    negative key indexes it from its end); otherwise both come back as given.
+    int32 `keys`, the exterior's 0 included. If uint16 holds that many,
+    `keys` comes back renumbered densely on the narrowest unsigned type, in
+    order and with 0 kept, and `voxel` as the table of the keys present by
+    new key; otherwise both come back as given.
     """
     present = np.zeros(voxel.size, dtype=bool)
     present[0] = True
@@ -237,30 +212,25 @@ def _narrowed(keys: np.ndarray, voxel: np.ndarray, flat: np.ndarray) -> tuple:
     count = int(np.count_nonzero(present))
     if count > 1 << 16:  # no type narrower than int32 holds them
         return keys, voxel, count
-    at = np.flatnonzero(present)  # old keys 0, 1, ..., then the negative ones
-    table = voxel[at]
-    neg = int(np.count_nonzero(flat[table] < 0))
-    dtype = np.result_type(np.min_scalar_type(-neg), np.min_scalar_type(count - neg - 1))
-    if dtype.itemsize >= keys.itemsize:
-        return keys, voxel, count
-    code = np.arange(count)
-    code[count - neg :] -= count
-    recode = np.zeros(voxel.size, dtype=dtype)
-    recode[at] = code
-    return recode[keys], table, count
+    at = np.flatnonzero(present)
+    recode = np.zeros(voxel.size, dtype=np.min_scalar_type(count - 1))
+    recode[at] = np.arange(count)
+    return recode[keys], voxel[at], count
 
 
-def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple | None]:
+def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple]:
     """Iterative soft skeleton in the input dtype, plus its gradient tape.
 
     S = relu(I - open(I)); then `iterations` times:
     I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
     Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
     once. The loop stops early once I is all zero, since later stages add
-    nothing. An integer input must be 0/1 (`_binary_skeleton`); no tape.
+    nothing. The input must be floating, with every value in [0, 1]; any
+    other raises ParameterError (a binary mask's skeleton is
+    `vessel.skeletonize`).
 
-    A floating input is pooled as keys from `_rank_keys`, so every value of
-    I_k and of its opening O_k names the input voxel it came from (n for the
+    The input is pooled as keys from `_rank_keys`, so every value of I_k
+    and of its opening O_k names the input voxel it came from (n for the
     exterior). The key width is chosen from the data. When the input and the
     exterior 0 hold no two equal values, each int32 rank belongs to one
     voxel, and ties inside a window are copies of one voxel's value, so the
@@ -282,15 +252,13 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     The residual is positive exactly on P_k = {rank(I_k) > rank(O_k)}, which
     is where I_k's key exceeds O_k's raw pooled key. The residual is
     recomputed on P_k from the sources and S is updated there only, except
-    at stage 0, which runs on the whole grid: S_0 is relu(I_0 - O_0) from
-    O_0's source at every voxel, with no compaction and no scatter. Off P_0
-    that source holds the voxel's own value (on int32 ranks it is the voxel
-    itself), giving +0.0, or at the border the exterior 0 above a negative
-    value, giving a negative difference. The relu is `fmax`, which also maps
-    a -inf voxel's -inf - -inf = NaN to 0. Only packed keys admit a -0.0
-    input beside a 0.0 source, whose -0.0 difference `fmax`'s scalar loop
-    keeps, so +0.0 is added to their S_0. So S_0 is +0.0 off P_0, bit for
-    bit as if it were written on P_0 only.
+    at stage 0, which runs on the whole grid: S_0 is I_0 - O_0 from O_0's
+    source at every voxel, with no compaction, no scatter and no relu. No
+    value lies below the exterior 0, so O_0 <= I_0, and off P_0 the source
+    holds the voxel's own value (on int32 ranks it is the voxel itself),
+    giving +0.0. Only packed keys admit a -0.0 input beside a 0.0 source,
+    whose difference is -0.0, so +0.0 is added to their S_0. So S_0 is +0.0
+    off P_0, bit for bit as if it were written on P_0 only.
 
     The tape is ``(stages, keyed, table, flat)``. Stage k >= 1 is ``(P_k,
     S_{k-1} on P_k, source of I_k, source of O_k)``, all on P_k, in int32
@@ -298,13 +266,13 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     O_0 on the whole grid)``: I_0's source is the voxel itself. The stages
     after the keys narrow are `keyed`: their sources are the narrowed keys
     themselves, and `table` (None if the keys never narrow) maps a key to
-    its voxel, a negative key from its end, so the residual is read from
-    `flat[table]`, at most 65,536 values. `flat` is from `_rank_keys`.
+    its voxel, so the residual is read from `flat[table]`, at most 65,536
+    values. `flat` is from `_rank_keys`.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if not np.issubdtype(values.dtype, np.floating):
-        return _binary_skeleton(values, iterations), None
+        raise ParameterError(f"a soft skeleton needs floating values in [0, 1], got {values.dtype}")
     n = values.size
     flat, keys_in, voxel = _rank_keys(values)
     packed = voxel is None
@@ -336,14 +304,11 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
             opened = pool_array(eroded, "max").ravel()
         if k == 0:
             # The whole grid: off P_0 the source holds the voxel's own value,
-            # or at the border the exterior 0 above a negative value, and
-            # the relu leaves +0.0 there (see the docstring).
+            # so the difference is +0.0 there (see the docstring).
             residual = keys_in.ravel() > opened
             route_out = source[n - (opened & low)] if packed else voxel[opened]
             del opened
-            with np.errstate(invalid="ignore"):
-                skel = flat[:n] - flat[route_out]
-            np.fmax(skel, 0, out=skel)
+            skel = flat[:n] - flat[route_out]
             if packed:
                 skel += 0.0  # a -0.0 input beside a 0.0 source left -0.0
             stages.append((residual, None, None, route_out))
@@ -365,7 +330,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         if k == iterations or not eroded.any():
             break
         if last_count:
-            narrowed, voxel, count = _narrowed(eroded, voxel, flat)
+            narrowed, voxel, count = _narrowed(eroded, voxel)
             late = count * (count / last_count) ** ((iterations - k) / 2) > 1 << 16
             if narrowed.dtype != eroded.dtype:
                 last_count, table, value = 0, voxel, flat[voxel]
@@ -376,7 +341,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     return skel.reshape(values.shape), (stages, keyed, table, flat)
 
 
-def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
+def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
     """Gradient of the soft skeleton w.r.t. its floating input.
 
     Walks the tape's stages last-first, each on its P_k only: with grad_s =
@@ -397,8 +362,6 @@ def soft_skeleton_grad(tape: tuple | None, grad_skel: np.ndarray) -> np.ndarray:
     subtracting 0.0 keeps every bit, and on P_0 each voxel gets the same
     sums in the same order as from scatters on P_0 only.
     """
-    if tape is None:
-        raise ParameterError("the soft skeleton of an integer input has no gradient")
     stages, keyed, table, flat = tape
     grad_s = grad_skel.ravel()
     grad = np.zeros(flat.size)

@@ -141,14 +141,6 @@ class PhantomTruth:
     gallbladder_mask: np.ndarray
     structure_volumes_mm3: dict[str, float]
 
-    def centerline_points_mm(self, edge_id: int, step_mm: float = 1.0) -> np.ndarray:
-        e = next(rec for rec in self.edges if rec.edge_id == edge_id)
-        a = np.asarray(e.start_mm)
-        b = np.asarray(e.end_mm)
-        n = max(2, int(np.ceil(e.length_mm / step_mm)) + 1)
-        t = np.linspace(0.0, 1.0, n)[:, None]
-        return a + t * (b - a)
-
 
 def _rotate(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarray:
     axis = axis / _norm(axis)

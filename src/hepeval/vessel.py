@@ -1,13 +1,13 @@
 """Skeleton graphs for binary vessel masks and the central/peripheral split.
 
-The skeleton is the losses' soft skeleton of the 0/1 field, which is the
-ridge of its chessboard depth map (see `skeletonize`). Graph extraction
-clusters adjacent irregular voxels (degree != 2) into nodes, walks degree-2
-chains into edges, estimates per-edge radii from the exact distance
-transform of the vessel mask, and breaks spurious cycles at their thinnest
-edge. One breadth-first walk over the kept forest, from each component's
-widest edge, then gives every edge its generation (hops from that root)
-and, read back in reverse, its Strahler order.
+The skeleton is the ridge of the mask's chessboard depth map, which equals
+the losses' soft skeleton of the 0/1 field (see `skeletonize`). Graph
+extraction clusters adjacent irregular voxels (degree != 2) into nodes,
+walks degree-2 chains into edges, estimates per-edge radii from the exact
+distance transform of the vessel mask, and breaks spurious cycles at their
+thinnest edge. One breadth-first walk over the kept forest, from each
+component's widest edge, then gives every edge its generation (hops from
+that root) and, read back in reverse, its Strahler order.
 
 The skeleton is computed on the bounding box of the mask's foreground. This
 is exact: voxels cut away are 0 and stay 0 at every skeleton stage, every
@@ -40,7 +40,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .morphology import bounding_box, connected_components, distance_transform_box, soft_skeleton_array
+from .morphology import bounding_box, connected_components, distance_transform_box, pool_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -62,19 +62,29 @@ OFFSETS_26 = tuple(
 def skeletonize(mask: BinaryMask, iterations: int = 10) -> BinaryMask:
     """Binary skeleton: Lantuéjoul's skeleton for the 3x3x3 cube, in the mask.
 
-    It is the soft skeleton of the 0/1 field, whose stage k adds the erosion
-    E^k less its opening. With depth the number of erosions holding a voxel,
-    E^k = {depth >= k + 1} and its opening, the dilation of E^(k+1), is
-    {maxpool(depth) >= k + 2}; as maxpool(depth) >= depth, stage k adds
-    {depth = maxpool(depth) = k + 1} exactly, for k <= iterations. It runs on
-    the mask's bounding box; see the module docstring for why that is exact.
+    It is the ridge of the depth map, depth being the number of erosions
+    E^k (E^0 the mask) holding a voxel, capped at iterations + 2. It equals
+    the soft skeleton of the 0/1 field, whose stage k adds E^k less its
+    opening: E^k = {depth >= k + 1} and its opening, the dilation of
+    E^(k+1), is {maxpool(depth) >= k + 2}; as maxpool(depth) >= depth,
+    stage k adds {depth = maxpool(depth) = k + 1} exactly, for
+    k <= iterations. It runs on the mask's bounding box; see the module
+    docstring for why that is exact.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     out = np.zeros(mask.values.shape, dtype=bool)
     box = bounding_box(mask.values)
     if box is not None:
-        out[box] = soft_skeleton_array(mask.values[box], iterations)[0]
+        values = mask.values[box]
+        depth = values.astype(np.min_scalar_type(iterations + 2))
+        eroded = depth
+        for _ in range(iterations + 1):
+            eroded = pool_array(eroded, "min")
+            if not eroded.any():
+                break
+            depth += eroded
+        out[box] = (depth == pool_array(depth, "max")) & values & (depth <= iterations + 1)
     return BinaryMask(mask.geometry, out)
 
 

@@ -643,6 +643,14 @@ class TestStatsCommand:
         assert "tumor" in caplog.text and "NaN" in caplog.text
         assert capsys.readouterr().out == ""
 
+    def test_row_shorter_than_its_header_exits_1(self, tmp_path, caplog, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("case_id,structure,dsc\na,liver\n")
+        self.write_cases_csv(b, [0.7, 0.8, 0.9])
+        assert main(["stats", str(a), str(b)]) == 1
+        assert "cannot read per-case CSV" in caplog.text and "line 2" in caplog.text
+        assert capsys.readouterr().out == ""
+
 
 @pytest.mark.parametrize("command, message", [
     (["eval", "--gt", "a.nii", "--pred", "b.nii", "--out", "{out}", "--config", "{bad}"], "config error"),
@@ -659,6 +667,26 @@ def test_json_input_that_is_not_utf8_exits_1(tmp_path, caplog, command, message)
     with caplog.at_level("ERROR"):
         assert main(argv) == 1
     assert message in caplog.text
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--gt", "a.nii", "--pred", "b.nii", "--out", "{out}"],
+    ["phantom", "{spec}", "--out", "{out}"],
+    ["skeleton", "{mask}", "--out", "{out}"],
+], ids=["eval", "phantom", "skeleton"])
+def test_out_that_is_a_file_exits_1(tmp_path, caplog, command):
+    out = tmp_path / "afile"
+    out.write_text("")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+    g = Geometry(dims=(6, 6, 6), spacing=(1, 1, 1))
+    mask = tmp_path / "mask.nii.gz"
+    write_nifti(BinaryMask(g, np.ones(g.shape, bool)), mask)
+    argv = [a.format(out=out, spec=spec, mask=mask) for a in command]
+    with caplog.at_level("ERROR"):
+        assert main(argv) == 1
+    assert "afile" in caplog.text
+    assert out.read_text() == ""
 
 
 class TestCliBasics:

@@ -112,16 +112,16 @@ def packed_rank_keys(values):
 
 def argsort_rank_keys(values):
     """`_rank_keys` by argsort, as the reference: int32 ranks when `flat`
-    holds no two equal values, else `packed_rank_keys`."""
+    holds no two equal values, else `packed_rank_keys`. The exterior 0 is
+    the least value, so it has rank 0."""
     flat = np.append(values.ravel(), 0.0)
     order = np.argsort(flat)
     ordered = flat[order]
     if not (ordered[1:] != ordered[:-1]).all():
         return packed_rank_keys(values)
-    exterior = int(np.searchsorted(ordered, 0))
     keys = np.empty(flat.size, dtype=np.int32)
-    keys[order] = np.arange(-exterior, flat.size - exterior)
-    return flat, keys[:-1].reshape(values.shape), np.roll(order.astype(np.int32), -exterior)
+    keys[order] = np.arange(flat.size)
+    return flat, keys[:-1].reshape(values.shape), order.astype(np.int32)
 
 
 def keyed_pool(values, mode):
@@ -136,12 +136,12 @@ def keyed_pool(values, mode):
 
 
 def tie_free_grid(seed):
-    """Small grid of distinct values, with no exact 0: negative and positive
+    """Small grid of distinct values, with no exact 0: anywhere in (0, 1)
     for odd seeds, in [0.05, 0.95] for even ones."""
     rng = np.random.default_rng(seed)
     shape = tuple(int(d) for d in rng.integers(1, 9, size=3))
     if seed % 2:
-        return rng.normal(size=shape)
+        return rng.uniform(size=shape)
     return random_prob_volume(grid_geometry(shape), seed).values.copy()
 
 
@@ -172,15 +172,14 @@ def stage_key_types(values, iterations):
     """The integer type of each stage's pooled keys on a tie-free grid: int32
     ranks until the first stage k >= 1 whose input I_k (SciPy erosions) and
     the exterior 0 hold few enough distinct values, counted by `np.unique`,
-    for a narrower type, and that type from then on. Counting stops at the
-    first count c that, at the rate c / (the count before, n + 1 at first),
-    would not fit 2^16 within half the stages left."""
+    for a narrower unsigned type, and that type from then on. Counting stops
+    at the first count c that, at the rate c / (the count before, n + 1 at
+    first), would not fit 2^16 within half the stages left."""
     types, current, narrow, present = [], values, None, values.size + 1
     for k in range(iterations + 1):
         if k and narrow is None and present:
             distinct = np.unique(np.append(current, 0.0))
-            below = np.count_nonzero(distinct < 0)
-            fit = np.result_type(np.min_scalar_type(-below), np.min_scalar_type(distinct.size - below - 1))
+            fit = np.min_scalar_type(distinct.size - 1)
             narrow = fit if fit.itemsize < 4 else None
             left = iterations + 1 - k
             present = 0 if distinct.size * (distinct.size / present) ** (left / 2) > 1 << 16 else distinct.size
@@ -409,10 +408,11 @@ class TestSoftSkeleton:
             values = tie_heavy_grid(seed)
             skel, _ = soft_skeleton_array(values, iterations=2)
             assert np.array_equal(skel, scipy_skeleton(values, 2))
-        mask = random_mask(geometry((10, 9, 8)), seed=3, density=0.7).values.astype(np.uint8)
-        skel, _ = soft_skeleton_array(mask, iterations=4)
-        assert skel.dtype == np.uint8
-        assert np.array_equal(skel, scipy_skeleton(mask, 4))
+        # a 0/1 field on the float path, and `skeletonize` of its mask
+        mask = random_mask(geometry((10, 9, 8)), seed=3, density=0.7)
+        skel, _ = soft_skeleton_array(mask.values.astype(float), iterations=4)
+        assert np.array_equal(skel, scipy_skeleton(mask.values.astype(float), 4))
+        assert np.array_equal(skeletonize(mask, 4).values, skel > 0)
 
     def test_tape_matches_scipy_stages(self):
         # P_k is where the SciPy reference residual is > 0, the routes
@@ -444,11 +444,13 @@ class TestSoftSkeleton:
         assert len(stages) == 2
 
     def test_integer_input_has_no_gradient(self):
-        mask = random_mask(geometry((6, 5, 4)), seed=1, density=0.6).values.astype(np.uint8)
-        _, tape = soft_skeleton_array(mask, iterations=3)
-        assert tape is None
-        with pytest.raises(ParameterError):
-            soft_skeleton_grad(tape, np.ones(mask.shape))
+        # a mask's skeleton is a constant of the loss: `skeletonize` gives it
+        # as a mask, with no tape, and the soft skeleton takes no integer grid
+        mask = random_mask(geometry((6, 5, 4)), seed=1, density=0.6)
+        skel, _ = soft_skeleton_array(mask.values.astype(float), iterations=3)
+        assert np.array_equal(skeletonize(mask, 3).values, skel > 0)
+        with pytest.raises(ParameterError, match="floating"):
+            soft_skeleton_array(mask.values.astype(np.uint8), iterations=3)
 
     def test_keys_that_do_not_fit_raise(self):
         # a 2^31-voxel view allocates nothing: the check comes first
@@ -464,11 +466,11 @@ class TestSoftSkeleton:
     )
     @settings(max_examples=40, deadline=None)
     def test_key_encoding_matches_oracles(self, shape, thin_axis, seed, iterations):
-        # exact duplicates, -0.0 beside 0.0 and the exterior 0, negative
-        # values (a max pool's strict exterior win) and a 1-voxel axis
+        # exact duplicates, -0.0 beside 0.0 and the exterior 0, 1.0, and a
+        # 1-voxel axis
         shape = tuple(1 if axis == thin_axis else d for axis, d in enumerate(shape))
         rng = np.random.default_rng(seed)
-        values = rng.choice(np.array([-0.75, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0]), size=shape)
+        values = rng.choice(np.array([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]), size=shape)
         grad_skel = rng.normal(size=shape)
         skel, tape = soft_skeleton_array(values, iterations)
         assert np.array_equal(skel, scipy_skeleton(values, iterations))
@@ -502,20 +504,6 @@ class TestSoftSkeleton:
         assert np.array_equal(run[0], scipy_skeleton(values, 10))
         assert_tape_matches_packed_keys(monkeypatch, values, 10, run)
 
-    def test_keys_on_both_sides_of_the_exterior_narrow_to_signed(self, monkeypatch):
-        # N(0, 1) values rank on both sides of the exterior's 0, so the
-        # narrowed keys are signed and the tables are read at negative keys
-        values = np.random.default_rng(9).normal(size=(14, 13, 12))
-        grad_skel = np.random.default_rng(10).normal(size=values.shape)
-        seen, run = pooled_key_types(monkeypatch, values, iterations=4)
-        assert seen[:2] == [np.int32] * 2 and seen[2] == np.int16
-        assert seen == [t for t in stage_key_types(values, 4) for _ in ("min", "max")]
-        assert np.array_equal(run[0], scipy_skeleton(values, 4))
-        _, tape = soft_skeleton_array(values, iterations=4)
-        got = soft_skeleton_grad(tape, grad_skel.copy())
-        assert np.abs(got - oracle_skeleton_grad(values, 4, grad_skel)).max() <= 1e-12
-        assert_tape_matches_packed_keys(monkeypatch, values, 4, run)
-
     @pytest.mark.parametrize("side, counted", [(48, 4), (64, 1)])
     def test_slowly_thinning_keys_are_counted_while_they_can_fit_in_time(self, monkeypatch, side, counted):
         # each erosion of a ramp keeps its interior, (side - 2k)^3 values and
@@ -526,8 +514,8 @@ class TestSoftSkeleton:
         values = (x + side * y + side * side * z + 1.0) / side**3
         counts = []
 
-        def counted_keys(keys, voxel, flat):
-            out = narrowed(keys, voxel, flat)
+        def counted_keys(keys, voxel):
+            out = narrowed(keys, voxel)
             counts.append(out[2])
             return out
 
@@ -561,20 +549,9 @@ class TestSoftSkeleton:
 
     def test_dense_stage_zero_off_p0_is_plus_zero_beside_negative_zero(self):
         # -0.0 ties 0.0, so off P_0 a -0.0 voxel can take its opening from a
-        # 0.0 one: -0.0 - 0.0 is -0.0, which fmax's scalar loop keeps
+        # 0.0 one: -0.0 - 0.0 is -0.0, which the packed keys make +0.0
         values = np.array([1.0, 1.0, 1.0, 0.0, -0.0, 1.0, 0.5, 0.0, -0.0]).reshape(3, 3, 1)
         assert_matches_sparse_replay(values, 1)
-
-    def test_all_negative_grid_needs_the_dense_relu(self):
-        # the exterior 0 opens every border voxel above its negative value,
-        # and a -inf voxel is its own source (-inf - -inf is NaN): the relu
-        # leaves +0.0 there, and the backward's P_0 mask keeps their dL/dS
-        # out of the gradient
-        values = -np.random.default_rng(3).uniform(0.05, 1.0, size=(18, 17, 16))
-        assert_matches_sparse_replay(values, 6)
-        assert np.array_equal(soft_skeleton_array(values, 6)[0], scipy_skeleton(values, 6))
-        values[9, 8, 7] = -np.inf
-        assert_matches_sparse_replay(values, 6)
 
     @pytest.mark.parametrize("tie", ["duplicate", "zero", "negative zero"])
     def test_one_tie_selects_packed_keys(self, tie):
@@ -643,21 +620,21 @@ class TestSoftSkeleton:
 
     @given(
         shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-        start=st.floats(allow_nan=False),
+        start=st.floats(0.0, 1.0),
         special=st.sampled_from([0.0, 0.1, 0.5]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
     def test_rank_keys_match_argsort_oracle(self, shape, start, special, seed):
-        # an np.nextafter chain: neighbours share their top 64 - b bits, so
-        # the sorted words form prefix runs; mixed with -0.0 beside 0.0,
-        # +-inf, subnormals, exact duplicates and negative values
+        # an np.nextafter chain toward 0 or 1: neighbours share their top
+        # 64 - b bits, so the sorted words form prefix runs; mixed with -0.0
+        # beside 0.0, 1.0, subnormals and exact duplicates
         rng = np.random.default_rng(seed)
         chain = [start]
-        toward = rng.choice([-np.inf, np.inf])
+        toward = rng.choice([0.0, 1.0])
         while len(chain) < np.prod(shape):
             chain.append(np.nextafter(chain[-1], toward))
-        specials = np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5, start])
+        specials = np.array([-0.0, 0.0, 1.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1.0, 0.0), start])
         values = np.where(
             rng.random(len(chain)) < special, rng.choice(specials, len(chain)), rng.permutation(chain)
         ).reshape(shape)
@@ -675,10 +652,27 @@ class TestSoftSkeleton:
         with pytest.raises(ParameterError, match="float64"):
             _rank_keys(tie_free_grid(3).astype(np.longdouble))
 
+    @pytest.mark.parametrize(
+        "bad", [-5e-324, -0.5, np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, -np.nan, None],
+        ids=["-subnormal", "-0.5", "above-1", "+inf", "-inf", "+NaN", "-NaN", "uint8"],
+    )
+    def test_values_outside_the_unit_interval_raise(self, bad):
+        # any value below 0 or -NaN sorts to the first code, any above 1,
+        # +inf or +NaN to the last; -0.0 codes as 0.0 and is accepted
+        values = random_prob_volume(geometry((5, 4, 3)), seed=6).values.copy()
+        values[0, 0, 0] = -0.0
+        soft_skeleton_array(values, iterations=2)
+        if bad is None:
+            values = (values > 0.5).astype(np.uint8)
+        else:
+            values[2, 1, 1] = bad
+        with pytest.raises(ParameterError):
+            soft_skeleton_array(values, iterations=2)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_nan_input_raises(self, sign):
-        # a NaN's code sorts beyond +inf's (or below -inf's, with its sign
-        # bit set), and it has no place in the order
+        # a NaN's code sorts beyond 1.0's (or below 0's, with its sign bit
+        # set), and it has no place in the order
         values = tie_free_grid(3)
         values.flat[values.size // 2] = np.copysign(np.nan, sign)
         with pytest.raises(ParameterError, match="NaN"):
@@ -763,11 +757,6 @@ class TestBinarySkeleton:
             want = scipy_skeleton(mask.values[box].astype(float), iterations) > 0
             assert got.sum() == want.sum() > 0, name
             assert np.array_equal(got[box], want), name
-
-    @pytest.mark.parametrize("values", [np.full((3, 3, 3), 2, np.uint8), np.full((2, 2, 2), -1, np.int8)])
-    def test_non_binary_integer_input_raises(self, values):
-        with pytest.raises(ParameterError, match="0/1"):
-            soft_skeleton_array(values, iterations=2)
 
 
 class TestConnectedComponents:

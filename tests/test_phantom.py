@@ -160,7 +160,9 @@ class TestGenerate:
         spacing = np.asarray(truth.label_volume.geometry.spacing)
         for e in truth.edges:
             sid = truth.label_volume.schema.id_of(e.tree)
-            pts = truth.centerline_points_mm(e.edge_id, step_mm=2.0)
+            a, b = np.asarray(e.start_mm), np.asarray(e.end_mm)
+            t = np.linspace(0.0, 1.0, max(2, int(np.ceil(e.length_mm / 2.0)) + 1))[:, None]
+            pts = a + t * (b - a)
             idx = np.round(pts / spacing).astype(int)
             for x, y, z in idx:
                 # tumors may locally overwrite a tree, everything else is

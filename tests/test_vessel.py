@@ -612,7 +612,7 @@ class TestCropInvariance:
             for offset in EMBED_OFFSETS:
                 values = embed(small, offset)
                 got = skeletonize(BinaryMask(grid_geometry(values.shape), values), iterations).values
-                whole, _ = soft_skeleton_array(values.astype(np.uint8), iterations)
+                whole, _ = soft_skeleton_array(values.astype(float), iterations)
                 assert got.dtype == bool
                 assert np.array_equal(got, (whole > 0) & values)
                 assert np.array_equal(got, embed(base, offset))
