@@ -22,7 +22,6 @@ from .volume import (  # noqa: F401
 from .nifti import read_nifti, write_nifti  # noqa: F401
 from .morphology import (  # noqa: F401
     connected_components,
-    distance_transform,
     pool_array,
 )
 from .losses import (  # noqa: F401

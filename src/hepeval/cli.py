@@ -93,6 +93,8 @@ def _run_manifest(command: list[str], config: dict, input_digests: dict[str, str
 
 def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[LossConfig, EvalConfig, dict]:
     raw = _read_json(path, digests) if path else {}
+    if not isinstance(raw, dict):
+        raise ParameterError(f"a config must be a JSON object, got {type(raw).__name__}")
     loss_fields = set(LossConfig.__dataclass_fields__)
     eval_fields = set(EvalConfig.__dataclass_fields__)
     unknown = set(raw) - loss_fields - eval_fields
@@ -340,6 +342,8 @@ def _read_case_csv(path) -> dict[str, list[float]]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            if None in row:  # DictReader keeps a row's extra fields under the key None
+                raise ValueError(f"{path}: line {reader.line_num} has more fields than the header")
             if None in row.values():
                 raise ValueError(f"{path}: line {reader.line_num} has fewer fields than the header")
             if row["dsc"] != "":

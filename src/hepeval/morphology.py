@@ -4,7 +4,7 @@ Pooling uses the full 3x3x3 neighborhood with exterior cells contributing 0,
 so solid structures erode from the volume border. The box window is separable,
 so each pool runs as three 1D passes.
 
-The soft skeleton takes probabilities: floating values in [0, 1], which
+The soft skeleton takes probabilities: float64 values in [0, 1], which
 the exterior 0 lies at or below. It records where every value came from.
 Min and max over a box are separable under any total order, so the same
 `pool_array` pools integer keys that order the values, and the key width is
@@ -56,12 +56,13 @@ Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
 the box beside them: labelling is exact there because every component lies
 inside it, and translation keeps the first-voxel linear order that numbers
-them. The distance transform likewise returns its distances on the box
-(`distance_transform_box`; the full-grid forms embed them in zeros), and it
-pads the box with one background voxel: clamping any background voxel's
-coordinates onto the padded box lands on background and never increases a
-per-axis distance, and the separable passes are monotone in each per-axis
-distance, so the minimum, rounding included, is unchanged.
+them. The distance transform likewise returns its squared distances on
+the box (`distance_transform_box`; `distance_transform_squared` embeds
+them in zeros), and it pads the box with one background voxel: clamping
+any background voxel's coordinates onto the padded box lands on
+background and never increases a per-axis distance, and the separable
+passes are monotone in each per-axis distance, so the minimum, rounding
+included, is unchanged.
 The passes visit foreground voxels only, each voxel stopping once no
 farther offset can lower its value; `distance_transform_box` says why that
 keeps every bit.
@@ -86,7 +87,7 @@ def _shifted(axis: int, lo: int, hi: int):
 
 
 def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
-    """Box pool; dtype-preserving, used on float and uint8 grids."""
+    """Box pool; dtype-preserving, used on integer rank keys, depth maps and uint8 masks."""
     if mode not in ("min", "max"):
         raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
     op = np.minimum if mode == "min" else np.maximum
@@ -99,13 +100,13 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _value_codes(x: np.ndarray) -> np.ndarray:
-    """int64 codes ordered as the values of `x` in [0, 1], read as float64.
+    """int64 codes ordered as the float64 values of `x` in [0, 1].
 
     The float64 bits of a value >= 0 sort in its order. Adding 0.0 turns
     -0.0 into 0.0, whose code is 0. Any value below 0 (or -NaN) codes below
     0, and any above 1 (+inf and +NaN too) above 1.0's code.
     """
-    return np.add(x, 0.0, dtype=np.float64).view(np.int64)
+    return np.add(x, 0.0).view(np.int64)
 
 
 def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -120,16 +121,13 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
 
     The order comes from one in-place sort of words holding each value's
     code over its index (see the module docstring), and a stable argsort of
-    the prefix runs' positions by full code. Inputs wider than float64
-    raise ParameterError, and so does a value outside [0, 1] or a NaN,
-    which sorts to an end of the codes.
+    the prefix runs' positions by full code. A value outside [0, 1] or a
+    NaN, which sorts to an end of the codes, raises ParameterError.
     """
     n = values.size
     if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
-    if values.dtype.itemsize > 8:
-        raise ParameterError(f"a soft skeleton gradient needs float64 or narrower values, got {values.dtype}")
-    flat = np.empty(n + 1, dtype=values.dtype)
+    flat = np.empty(n + 1, dtype=np.float64)
     flat[:n] = values.ravel()
     flat[n] = 0
     b = n.bit_length()
@@ -219,13 +217,13 @@ def _narrowed(keys: np.ndarray, voxel: np.ndarray) -> tuple:
 
 
 def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple]:
-    """Iterative soft skeleton in the input dtype, plus its gradient tape.
+    """Iterative soft skeleton of a float64 grid, plus its gradient tape.
 
     S = relu(I - open(I)); then `iterations` times:
     I = min_pool(I);  S = S + (1 - S) * relu(I - open(I)).
     Stage k's erosion min_pool(I_k) is the next stage input, so it is pooled
     once. The loop stops early once I is all zero, since later stages add
-    nothing. The input must be floating, with every value in [0, 1]; any
+    nothing. The input must be float64, with every value in [0, 1]; any
     other raises ParameterError (a binary mask's skeleton is
     `vessel.skeletonize`).
 
@@ -271,8 +269,8 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    if not np.issubdtype(values.dtype, np.floating):
-        raise ParameterError(f"a soft skeleton needs floating values in [0, 1], got {values.dtype}")
+    if values.dtype != np.float64:
+        raise ParameterError(f"a soft skeleton needs float64 values in [0, 1], got {values.dtype}")
     n = values.size
     flat, keys_in, voxel = _rank_keys(values)
     packed = voxel is None
@@ -342,7 +340,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
 
 
 def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
-    """Gradient of the soft skeleton w.r.t. its floating input.
+    """Gradient of the soft skeleton w.r.t. its float64 input.
 
     Walks the tape's stages last-first, each on its P_k only: with grad_s =
     dL/dS_k, (1 - S_{k-1}) grad_s goes to the source of I_k and, negated,
@@ -488,13 +486,12 @@ def _squared_edt_pass(g: np.ndarray, at: np.ndarray, stride: int, w2: float) -> 
     return out
 
 
-def distance_transform_box(mask: BinaryMask, squared: bool = False) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Exact distances on the mask's bounding box, and that box.
+def distance_transform_box(mask: BinaryMask) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Exact squared distances on the mask's bounding box, and that box.
 
-    Returns ``(box, dist)``: `box` is the foreground's (z, y, x) bounding box
-    (zero-size slices when empty) and `dist` the distances over it, in mm,
-    or mm^2 when `squared`. Every voxel outside the box is background, at
-    distance 0.
+    Returns ``(box, dist2)``: `box` is the foreground's (z, y, x) bounding
+    box (zero-size slices when empty) and `dist2` the squared distances over
+    it, in mm^2. Every voxel outside the box is background, at distance 0.
 
     The separable passes visit the foreground voxels of the box padded by
     one background voxel. Along x, a voxel's distance d to background comes
@@ -522,16 +519,7 @@ def distance_transform_box(mask: BinaryMask, squared: bool = False) -> tuple[tup
     g[at] = (dist_vox.astype(np.float64) * sx) ** 2
     g[at] = _squared_edt_pass(g, at, nx, sy * sy)
     g[at] = _squared_edt_pass(g, at, ny * nx, sz * sz)
-    f = g.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
-    return box, f if squared else np.sqrt(f)
-
-
-def _edt_grid(mask: BinaryMask, squared: bool) -> np.ndarray:
-    """`distance_transform_box` written into a zeroed full-size grid."""
-    box, dist = distance_transform_box(mask, squared)
-    out = np.zeros(mask.values.shape, dtype=np.float64)
-    out[box] = dist
-    return out
+    return box, g.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
 
 
 def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
@@ -543,9 +531,7 @@ def distance_transform_squared(mask: BinaryMask) -> np.ndarray:
     bit for bit. The passes run on the mask's bounding box padded by one
     background voxel, which is exact: see the module docstring.
     """
-    return _edt_grid(mask, squared=True)
-
-
-def distance_transform(mask: BinaryMask) -> np.ndarray:
-    """Exact Euclidean distance in mm to the nearest background voxel."""
-    return _edt_grid(mask, squared=False)
+    box, dist2 = distance_transform_box(mask)
+    out = np.zeros(mask.values.shape, dtype=np.float64)
+    out[box] = dist2
+    return out

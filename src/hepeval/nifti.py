@@ -339,8 +339,8 @@ def read_nifti(
     return ProbVolume(geometry, values)
 
 
-def read_label_volume(path, schema: LabelSchema = DEFAULT_SCHEMA, digests: dict | None = None) -> LabelVolume:
-    vol = read_nifti(path, intent="labels", schema=schema, digests=digests)
+def read_label_volume(path, digests: dict | None = None) -> LabelVolume:
+    vol = read_nifti(path, intent="labels", digests=digests)
     assert isinstance(vol, LabelVolume)
     return vol
 

@@ -308,9 +308,9 @@ def build_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGraph:
     steps = np.diff(xyz[flat].astype(np.float64), axis=0) * np.asarray(geometry.spacing)
     step_mm = np.sqrt((steps**2).sum(axis=1))
     # radii from the vessel mask's squared distances on its own box, which
-    # holds every skeleton voxel, rooted at the walked voxels only (the
-    # square root is correctly rounded, so this is the rooted grid's value)
-    dt_box, dt2 = distance_transform_box(vessel_mask, squared=True)
+    # holds every skeleton voxel, rooted at the walked voxels only (sqrt is
+    # correctly rounded: the same bits as rooting the whole box)
+    dt_box, dt2 = distance_transform_box(vessel_mask)
     radius = np.sqrt(dt2[tuple((xyz[flat, ::-1] - [s.start for s in dt_box]).T)])
     flat_lin = lin[flat]
     edges = [

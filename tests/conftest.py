@@ -169,7 +169,8 @@ def reference_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGr
         if node >= 0:
             node_members[node].append(i)
     spacing = np.asarray(geometry.spacing)
-    dt_box, dt = distance_transform_box(vessel_mask)
+    dt_box, dt2 = distance_transform_box(vessel_mask)
+    dt = np.sqrt(dt2)
     dt_at = xyz[:, ::-1] - [s.start for s in dt_box]
     claimed = [False] * len(lin)
     edges = []

@@ -289,7 +289,8 @@ class TestEvalCommand:
         code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path), "--out", str(out),
                      "--skeleton-iters", "4", "--jobs", "1"])
         assert code == 0
-        rows = list(csv.DictReader((out / "cases.csv").open()))
+        with (out / "cases.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         report = evaluate_case(
             read_label_volume(gt_path),
             read_label_volume(pred_path),
@@ -313,6 +314,9 @@ class TestEvalCommand:
         {"min_overlap_voxels": 0},
         {"central_rule": "bogus"},
         {"connectivity": 7},
+        [],
+        "",
+        ["w_bce"],
     ])
     def test_bad_config_value_is_a_config_error(self, phantom_pair, tmp_path, caplog, raw):
         # caught before any case runs: exit 1, not 2 with every case failed
@@ -515,6 +519,9 @@ class TestLossCommand:
         {"skeleton_iterations": 2.5},
         {"warmup_epochs": 0, "ramp_epochs": 1.5},
         {"warmup_epochs": True},
+        [],
+        "",
+        ["w_bce"],
     ])
     def test_non_integer_counts_are_config_errors(self, tmp_path, caplog, raw):
         gt_path, pred_path = self.make_pair(tmp_path)
@@ -646,6 +653,14 @@ class TestStatsCommand:
     def test_row_shorter_than_its_header_exits_1(self, tmp_path, caplog, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("case_id,structure,dsc\na,liver\n")
+        self.write_cases_csv(b, [0.7, 0.8, 0.9])
+        assert main(["stats", str(a), str(b)]) == 1
+        assert "cannot read per-case CSV" in caplog.text and "line 2" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_row_longer_than_its_header_exits_1(self, tmp_path, caplog, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("case_id,structure,dsc\na,liver,0.5,0.9\n")
         self.write_cases_csv(b, [0.7, 0.8, 0.9])
         assert main(["stats", str(a), str(b)]) == 1
         assert "cannot read per-case CSV" in caplog.text and "line 2" in caplog.text

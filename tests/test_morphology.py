@@ -19,7 +19,6 @@ from hepeval.morphology import (
     _rank_keys,
     bounding_box,
     connected_components,
-    distance_transform,
     distance_transform_squared,
     label_boxes,
     pool_array,
@@ -449,7 +448,7 @@ class TestSoftSkeleton:
         mask = random_mask(geometry((6, 5, 4)), seed=1, density=0.6)
         skel, _ = soft_skeleton_array(mask.values.astype(float), iterations=3)
         assert np.array_equal(skeletonize(mask, 3).values, skel > 0)
-        with pytest.raises(ParameterError, match="floating"):
+        with pytest.raises(ParameterError, match="float64"):
             soft_skeleton_array(mask.values.astype(np.uint8), iterations=3)
 
     def test_keys_that_do_not_fit_raise(self):
@@ -646,11 +645,23 @@ class TestSoftSkeleton:
         if voxel is not None:
             assert voxel.dtype == want_voxel.dtype and np.array_equal(voxel, want_voxel)
 
-    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here")
-    def test_wider_than_float64_raises(self):
-        # the codes are float64 bits, which would merge distinct long doubles
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            np.float32,
+            np.float16,
+            pytest.param(
+                np.longdouble,
+                marks=pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here"),
+            ),
+        ],
+        ids=["float32", "float16", "longdouble"],
+    )
+    def test_input_other_than_float64_raises(self, dtype):
+        # float64 only: the codes are float64 bits, which would merge
+        # distinct long doubles, and a narrower grid is the caller's to widen
         with pytest.raises(ParameterError, match="float64"):
-            _rank_keys(tie_free_grid(3).astype(np.longdouble))
+            soft_skeleton_array(tie_free_grid(3).astype(dtype), iterations=2)
 
     @pytest.mark.parametrize(
         "bad", [-5e-324, -0.5, np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, -np.nan, None],
@@ -868,7 +879,7 @@ class TestDistanceTransform:
         g = geometry((5, 5, 5))
         m = np.zeros(g.shape, bool)
         m[2, 2, 2] = True
-        dt = distance_transform(BinaryMask(g, m))
+        dt = np.sqrt(distance_transform_squared(BinaryMask(g, m)))
         assert dt[2, 2, 2] == 1.0
         assert dt[0, 0, 0] == 0.0
 
@@ -876,7 +887,7 @@ class TestDistanceTransform:
         g = geometry((5, 5, 5))
         m = np.zeros(g.shape, bool)
         m[:, :, 1:4] = True  # 3 voxels thick along x
-        dt = distance_transform(BinaryMask(g, m))
+        dt = np.sqrt(distance_transform_squared(BinaryMask(g, m)))
         assert dt[2, 2, 2] == 2.0
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (2.0, 2.0, 3.0)])
@@ -896,7 +907,7 @@ class TestDistanceTransform:
 
     def test_background_maps_to_zero(self):
         mask = random_mask(geometry((6, 6, 6)), seed=5, density=0.3)
-        dt = distance_transform(mask)
+        dt = np.sqrt(distance_transform_squared(mask))
         assert (dt[~mask.values] == 0.0).all()
         assert (dt[mask.values] > 0.0).all()
 
@@ -1066,7 +1077,6 @@ class TestCropInvariance:
                 got = distance_transform_squared(mask)
                 assert got.dtype == np.float64
                 assert np.array_equal(got, embed(base, offset))
-                assert np.array_equal(distance_transform(mask), np.sqrt(got))
 
     def test_empty_mask_gives_zeros(self):
         mask = BinaryMask(grid_geometry((3, 4, 5)), np.zeros((3, 4, 5), dtype=bool))
@@ -1074,6 +1084,6 @@ class TestCropInvariance:
         assert cc.labels.dtype == np.int32 and cc.labels.size == 0
         assert grid_labels(cc).shape == (3, 4, 5) and not grid_labels(cc).any()
         assert (cc.count, cc.sizes.tolist(), cc.bounding_boxes) == (0, [0], ())
-        for dt in (distance_transform_squared(mask), distance_transform(mask)):
-            assert dt.dtype == np.float64 and dt.shape == (3, 4, 5)
-            assert not dt.any()
+        dt = distance_transform_squared(mask)
+        assert dt.dtype == np.float64 and dt.shape == (3, 4, 5)
+        assert not dt.any()
