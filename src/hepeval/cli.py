@@ -216,14 +216,7 @@ def cmd_phantom(args) -> int:
         log.error("invalid phantom spec: %s", exc)
         return 1
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_nifti(truth.label_volume, out / "truth.nii.gz")
-    geometry = truth.label_volume.geometry
-    write_int_nifti(geometry, truth.edge_tag, out / "edge_tags.nii.gz")
-    write_int_nifti(geometry, truth.generation_tag.astype(np.int32), out / "generation_tags.nii.gz")
-    manifest = truth_manifest(truth)
-
+    degraded = None
     if args.degrade:
         try:
             dspec = degrade_from_json_dict(_read_json(args.degrade, digests))
@@ -231,6 +224,15 @@ def cmd_phantom(args) -> int:
         except (OSError, ValueError, HepevalError) as exc:
             log.error("invalid degrade spec: %s", exc)
             return 1
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_nifti(truth.label_volume, out / "truth.nii.gz")
+    geometry = truth.label_volume.geometry
+    write_int_nifti(geometry, truth.edge_tag, out / "edge_tags.nii.gz")
+    write_int_nifti(geometry, truth.generation_tag.astype(np.int32), out / "generation_tags.nii.gz")
+    manifest = truth_manifest(truth)
+    if degraded is not None:
         write_nifti(degraded, out / "prediction.nii.gz")
         manifest["degrade_applied"] = True
 

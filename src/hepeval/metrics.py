@@ -158,26 +158,18 @@ def lesion_match(
     shape = (gt_cc.count + 1, pr_cc.count + 1)
     overlap = np.bincount((g * shape[1] + p).ravel(), minlength=shape[0] * shape[1]).reshape(shape)
 
-    rows = []
-    n_detected = 0
-    for gid in range(1, gt_cc.count + 1):
-        best_dsc = 0.0
-        detected = False
-        for pid in range(1, pr_cc.count + 1):
-            ov = int(overlap[gid, pid])
-            if ov == 0:
-                continue
-            if ov >= min_overlap_voxels:
-                detected = True
-            pair_dsc = 2.0 * ov / (int(gt_cc.sizes[gid]) + int(pr_cc.sizes[pid]))
-            best_dsc = max(best_dsc, pair_dsc)
-        n_detected += detected
-        rows.append(LesionRow(gid, float(gt_cc.sizes[gid]) * voxvol, detected, best_dsc))
-
-    fp_rows = []
-    for pid in range(1, pr_cc.count + 1):
-        if int(overlap[1:, pid].sum()) == 0:
-            fp_rows.append(FalsePositiveRow(pid, float(pr_cc.sizes[pid]) * voxvol))
+    ov = overlap[1:, 1:]
+    detected = (ov >= min_overlap_voxels).any(axis=1)
+    best_dsc = (2.0 * ov / (gt_cc.sizes[1:, None] + pr_cc.sizes[None, 1:])).max(axis=1, initial=0.0)
+    rows = [
+        LesionRow(gid, float(gt_cc.sizes[gid]) * voxvol, bool(hit), float(dsc))
+        for gid, hit, dsc in zip(range(1, gt_cc.count + 1), detected, best_dsc)
+    ]
+    fp_rows = [
+        FalsePositiveRow(pid, float(pr_cc.sizes[pid]) * voxvol)
+        for pid in (np.flatnonzero(~ov.any(axis=0)) + 1).tolist()
+    ]
+    n_detected = int(detected.sum())
 
     return LesionReport(
         n_gt=gt_cc.count,

@@ -323,6 +323,11 @@ def read_nifti(
             values = data.astype(np.float64)
             if not np.equal(values, np.round(values)).all():
                 raise ParameterError(f"{path}: non-integral values cannot be read as labels")
+            # the cast turns a value beyond int64 (inf, 1e30) into another
+            # label, so a value outside the schema's id range is named first
+            outside = (values < min(schema.ids)) | (values > max(schema.ids))
+            if outside.any():
+                raise SchemaError(f"labels {np.unique(values[outside]).tolist()} are not in the schema")
             data = values.astype(np.int64)
         # LabelVolume checks the stored values against the schema before
         # narrowing them to uint8, so no label wraps round

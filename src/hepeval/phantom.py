@@ -133,13 +133,22 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class PhantomTruth:
+    """A generated case. Each tree voxel's edge id in `edge_tag` is its
+    position in `edges`, so the generation tag is read through that table
+    rather than stored beside it."""
+
     spec: PhantomSpec
     label_volume: LabelVolume
     edge_tag: np.ndarray  # int32, -1 where no tree edge owns the voxel
-    generation_tag: np.ndarray  # int16, -1 where untagged
     edges: tuple[EdgeRecord, ...]
     gallbladder_mask: np.ndarray
     structure_volumes_mm3: dict[str, float]
+
+    @property
+    def generation_tag(self) -> np.ndarray:
+        """int16 generation of each voxel's edge, -1 where untagged."""
+        generations = np.array([-1] + [e.generation for e in self.edges], dtype=np.int16)
+        return generations[self.edge_tag + 1]
 
 
 def _rotate(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarray:
@@ -284,7 +293,13 @@ def _check_inside_volume(geometry: Geometry, point, margin_mm: float, what: str)
 
 
 def generate_case(spec: PhantomSpec) -> PhantomTruth:
-    """Rasterize a phantom case; bit-identical for identical specs."""
+    """Rasterize a phantom case; bit-identical for identical specs.
+
+    Tags are written only where a tree claims a voxel, which stamps the
+    tree's non-zero label, and each later stamp resets the tags it covers,
+    so background is never tagged. Only edge ids are stored; the generation
+    tag is read through the edge table (`PhantomTruth.generation_tag`).
+    """
     geometry = spec.geometry
     center = spec.center()
     semis = np.asarray(spec.parenchyma_semiaxes_mm)
@@ -292,7 +307,6 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
 
     labels = np.zeros(shape, dtype=np.uint8)
     edge_tag = np.full(shape, -1, dtype=np.int32)
-    gen_tag = np.full(shape, -1, dtype=np.int16)
     volumes: dict[str, float] = {}
 
     # parenchyma ellipsoid
@@ -345,7 +359,6 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             sub_labels[claim] = sid
             sub_best[claim] = d2[claim]
             edge_tag[box][claim] = e.edge_id
-            gen_tag[box][claim] = e.generation
         if name == "biliary_tree" and gb is not None:
             if not _inside_ellipsoid(gb.center_mm, center, semis, gb.radius_mm):
                 raise GenerationError("gallbladder exits the parenchyma")
@@ -360,7 +373,6 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
     # the venous trees may overwrite part of the gallbladder sphere
     gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
     edge_tag[gb_mask] = -1
-    gen_tag[gb_mask] = -1
 
     # tumors last so they are never occluded
     tumor_id = DEFAULT_SCHEMA.id_of("tumor")
@@ -374,21 +386,14 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
         inside, box, _ = hit
         labels[box][inside] = tumor_id
         edge_tag[box][inside] = -1
-        gen_tag[box][inside] = -1
         volumes[f"tumor_{i}"] = 4.0 / 3.0 * math.pi * t.radius_mm**3
 
-    # vessel tags must cover exactly the tree-labelled voxels
-    edge_tag[labels == 0] = -1
-    gen_tag[labels == 0] = -1
-
     edge_tag.flags.writeable = False
-    gen_tag.flags.writeable = False
     gb_mask.flags.writeable = False
     return PhantomTruth(
         spec=spec,
         label_volume=LabelVolume(geometry, labels, DEFAULT_SCHEMA),
         edge_tag=edge_tag,
-        generation_tag=gen_tag,
         edges=tuple(all_edges),
         gallbladder_mask=gb_mask,
         structure_volumes_mm3=volumes,
@@ -446,16 +451,12 @@ def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
         tree = next(e.tree for e in truth.edges if e.edge_id == edge_id)
         masks[tree] &= truth.edge_tag != edge_id
 
-    for name, steps in d.erode_steps.items():
-        m = masks[name].astype(np.uint8)
-        for _ in range(steps):
-            m = pool_array(m, "min")
-        masks[name] = m.astype(bool)
-    for name, steps in d.dilate_steps.items():
-        m = masks[name].astype(np.uint8)
-        for _ in range(steps):
-            m = pool_array(m, "max")
-        masks[name] = m.astype(bool)
+    for op, steps_by_name in (("min", d.erode_steps), ("max", d.dilate_steps)):
+        for name, steps in steps_by_name.items():
+            m = masks[name].astype(np.uint8)
+            for _ in range(steps):
+                m = pool_array(m, op)
+            masks[name] = m.astype(bool)
 
     out = np.zeros_like(labels)
     for name in PRECEDENCE:
@@ -638,20 +639,17 @@ def _sphere(data, what: str) -> Sphere:
     return Sphere(**_block(data, what, dict, Sphere))
 
 
+def _json_dict(record) -> dict:
+    """A dataclass as a JSON object: its fields in order, tuples as lists."""
+    return asdict(record, dict_factory=lambda items: {k: _listed(v) for k, v in items})
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 def spec_to_json_dict(spec: PhantomSpec) -> dict:
-    return {
-        "geometry": {
-            "dims": list(spec.geometry.dims),
-            "spacing": list(spec.geometry.spacing),
-            "origin": list(spec.geometry.origin),
-            "orientation": [list(row) for row in spec.geometry.orientation],
-        },
-        "parenchyma_center_mm": list(spec.parenchyma_center_mm) if spec.parenchyma_center_mm else None,
-        "parenchyma_semiaxes_mm": list(spec.parenchyma_semiaxes_mm),
-        "trees": {name: asdict(t) for name, t in spec.trees.items()},
-        "tumors": [asdict(t) for t in spec.tumors],
-        "gallbladder": asdict(spec.gallbladder) if spec.gallbladder else None,
-    }
+    return _json_dict(spec)
 
 
 def spec_from_json_dict(data: dict) -> PhantomSpec:
@@ -677,17 +675,7 @@ def truth_manifest(truth: PhantomTruth) -> dict:
     return {
         "spec": spec_to_json_dict(truth.spec),
         "edges": [
-            {
-                "edge_id": e.edge_id,
-                "tree": e.tree,
-                "generation": e.generation,
-                "parent_edge_id": e.parent_edge_id,
-                "start_mm": list(e.start_mm),
-                "end_mm": list(e.end_mm),
-                "radius_mm": e.radius_mm,
-                "length_mm": e.length_mm,
-                "analytic_volume_mm3": e.analytic_volume_mm3,
-            }
+            {**_json_dict(e), "length_mm": e.length_mm, "analytic_volume_mm3": e.analytic_volume_mm3}
             for e in truth.edges
         ],
         "structure_volumes_mm3": truth.structure_volumes_mm3,

@@ -3,7 +3,10 @@ import hashlib
 import json
 import math
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +455,21 @@ class TestPhantomCommand:
         assert code == 1
         assert f"invalid {'degrade' if degrade else 'phantom'} spec" in caplog.text
 
+    @pytest.mark.parametrize(
+        "degrade", [{"erode": {"portal_vein": 1}}, {"drop_edge_ids": [99]}], ids=["unknown-key", "unknown-edge"]
+    )
+    def test_invalid_degrade_spec_writes_nothing(self, tmp_path, caplog, degrade):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+        dpath = tmp_path / "degrade.json"
+        dpath.write_text(json.dumps(degrade))
+        out = tmp_path / "o"
+        with caplog.at_level("ERROR"):
+            code = main(["phantom", str(spec_path), "--degrade", str(dpath), "--out", str(out)])
+        assert code == 1
+        assert "invalid degrade spec" in caplog.text
+        assert not out.exists()
+
     def test_degrade_option_writes_prediction(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
@@ -710,3 +728,20 @@ class TestCliBasics:
 
     def test_unknown_command_exits_1(self):
         assert main(["frobnicate"]) == 1
+
+
+def test_experiment_script_runs_end_to_end(tmp_path):
+    """The README's experiment, one case per batch. A subprocess keeps the
+    script's logging default out of this session."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_phantom_eval.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--cases", "1", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    for tag in ("mild", "severe"):
+        summary = json.loads((tmp_path / f"eval_{tag}" / "summary.json").read_text())
+        assert summary["structures"]["portal_vein"] is not None
+    stats = json.loads(run.stdout.split("=== Mann-Whitney: mild vs severe, per structure ===\n", 1)[1])
+    assert {"portal_vein", "hepatic_vein", "tumor"} <= set(stats)
+    assert all(entry["n1"] == entry["n2"] == 1 for entry in stats.values())

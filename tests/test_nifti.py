@@ -289,6 +289,17 @@ class TestHandConstructedFiles:
         write_int_nifti(g, labels, path)
         assert np.array_equal(read_label_volume(path).labels, labels)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), 1e30])
+    def test_float_label_beyond_int64_is_named_not_cast(self, tmp_path, value):
+        stored = np.zeros(24, dtype="<f4")
+        stored[5] = value
+        path = tmp_path / "huge.nii"
+        path.write_bytes(bytes(_blank_header(datatype=16)) + b"\x00" * 4 + stored.tobytes())
+        with pytest.raises(SchemaError, match=re.escape(f"[{float(stored[5])}]")):
+            read_label_volume(path)
+        with pytest.raises(ParameterError, match="binary"):
+            read_binary_mask(path)
+
     @pytest.mark.parametrize("value", [256, 300, -1])
     def test_out_of_range_label_is_named_not_wrapped(self, tmp_path, value):
         g = Geometry(dims=(4, 3, 2), spacing=(1, 1, 1))

@@ -290,9 +290,21 @@ class TestSpecSerialization:
             origin=(5.0, -3.0, 2.5),
             orientation=((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
         )
-        for s in (spec, dataclasses.replace(spec, geometry=rotated)):
+        specs = (
+            spec,
+            dataclasses.replace(spec, geometry=rotated),
+            default_spec(gallbladder_present=False),
+            axis_tree_spec(4),  # a set parenchyma center and 180 degree branches
+        )
+        for s in specs:
             back = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(s))))
             assert back == s
+
+    def test_json_bytes_are_pinned(self):
+        """The spec block of a truth manifest keeps its keys and values."""
+        text = json.dumps(spec_to_json_dict(default_spec()), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7ec38e3efec41da2e9293f76d71cdf94dde14c92fca7bb1fd1770bab2647a440"
 
     def test_missing_field_reported(self):
         with pytest.raises(ParameterError, match="geometry"):
