@@ -26,7 +26,9 @@ them (uint16 there). A strictly increasing relabelling that fixes 0
 commutes with min and max pools and with the zero padding, so every pool
 and comparison gives the same voxels, and the sources are then read from
 the table of the keys present. Keys that thin too slowly to fit in time,
-as on a strongly smoothed prediction, stop the counting after one scan.
+as on a strongly smoothed prediction, stop the counting after one scan. A
+count that a floor on the keys left shows cannot narrow is skipped: after
+stage 0 on cubes of 123^3 and more.
 
 Both key kinds come from one int64 sort, with no argsort over the grid.
 Each value gets an order-preserving int64 code (its float64 bits, which
@@ -37,7 +39,9 @@ top bits: such prefix runs come out sorted by index, so only their positions
 are sorted again by full code (about 2,000 of 2.1 M positions on a 128^3
 sigmoid prediction). Every value below 0 and -NaN sort first, and every
 value above 1, +inf and +NaN last, so reading the two ends of the sorted
-codes finds any value outside [0, 1], and it raises ParameterError.
+codes finds any value outside [0, 1], and it raises ParameterError. The
+codes are written straight from the input, with the exterior's code 0 at
+index n, so a C-contiguous input is never copied.
 
 Each stage keeps, on the voxels where its residual relu(I_k - open(I_k)) is
 positive, the input voxels that I_k and its opening took their values from;
@@ -48,9 +52,12 @@ decoded on P_k only, except at stage 0, which runs on the whole grid: off
 P_0 a voxel's opening source holds its own value, so the difference is
 +0.0 there, as a scatter on P_0 only would leave it. Once the keys narrow,
 a stage's sources are its keys, read through the one table of the keys
-present. The backward scatters each stage onto those sources in place
-(`np.add.at`, `np.subtract.at`), the narrowed stages into a table-sized
-array first, and runs no pool.
+present. The tape reads the values through a view of the input, where a
+source equal to n, the exterior, reads 0.0, and stage 1 keeps no S_0: the
+backward recomputes it on P_1 from stage 0's sources by the forward's own
+float operations. The backward scatters each stage onto those sources in
+place (`np.add.at`, `np.subtract.at`), the narrowed stages into a
+table-sized array first, and runs no pool.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -70,7 +77,9 @@ keeps every bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -99,39 +108,55 @@ def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     return cur
 
 
-def _value_codes(x: np.ndarray) -> np.ndarray:
-    """int64 codes ordered as the float64 values of `x` in [0, 1].
+def _value_codes(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """int64 codes ordered as the float64 values of `x` in [0, 1], written
+    into the int64 array `out` if one is given.
 
     The float64 bits of a value >= 0 sort in its order. Adding 0.0 turns
     -0.0 into 0.0, whose code is 0. Any value below 0 (or -NaN) codes below
     0, and any above 1 (+inf and +NaN too) above 1.0's code.
     """
-    return np.add(x, 0.0).view(np.int64)
+    return np.add(x, 0.0, out=None if out is None else out.view(np.float64)).view(np.int64)
 
 
-def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(flat, keys, voxel)`` for the soft skeleton's pools of a grid in [0, 1].
+def _read(value: np.ndarray, route: np.ndarray) -> np.ndarray:
+    """``value[route]``, where a route equal to value.size names the exterior
+    and reads its 0.0."""
+    outside = np.flatnonzero(route == value.size)
+    if outside.size:
+        route = route.copy()
+        route[outside] = 0
+    out = value[route]
+    out[outside] = 0.0
+    return out
 
-    `flat` is the input with a trailing exterior 0 at index n. Keys order the
-    voxels by their values in `flat`, and the exterior's key is 0, which is
-    `pool_array`'s padding: no value lies below it. When no two values of
-    `flat` are equal, `keys` holds each voxel's int32 rank in `flat`'s
-    sorted order, and `voxel` maps a rank back to its index in `flat`.
-    Otherwise `keys` are `_packed_keys` and `voxel` is None.
+
+def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(keys, voxel)`` for the soft skeleton's pools of a grid in [0, 1].
+
+    The voxels are indexed as in ``values.ravel()``, and the exterior, a 0
+    beside them, as n. Keys order these n + 1 values, and the exterior's
+    key is 0, which is `pool_array`'s padding: no value lies below it. When
+    no two of them are equal, `keys` holds each voxel's int32 rank among
+    them, and `voxel` maps a rank back to its index. Otherwise `keys` are
+    `_packed_keys` and `voxel` is None.
 
     The order comes from one in-place sort of words holding each value's
-    code over its index (see the module docstring), and a stable argsort of
+    code over its index (see the module docstring), written straight from
+    `values` with the exterior's code 0 at index n, and a stable argsort of
     the prefix runs' positions by full code. A value outside [0, 1] or a
-    NaN, which sorts to an end of the codes, raises ParameterError.
+    NaN, which sorts to an end of the codes, raises ParameterError. Both
+    read values by index through `_read`, so a C-contiguous grid is not
+    copied.
     """
     n = values.size
     if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
-    flat = np.empty(n + 1, dtype=np.float64)
-    flat[:n] = values.ravel()
-    flat[n] = 0
+    value = values.ravel()
     b = n.bit_length()
-    word = _value_codes(flat)
+    word = np.empty(n + 1, dtype=np.int64)
+    _value_codes(value, out=word[:n])
+    word[n] = 0
     word &= -1 << b
     word |= np.arange(n + 1)
     word.sort()
@@ -143,32 +168,32 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     member[runs + 1] = True
     at = np.flatnonzero(member)  # the positions in prefix runs
     del word, runs, member
-    code = _value_codes(flat[order[at]])
+    code = _value_codes(_read(value, order[at]))
     resort = np.argsort(code, kind="stable")
     order[at] = order[at[resort]]
     code = code[resort]
     ties = at[:-1][code[1:] == code[:-1]]  # equal codes share a run, so at[j + 1] = at[j] + 1
-    lo, hi = flat[order[[0, -1]]]
+    lo, hi = _read(value, order[[0, -1]])
     if not (lo >= 0 and hi <= 1):
         raise ParameterError(f"a soft skeleton needs values in [0, 1] and no NaN, got {lo} to {hi}")
     if ties.size == 0:
         keys = np.empty(n + 1, dtype=np.int32)
         keys[order] = np.arange(n + 1, dtype=np.int32)
-        return flat, keys[:n].reshape(values.shape), order.astype(np.int32)
+        return keys[:n].reshape(values.shape), order.astype(np.int32)
     step = np.ones(n, dtype=bool)
     step[ties] = False
-    return flat, _packed_keys(order, step)[:n].reshape(values.shape), None
+    return _packed_keys(order, step)[:n].reshape(values.shape), None
 
 
 def _packed_keys(order: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Dense-rank keys of `flat` for `_keyed_pool`, the exterior's included.
+    """Dense-rank keys of the n voxels and the exterior for `_keyed_pool`.
 
-    `order` sorts `flat` (n + 1 values, the exterior 0 last) by value, and
-    `step` marks each adjacent pair of its sorted values that differ. Each
-    key is the value's dense rank among the distinct values (equal values
-    share a rank, and order is kept; the exterior 0 has rank 0), times 2^b
-    with b = n.bit_length(); the low b bits are left for `_keyed_pool`'s
-    index.
+    `order` sorts the n + 1 values by value (the exterior 0 has index n),
+    and `step` marks each adjacent pair of its sorted values that differ.
+    Each key is the value's dense rank among the distinct values (equal
+    values share a rank, and order is kept; the exterior 0 has rank 0),
+    times 2^b with b = n.bit_length(); the low b bits are left for
+    `_keyed_pool`'s index.
     """
     n = order.size - 1
     high = np.empty(n + 1, dtype=np.int64)
@@ -216,6 +241,34 @@ def _narrowed(keys: np.ndarray, voxel: np.ndarray) -> tuple:
     return recode[keys], voxel[at], count
 
 
+def _fewest_keys(shape: tuple, k: int) -> int:
+    """A floor on `_narrowed`'s count of the int32 ranks after stage k.
+
+    Those are the ranks of I_{k+1}, whose voxels each hold the minimum of
+    the (2k + 3)^3 input window around them. A voxel whose window lies
+    inside the grid holds the rank of one input voxel, and one input voxel
+    lies in at most (2k + 3)^3 such windows, so at least the windows inside
+    over (2k + 3)^3 distinct ranks are present, and the exterior's 0.
+    """
+    width = 2 * k + 3
+    inside = math.prod(max(d - width + 1, 0) for d in shape)
+    return -(-inside // width**3) + 1
+
+
+def _first_skeleton(value: np.ndarray, route_0: np.ndarray, where) -> np.ndarray:
+    """S_0 = I_0 - O_0 on `where`, from the input `value` and O_0's sources
+    `route_0` on the whole grid, plus +0.0.
+
+    Only packed keys admit a -0.0 input beside a 0.0 source, whose
+    difference is -0.0, which adding +0.0 makes +0.0. On int32 ranks no
+    difference is -0.0, so it changes nothing there.
+    """
+    skel = _read(value, route_0[where])
+    np.subtract(value[where], skel, out=skel)
+    skel += 0.0
+    return skel
+
+
 def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray, tuple]:
     """Iterative soft skeleton of a float64 grid, plus its gradient tape.
 
@@ -238,10 +291,12 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     renumbering is strictly increasing and keeps the exterior at 0, so it
     commutes with the min and max pools and their zero padding, and every
     bit is kept. Each stage's keys are counted, one grid scan each, until
-    they narrow or until they thin too slowly to pay: at the rate of the
-    last count (against the grid's n + 1 before the first), they would not
-    fit a narrower type within half the stages left, and the narrow pools
-    of the rest would not save what the counts up to then cost.
+    they narrow or until they thin too slowly to pay: at the rate per stage
+    since the last count (against the grid's n + 1 before the first), they
+    would not fit a narrower type within half the stages left, and the
+    narrow pools of the rest would not save what the counts up to then
+    cost. A count that `_fewest_keys` shows cannot narrow is skipped (the
+    one after stage 0 on a cube of 123^3 or more).
     Otherwise the tie rule picks among equal values by their positions in
     the stage grid, so the pools run on packed int64 keys through
     `_keyed_pool`: the erosion's winners are decoded into a map from stage
@@ -250,36 +305,44 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     The residual is positive exactly on P_k = {rank(I_k) > rank(O_k)}, which
     is where I_k's key exceeds O_k's raw pooled key. The residual is
     recomputed on P_k from the sources and S is updated there only, except
-    at stage 0, which runs on the whole grid: S_0 is I_0 - O_0 from O_0's
-    source at every voxel, with no compaction, no scatter and no relu. No
-    value lies below the exterior 0, so O_0 <= I_0, and off P_0 the source
-    holds the voxel's own value (on int32 ranks it is the voxel itself),
-    giving +0.0. Only packed keys admit a -0.0 input beside a 0.0 source,
-    whose difference is -0.0, so +0.0 is added to their S_0. So S_0 is +0.0
-    off P_0, bit for bit as if it were written on P_0 only.
+    at stage 0, which runs on the whole grid: S_0 is `_first_skeleton`, I_0
+    - O_0 from O_0's source at every voxel, with no compaction, no scatter
+    and no relu. No value lies below the exterior 0, so O_0 <= I_0, and off
+    P_0 the source holds the voxel's own value (on int32 ranks it is the
+    voxel itself), giving +0.0 once `_first_skeleton` adds +0.0. So S_0 is
+    +0.0 off P_0, bit for bit as if it were written on P_0 only.
 
-    The tape is ``(stages, keyed, table, flat)``. Stage k >= 1 is ``(P_k,
-    S_{k-1} on P_k, source of I_k, source of O_k)``, all on P_k, in int32
-    voxel indices. Stage 0 is ``(P_0 as a bool grid, None, None, source of
-    O_0 on the whole grid)``: I_0's source is the voxel itself. The stages
-    after the keys narrow are `keyed`: their sources are the narrowed keys
-    themselves, and `table` (None if the keys never narrow) maps a key to
-    its voxel, so the residual is read from `flat[table]`, at most 65,536
-    values. `flat` is from `_rank_keys`.
+    The tape is ``(stages, keyed, table, value)``, where `value` is
+    ``values.ravel()``, a view of a C-contiguous input: the input must not
+    be written before `soft_skeleton_grad` has run. A route equal to n, the
+    exterior, reads 0.0 (`_read`); I_k's sources on P_k never name it,
+    because I_k's key there is above O_k's. Stage k >= 2 is ``(P_k, S_{k-1}
+    on P_k, source of I_k, source of O_k)``, all on P_k, in int32 voxel
+    indices. Stage 1 holds None for S_0 on P_1, which the backward
+    recomputes from stage 0 by the forward's own float operations. Stage 0
+    is ``(P_0 as a bool grid, None, None, source of O_0 on the whole
+    grid)``: I_0's source is the voxel itself. The stages after the keys
+    narrow are `keyed`: their sources are the narrowed keys themselves, and
+    `table` (None if the keys never narrow) maps a key to its voxel, so
+    their residual is read from the table's values, at most 65,536, in
+    which the exterior's key 0 reads 0.0.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if values.dtype != np.float64:
         raise ParameterError(f"a soft skeleton needs float64 values in [0, 1], got {values.dtype}")
     n = values.size
-    flat, keys_in, voxel = _rank_keys(values)
+    keys_in, voxel = _rank_keys(values)
+    value = values.ravel()
     packed = voxel is None
     if packed:
         offset = np.arange(-n, 0).reshape(values.shape)
         low = (1 << n.bit_length()) - 1
     source = None  # stage position -> input voxel, on packed keys only
-    last_count = 0 if packed else n + 1  # keys at the last count; 0 once counting stops
-    value, table = flat, None  # value by route: by voxel, then by key once the keys narrow
+    # keys at the last count and the stage after which they were counted
+    # (the input's n + 1 before stage 0); no count once last_count is 0
+    last_count, counted = (0 if packed else n + 1), -1
+    lookup, table = value, None  # value by route: by voxel, then by key once the keys narrow
     stages, keyed = [], []
     for k in range(iterations + 1):
         if packed:
@@ -305,10 +368,8 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
             # so the difference is +0.0 there (see the docstring).
             residual = keys_in.ravel() > opened
             route_out = source[n - (opened & low)] if packed else voxel[opened]
-            del opened
-            skel = flat[:n] - flat[route_out]
-            if packed:
-                skel += 0.0  # a -0.0 input beside a 0.0 source left -0.0
+            del opened, keys_in
+            skel = _first_skeleton(value, route_out, slice(None))
             stages.append((residual, None, None, route_out))
         else:
             where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
@@ -318,25 +379,27 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
                 route_in, route_out = voxel[keys_in.ravel()[where]], voxel[opened[where]]
             else:
                 route_in, route_out = keys_in.ravel()[where], opened[where]
-            del opened
-            delta = value[route_in] - value[route_out]
+            del opened, keys_in, source_in
+            delta = lookup[route_in] - _read(lookup, route_out)
             before = skel[where]
             delta *= 1 - before
             delta += before
             skel[where] = delta
-            (stages if table is None else keyed).append((where, before, route_in, route_out))
+            stage = (where, before if k > 1 else None, route_in, route_out)
+            (stages if table is None else keyed).append(stage)
+            del delta, before  # S_0 on P_1 is the backward's to recompute
         if k == iterations or not eroded.any():
             break
-        if last_count:
+        if last_count and _fewest_keys(values.shape, k) <= 1 << 16:
             narrowed, voxel, count = _narrowed(eroded, voxel)
-            late = count * (count / last_count) ** ((iterations - k) / 2) > 1 << 16
+            late = count * (count / last_count) ** ((iterations - k) / 2 / (k - counted)) > 1 << 16
             if narrowed.dtype != eroded.dtype:
-                last_count, table, value = 0, voxel, flat[voxel]
+                last_count, table, lookup = 0, voxel, _read(value, voxel)
             else:
-                last_count = 0 if late else count
+                last_count, counted = (0 if late else count), k
             eroded = narrowed
         keys_in, source_in = eroded, source
-    return skel.reshape(values.shape), (stages, keyed, table, flat)
+    return skel.reshape(values.shape), (stages, keyed, table, value)
 
 
 def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
@@ -349,7 +412,9 @@ def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
     with `np.add.at` and `np.subtract.at`, which sum repeated sources. The
     stage lists are consumed, so their arrays are freed as they go, and
     `grad_skel` is the working dL/dS, so it is overwritten: pass a copy to
-    keep it.
+    keep it. The tape reads the forward's input, which must not have been
+    written since. S_0 on P_1 is recomputed by `_first_skeleton`, the
+    forward's own float operations, so it has the same bits.
 
     The keyed stages, the last ones, scatter into an array indexed by key,
     which then lands in the zero gradient at once through the injective
@@ -360,31 +425,34 @@ def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
     subtracting 0.0 keeps every bit, and on P_0 each voxel gets the same
     sums in the same order as from scatters on P_0 only.
     """
-    stages, keyed, table, flat = tape
+    stages, keyed, table, value = tape
     grad_s = grad_skel.ravel()
-    grad = np.zeros(flat.size)
+    grad = np.zeros(value.size + 1)
+    skel_0 = partial(_first_skeleton, value, stages[0][3])
     if keyed:
         by_key = np.zeros(table.size)
-        _scatter_stages(keyed, grad_s, flat[table], by_key)
+        _scatter_stages(keyed, grad_s, _read(value, table), by_key, skel_0)
         grad[table] = by_key
-    _scatter_stages(stages, grad_s, flat, grad)
+    _scatter_stages(stages, grad_s, value, grad, skel_0)
     return grad[:-1].reshape(grad_skel.shape)
 
 
-def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: np.ndarray) -> None:
+def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: np.ndarray, skel_0) -> None:
     """Pop `stages` last-first, scattering each into `grad` at its routes,
-    which index `value` and `grad` alike; stage 0 has P_0 as a bool grid,
-    no route_in (the identity) and route_out on the whole grid."""
+    which index `value` (by `_read`) and `grad` alike; stage 0 has P_0 as a
+    bool grid, no route_in (the identity) and route_out on the whole grid,
+    and stage 1 has no S_0, which ``skel_0(P_1)`` gives."""
     while stages:
         where, before, route_in, route_out = stages.pop()
         if route_in is None:
-            resid = np.where(where, grad_s, 0.0)
+            resid = grad_s  # dL/dS_0, read by no later step: masked in place
+            np.copyto(resid, 0.0, where=~where)
             grad[:-1] += resid
         else:
             resid = grad_s[where]
-            delta = value[route_in] - value[route_out]
+            delta = value[route_in] - _read(value, route_out)
             grad_s[where] = resid * (1 - delta)
-            resid *= 1 - before
+            resid *= 1 - (skel_0(where) if before is None else before)
             del before
             np.add.at(grad, route_in, resid)
         np.subtract.at(grad, route_out, resid)

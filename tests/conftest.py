@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hepeval.metrics import EvalConfig, cl_dice_metric, dsc
 from hepeval.morphology import bounding_box, distance_transform_box
@@ -17,6 +18,12 @@ from hepeval.vessel import (
     skeletonize,
 )
 from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
+
+# Every run draws the same examples, from a seed derived from each test, and
+# replays none saved by an earlier run: tier-1 is deterministic. Each test's
+# own @settings still sets its number of examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -14,7 +14,9 @@ from hepeval import morphology
 from hepeval.errors import ParameterError
 from hepeval.losses import cl_dice_loss, combined_loss
 from hepeval.morphology import (
+    _fewest_keys,
     _keyed_pool,
+    _narrowed,
     _packed_keys,
     _rank_keys,
     bounding_box,
@@ -106,13 +108,13 @@ def packed_rank_keys(values):
     flat = np.append(values.ravel(), 0.0)
     ordered = np.sort(flat)
     high = _packed_keys(np.argsort(flat), ordered[1:] != ordered[:-1])
-    return flat, high[:-1].reshape(values.shape), None
+    return high[:-1].reshape(values.shape), None
 
 
 def argsort_rank_keys(values):
-    """`_rank_keys` by argsort, as the reference: int32 ranks when `flat`
-    holds no two equal values, else `packed_rank_keys`. The exterior 0 is
-    the least value, so it has rank 0."""
+    """`_rank_keys` by argsort, as the reference: int32 ranks when the
+    values and the exterior 0 after them hold no two equal values, else
+    `packed_rank_keys`. The exterior 0 is the least value, so it has rank 0."""
     flat = np.append(values.ravel(), 0.0)
     order = np.argsort(flat)
     ordered = flat[order]
@@ -120,13 +122,14 @@ def argsort_rank_keys(values):
         return packed_rank_keys(values)
     keys = np.empty(flat.size, dtype=np.int32)
     keys[order] = np.arange(flat.size)
-    return flat, keys[:-1].reshape(values.shape), order.astype(np.int32)
+    return keys[:-1].reshape(values.shape), order.astype(np.int32)
 
 
 def keyed_pool(values, mode):
     """Pooled values, pooled rank keys and winners (values.size for the
     exterior) from `_keyed_pool`, plus the rank key of each winner."""
-    flat, high, _ = packed_rank_keys(values)
+    flat = np.append(values.ravel(), 0.0)
+    high, _ = packed_rank_keys(values)
     offset = np.arange(-values.size, 0).reshape(values.shape)
     key = _keyed_pool(high, offset, mode)
     index_term = key & ((1 << values.size.bit_length()) - 1)
@@ -149,10 +152,10 @@ def pool_grad(values, mode, grad_out):
     return np.bincount(winner.ravel(), grad_out.ravel(), minlength=values.size + 1)[:-1].reshape(values.shape)
 
 
-# fwd+bwd tracemalloc peak of a 10-iteration soft skeleton, in float64 grids
-# of its input: with the sparse tape 11.5 on packed keys and 8.5 on int32
-# ranks, 28.3 when every stage is kept
-GRID_PEAK_BOUND = 20.0
+# fwd+bwd tracemalloc peak of a 10-iteration soft skeleton on a noisy 64^3
+# tube, in float64 grids of its input, by key path: 9.64 on packed keys and
+# 5.29 on int32 ranks, each rounded up to the next 0.25
+GRID_PEAK_BOUND = {"packed": 9.75, "int32": 5.5}
 
 MIN3 = partial(ndimage.minimum_filter, size=3, mode="constant", cval=0)
 MAX3 = partial(ndimage.maximum_filter, size=3, mode="constant", cval=0)
@@ -171,17 +174,20 @@ def stage_key_types(values, iterations):
     """The integer type of each stage's pooled keys on a tie-free grid: int32
     ranks until the first stage k >= 1 whose input I_k (SciPy erosions) and
     the exterior 0 hold few enough distinct values, counted by `np.unique`,
-    for a narrower unsigned type, and that type from then on. Counting stops
-    at the first count c that, at the rate c / (the count before, n + 1 at
-    first), would not fit 2^16 within half the stages left."""
-    types, current, narrow, present = [], values, None, values.size + 1
+    for a narrower unsigned type, and that type from then on. I_k is not
+    counted where `_fewest_keys` is above 2^16. Counting stops at the first
+    count c that, at the rate per stage from the count before (n + 1 for
+    I_0), would not fit 2^16 within half the stages left."""
+    types, current, narrow, present, counted = [], values, None, values.size + 1, 0
     for k in range(iterations + 1):
-        if k and narrow is None and present:
+        if k and narrow is None and present and _fewest_keys(values.shape, k - 1) <= 1 << 16:
             distinct = np.unique(np.append(current, 0.0))
             fit = np.min_scalar_type(distinct.size - 1)
             narrow = fit if fit.itemsize < 4 else None
+            rate = (distinct.size / present) ** (1 / (k - counted))
             left = iterations + 1 - k
-            present = 0 if distinct.size * (distinct.size / present) ** (left / 2) > 1 << 16 else distinct.size
+            present = 0 if distinct.size * rate ** (left / 2) > 1 << 16 else distinct.size
+            counted = k
         types.append(narrow or np.dtype(np.int32))
         current = MIN3(current)
         if not current.any():
@@ -204,12 +210,15 @@ def pooled_key_types(monkeypatch, values, iterations):
 
 
 def tape_stages(tape):
-    """``(stages, flat)`` of a soft skeleton tape, each stage as ``(P_k,
-    S_{k-1} on P_k or None, source of I_k, source of O_k)`` in int32 input
-    voxel indices on P_k: the tape keeps stage 0's P_0 as a bool grid, no
-    source of I_0 and the source of O_0 on the whole grid, and a stage after
-    the keys narrow routes by key into the tape's table."""
-    stages, keyed, table, flat = tape
+    """``(stages, flat)`` of a soft skeleton tape: `flat` is the tape's input
+    grid with the exterior's 0 at index n, and each stage is ``(P_k, S_{k-1}
+    on P_k or None at stage 0, source of I_k, source of O_k)`` in int32
+    input voxel indices on P_k. The tape keeps stage 0's P_0 as a bool grid,
+    no source of I_0 and the source of O_0 on the whole grid; stage 1 keeps
+    no S_0, which is rebuilt by a scatter of stage 0 on P_0 only; and a
+    stage after the keys narrow routes by key into the tape's table."""
+    stages, keyed, table, value = tape
+    flat = np.append(value, 0.0)
     decoded = []
     for where, before, route_in, route_out in stages:
         if route_in is None:
@@ -217,6 +226,12 @@ def tape_stages(tape):
             route_in, route_out = where, route_out[where]
         decoded.append((where, before, route_in, route_out))
     decoded += [(where, before, table[key_in], table[key_out]) for where, before, key_in, key_out in keyed]
+    if len(decoded) > 1:
+        (where_0, _, route_in_0, route_out_0), (where, before, route_in, route_out) = decoded[:2]
+        assert before is None
+        skel_0 = np.zeros(value.size)
+        skel_0[where_0] = flat[route_in_0] - flat[route_out_0]
+        decoded[1] = (where, skel_0[where], route_in, route_out)
     return decoded, flat
 
 
@@ -526,6 +541,80 @@ class TestSoftSkeleton:
         assert (seen[-1] == np.int32) == (counted == 1)
         assert np.array_equal(run[0], scipy_skeleton(values, 10))
 
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24), st.integers(1, 24)),
+        pitch=st.sampled_from([None, 3, 5, 7]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shape=(1, 1, 24), pitch=None, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_fewest_keys_is_a_floor_on_the_count(self, shape, pitch, seed):
+        # at every stage of a tie-free grid, also where the least values sit
+        # on a lattice of pitch 2k + 3, so that each window inside the grid
+        # holds one of them and the count nears the floor
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(np.linspace(0.5, 1.0, np.prod(shape))).reshape(shape)
+        if pitch:
+            lattice = values[::pitch, ::pitch, ::pitch]
+            lattice[...] = rng.permutation(np.linspace(0.01, 0.49, lattice.size)).reshape(lattice.shape)
+        keys, voxel = _rank_keys(values)
+        for k in range(12):
+            keys = pool_array(keys, "min")
+            assert _fewest_keys(shape, k) <= _narrowed(keys, voxel)[2]
+            if not keys.any():
+                break
+
+    def test_a_count_that_cannot_narrow_is_skipped(self, monkeypatch):
+        # at 123^3 and above the erosion after stage 0 keeps more than 2^16
+        # ranks by `_fewest_keys`, so `_narrowed` is first called after stage
+        # 1, on I_2, whose exterior-keyed shell is two voxels deep. A ramp
+        # below the values of the first 16 planes keeps 274,902 ranks there:
+        # at their rate per stage since the input's n + 1 they would not fit
+        # 2^16 within half the two stages left, so that count is the only
+        # one (at the rate of one stage they would, and I_3 would be counted)
+        side = 123
+        assert _fewest_keys((side,) * 3, 0) > 1 << 16 >= _fewest_keys((side - 1,) * 3, 0)
+        rng = np.random.default_rng(side)
+        values = rng.permutation(np.linspace(0.01, 0.99, side**3)).reshape((side,) * 3)
+        z, y, x = np.indices((16, side, side))
+        values[:16] = (x + side * y + side * side * z + 1.0) / side**3 * 0.01
+        shells = []
+
+        def counted_keys(keys, voxel):
+            shells.append(np.count_nonzero(keys == 0))
+            return narrowed(keys, voxel)
+
+        narrowed = morphology._narrowed
+        monkeypatch.setattr(morphology, "_narrowed", counted_keys)
+        skel, _ = soft_skeleton_array(values, iterations=3)
+        assert shells == [side**3 - (side - 4) ** 3]
+        assert np.array_equal(skel, scipy_skeleton(values, 3))
+
+    @pytest.mark.parametrize("keys", ["int32", "int32 unnarrowed", "packed"])
+    def test_exterior_sources_on_the_residual(self, monkeypatch, keys):
+        # an axis of 2k + 1 or 2k + 2 voxels erodes to the exterior alone
+        # after stage k, so on P_k the opening O_k takes its value from the
+        # exterior, route n, which reads 0.0: at stage 0 on an axis of 1 or 2
+        # voxels, and at stages 1 and 2 through the key table's slot 0
+        # ("int32"), voxel routes before the keys narrow ("int32
+        # unnarrowed", where `_narrowed` never narrows) and packed keys
+        if keys == "int32 unnarrowed":
+            monkeypatch.setattr(morphology, "_narrowed", lambda keys, voxel: (keys, voxel, voxel.size))
+        if keys == "packed":
+            monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
+        rng = np.random.default_rng(31)
+        for k, shape in [(0, (1, 6, 5)), (0, (7, 2, 6)), (1, (6, 3, 7)), (1, (4, 8, 6)), (2, (9, 8, 5))]:
+            values = rng.permutation(np.linspace(0.05, 0.95, np.prod(shape))).reshape(shape)
+            grad_skel = rng.normal(size=shape)
+            skel, tape = soft_skeleton_array(values, iterations=4)
+            assert np.shares_memory(tape[3], values)
+            route_out = tape_stages(tape)[0][k][3]
+            assert (route_out == values.size).any()
+            assert np.array_equal(skel, scipy_skeleton(values, 4))
+            got = soft_skeleton_grad(tape, grad_skel.copy())
+            assert np.abs(got - oracle_skeleton_grad(values, 4, grad_skel)).max() <= 1e-12
+            assert_matches_sparse_replay(values, 4)
+
     def test_tie_free_grids_pool_int32_ranks(self, monkeypatch):
         # without ties each rank names one voxel, and the tape is the one the
         # packed keys give, array for array
@@ -533,7 +622,7 @@ class TestSoftSkeleton:
         mask, _ = straight_tube_mask(length_vox=14, radius_vox=3.0, dims=(16, 16, 16))
         grids.append(noisy_tube(mask, 16))
         for values in grids:
-            _, keys, voxel = _rank_keys(values)
+            keys, voxel = _rank_keys(values)
             assert keys.dtype == voxel.dtype == np.int32
             assert_tape_matches_packed_keys(monkeypatch, values, 6, soft_skeleton_array(values, iterations=6))
 
@@ -564,7 +653,7 @@ class TestSoftSkeleton:
             flat = values.reshape(-1)
             i, j = rng.choice(values.size, size=2, replace=values.size == 1)
             flat[i] = {"duplicate": flat[j], "zero": 0.0, "negative zero": -0.0}[tie]
-            assert _rank_keys(values)[2] is None
+            assert _rank_keys(values)[1] is None
             iterations = int(rng.integers(1, 7))
             grad_skel = rng.normal(size=values.shape)
             skel, tape = soft_skeleton_array(values, iterations)
@@ -608,7 +697,7 @@ class TestSoftSkeleton:
               "5590570e1a3e0e87b23bbb46137e7dae620c0a7a6c85dc58f2b3701db7767333"]),
         ]
         for values, ranks, skel_hash, loss_hash, grad_hashes in pins:
-            assert (_rank_keys(values)[2] is not None) == ranks
+            assert (_rank_keys(values)[1] is not None) == ranks
             skel, _ = soft_skeleton_array(values, iterations=10)
             assert hashlib.sha256(skel.tobytes()).hexdigest() == skel_hash
             pred = ProbVolume(mask.geometry, values)
@@ -637,9 +726,8 @@ class TestSoftSkeleton:
         values = np.where(
             rng.random(len(chain)) < special, rng.choice(specials, len(chain)), rng.permutation(chain)
         ).reshape(shape)
-        flat, keys, voxel = _rank_keys(values)
-        want_flat, want_keys, want_voxel = argsort_rank_keys(values)
-        assert flat.tobytes() == want_flat.tobytes()
+        keys, voxel = _rank_keys(values)
+        want_keys, want_voxel = argsort_rank_keys(values)
         assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
         assert (voxel is None) == (want_voxel is None)
         if voxel is not None:
@@ -706,12 +794,14 @@ class TestSoftSkeleton:
 
     def test_backward_peak_memory(self):
         # forward plus backward on a noisy tube, in float64 grids: the tape
-        # holds the stages after the first on their residual support only.
+        # reads the input through a view and holds the stages after the
+        # first on their residual support only, with no S_0 at stage 1.
         # The clipped tube has exact-0 ties (packed keys), the other none.
         mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
         rng = np.random.default_rng(0)
         clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
-        for values in (clipped, noisy_tube(mask, 0)):
+        for values, keys in ((clipped, "packed"), (noisy_tube(mask, 0), "int32")):
+            assert (_rank_keys(values)[1] is None) == (keys == "packed")
             grad_skel = rng.normal(size=values.shape)
             tracemalloc.start()
             try:
@@ -720,7 +810,7 @@ class TestSoftSkeleton:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak / values.nbytes <= GRID_PEAK_BOUND
+            assert peak / values.nbytes <= GRID_PEAK_BOUND[keys]
 
 
 def binary_skeleton_cases() -> list[np.ndarray]:
