@@ -49,6 +49,13 @@ from .vessel import build_graph, classify_central_peripheral, skeletonize
 
 log = logging.getLogger("hepeval")
 
+# The mode `open` would give a new file. Reading the umask means setting it,
+# for the whole process, so it is read once here and never by the threads
+# that write eval reports.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 def _read_json(path, digests: dict[str, str | None]):
     """Parse the JSON file at `path`, storing the SHA-256 of the bytes parsed
@@ -59,10 +66,13 @@ def _read_json(path, digests: dict[str, str | None]):
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it onto
+    `path`. `mkstemp` makes its file 0o600, so it gets `_FILE_MODE` first."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.chmod(tmp, _FILE_MODE)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

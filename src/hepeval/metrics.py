@@ -33,13 +33,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .morphology import connected_components, label_boxes
-from .vessel import (
-    CENTRAL_RULES,
-    _split_flags,
-    build_graph,
-    identify_gallbladder,
-    skeletonize,
-)
+from .vessel import _split_flags, build_graph, identify_gallbladder, skeletonize
 from .volume import (
     VESSEL_STRUCTURES,
     BinaryMask,
@@ -188,7 +182,6 @@ class EvalConfig:
     connectivity: int = 26
     skeleton_iterations: int = 10
     min_overlap_voxels: int = 1
-    central_rule: str = "generation"
     max_central_generation: int = 1
     gallbladder_min_volume_mm3: float = 5000.0
     gallbladder_min_sphericity: float = 0.5
@@ -203,8 +196,6 @@ class EvalConfig:
             raise ParameterError(f"connectivity must be 6, 18 or 26, got {self.connectivity}")
         if self.skeleton_iterations < 1 or self.min_overlap_voxels < 1:
             raise ParameterError("skeleton_iterations and min_overlap_voxels must be >= 1")
-        if self.central_rule not in CENTRAL_RULES:
-            raise ParameterError(f"central_rule must be one of {CENTRAL_RULES}, got {self.central_rule!r}")
         if self.max_central_generation < 0 or self.gallbladder_min_volume_mm3 < 0:
             raise ParameterError("max_central_generation and gallbladder_min_volume_mm3 must be >= 0")
         if not 0 <= self.gallbladder_min_sphericity <= 1:
@@ -254,7 +245,7 @@ def _vessel_scores(
     skel = skeletonize(gt_mask, config.skeleton_iterations)
     graph = build_graph(skel, gt_mask)
     union = BinaryMask(gt_mask.geometry, gt_mask.values | pred_mask.values)
-    targets, central = _split_flags(graph, union, config.central_rule, config.max_central_generation)
+    targets, central = _split_flags(graph, union, config.max_central_generation)
     in_gt, in_pred = gt_mask.values.ravel()[targets], pred_mask.values.ravel()[targets]
     (n_gt, n_central), (n_pred, pred_central), (n_both, both_central) = (
         (int(np.count_nonzero(m)), int(np.count_nonzero(m & central))) for m in (in_gt, in_pred, in_gt & in_pred)

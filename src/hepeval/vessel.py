@@ -24,10 +24,13 @@ per node voxel, which matters on thick skeletons, where most voxels are
 node voxels. Edge radii are the square roots of the mask's squared distance
 transform, taken at the walked voxels only.
 
-The central/peripheral split has one implementation, `_split_flags`: one
-central flag per voxel of a mask, from its nearest skeleton voxel, and the
-empty-graph WARNING. `classify_central_peripheral` writes the flags into two
-masks; `metrics` counts them on the voxels of truth ∪ prediction directly.
+The central/peripheral split has one rule and one implementation,
+`_split_flags`: a skeleton voxel is central when its edge's generation is at
+most `max_generation`, each voxel of a mask takes the flag of its nearest
+skeleton voxel, and an empty graph logs a WARNING. `classify_central_peripheral`
+writes the flags into two masks; `metrics` counts them on the voxels of
+truth ∪ prediction directly. Strahler orders are graph output only: the
+split does not read them.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ from .morphology import bounding_box, connected_components, distance_transform_b
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
-
-# The rules `classify_central_peripheral` marks central skeleton voxels by.
-CENTRAL_RULES = ("generation", "strahler")
 
 # Neighbor offsets in (dz, dy, dx) lexicographic order, which is ascending
 # neighbor linear index; walks scan them in this order for determinism.
@@ -115,12 +115,6 @@ class SkeletonGraph:
     edges: list[SkeletonEdge]
     removed_edges: list[SkeletonEdge]
     root_edge_id: int | None
-
-    def edge_by_id(self, edge_id: int) -> SkeletonEdge:
-        for e in self.edges + self.removed_edges:
-            if e.id == edge_id:
-                return e
-        raise ParameterError(f"no edge with id {edge_id}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -406,22 +400,9 @@ class VesselRegionSplit:
     peripheral: BinaryMask
 
 
-def _skeleton_central_flags(
-    graph: SkeletonGraph, rule: str, max_generation: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Skeleton voxels (ascending linear index) with their central flag."""
-    if rule not in CENTRAL_RULES:
-        raise ParameterError(f"rule must be one of {CENTRAL_RULES}, got {rule!r}")
-
-    root_strahler = None
-    if rule == "strahler" and graph.root_edge_id is not None:
-        root_strahler = graph.edge_by_id(graph.root_edge_id).strahler
-
-    def edge_central(e: SkeletonEdge) -> bool:
-        if rule == "generation":
-            return e.generation is not None and e.generation <= max_generation
-        return e.strahler is not None and root_strahler is not None and e.strahler >= root_strahler - 1
-
+def _skeleton_central_flags(graph: SkeletonGraph, max_generation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Skeleton voxels (ascending linear index) with their central flag: an
+    edge is central when its generation is at most max_generation."""
     # Edge path voxels carry their edge's class. Junction-cluster voxels sit
     # between branches of different classes, so they claim no basin of their
     # own; they fall back in only when the graph has no edge interiors at all.
@@ -429,7 +410,7 @@ def _skeleton_central_flags(
     flag_list: list[np.ndarray] = []
     node_central: dict[int, bool] = {}
     for e in graph.edges + graph.removed_edges:
-        c = edge_central(e)
+        c = e.generation is not None and e.generation <= max_generation
         if len(e.path):
             lin_list.append(e.path)
             flag_list.append(np.full(len(e.path), c, dtype=bool))
@@ -478,9 +459,7 @@ def _nearest_labels(
     return out
 
 
-def _split_flags(
-    graph: SkeletonGraph, vessel_mask: BinaryMask, rule: str, max_generation: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_flags(graph: SkeletonGraph, vessel_mask: BinaryMask, max_generation: int) -> tuple[np.ndarray, np.ndarray]:
     """The mask's voxels (ascending linear index) with their central flag.
 
     Each voxel takes the flag of its nearest skeleton voxel; with no
@@ -488,7 +467,7 @@ def _split_flags(
     targets = np.flatnonzero(vessel_mask.values.ravel())
     if len(targets) == 0:
         return targets, np.zeros(0, dtype=bool)
-    src_lin, src_flags = _skeleton_central_flags(graph, rule, max_generation)
+    src_lin, src_flags = _skeleton_central_flags(graph, max_generation)
     if len(src_lin) == 0:
         log.warning("empty skeleton graph: classifying all %d vessel voxels as peripheral", len(targets))
         return targets, np.zeros(len(targets), dtype=bool)
@@ -496,20 +475,17 @@ def _split_flags(
 
 
 def classify_central_peripheral(
-    graph: SkeletonGraph,
-    vessel_mask: BinaryMask,
-    rule: str = "generation",
-    max_generation: int = 1,
+    graph: SkeletonGraph, vessel_mask: BinaryMask, max_generation: int = 1
 ) -> VesselRegionSplit:
     """Split a vessel mask into central and peripheral regions.
 
-    Central skeleton voxels are those of edges with generation <= 1 (default)
-    or, under the Strahler rule, orders within one of the root order. Every
-    mask voxel takes the class of its nearest skeleton voxel; with an empty
-    graph every voxel is peripheral, and a WARNING says so. The two masks
-    partition the input mask.
+    Central skeleton voxels are those of edges at most max_generation hops
+    from their component's root edge. Every mask voxel takes the class of
+    its nearest skeleton voxel; with an empty graph every voxel is
+    peripheral, and a WARNING says so. The two masks partition the input
+    mask.
     """
-    targets, central_flags = _split_flags(graph, vessel_mask, rule, max_generation)
+    targets, central_flags = _split_flags(graph, vessel_mask, max_generation)
     central, peripheral = (np.zeros(vessel_mask.values.shape, dtype=bool) for _ in range(2))
     central.ravel()[targets[central_flags]] = True
     peripheral.ravel()[targets[~central_flags]] = True

@@ -219,6 +219,12 @@ def reference_graph(skeleton: BinaryMask, vessel_mask: BinaryMask) -> SkeletonGr
     return _spanning_forest(geometry, lin, xyz, members, edges)
 
 
+def root_edge(graph: SkeletonGraph) -> SkeletonEdge:
+    """The kept edge whose id is the graph's `root_edge_id`."""
+    (root,) = (e for e in graph.edges if e.id == graph.root_edge_id)
+    return root
+
+
 def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> tuple[float, float, float]:
     """Mask oracle of `metrics._vessel_scores`: the truth's graph splits
     truth ∪ prediction into two region masks, each region is cut to each
@@ -226,7 +232,7 @@ def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig
     `cl_dice_metric`."""
     graph = build_graph(skeletonize(gt, config.skeleton_iterations), gt)
     union = BinaryMask(gt.geometry, gt.values | pred.values)
-    split = classify_central_peripheral(graph, union, config.central_rule, config.max_central_generation)
+    split = classify_central_peripheral(graph, union, config.max_central_generation)
     gt_central, gt_peripheral, pred_central, pred_peripheral = (
         BinaryMask(gt.geometry, region.values & m.values)
         for m in (gt, pred)

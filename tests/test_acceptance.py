@@ -55,7 +55,7 @@ from hepeval.volume import (
     extract_mask,
 )
 
-from conftest import brute_force_squared_edt, random_mask, separated_prob_volume
+from conftest import brute_force_squared_edt, random_mask, root_edge, separated_prob_volume
 
 
 def report(criterion: int, text: str):
@@ -157,7 +157,7 @@ def test_criterion_05_strahler_oracle():
         truth = generate_case(axis_tree_spec(levels))
         mask = extract_mask(truth.label_volume, 3)
         graph = build_graph(skeletonize(mask, 6), mask)
-        root = graph.edge_by_id(graph.root_edge_id)
+        root = root_edge(graph)
         assert root.strahler == levels + 1, f"levels={levels}"
         split = classify_central_peripheral(graph, mask)
         tag_central = (truth.generation_tag >= 0) & (truth.generation_tag <= 1)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from hepeval.phantom import (
     spec_to_json_dict,
     y_phantom,
 )
-from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
+from hepeval.volume import BinaryMask, Geometry, LabelVolume, ProbVolume, extract_mask
 
 
 def schema_check(instance, schema):
@@ -315,7 +316,10 @@ class TestEvalCommand:
     @pytest.mark.parametrize("raw", [
         {"skeleton_iterations": 2.5},
         {"min_overlap_voxels": 0},
-        {"central_rule": "bogus"},
+        {"central_rule": "generation"},
+        {"max_central_generation": -1},
+        {"gallbladder_min_sphericity": -0.1},
+        {"gallbladder_min_sphericity": 1.5},
         {"connectivity": 7},
         [],
         "",
@@ -338,6 +342,30 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x"), "--skeleton-iters", "0"])
         assert code == 1
         assert "config error" in caplog.text
+
+    @pytest.mark.parametrize("flags, n_gt", [(["--connectivity", "6"], 2), ([], 1)])
+    def test_connectivity_flag_sets_the_lesion_connectivity(self, tmp_path, flags, n_gt):
+        # two 3x3x3 tumour cubes that share only an edge: two lesions under
+        # 6-connectivity, one under the default 26
+        labels = np.zeros((10, 10, 10), dtype=np.uint8)
+        labels[1:4, 1:4, 1:4] = 2
+        labels[4:7, 4:7, 1:4] = 2
+        path = tmp_path / "edge.nii.gz"
+        write_nifti(LabelVolume(Geometry(dims=(10, 10, 10), spacing=(1, 1, 1)), labels), path)
+        out = tmp_path / "run"
+        assert main(["eval", "--gt", str(path), "--pred", str(path), "--out", str(out), "--jobs", "1", *flags]) == 0
+        assert json.loads((out / "case_edge.report.json").read_text())["lesions"]["n_gt"] == n_gt
+
+    def test_failed_replace_exits_1_and_leaves_no_temporary_file(self, phantom_pair, tmp_path, caplog):
+        _, gt_path, pred_path = phantom_pair
+        out = tmp_path / "run"
+        (out / "summary.json").mkdir(parents=True)
+        with caplog.at_level("ERROR"):
+            code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path), "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert "summary.json" in caplog.text
+        assert list(out.glob("summary.json.*")) == []
+        assert (out / "summary.json").is_dir()
 
 
 class TestPhantomCommand:
@@ -720,6 +748,43 @@ def test_out_that_is_a_file_exits_1(tmp_path, caplog, command):
         assert main(argv) == 1
     assert "afile" in caplog.text
     assert out.read_text() == ""
+
+
+def test_outputs_take_the_umask(tmp_path):
+    """Every file eval, skeleton and phantom write has mode 0o666 & ~umask,
+    as `open` gives. A subprocess started under umask 0o022 reads that
+    umask when it imports the package, as a user's run does."""
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    spec, truth, portal = inputs / "spec.json", inputs / "truth.nii.gz", inputs / "portal.nii.gz"
+    spec.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+    case = generate_case(axis_tree_spec(1))
+    write_nifti(case.label_volume, truth)
+    write_nifti(extract_mask(case.label_volume, 3), portal)
+    commands = [
+        ["phantom", str(spec), "--out", str(out / "phantom")],
+        ["skeleton", str(portal), "--out", str(out / "skeleton")],
+        ["eval", "--gt", str(truth), "--pred", str(truth), "--out", str(out / "eval"), "--jobs", "1"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from hepeval.cli import main; "
+        f"sys.exit(max([main(argv) for argv in {commands!r}]))"
+    )
+    umask = os.umask(0o022)
+    try:
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    finally:
+        os.umask(umask)
+    assert run.returncode == 0, run.stderr
+    modes = {p.relative_to(out).as_posix(): p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+    assert sorted(modes) == [
+        "eval/case_truth.report.json", "eval/cases.csv", "eval/manifest.json", "eval/summary.csv",
+        "eval/summary.json", "phantom/edge_tags.nii.gz", "phantom/generation_tags.nii.gz",
+        "phantom/truth.nii.gz", "phantom/truth_manifest.json", "skeleton/central.nii.gz",
+        "skeleton/graph.json", "skeleton/manifest.json", "skeleton/peripheral.nii.gz", "skeleton/skeleton.nii.gz",
+    ]
+    assert modes == dict.fromkeys(modes, 0o644)
 
 
 class TestCliBasics:

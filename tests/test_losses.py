@@ -127,11 +127,33 @@ class TestKSchedule:
         with pytest.raises(RangeError):
             k_schedule(-1, LossConfig())
 
+    def test_one_ramp_epoch_is_k_end(self):
+        cfg = LossConfig(warmup_epochs=3, ramp_epochs=1, k_start=0.2, k_end=0.6)
+        assert [k_schedule(e, cfg) for e in range(4)] == [1.0, 1.0, 1.0, 0.6]
+
     def test_total_epochs_is_warmup_plus_ramp(self):
         cfg = LossConfig(warmup_epochs=10, ramp_epochs=7)
         assert k_schedule(16, cfg) == cfg.k_end
         with pytest.raises(RangeError):
             k_schedule(17, cfg)
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"w_cldice": -1.0}, "weights"),
+        ({"w_bce": -0.5}, "weights"),
+        ({"skeleton_iterations": 0}, "skeleton_iterations"),
+        ({"warmup_epochs": -1}, "warmup_epochs"),
+        ({"ramp_epochs": -1}, "ramp_epochs"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"ce_clip": -1e-7}, "ce_clip"),
+        ({"k_start": 0.0}, "k_start"),
+        ({"k_start": 0.6, "k_end": 0.5}, "k_start <= k_end"),
+        ({"k_end": 1.5}, "k_end <= 1"),
+    ])
+    def test_out_of_range_field_raises(self, fields, message):
+        with pytest.raises(ParameterError, match=message):
+            LossConfig(**fields)
 
 
 class TestBootstrappedCE:

@@ -32,7 +32,6 @@ from hepeval.phantom import (
     straight_tube_mask,
     y_phantom,
 )
-from hepeval.vessel import CENTRAL_RULES
 from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume
 
 from conftest import (
@@ -413,14 +412,13 @@ def random_labels(seed):
 class TestVesselScores:
     """`_vessel_scores` counts each region's DSC on the union's voxels; the
     mask oracle builds the regions and cuts and calls `dsc`. They agree to
-    the bit, under both central rules."""
+    the bit."""
 
-    @pytest.mark.parametrize("rule", CENTRAL_RULES)
-    def test_matches_mask_oracle_on_random_trees(self, rule):
+    def test_matches_mask_oracle_on_random_trees(self):
         # random masks around random skeletons, rich in branches and cycles;
         # every tenth pair has an empty prediction and the next an empty
         # truth, and some pairs share part of both regions
-        config = EvalConfig(central_rule=rule)
+        config = EvalConfig()
         two_regions = 0
         for seed in range(100):
             skeleton = random_skeleton_mask(seed)
@@ -438,10 +436,9 @@ class TestVesselScores:
             two_regions += 0 < want[0] < 1 and 0 < want[1] < 1
         assert two_regions >= 5
 
-    @pytest.mark.parametrize("rule", CENTRAL_RULES)
     @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1), (0.8, 0.8, 1.25), (0.6, 0.7, 1.9)])
     @pytest.mark.parametrize("tree", ["htree4_portal", "liver_portal"])
-    def test_matches_mask_oracle_on_phantom_trees(self, tree, spacing, rule):
+    def test_matches_mask_oracle_on_phantom_trees(self, tree, spacing):
         # the truth re-wrapped at non-integer spacings, where exact ties
         # between mirrored skeleton voxels are common; the prediction drops
         # 5 % of it and adds half of its one-voxel rim
@@ -451,7 +448,7 @@ class TestVesselScores:
         pred = (portal & (rng.random(portal.shape) >= 0.05)) | (rim & (rng.random(portal.shape) < 0.5))
         geometry = Geometry(portal.shape[::-1], spacing)
         gt, pred = BinaryMask(geometry, portal), BinaryMask(geometry, pred)
-        config = EvalConfig(central_rule=rule)
+        config = EvalConfig()
         assert _vessel_scores(gt, pred, config, "case", "portal_vein") == reference_vessel_scores(gt, pred, config)
 
 

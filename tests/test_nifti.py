@@ -200,6 +200,20 @@ class TestHandConstructedFiles:
         vol = read_nifti(path, intent="labels")
         assert vol.geometry.origin == (1.5, 2.5, 3.5)
 
+    @pytest.mark.parametrize("qfac, orientation", [
+        (-1.0, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))),
+        (0.0, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+    ])
+    def test_qform_qfac_flips_the_third_column(self, tmp_path, qfac, orientation):
+        # pixdim[0] is qfac: -1 flips the rotation's third column, and 0
+        # reads as 1
+        hdr = _blank_header()
+        struct.pack_into("<f", hdr, 76, qfac)  # pixdim[0]
+        struct.pack_into("<h", hdr, 252, 1)  # qform_code; sform_code stays 0, b = c = d = 0
+        path = tmp_path / "qfac.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(24))
+        assert read_nifti(path, intent="labels").geometry.orientation == orientation
+
     def test_prob_clamping_reported(self, tmp_path, caplog):
         hdr = _blank_header(datatype=16)
         values = np.linspace(-0.5, 1.5, 24, dtype="<f4")

@@ -15,7 +15,6 @@ from hepeval.phantom import (
     y_phantom,
 )
 from hepeval.vessel import (
-    CENTRAL_RULES,
     _nearest_labels,
     _skeleton_central_flags,
     build_graph,
@@ -33,6 +32,7 @@ from conftest import (
     phantom_vessel_masks,
     random_skeleton_mask,
     reference_graph,
+    root_edge,
 )
 
 
@@ -180,7 +180,7 @@ class TestBuildGraph:
         assert len(graph.edges) == 3
         junctions = [n for n in graph.nodes if n.kind == "junction"]
         assert len(junctions) == 1
-        root = graph.edge_by_id(graph.root_edge_id)
+        root = root_edge(graph)
         assert root.generation == 0
         assert root.strahler == 2
         leaf_edges = [e for e in graph.edges if e.id != root.id]
@@ -202,7 +202,7 @@ class TestBuildGraph:
         skel = skeletonize(mask, 4)
         graph = build_graph(skel, mask)
         assert len(graph.edges) == 5
-        root = graph.edge_by_id(graph.root_edge_id)
+        root = root_edge(graph)
         assert root.strahler == 2
         gens = sorted(e.generation for e in graph.edges)
         assert gens == [0, 1, 1, 2, 2]
@@ -216,7 +216,7 @@ class TestBuildGraph:
             for e in graph.edges:
                 for n in e.nodes:
                     incident.setdefault(n, []).append(e)
-            root = graph.edge_by_id(graph.root_edge_id)
+            root = root_edge(graph)
             # recheck the recurrence from the edge list alone
             def children_of(edge, seen):
                 out = []
@@ -281,7 +281,7 @@ class TestBuildGraph:
             mask = extract_mask(truth.label_volume, 3)
             graph = build_graph(skeletonize(mask, 6), mask)
             assert len(graph.edges) == 2 ** (levels + 1) - 1
-            root = graph.edge_by_id(graph.root_edge_id)
+            root = root_edge(graph)
             assert root.strahler == levels + 1
 
     def test_voxel_partition_between_nodes_and_paths(self):
@@ -371,26 +371,13 @@ class TestClassify:
             mask = BinaryMask(skeleton.geometry, a)
             check_split_restricts(build_graph(skeleton, mask), mask, b)
 
-    def test_strahler_rule_selectable(self):
-        truth = generate_case(axis_tree_spec(2))
-        mask = extract_mask(truth.label_volume, 3)
-        graph = build_graph(skeletonize(mask, 6), mask)
-        split = classify_central_peripheral(graph, mask, rule="strahler")
-        # strahler >= root-1 equals generations {0, 1} on a perfect tree
-        gen_split = classify_central_peripheral(graph, mask, rule="generation")
-        assert np.array_equal(split.central.values, gen_split.central.values)
-
 
 def check_split_restricts(graph, subset: BinaryMask, superset: np.ndarray):
     """The split of the superset, cut to the subset, is the subset's own
-    split, region by region, under both rules."""
-    for rule in CENTRAL_RULES:
-        whole, part = (
-            classify_central_peripheral(graph, m, rule)
-            for m in (BinaryMask(subset.geometry, superset), subset)
-        )
-        assert np.array_equal(whole.central.values & subset.values, part.central.values)
-        assert np.array_equal(whole.peripheral.values & subset.values, part.peripheral.values)
+    split, region by region."""
+    whole, part = (classify_central_peripheral(graph, m) for m in (BinaryMask(subset.geometry, superset), subset))
+    assert np.array_equal(whole.central.values & subset.values, part.central.values)
+    assert np.array_equal(whole.peripheral.values & subset.values, part.peripheral.values)
 
 
 def nearest_labels_oracle(geometry, targets, sources, flags):
@@ -419,7 +406,7 @@ class TestNearestLabels:
         # the truth portal re-wrapped at non-integer spacings, where exact
         # ties between mirrored skeleton voxels are common
         mask = BinaryMask(Geometry(portal.shape[::-1], spacing), portal)
-        sources, flags = _skeleton_central_flags(build_graph(skeletonize(mask, 10), mask), "generation", 1)
+        sources, flags = _skeleton_central_flags(build_graph(skeletonize(mask, 10), mask), 1)
         targets = np.flatnonzero(portal)
         assert len(targets) == 2907 and len(sources) == 244 and 0 < flags.sum() < len(flags)
         got = _nearest_labels(mask.geometry, targets, sources, flags)
@@ -627,12 +614,11 @@ class TestCropInvariance:
                 got = graph_content(build_graph(skeletonize(mask, 4), mask), offset)
                 assert got == base
 
-    @pytest.mark.parametrize("rule", ["generation", "strahler"])
     @pytest.mark.parametrize("spacing", [(0.7, 0.9, 1.3), (0.3, 0.7, 1.1)])
-    def test_split_shifts_at_non_integer_spacing(self, rule, spacing):
+    def test_split_shifts_at_non_integer_spacing(self, spacing):
         def split(values):
             mask = BinaryMask(grid_geometry(values.shape, spacing), values)
-            regions = classify_central_peripheral(build_graph(skeletonize(mask, 4), mask), mask, rule)
+            regions = classify_central_peripheral(build_graph(skeletonize(mask, 4), mask), mask)
             return regions.central.values, regions.peripheral.values
 
         for small in CROP_CASES:
