@@ -46,6 +46,7 @@ from .phantom import (
     truth_manifest,
 )
 from .vessel import build_graph, classify_central_peripheral, skeletonize
+from .volume import _json_dict
 
 log = logging.getLogger("hepeval")
 
@@ -101,7 +102,7 @@ def _run_manifest(command: list[str], config: dict, input_digests: dict[str, str
     }
 
 
-def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[LossConfig, EvalConfig, dict]:
+def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[LossConfig, EvalConfig]:
     raw = _read_json(path, digests) if path else {}
     if not isinstance(raw, dict):
         raise ParameterError(f"a config must be a JSON object, got {type(raw).__name__}")
@@ -112,7 +113,7 @@ def _load_config(path: str | None, digests: dict[str, str | None]) -> tuple[Loss
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     loss = LossConfig(**{k: v for k, v in raw.items() if k in loss_fields})
     ev = EvalConfig(**{k: v for k, v in raw.items() if k in eval_fields})
-    return loss, ev, raw
+    return loss, ev
 
 
 def _case_id(path: str | Path) -> str:
@@ -140,7 +141,7 @@ def cmd_eval(args) -> int:
     # an input the batch never reads keeps a null digest
     digests = dict.fromkeys(map(str, [*args.gt, *args.pred]))
     try:
-        _, eval_cfg, raw_cfg = _load_config(args.config, digests)
+        _, eval_cfg = _load_config(args.config, digests)
         if args.connectivity is not None:
             eval_cfg = replace(eval_cfg, connectivity=args.connectivity)
         if args.skeleton_iters is not None:
@@ -159,7 +160,7 @@ def cmd_eval(args) -> int:
         gt = read_label_volume(gt_path, digests=digests)
         pred = read_label_volume(pred_path, digests=digests)
         report = evaluate_case(gt, pred, eval_cfg, case_id=case)
-        _write_json(out / f"case_{case}.report.json", report.to_json_dict())
+        _write_json(out / f"case_{case}.report.json", _json_dict(report))
         return report
 
     # One worker runs the cases in this thread: a pool thread made per batch
@@ -177,15 +178,16 @@ def cmd_eval(args) -> int:
             else:
                 reports.append(result)
 
-    manifest = _run_manifest(["eval", *map(str, args.gt), *map(str, args.pred)], raw_cfg, digests)
-    manifest["failed_cases"] = failures
-    _write_json(out / "manifest.json", manifest)
-
     if reports:
         summary = aggregate(reports)
-        _write_json(out / "summary.json", summary.to_json_dict())
+        _write_json(out / "summary.json", _json_dict(summary))
         _write_csv(out / "summary.csv", summary.to_csv_rows())
         _write_csv(out / "cases.csv", _case_rows(reports))
+
+    # written last, so a manifest means every other output of the batch was written
+    manifest = _run_manifest(["eval", *map(str, args.gt), *map(str, args.pred)], _json_dict(eval_cfg), digests)
+    manifest["failed_cases"] = failures
+    _write_json(out / "manifest.json", manifest)
     return 2 if failures else 0
 
 
@@ -253,7 +255,7 @@ def cmd_phantom(args) -> int:
 
 def cmd_loss(args) -> int:
     try:
-        loss_cfg, _, _ = _load_config(args.config, {})
+        loss_cfg, _ = _load_config(args.config, {})
     except (OSError, ValueError, HepevalError, TypeError) as exc:
         log.error("config error: %s", exc)
         return 1
@@ -336,14 +338,7 @@ def cmd_stats(args) -> int:
         except ParameterError as exc:
             log.error("%s: %s", name, exc)
             return 1
-        results[name] = {
-            "U": r.U,
-            "p_two_sided": r.p_two_sided,
-            "method": r.method,
-            "tie_correction_applied": r.tie_correction_applied,
-            "n1": len(a[name]),
-            "n2": len(b[name]),
-        }
+        results[name] = {**_json_dict(r), "n1": len(a[name]), "n2": len(b[name])}
     print(json.dumps(results, indent=2, sort_keys=True))
     return 0
 

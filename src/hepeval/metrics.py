@@ -20,6 +20,11 @@ flags each voxel of truth ∪ prediction once, and the six counts that the
 two DSCs are made of (each side's central voxels, each side's voxels, and
 their shared ones) are read off those flags. `dsc` and the vessel scores
 share one `_dice` rule.
+
+A report is its dataclasses: `CaseReport`, `LesionReport`, `Summary` and
+the records they hold name their fields by their JSON keys, and each one
+serialises through `volume._json_dict`, so a key is written once in code
+and once in its schema.
 """
 
 from __future__ import annotations
@@ -108,18 +113,8 @@ class LesionReport:
     n_detected: int
     detection_rate: float
     n_false_positive: int
-    rows: tuple[LesionRow, ...]
-    fp_rows: tuple[FalsePositiveRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_gt": self.n_gt,
-            "n_detected": self.n_detected,
-            "detection_rate": self.detection_rate,
-            "n_false_positive": self.n_false_positive,
-            "lesions": [dict(vars(r)) for r in self.rows],
-            "false_positives": [dict(vars(r)) for r in self.fp_rows],
-        }
+    lesions: tuple[LesionRow, ...]
+    false_positives: tuple[FalsePositiveRow, ...]
 
 
 def lesion_match(
@@ -155,11 +150,11 @@ def lesion_match(
     ov = overlap[1:, 1:]
     detected = (ov >= min_overlap_voxels).any(axis=1)
     best_dsc = (2.0 * ov / (gt_cc.sizes[1:, None] + pr_cc.sizes[None, 1:])).max(axis=1, initial=0.0)
-    rows = [
+    lesions = [
         LesionRow(gid, float(gt_cc.sizes[gid]) * voxvol, bool(hit), float(dsc))
         for gid, hit, dsc in zip(range(1, gt_cc.count + 1), detected, best_dsc)
     ]
-    fp_rows = [
+    false_positives = [
         FalsePositiveRow(pid, float(pr_cc.sizes[pid]) * voxvol)
         for pid in (np.flatnonzero(~ov.any(axis=0)) + 1).tolist()
     ]
@@ -169,9 +164,9 @@ def lesion_match(
         n_gt=gt_cc.count,
         n_detected=n_detected,
         detection_rate=n_detected / max(gt_cc.count, 1),
-        n_false_positive=len(fp_rows),
-        rows=tuple(rows),
-        fp_rows=tuple(fp_rows),
+        n_false_positive=len(false_positives),
+        lesions=tuple(lesions),
+        false_positives=tuple(false_positives),
     )
 
 
@@ -203,6 +198,12 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
+class CaseFlags:
+    gallbladder_absent_gt: bool
+    gallbladder_absent_pred: bool
+
+
+@dataclass(frozen=True)
 class CaseReport:
     """Per-case evaluation record mirroring the reporting protocol."""
 
@@ -212,22 +213,7 @@ class CaseReport:
     peripheral_dsc: dict[str, float | None]
     cl_dice: dict[str, float]
     lesions: LesionReport
-    gallbladder_absent_gt: bool
-    gallbladder_absent_pred: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "dsc": self.dsc,
-            "central_dsc": self.central_dsc,
-            "peripheral_dsc": self.peripheral_dsc,
-            "cl_dice": self.cl_dice,
-            "lesions": self.lesions.to_json_dict(),
-            "flags": {
-                "gallbladder_absent_gt": self.gallbladder_absent_gt,
-                "gallbladder_absent_pred": self.gallbladder_absent_pred,
-            },
-        }
+    flags: CaseFlags
 
 
 def _vessel_scores(
@@ -341,11 +327,10 @@ def evaluate_case(
         identify_gallbladder(m, config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity)
         for m in scored(*biliary)
     )
-    gb_absent_gt = gb_gt.popcount() == 0
-    gb_absent_pred = gb_pred.popcount() == 0
+    flags = CaseFlags(gb_gt.popcount() == 0, gb_pred.popcount() == 0)
     # Cholecystectomy rule: no truth gallbladder means the central biliary
     # comparison is left out of the analysis entirely.
-    central["biliary_tree"] = None if gb_absent_gt else dsc(gb_gt, gb_pred)
+    central["biliary_tree"] = None if flags.gallbladder_absent_gt else dsc(gb_gt, gb_pred)
     peripheral["biliary_tree"] = dsc(ducts_gt, ducts_pred)
     cl["biliary_ducts"] = cl_dice_metric(ducts_pred, ducts_gt, config.skeleton_iterations)
 
@@ -362,8 +347,7 @@ def evaluate_case(
         peripheral_dsc=peripheral,
         cl_dice=cl,
         lesions=lesions,
-        gallbladder_absent_gt=gb_absent_gt,
-        gallbladder_absent_pred=gb_absent_pred,
+        flags=flags,
     )
 
 
@@ -378,29 +362,22 @@ class SummaryEntry:
 
 
 @dataclass(frozen=True)
-class Summary:
-    n_cases: int
-    entries: dict[str, SummaryEntry | None]
-    detection_rate_mean: float
-    detection_rate_sd: float
-    detection_rate_pooled: float
+class TumorDetection:
+    rate_mean: float
+    rate_sd: float
+    rate_pooled: float
     median_false_positives: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "structures": {key: None if e is None else dict(vars(e)) for key, e in self.entries.items()},
-            "tumor_detection": {
-                "rate_mean": self.detection_rate_mean,
-                "rate_sd": self.detection_rate_sd,
-                "rate_pooled": self.detection_rate_pooled,
-                "median_false_positives": self.median_false_positives,
-            },
-        }
+
+@dataclass(frozen=True)
+class Summary:
+    n_cases: int
+    structures: dict[str, SummaryEntry | None]
+    tumor_detection: TumorDetection
 
     def to_csv_rows(self) -> list[list]:
         rows = [["structure", "mean", "sd", "median", "min", "max"]]
-        for key, e in self.entries.items():
+        for key, e in self.structures.items():
             if e is None:
                 rows.append([key, "", "", "", "", ""])
             else:
@@ -451,8 +428,6 @@ def aggregate(reports: list[CaseReport]) -> Summary:
         for name, v in r.cl_dice.items():
             put(f"{name}/cl_dice", v)
 
-    entries = {key: _stats(vals) for key, vals in columns.items()}
-
     rates = [r.lesions.detection_rate for r in reports]
     rate_stats = _stats(rates)
     total_gt = sum(r.lesions.n_gt for r in reports)
@@ -460,11 +435,13 @@ def aggregate(reports: list[CaseReport]) -> Summary:
     fp_counts = [r.lesions.n_false_positive for r in reports]
     return Summary(
         n_cases=len(reports),
-        entries=entries,
-        detection_rate_mean=rate_stats.mean,
-        detection_rate_sd=rate_stats.sd,
-        detection_rate_pooled=total_detected / max(total_gt, 1),
-        median_false_positives=float(np.median(fp_counts)),
+        structures={key: _stats(vals) for key, vals in columns.items()},
+        tumor_detection=TumorDetection(
+            rate_mean=rate_stats.mean,
+            rate_sd=rate_stats.sd,
+            rate_pooled=total_detected / max(total_gt, 1),
+            median_false_positives=float(np.median(fp_counts)),
+        ),
     )
 
 

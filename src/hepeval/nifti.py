@@ -91,9 +91,8 @@ assert struct.calcsize("<" + _STRUCT_BODY) == HEADER_SIZE
 
 # NIfTI datatype code -> numpy dtype character. Everything else is rejected.
 _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8", 512: "u2"}
-_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 512: 16}
-
-_INTEGER_CODES = (2, 4, 8, 512)
+_BITPIX = {code: 8 * np.dtype(c).itemsize for code, c in _DTYPES.items()}
+_INTEGER_CODES = tuple(code for code, c in _DTYPES.items() if np.dtype(c).kind in "iu")
 
 
 def _unpack_header(raw: bytes, byte_order: str) -> dict:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _is_number
+from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _is_number, _json_dict
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
@@ -637,15 +637,6 @@ def _block(data, what: str, kind: type = dict, cls=None):
 
 def _sphere(data, what: str) -> Sphere:
     return Sphere(**_block(data, what, dict, Sphere))
-
-
-def _json_dict(record) -> dict:
-    """A dataclass as a JSON object: its fields in order, tuples as lists."""
-    return asdict(record, dict_factory=lambda items: {k: _listed(v) for k, v in items})
-
-
-def _listed(value):
-    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def spec_to_json_dict(spec: PhantomSpec) -> dict:

@@ -117,6 +117,9 @@ class SkeletonGraph:
     root_edge_id: int | None
 
     def to_json_dict(self) -> dict:
+        """graph.json holds counts of the voxel arrays kept here (`n_voxels`,
+        `n_path_voxels`) and the removed edges' ids, not the arrays, so it is
+        built here and not by `volume._json_dict`."""
         return {
             "root_edge_id": self.root_edge_id,
             "nodes": [

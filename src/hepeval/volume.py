@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,15 @@ def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
         if items is None:
             raise ParameterError(f"{name} must be three finite numbers, got {value!r}")
         object.__setattr__(obj, name, items)
+
+
+def _json_dict(record) -> dict:
+    """A dataclass as a JSON object: its fields in order, tuples as lists."""
+    return asdict(record, dict_factory=lambda items: {k: _listed(v) for k, v in items})
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)

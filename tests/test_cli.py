@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -9,11 +10,13 @@ import sys
 import threading
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from hepeval.cli import main
 from hepeval.losses import LossConfig, bootstrapped_ce_loss, cl_dice_loss, combined_loss, k_schedule
+from hepeval.metrics import aggregate, evaluate_case
 from hepeval.nifti import write_nifti
 from hepeval.phantom import (
     DegradeSpec,
@@ -24,7 +27,7 @@ from hepeval.phantom import (
     spec_to_json_dict,
     y_phantom,
 )
-from hepeval.volume import BinaryMask, Geometry, LabelVolume, ProbVolume, extract_mask
+from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, ProbVolume, _json_dict, extract_mask
 
 
 def schema_check(instance, schema):
@@ -61,9 +64,10 @@ def schema_check(instance, schema):
             if key in instance:
                 schema_check(instance[key], sub)
         extra = schema.get("additionalProperties")
-        if isinstance(extra, dict):
-            for key, value in instance.items():
-                if key not in schema.get("properties", {}):
+        for key, value in instance.items():
+            if key not in schema.get("properties", {}):
+                assert extra is not False, f"stray key {key}"
+                if isinstance(extra, dict):
                     schema_check(value, extra)
     if isinstance(instance, list) and "items" in schema:
         for item in instance:
@@ -366,6 +370,66 @@ class TestEvalCommand:
         assert "summary.json" in caplog.text
         assert list(out.glob("summary.json.*")) == []
         assert (out / "summary.json").is_dir()
+        # the manifest comes last: a batch whose summary was not written has none
+        assert not (out / "manifest.json").exists()
+
+    def test_manifest_records_the_config_the_batch_ran_with(self, phantom_pair, tmp_path):
+        # the file's value and both flags, over EvalConfig's defaults
+        _, gt_path, pred_path = phantom_pair
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_overlap_voxels": 2, "w_bce": 0.5}))
+        out = tmp_path / "run"
+        code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path), "--out", str(out), "--jobs", "1",
+                     "--config", str(cfg), "--connectivity", "6", "--skeleton-iters", "4"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        schema_check(manifest, load_schema("manifest"))
+        assert manifest["config"] == {
+            "connectivity": 6,
+            "skeleton_iterations": 4,
+            "min_overlap_voxels": 2,
+            "max_central_generation": 1,
+            "gallbladder_min_volume_mm3": 5000.0,
+            "gallbladder_min_sphericity": 0.5,
+        }
+
+
+@pytest.fixture(scope="module")
+def report_and_summary():
+    """The JSON of a report with one detected lesion and one false positive,
+    and of its summary."""
+    tumor = DEFAULT_SCHEMA.id_of("tumor")
+    gt = np.zeros((8, 8, 8), np.uint8)
+    gt[1:3, 1:3, 1:3] = tumor
+    pred = gt.copy()
+    pred[5:7, 5:7, 5:7] = tumor
+    geometry = Geometry(dims=(8, 8, 8), spacing=(1, 1, 1))
+    report = evaluate_case(LabelVolume(geometry, gt), LabelVolume(geometry, pred))
+    return {"case_report": _json_dict(report), "summary": _json_dict(aggregate([report]))}
+
+
+@pytest.mark.parametrize("name, path", [
+    ("case_report", ""),
+    ("case_report", "lesions"),
+    ("case_report", "lesions.lesions.0"),
+    ("case_report", "lesions.false_positives.0"),
+    ("case_report", "flags"),
+    ("summary", ""),
+    ("summary", "structures.tumor"),
+    ("summary", "tumor_detection"),
+])
+def test_stray_key_fails_validation(report_and_summary, name, path):
+    schema, doc = load_schema(name), copy.deepcopy(report_and_summary[name])
+    validator = jsonschema.Draft7Validator(schema)
+    assert validator.is_valid(doc)
+    schema_check(doc, schema)
+    node = doc
+    for key in path.split(".") if path else ():
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node["stray"] = 0
+    assert not validator.is_valid(doc)
+    with pytest.raises(AssertionError, match="stray key"):
+        schema_check(doc, schema)
 
 
 class TestPhantomCommand:

@@ -1,12 +1,13 @@
-"""Golden guard for the evaluation path: pinned `evaluate_case` reports and
-pinned `build_graph` outputs.
+"""Golden guard for the evaluation path: pinned `evaluate_case` reports, their
+`aggregate` summary and pinned `build_graph` outputs.
 
 Each case hashes the canonical JSON (``sort_keys=True``) of a report on a
-fixed degraded phantom pair, or of a skeleton graph with every node member,
-edge path and attach voxel. The hashes pin every bit, so a change meant only
-to make the evaluation faster or simpler must leave them alone. A hash may
-change only in a change that means to alter evaluation results and says so
-in CHANGES.md, together with the new value.
+fixed degraded phantom pair, of the summary of those reports, or of a
+skeleton graph with every node member, edge path and attach voxel. The
+hashes pin every bit, so a change meant only to make the evaluation faster
+or simpler must leave them alone. A hash may change only in a change that
+means to alter evaluation results and says so in CHANGES.md, together with
+the new value.
 """
 
 import hashlib
@@ -14,10 +15,10 @@ import json
 
 import pytest
 
-from hepeval.metrics import evaluate_case
+from hepeval.metrics import aggregate, evaluate_case
 from hepeval.phantom import DegradeSpec, Sphere, axis_tree_spec, default_spec, degrade, generate_case
 from hepeval.vessel import build_graph, skeletonize
-from hepeval.volume import BinaryMask, extract_mask
+from hepeval.volume import BinaryMask, _json_dict, extract_mask
 
 from conftest import random_skeleton_mask
 
@@ -50,13 +51,30 @@ PAIRS = {
 }
 
 
+SUMMARY = "ef9fcc62bc81fc05fdf5cc209d9a66cfde1f67db20cfb1e8fde9c343a28b7af5"
+
+
+def _digest(record) -> str:
+    return hashlib.sha256(json.dumps(_json_dict(record), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """The report of each pair, by name."""
+    out = {}
+    for name, (spec, dspec, _) in PAIRS.items():
+        truth = generate_case(spec)
+        out[name] = evaluate_case(truth.label_volume, degrade(truth, dspec), case_id=name)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_case_report_hash_is_pinned(name):
-    spec, dspec, expected = PAIRS[name]
-    truth = generate_case(spec)
-    report = evaluate_case(truth.label_volume, degrade(truth, dspec), case_id=name)
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+def test_case_report_hash_is_pinned(name, reports):
+    assert _digest(reports[name]) == PAIRS[name][2]
+
+
+def test_summary_hash_is_pinned(reports):
+    assert _digest(aggregate(list(reports.values()))) == SUMMARY
 
 
 def _graph_inputs(name: str) -> tuple[BinaryMask, BinaryMask]:

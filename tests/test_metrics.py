@@ -32,7 +32,7 @@ from hepeval.phantom import (
     straight_tube_mask,
     y_phantom,
 )
-from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume
+from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume, _json_dict
 
 from conftest import (
     EMBED_OFFSETS,
@@ -176,7 +176,7 @@ class TestLesionMatch:
         assert report.n_gt == 3
         assert report.detection_rate == 1.0
         assert report.n_false_positive == 0
-        assert all(r.best_overlap_dsc == 1.0 for r in report.rows)
+        assert all(r.best_overlap_dsc == 1.0 for r in report.lesions)
 
     def test_empty_prediction(self):
         g = self.geometry()
@@ -262,7 +262,7 @@ class TestEvaluateCase:
         for v in report.peripheral_dsc.values():
             assert v == 1.0
         assert report.cl_dice["portal_vein"] == 1.0
-        assert not report.gallbladder_absent_gt
+        assert not report.flags.gallbladder_absent_gt
 
     def test_tumor_ablation_only_hits_tumor(self, truth, config):
         labels = truth.label_volume.labels.copy()
@@ -277,7 +277,7 @@ class TestEvaluateCase:
     def test_cholecystectomy_skips_central_biliary(self, config):
         truth = generate_case(default_spec(gallbladder_present=False))
         report = evaluate_case(truth.label_volume, truth.label_volume, config)
-        assert report.gallbladder_absent_gt
+        assert report.flags.gallbladder_absent_gt
         assert report.central_dsc["biliary_tree"] is None
         assert report.peripheral_dsc["biliary_tree"] == 1.0
 
@@ -327,8 +327,8 @@ class TestEvaluateCase:
         schema = LabelSchema({new_ids[i]: name for i, name in DEFAULT_SCHEMA.ids.items()})
         lut = np.array(new_ids, dtype=np.uint8)
         moved = [LabelVolume(v.geometry, lut[v.labels], schema) for v in pair]
-        base = json.dumps(evaluate_case(*pair, config).to_json_dict())
-        assert json.dumps(evaluate_case(*moved, config).to_json_dict()) == base
+        base = json.dumps(_json_dict(evaluate_case(*pair, config)))
+        assert json.dumps(_json_dict(evaluate_case(*moved, config))) == base
 
     def test_degenerate_split_is_logged(self, truth, caplog):
         with caplog.at_level(logging.WARNING, logger="hepeval.metrics"):
@@ -391,7 +391,7 @@ class TestEvaluateCase:
 
 def report_of(gt_labels, pred_labels, spacing, config):
     geometry = grid_geometry(gt_labels.shape, spacing)
-    return evaluate_case(LabelVolume(geometry, gt_labels), LabelVolume(geometry, pred_labels), config).to_json_dict()
+    return _json_dict(evaluate_case(LabelVolume(geometry, gt_labels), LabelVolume(geometry, pred_labels), config))
 
 
 def uncropped(monkeypatch):
@@ -578,7 +578,7 @@ class TestJointForegroundCrop:
 
 class TestAggregate:
     def _report(self, case_id, tumor_dsc, rate=1.0, fps=0, central_biliary=0.9):
-        from hepeval.metrics import CaseReport, LesionReport
+        from hepeval.metrics import CaseFlags, CaseReport, LesionReport
 
         return CaseReport(
             case_id=case_id,
@@ -587,18 +587,17 @@ class TestAggregate:
             peripheral_dsc={"biliary_tree": 0.8},
             cl_dice={"portal_vein": 0.88},
             lesions=LesionReport(4, int(4 * rate), rate, fps, (), ()),
-            gallbladder_absent_gt=central_biliary is None,
-            gallbladder_absent_pred=False,
+            flags=CaseFlags(gallbladder_absent_gt=central_biliary is None, gallbladder_absent_pred=False),
         )
 
     def test_single_report(self):
         s = aggregate([self._report("a", 0.8)])
-        assert s.entries["tumor"].mean == 0.8
-        assert s.entries["tumor"].sd == 0.0
+        assert s.structures["tumor"].mean == 0.8
+        assert s.structures["tumor"].sd == 0.0
 
     def test_two_values_sample_sd(self):
         s = aggregate([self._report("a", 0.8), self._report("b", 1.0)])
-        e = s.entries["tumor"]
+        e = s.structures["tumor"]
         assert e.mean == pytest.approx(0.9)
         assert e.sd == pytest.approx(0.1414, abs=2e-4)
         assert e.median == pytest.approx(0.9)
@@ -610,13 +609,13 @@ class TestAggregate:
             self._report("b", 0.9, central_biliary=None),
         ]
         s = aggregate(reports)
-        assert s.entries["biliary_tree/central"] is None
+        assert s.structures["biliary_tree/central"] is None
 
     def test_detection_aggregates(self):
         s = aggregate([self._report("a", 0.8, rate=0.5, fps=1), self._report("b", 0.9, rate=1.0, fps=3)])
-        assert s.detection_rate_mean == pytest.approx(0.75)
-        assert s.detection_rate_pooled == pytest.approx(0.75)
-        assert s.median_false_positives == 2.0
+        assert s.tumor_detection.rate_mean == pytest.approx(0.75)
+        assert s.tumor_detection.rate_pooled == pytest.approx(0.75)
+        assert s.tumor_detection.median_false_positives == 2.0
 
     def test_empty_raises(self):
         with pytest.raises(ParameterError):

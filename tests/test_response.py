@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from hepeval.metrics import LesionRow, evaluate_case
 from hepeval.phantom import DegradeSpec, Sphere, default_spec, degrade, generate_case, rasterize_sphere
-from hepeval.volume import DEFAULT_SCHEMA, LabelVolume
+from hepeval.volume import DEFAULT_SCHEMA, LabelVolume, _json_dict
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_dropout_keeps_the_gallbladder(truth, seed):
     # the case read as a cholecystectomy.
     f = 0.05
     report = evaluate_case(truth.label_volume, degrade(truth, DegradeSpec(seed=seed, relabel_fraction=f)))
-    assert not report.gallbladder_absent_gt and not report.gallbladder_absent_pred
+    assert not report.flags.gallbladder_absent_gt and not report.flags.gallbladder_absent_pred
     for scores in (report.central_dsc, report.peripheral_dsc):
         assert abs(scores["biliary_tree"] - 2 * (1 - f) / (2 - f)) <= 0.01
 
@@ -59,16 +59,16 @@ def test_spurious_tumour_adds_one_false_positive(truth, perfect):
     )
     lesions = report.lesions
     assert lesions.n_gt == lesions.n_detected == perfect.lesions.n_detected == 2
-    assert lesions.rows == perfect.lesions.rows
+    assert lesions.lesions == perfect.lesions.lesions
     assert lesions.n_false_positive == perfect.lesions.n_false_positive + 1 == 1
-    assert lesions.fp_rows[0].volume_mm3 == pytest.approx(n_blob * geometry.voxel_volume_mm3, rel=1e-12)
+    assert lesions.false_positives[0].volume_mm3 == pytest.approx(n_blob * geometry.voxel_volume_mm3, rel=1e-12)
     assert report.dsc["tumor"] == 2 * n_tumour / (2 * n_tumour + n_blob)
     assert report.dsc["parenchyma"] == 2 * (n_parenchyma - n_blob) / (2 * n_parenchyma - n_blob)
     untouched = {k: v for k, v in report.dsc.items() if k not in ("tumor", "parenchyma")}
     assert untouched == {k: perfect.dsc[k] for k in untouched}
     for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
         assert getattr(report, field) == getattr(perfect, field)
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (False, False)
 
 
 def test_spurious_portal_blob_widens_only_the_portal_scores(truth, perfect):
@@ -94,7 +94,7 @@ def test_spurious_portal_blob_widens_only_the_portal_scores(truth, perfect):
     for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
         others = {k: v for k, v in getattr(report, field).items() if k != "portal_vein"}
         assert others == {k: getattr(perfect, field)[k] for k in others}
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (False, False)
 
 
 def test_tumour_erosion_keeps_both_lesions(truth, perfect):
@@ -111,14 +111,14 @@ def test_tumour_erosion_keeps_both_lesions(truth, perfect):
     assert n == ndimage.label(eroded, np.ones((3, 3, 3)))[1] == 2 and not (eroded & (lesions == 0)).any()
     assert report.lesions.n_gt == report.lesions.n_detected == 2
     assert report.lesions.n_false_positive == 0
-    dscs = [r.best_overlap_dsc for r in report.lesions.rows]
+    dscs = [r.best_overlap_dsc for r in report.lesions.lesions]
     assert dscs == [2 * int(ei) / (int(ti) + int(ei)) for ti, ei in zip(t, e)]
     assert [round(v, 3) for v in dscs] == [0.515, 0.322]
     untouched = {k: v for k, v in report.dsc.items() if k != "tumor"}
     assert untouched == {k: perfect.dsc[k] for k in untouched}
     for field in ("central_dsc", "peripheral_dsc", "cl_dice"):
         assert getattr(report, field) == getattr(perfect, field)
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (False, False)
 
 
 @pytest.mark.parametrize("vein, other", [("portal_vein", "hepatic_vein"), ("hepatic_vein", "portal_vein")])
@@ -140,12 +140,12 @@ def test_dilated_vein_keeps_its_topology(truth, perfect, vein, other):
         assert {k: getattr(report, field)[k] for k in kept} == kept
     assert other in report.cl_dice and "biliary_tree" in report.central_dsc
     assert report.lesions == perfect.lesions
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, False)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (False, False)
 
 
 def without(report, paths):
     """A copy of the report's JSON dict with the dotted `paths` left out."""
-    doc = copy.deepcopy(report.to_json_dict())
+    doc = copy.deepcopy(_json_dict(report))
     for path in paths:
         *head, last = path.split(".")
         node = doc
@@ -172,7 +172,7 @@ def test_parenchyma_over_the_gallbladder_reads_it_absent(truth, perfect):
     predicted = degrade(truth, DegradeSpec(spurious_blobs=(("parenchyma", blob),)))
     report, pred = evaluate_case(truth.label_volume, predicted), predicted.labels
     parenchyma, biliary = DEFAULT_SCHEMA.id_of("parenchyma"), DEFAULT_SCHEMA.id_of("biliary_tree")
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (False, True)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (False, True)
     assert report.central_dsc["biliary_tree"] == 0.0 and report.peripheral_dsc["biliary_tree"] == 1.0
     assert report.dsc["biliary_tree"] == subset_dsc(pred == biliary, labels == biliary)
     assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, pred == parenchyma)
@@ -191,9 +191,9 @@ def test_parenchyma_over_a_tumour_misses_that_lesion(truth, perfect):
     tumour, parenchyma = DEFAULT_SCHEMA.id_of("tumor"), DEFAULT_SCHEMA.id_of("parenchyma")
     lesions = report.lesions
     assert (lesions.n_gt, lesions.n_detected, lesions.detection_rate, lesions.n_false_positive) == (2, 1, 0.5, 0)
-    assert lesions.rows[0] == perfect.lesions.rows[0]
-    missed = perfect.lesions.rows[1]
-    assert lesions.rows[1] == LesionRow(missed.id, missed.volume_mm3, False, 0.0)
+    assert lesions.lesions[0] == perfect.lesions.lesions[0]
+    missed = perfect.lesions.lesions[1]
+    assert lesions.lesions[1] == LesionRow(missed.id, missed.volume_mm3, False, 0.0)
     assert report.dsc["tumor"] == subset_dsc(pred == tumour, labels == tumour)
     assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, pred == parenchyma)
     moved = ("dsc.tumor", "dsc.parenchyma", "lesions.n_detected", "lesions.detection_rate", "lesions.lesions")
@@ -208,9 +208,9 @@ def test_cholecystectomy_truth_leaves_biliary_central_out(truth, perfect):
     report = evaluate_case(gt, truth.label_volume)
     labels = truth.label_volume.labels
     parenchyma, biliary = DEFAULT_SCHEMA.id_of("parenchyma"), DEFAULT_SCHEMA.id_of("biliary_tree")
-    assert (report.gallbladder_absent_gt, report.gallbladder_absent_pred) == (True, False)
+    assert (report.flags.gallbladder_absent_gt, report.flags.gallbladder_absent_pred) == (True, False)
     assert report.central_dsc["biliary_tree"] is None
-    assert report.to_json_dict()["central_dsc"]["biliary_tree"] is None
+    assert _json_dict(report)["central_dsc"]["biliary_tree"] is None
     assert report.dsc["biliary_tree"] == subset_dsc(gt.labels == biliary, labels == biliary)
     assert report.dsc["parenchyma"] == subset_dsc(labels == parenchyma, gt.labels == parenchyma)
     moved = ("dsc.parenchyma", "dsc.biliary_tree", "central_dsc.biliary_tree", "flags.gallbladder_absent_gt")
