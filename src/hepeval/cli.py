@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -138,6 +139,12 @@ def cmd_eval(args) -> int:
     if repeated:
         log.error("usage error: more than one --gt file gives case id %r", repeated[0])
         return 1
+    # An earlier batch's outputs in a reused --out would sit beside this
+    # batch's manifest as if this batch had written them. So every file this
+    # batch writes is removed before any input is read, the manifest first.
+    out = Path(args.out)
+    for name in ["manifest.json", "summary.json", "summary.csv", "cases.csv", *(f"case_{c}.report.json" for c in ids)]:
+        (out / name).unlink(missing_ok=True)
     # an input the batch never reads keeps a null digest
     digests = dict.fromkeys(map(str, [*args.gt, *args.pred]))
     try:
@@ -150,7 +157,6 @@ def cmd_eval(args) -> int:
         log.error("config error: %s", exc)
         return 1
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pairs = list(zip(args.gt, args.pred))
 
@@ -358,7 +364,11 @@ def _read_case_csv(path) -> dict[str, list[float]]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hepeval` parser, built once per process: `main` may be called
+    many times in one process, and a parse leaves the parser unchanged. Each
+    subcommand's `func` is bound here, at the first call."""
     parser = argparse.ArgumentParser(
         prog="hepeval",
         description="Topology-aware losses and hepatic segmentation evaluation",

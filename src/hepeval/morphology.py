@@ -95,12 +95,21 @@ def _shifted(axis: int, lo: int, hi: int):
     return tuple(sl)
 
 
+def _padded(values: np.ndarray) -> np.ndarray:
+    """`values` inside a one-voxel border of zeros: ``np.pad(values, 1)``,
+    without its per-call argument handling, which costs more than the copy
+    on an eval-sized box."""
+    out = np.zeros(tuple(n + 2 for n in values.shape), dtype=values.dtype)
+    out[(slice(1, -1),) * values.ndim] = values
+    return out
+
+
 def pool_array(values: np.ndarray, mode: str) -> np.ndarray:
     """Box pool; dtype-preserving, used on integer rank keys, depth maps and uint8 masks."""
     if mode not in ("min", "max"):
         raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
     op = np.minimum if mode == "min" else np.maximum
-    cur = np.pad(values, 1)
+    cur = _padded(values)
     for axis in (2, 1, 0):
         a, b, c = (cur[_shifted(axis, s, s - 2)] for s in range(3))
         cur = op(a, b)
@@ -470,7 +479,14 @@ class ComponentLabeling:
     bounding_boxes: tuple  # per component: (z, y, x) slices into `labels`, from ndimage.find_objects
 
 
-_STRUCTURES = {6: 1, 18: 2, 26: 3}
+def _structure(rank: int) -> np.ndarray:
+    s = ndimage.generate_binary_structure(3, rank)
+    s.flags.writeable = False
+    return s
+
+
+# structuring element by connectivity, built once and shared read-only
+_STRUCTURES = {6: _structure(1), 18: _structure(2), 26: _structure(3)}
 
 
 def bounding_box(values: np.ndarray) -> tuple[slice, ...] | None:
@@ -528,9 +544,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     in the linear order of their first voxels, which a test pins."""
     if connectivity not in _STRUCTURES:
         raise ParameterError(f"connectivity must be 6, 18 or 26, got {connectivity}")
-    structure = ndimage.generate_binary_structure(3, _STRUCTURES[connectivity])
     box = bounding_box(mask.values) or (slice(0, 0),) * 3
-    labels, count = ndimage.label(mask.values[box], structure=structure)
+    labels, count = ndimage.label(mask.values[box], structure=_STRUCTURES[connectivity])
     sizes = np.bincount(labels.ravel(), minlength=count + 1).astype(np.int64)
     sizes[0] = 0
     boxes = tuple(ndimage.find_objects(labels)) if count else ()
@@ -576,7 +591,7 @@ def distance_transform_box(mask: BinaryMask) -> tuple[tuple[slice, ...], np.ndar
     box = bounding_box(mask.values)
     if box is None:
         return (slice(0, 0),) * 3, np.zeros((0, 0, 0))
-    padded = np.pad(mask.values[box], 1, constant_values=False)
+    padded = _padded(mask.values[box])
     _, ny, nx = padded.shape
     at = np.flatnonzero(padded)
     starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)

@@ -148,11 +148,51 @@ def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarra
     return r
 
 
-def _orthonormalize(m: np.ndarray) -> np.ndarray:
-    # Polar factor: nearest matrix with exactly orthonormal columns. Header
-    # floats are 32-bit, which can miss the Geometry tolerance otherwise.
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
+# Newton steps allowed for a polar factor. A rotation read from 32-bit header
+# fields takes two; a column normalised from a 1e30 entry, six.
+_POLAR_STEPS = 30
+
+
+def _dot(u, v) -> float:
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _orthonormalize(m, fields: str) -> tuple:
+    """Rows of the polar factor of `m`: the nearest matrix with exactly
+    orthonormal columns. Header floats are 32-bit, which can miss the
+    Geometry tolerance otherwise.
+
+    Scaled Newton iteration X <- (g X + X^-T / g) / 2, where X^-T holds the
+    columns (b x c, c x a, a x b) / det of X's columns a, b, c, and
+    g = sqrt(|X^-T| / |X|) in Frobenius norms brings a badly conditioned X
+    near orthogonal within a few steps. It stops after the first step that
+    moves no entry by 1e-9, as the next would move them by rounding only. An
+    orthogonal X with entries 0 and +-1 steps onto itself. Every operation
+    is a Python float +, -, *, / or sqrt in a fixed order, each correctly
+    rounded, so the bits do not depend on which BLAS or LAPACK kernel the
+    CPU selects. Linearly dependent columns raise FormatError naming `fields`.
+    """
+    cols = [tuple(float(row[j]) for row in m) for j in range(3)]
+    for _ in range(_POLAR_STEPS):
+        a, b, c = cols
+        cof = (_cross(b, c), _cross(c, a), _cross(a, b))
+        det = _dot(a, cof[0])
+        if det == 0.0:
+            raise FormatError(f"{fields} has linearly dependent columns")
+        inv = [tuple(x / det for x in col) for col in cof]
+        norm2 = (_dot(a, a) + _dot(b, b)) + _dot(c, c)
+        inv_norm2 = (_dot(inv[0], inv[0]) + _dot(inv[1], inv[1])) + _dot(inv[2], inv[2])
+        g = math.sqrt(math.sqrt(inv_norm2 / norm2))
+        new = [tuple((g * x + y / g) / 2 for x, y in zip(col, icol)) for col, icol in zip(cols, inv)]
+        step = max(abs(x - y) for col, prev in zip(new, cols) for x, y in zip(col, prev))
+        cols = new
+        if step < 1e-9:
+            break
+    return tuple(zip(*cols))
 
 
 def _finite_fields(hdr: dict, *names: str) -> None:
@@ -192,7 +232,7 @@ def _geometry_from_header(hdr: dict) -> Geometry:
     spacing = []
     for i in (1, 2, 3):
         s = abs(float(pixdim[i]))
-        if not np.isfinite(s) or s == 0.0:
+        if not math.isfinite(s) or s == 0.0:
             raise FormatError(f"pixdim[{i}] = {pixdim[i]} is not a usable spacing")
         spacing.append(s)
 
@@ -206,12 +246,13 @@ def _geometry_from_header(hdr: dict) -> Geometry:
         norms = np.linalg.norm(cols, axis=0)
         if (norms == 0).any():
             raise FormatError("sform (srow_x, srow_y, srow_z) has a zero-length column")
-        orientation = _orthonormalize(cols / norms)
+        orientation = _orthonormalize(cols / norms, "sform (srow_x, srow_y, srow_z)")
     elif hdr["qform_code"] > 0:
         _finite_fields(hdr, "quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
         qfac = float(pixdim[0]) if pixdim[0] != 0 else 1.0
         orientation = _orthonormalize(
-            _quaternion_rotation(hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"], qfac)
+            _quaternion_rotation(hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"], qfac),
+            "qform (quatern_b, quatern_c, quatern_d)",
         )
         origin = (float(hdr["qoffset_x"]), float(hdr["qoffset_y"]), float(hdr["qoffset_z"]))
 
@@ -227,9 +268,9 @@ def _scaling(hdr: dict, path: Path) -> tuple[float, float]:
     Only a real slope with a non-finite intercept is rejected.
     """
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
-    if slope == 0.0 or not np.isfinite(slope):
+    if slope == 0.0 or not math.isfinite(slope):
         return 1.0, 0.0
-    if not np.isfinite(inter):
+    if not math.isfinite(inter):
         raise FormatError(f"{path}: scl_slope = {slope} with non-finite scl_inter = {inter}")
     return slope, inter
 

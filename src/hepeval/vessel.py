@@ -43,7 +43,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .morphology import bounding_box, connected_components, distance_transform_box, pool_array
+from .morphology import _padded, bounding_box, connected_components, distance_transform_box, pool_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -153,7 +153,7 @@ def _skeleton_index(sk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     box padded by one background voxel, so no step needs a bounds check.
     """
     box = bounding_box(sk)
-    padded = np.pad(sk[box], 1)
+    padded = _padded(sk[box])
     _, py, px = padded.shape
     at = np.flatnonzero(padded)
     slot = np.full(padded.size, -1, dtype=np.intp)
@@ -499,10 +499,10 @@ def _surface_area_mm2(mask: np.ndarray, spacing: tuple[float, float, float]) -> 
     """Surface area by counting exposed faces; the exterior is background."""
     sx, sy, sz = spacing
     face_area = {0: sx * sy, 1: sx * sz, 2: sy * sz}  # faces normal to z, y, x
-    padded = np.pad(mask, 1)
+    padded = _padded(mask).astype(np.int8)
     total = 0.0
     for axis, area in face_area.items():
-        diff = np.diff(padded.astype(np.int8), axis=axis)
+        diff = np.diff(padded, axis=axis)
         total += float(np.abs(diff).sum()) * area
     return total
 

@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hepeval.cli import main
+from hepeval.cli import build_parser, main
 from hepeval.losses import LossConfig, bootstrapped_ce_loss, cl_dice_loss, combined_loss, k_schedule
 from hepeval.metrics import aggregate, evaluate_case
 from hepeval.nifti import write_nifti
@@ -360,10 +360,20 @@ class TestEvalCommand:
         assert main(["eval", "--gt", str(path), "--pred", str(path), "--out", str(out), "--jobs", "1", *flags]) == 0
         assert json.loads((out / "case_edge.report.json").read_text())["lesions"]["n_gt"] == n_gt
 
-    def test_failed_replace_exits_1_and_leaves_no_temporary_file(self, phantom_pair, tmp_path, caplog):
+    def test_failed_replace_exits_1_and_leaves_no_temporary_file(self, phantom_pair, tmp_path, caplog, monkeypatch):
+        # the directory appears while the case runs, after the batch cleared
+        # its output names, so the summary's rename onto it fails
+        import hepeval.cli
+        from hepeval.metrics import evaluate_case
+
         _, gt_path, pred_path = phantom_pair
         out = tmp_path / "run"
-        (out / "summary.json").mkdir(parents=True)
+
+        def blocking(*args, **kwargs):
+            (out / "summary.json").mkdir()
+            return evaluate_case(*args, **kwargs)
+
+        monkeypatch.setattr(hepeval.cli, "evaluate_case", blocking)
         with caplog.at_level("ERROR"):
             code = main(["eval", "--gt", str(gt_path), "--pred", str(pred_path), "--out", str(out), "--jobs", "1"])
         assert code == 1
@@ -372,6 +382,22 @@ class TestEvalCommand:
         assert (out / "summary.json").is_dir()
         # the manifest comes last: a batch whose summary was not written has none
         assert not (out / "manifest.json").exists()
+
+    def test_reused_out_keeps_no_output_of_the_earlier_batch(self, phantom_pair, tmp_path):
+        # a second batch into the same directory, whose one case fails,
+        # leaves only its manifest beside the report of a case it did not name
+        _, gt_path, pred_path = phantom_pair
+        gt2 = tmp_path / "case02.nii.gz"
+        gt2.write_bytes(gt_path.read_bytes())
+        out = tmp_path / "run"
+        assert main(["eval", "--gt", str(gt_path), str(gt2), "--pred", str(pred_path), str(pred_path),
+                     "--out", str(out), "--jobs", "1"]) == 0
+        code = main(["eval", "--gt", str(gt_path), "--pred", str(tmp_path / "nope.nii.gz"),
+                     "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == ["case_case02.report.json", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_cases"] == [{"case_id": "case01", "error": "FileNotFoundError"}]
 
     def test_manifest_records_the_config_the_batch_ran_with(self, phantom_pair, tmp_path):
         # the file's value and both flags, over EvalConfig's defaults
@@ -857,6 +883,20 @@ class TestCliBasics:
 
     def test_unknown_command_exits_1(self):
         assert main(["frobnicate"]) == 1
+
+    def test_main_runs_repeatedly_in_one_process_on_one_parser(self, phantom_pair, tmp_path):
+        _, gt_path, pred_path = phantom_pair
+        parser = build_parser()
+        assert main(["eval", "--gt", str(gt_path)]) == 1  # no --pred and no --out
+        assert main(["--version"]) == 0
+        reports = []
+        for run in ("run1", "run2"):
+            out = tmp_path / run
+            assert main(["eval", "--gt", str(gt_path), "--pred", str(pred_path), "--out", str(out),
+                         "--skeleton-iters", "4", "--jobs", "1"]) == 0
+            reports.append((out / "case_case01.report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert build_parser() is parser
 
 
 def test_experiment_script_runs_end_to_end(tmp_path):

@@ -1,11 +1,12 @@
 """Golden guard for the evaluation path: pinned `evaluate_case` reports, their
-`aggregate` summary and pinned `build_graph` outputs.
+`aggregate` summary, the files `hepeval eval` writes for them and pinned
+`build_graph` outputs.
 
 Each case hashes the canonical JSON (``sort_keys=True``) of a report on a
 fixed degraded phantom pair, of the summary of those reports, or of a
-skeleton graph with every node member, edge path and attach voxel. The
-hashes pin every bit, so a change meant only to make the evaluation faster
-or simpler must leave them alone. A hash may change only in a change that
+skeleton graph with every node member, edge path and attach voxel, or the
+bytes of an output file. The hashes pin every bit, so a change meant only
+to make the evaluation faster or simpler must leave them alone. A hash may change only in a change that
 means to alter evaluation results and says so in CHANGES.md, together with
 the new value.
 """
@@ -15,7 +16,9 @@ import json
 
 import pytest
 
+from hepeval.cli import main
 from hepeval.metrics import aggregate, evaluate_case
+from hepeval.nifti import write_nifti
 from hepeval.phantom import DegradeSpec, Sphere, axis_tree_spec, default_spec, degrade, generate_case
 from hepeval.vessel import build_graph, skeletonize
 from hepeval.volume import BinaryMask, _json_dict, extract_mask
@@ -58,14 +61,32 @@ def _digest(record) -> str:
     return hashlib.sha256(json.dumps(_json_dict(record), sort_keys=True).encode()).hexdigest()
 
 
+# SHA-256 of each file `hepeval eval` writes for the three pairs, but the
+# manifest, which holds a timestamp
+EVAL_FILES = {
+    "case_htree_3.report.json": "be876e34ae8e2f138960ed3a7a1f01cb9627a575a10a20fb16b57624eda0abf3",
+    "case_liver_gallbladder.report.json": "c4cee08f9630c55c9844bd57b6d7097bcfa3918e770b1d58f073e6d416d3d52a",
+    "case_liver_no_gallbladder.report.json": "c79dbf8f9f0d45887d3eb44c57e3d1104cee292bf401c02289dfbf03aedc3bd4",
+    "cases.csv": "689a2750953b68f4e761b28c5a0c5a9c624c184900850c01f47d5e10fff5b54d",
+    "summary.csv": "3be3109aa21ee32c7ee32d19f81d4b140c7c440ff128177949dd1417098c8be9",
+    "summary.json": "6e80c73ba78365411b1eed60df651c8c2f980fe4dac4527591da1b031d22e2a9",
+}
+
+
 @pytest.fixture(scope="module")
-def reports():
-    """The report of each pair, by name."""
+def pairs():
+    """(truth, prediction) label volumes of each pair, by name."""
     out = {}
     for name, (spec, dspec, _) in PAIRS.items():
         truth = generate_case(spec)
-        out[name] = evaluate_case(truth.label_volume, degrade(truth, dspec), case_id=name)
+        out[name] = truth.label_volume, degrade(truth, dspec)
     return out
+
+
+@pytest.fixture(scope="module")
+def reports(pairs):
+    """The report of each pair, by name."""
+    return {name: evaluate_case(gt, pred, case_id=name) for name, (gt, pred) in pairs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -75,6 +96,20 @@ def test_case_report_hash_is_pinned(name, reports):
 
 def test_summary_hash_is_pinned(reports):
     assert _digest(aggregate(list(reports.values()))) == SUMMARY
+
+
+def test_eval_output_files_are_pinned(pairs, tmp_path):
+    (tmp_path / "pred").mkdir()
+    gts, preds = [], []
+    for name, (gt, pred) in pairs.items():
+        gts.append(tmp_path / f"{name}.nii.gz")
+        preds.append(tmp_path / "pred" / f"{name}.nii.gz")
+        write_nifti(gt, gts[-1])
+        write_nifti(pred, preds[-1])
+    out = tmp_path / "run"
+    assert main(["eval", "--gt", *map(str, gts), "--pred", *map(str, preds), "--out", str(out), "--jobs", "1"]) == 0
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "manifest.json"}
+    assert files == EVAL_FILES
 
 
 def _graph_inputs(name: str) -> tuple[BinaryMask, BinaryMask]:

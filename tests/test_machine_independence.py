@@ -1,6 +1,7 @@
-"""The central/peripheral split, the skeleton graph, the pinned loss input and
-the phantom's edge geometry are the same bytes under the kernels NumPy and
-OpenBLAS pick at run time.
+"""The central/peripheral split, the skeleton graph, the pinned loss input,
+the phantom's edge geometry and the orientation read from a rotated NIfTI
+header are the same bytes under the kernels NumPy and OpenBLAS pick at run
+time.
 
 `digests` runs in a subprocess under each setting and must give the
 SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
@@ -13,8 +14,11 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ import pytest
 from hepeval.losses import loss_terms
 from hepeval.metrics import _joint_box
 from hepeval.morphology import label_boxes
+from hepeval.nifti import read_nifti, write_nifti
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask, truth_manifest
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
 from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
@@ -52,16 +57,37 @@ def at_odd_spacing(spec) -> BinaryMask:
     return BinaryMask(Geometry(values.shape[::-1], (0.7, 0.9, 1.3)), values)
 
 
+def rotated_header_orientations() -> list:
+    """The orientations read back from a file whose sform holds `ROTATED`'s
+    spacing times a 0.3 rad turn about z, and from the same file with that
+    sform off and a qform turning 0.3 rad about (1, 2, 2) / 3. The header
+    stores both as float32, which the reader makes orthonormal again."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    turn = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+    g = Geometry((4, 5, 6), ROTATED.spacing, ROTATED.origin, turn)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rotated.nii"
+        write_nifti(BinaryMask(g, np.zeros(g.shape, bool)), path)
+        sform = read_nifti(path, intent="labels").geometry.orientation
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<hh", raw, 252, 1, 0)  # qform_code 1, sform_code 0
+        struct.pack_into("<3f", raw, 256, *(math.sin(0.15) * v / 3 for v in (1, 2, 2)))  # quatern_b, c, d
+        path.write_bytes(raw)
+        qform = read_nifti(path, intent="labels").geometry.orientation
+    return [sform, qform]
+
+
 def digests() -> dict[str, str]:
     """SHA-256s of the `axis_tree_spec(4)` truth portal's central mask and
     the `default_spec()` truth portal's graph JSON, both at 0.7 x 0.9 x 1.3 mm,
     of the pinned `noisy_tube` input and, at epochs 0 and 450, of its
     `loss_terms` clDice and combined gradients, with the clDice value and the
     combined gradient's norm as text, of the `default_spec()` edge records
-    and edge tags, of `ROTATED.position_mm` at a few indices, and of the
+    and edge tags, of `ROTATED.position_mm` at a few indices, of the
     `_joint_box` geometries of the `default_spec()` structures on the
-    `ROTATED` grid. The `default_spec()` label array is the same under every
-    kernel tried, so its digest checks the graph code. The bootstrapped CE's
+    `ROTATED` grid, and of `rotated_header_orientations()`. The
+    `default_spec()` label array is the same under every kernel tried, so
+    its digest checks the graph code. The bootstrapped CE's
     value, and so the combined value, is left out: at K = 1 it is a mean of
     `np.log` and `np.log1p` terms, which move in their last bit with the
     AVX-512 loops. Its gradient holds only divisions, which are correctly
@@ -89,7 +115,11 @@ def digests() -> dict[str, str]:
     ids = truth.label_volume.schema.structure_ids()
     boxes = label_boxes(truth.label_volume.labels, ids)
     joint = [vars(_joint_box(ROTATED, boxes[sid])[1]) for sid in ids]
-    for name, value in (("rotated_positions", positions), ("liver_joint_box_geometries", joint)):
+    for name, value in (
+        ("rotated_positions", positions),
+        ("liver_joint_box_geometries", joint),
+        ("rotated_header_orientations", rotated_header_orientations()),
+    ):
         out[name] = hashlib.sha256(json.dumps(value).encode()).hexdigest()
     return out
 

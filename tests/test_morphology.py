@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from hepeval import morphology
@@ -18,6 +19,7 @@ from hepeval.morphology import (
     _keyed_pool,
     _narrowed,
     _packed_keys,
+    _padded,
     _rank_keys,
     bounding_box,
     connected_components,
@@ -283,6 +285,22 @@ def assert_tape_matches_packed_keys(monkeypatch, values, iterations, run):
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+PAD_DTYPES = st.sampled_from([np.bool_, np.uint8, np.uint16, np.int32, np.int64, np.float64])
+
+
+@given(values=PAD_DTYPES.flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=4))
+))
+@settings(max_examples=200, deadline=None)
+def test_padded_is_np_pad_with_a_zero_border(values):
+    # axes of length 0 and 1 included
+    want = np.pad(values, 1)
+    got = _padded(values)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPools:

@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import re
 import struct
 import tracemalloc
@@ -6,12 +7,13 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hepeval.errors import FormatError, HepevalError, ParameterError, SchemaError, UnsupportedDatatypeError
 from hepeval.nifti import (
     HEADER_SIZE,
+    _orthonormalize,
     read_binary_mask,
     read_label_volume,
     read_nifti,
@@ -190,6 +192,17 @@ class TestHandConstructedFiles:
         assert vol.geometry.origin == (5.0, 6.0, 7.0)
         assert np.allclose(vol.geometry.orientation_matrix(), np.eye(3))
 
+    def test_sform_with_dependent_columns_is_named(self, tmp_path):
+        # the first two columns are parallel, so no orientation is nearest
+        hdr = _blank_header()
+        struct.pack_into("<h", hdr, 254, 1)  # sform_code
+        struct.pack_into("<4f", hdr, 280, 2.0, 3.0, 0.0, 0.0)
+        struct.pack_into("<4f", hdr, 312, 0.0, 0.0, 3.0, 0.0)
+        path = tmp_path / "sform.nii"
+        path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(24))
+        with pytest.raises(FormatError, match=r"sform \(srow_x, srow_y, srow_z\) has linearly dependent columns"):
+            read_nifti(path, intent="labels")
+
     def test_qform_used_when_no_sform(self, tmp_path):
         hdr = _blank_header()
         struct.pack_into("<h", hdr, 252, 1)  # qform_code
@@ -323,6 +336,41 @@ class TestHandConstructedFiles:
         write_int_nifti(g, labels, path)
         with pytest.raises(SchemaError, match=rf"\[{value}\]"):
             read_label_volume(path)
+
+
+def svd_polar(m):
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_orthonormalize_gives_the_polar_factor(seed):
+    # u is the polar factor of a nonsingular m when its columns are
+    # orthonormal and u^T m is symmetric positive semi-definite. Cases: a
+    # general matrix, a rotation rounded to float32 as a header stores it, a
+    # scaled rotation such as a quaternion with |(b, c, d)| > 1 gives, all
+    # three also against the SVD; and the sform columns (1e30, 2, 0) and
+    # (2, 0, 0) once normalised, whose 2e-30 singular value is below what
+    # the SVD resolves.
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    near_singular = np.array([[1.0, 1.0, 0.0], [2e-30, 0.0, 0.0], [0.0, 0.0, 1.0]])[:, rng.permutation(3)]
+    cases = [rng.normal(size=(3, 3)), rotation.astype(np.float32).astype(np.float64), rotation * 1e40]
+    for m in [*cases, near_singular]:
+        u = np.array(_orthonormalize(m, "m"))
+        h, scale = u.T @ m, np.abs(m).max()
+        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-14
+        assert np.abs(h - h.T).max() < 1e-12 * scale
+        assert np.linalg.eigvalsh((h + h.T) / 2).min() > -1e-12 * scale
+        if m is not near_singular:
+            assert np.abs(u - svd_polar(m)).max() < 1e-12
+
+
+def test_orthonormalize_keeps_every_signed_permutation():
+    for perm, signs in itertools.product(itertools.permutations(range(3)), itertools.product((1.0, -1.0), repeat=3)):
+        m = np.zeros((3, 3))
+        m[range(3), perm] = signs
+        assert _orthonormalize(m, "m") == tuple(map(tuple, m.tolist()))
 
 
 class TestHeaderChecks:
@@ -462,6 +510,8 @@ def oracle_read(raw):
             problems |= {"srow_x", "srow_y", "srow_z"}
         if not problems:
             origin, columns = tuple(rows[:, 3]), rows[:, :3] / norms
+            if np.linalg.det(columns) == 0:
+                problems |= {"srow_x", "srow_y", "srow_z"}
     elif header_field(raw, "qform_code")[0] > 0:
         names = ["quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z"]
         problems |= {name for name in names if not np.isfinite(header_field(raw, name)[0])}
@@ -483,6 +533,8 @@ def oracle_read(raw):
 
 class TestHeaderMutations:
     @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=2), gz=st.booleans(), seed=st.integers(0, 2**16))
+    @example(mutations=[("srow_x", 0, 3.0), ("srow_y", 0, 0.0)], gz=False, seed=0)  # parallel sform columns
+    @example(mutations=[("srow_x", 0, 1e30)], gz=False, seed=0)  # columns at a 2e-30 rad angle
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_read_matches_struct_oracle_or_names_the_field(self, tmp_path, mutations, gz, seed):
         # a 3x4x5 mask (bytes 0 and 1, which no datatype decodes to a
