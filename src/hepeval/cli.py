@@ -125,6 +125,15 @@ def _case_id(path: str | Path) -> str:
     return name
 
 
+def _clear_outputs(out: Path, names: list[str]) -> None:
+    """Remove every file a command may write into `out`, the manifest
+    (`names[0]`) first. An earlier run's outputs in a reused --out would sit
+    beside this run's manifest as if this run had written them, so each
+    command calls this before it reads any input."""
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+
+
 def cmd_eval(args) -> int:
     if len(args.gt) != len(args.pred):
         log.error("need equally many --gt and --pred paths")
@@ -139,12 +148,10 @@ def cmd_eval(args) -> int:
     if repeated:
         log.error("usage error: more than one --gt file gives case id %r", repeated[0])
         return 1
-    # An earlier batch's outputs in a reused --out would sit beside this
-    # batch's manifest as if this batch had written them. So every file this
-    # batch writes is removed before any input is read, the manifest first.
     out = Path(args.out)
-    for name in ["manifest.json", "summary.json", "summary.csv", "cases.csv", *(f"case_{c}.report.json" for c in ids)]:
-        (out / name).unlink(missing_ok=True)
+    _clear_outputs(
+        out, ["manifest.json", "summary.json", "summary.csv", "cases.csv", *(f"case_{c}.report.json" for c in ids)]
+    )
     # an input the batch never reads keeps a null digest
     digests = dict.fromkeys(map(str, [*args.gt, *args.pred]))
     try:
@@ -226,6 +233,10 @@ def _blank(v):
 
 
 def cmd_phantom(args) -> int:
+    out = Path(args.out)
+    _clear_outputs(
+        out, ["truth_manifest.json", "truth.nii.gz", "edge_tags.nii.gz", "generation_tags.nii.gz", "prediction.nii.gz"]
+    )
     digests: dict[str, str | None] = {}
     try:
         spec = spec_from_json_dict(_read_json(args.spec, digests))
@@ -243,7 +254,6 @@ def cmd_phantom(args) -> int:
             log.error("invalid degrade spec: %s", exc)
             return 1
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_nifti(truth.label_volume, out / "truth.nii.gz")
     geometry = truth.label_volume.geometry
@@ -298,6 +308,8 @@ def cmd_skeleton(args) -> int:
     if iterations < 1:
         log.error("config error: --skeleton-iters must be >= 1, got %d", iterations)
         return 1
+    out = Path(args.out)
+    _clear_outputs(out, ["manifest.json", "skeleton.nii.gz", "central.nii.gz", "peripheral.nii.gz", "graph.json"])
     digests: dict[str, str | None] = {}
     try:
         mask = read_binary_mask(args.mask, digests=digests)
@@ -305,7 +317,6 @@ def cmd_skeleton(args) -> int:
         log.error("%s", exc)
         return 1
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     skel = skeletonize(mask, iterations)
     if skel.popcount() == 0:

@@ -43,7 +43,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .morphology import _padded, bounding_box, connected_components, distance_transform_box, pool_array
+from .morphology import _padded, _shifted, bounding_box, connected_components, distance_transform_box, pool_array
 from .volume import BinaryMask, Geometry
 
 log = logging.getLogger(__name__)
@@ -495,16 +495,27 @@ def classify_central_peripheral(
     return VesselRegionSplit(BinaryMask(vessel_mask.geometry, central), BinaryMask(vessel_mask.geometry, peripheral))
 
 
-def _surface_area_mm2(mask: np.ndarray, spacing: tuple[float, float, float]) -> float:
-    """Surface area by counting exposed faces; the exterior is background."""
+def _face_counts(mask: np.ndarray) -> list[int]:
+    """Exposed faces normal to z, y and x; the exterior is background. Each
+    voxel has two faces normal to an axis, and each pair of voxels adjacent
+    along it hides two."""
+    n = np.count_nonzero(mask)
+    return [2 * (n - np.count_nonzero(mask[_shifted(a, 1, 0)] & mask[_shifted(a, 0, -1)])) for a in range(3)]
+
+
+def _face_floor(mask: np.ndarray) -> list[int]:
+    """Twice the projection along z, y and x: each axis line that meets the
+    mask has an exposed face at each end."""
+    return [2 * np.count_nonzero(mask.any(axis=a)) for a in range(3)]
+
+
+def _sphericity(volume: float, faces: list[int], spacing: tuple[float, float, float]) -> float:
+    """pi^(1/3) (6 V)^(2/3) / A, with A summed from the face counts."""
     sx, sy, sz = spacing
-    face_area = {0: sx * sy, 1: sx * sz, 2: sy * sz}  # faces normal to z, y, x
-    padded = _padded(mask).astype(np.int8)
-    total = 0.0
-    for axis, area in face_area.items():
-        diff = np.diff(padded, axis=axis)
-        total += float(np.abs(diff).sum()) * area
-    return total
+    area = 0.0
+    for count, face_area in zip(faces, (sx * sy, sx * sz, sy * sz)):  # faces normal to z, y, x
+        area += float(count) * face_area
+    return np.pi ** (1 / 3) * (6.0 * volume) ** (2 / 3) / area
 
 
 def identify_gallbladder(
@@ -515,16 +526,28 @@ def identify_gallbladder(
     """Split a biliary mask into (gallbladder, ducts).
 
     The gallbladder is the 26-connected component maximizing volume times
-    sphericity, accepted only above both thresholds; with no qualifying
+    sphericity, accepted at or above both thresholds. With no qualifying
     component (cholecystectomy) the gallbladder mask is empty and everything
     is ducts. Sphericity takes the surface of the component with its
     enclosed holes filled, so voxels missing inside an organ do not count as
     surface; the returned masks keep the holes.
+
+    Each candidate is first decided from exact bounds on its filled face
+    counts. A hole is background that no 6-connected path joins to the
+    border of the component's box, so every axis line through a hole meets
+    the component on both sides of it: filling keeps each projection, and
+    twice the projection along an axis is a floor on the filled face count.
+    Filling only removes faces, those between a hole and the component, so
+    floor <= filled <= unfilled on every axis. Sphericity falls as the area
+    grows, in floating point too. So a candidate whose sphericity at the
+    floor is below `min_sphericity` is rejected unfilled (a duct tree), one
+    whose unfilled counts equal the floor is scored from them (a hole-free
+    gallbladder), and only the rest are filled.
     """
     geometry = biliary_mask.geometry
     gb = np.zeros(geometry.shape, dtype=bool)
     cc = connected_components(biliary_mask, 26)
-    voxvol = geometry.voxel_volume_mm3
+    voxvol, spacing = geometry.voxel_volume_mm3, geometry.spacing
 
     best = None  # (score, component box, component crop)
     for cid, sub in enumerate(cc.bounding_boxes, start=1):
@@ -532,10 +555,14 @@ def identify_gallbladder(
         if volume < min_volume_mm3:
             continue
         crop = cc.labels[sub] == cid
-        area = _surface_area_mm2(ndimage.binary_fill_holes(crop), geometry.spacing)
-        sphericity = np.pi ** (1 / 3) * (6.0 * volume) ** (2 / 3) / area
+        floor = _face_floor(crop)
+        sphericity = _sphericity(volume, floor, spacing)
         if sphericity < min_sphericity:
             continue
+        if _face_counts(crop) != floor:
+            sphericity = _sphericity(volume, _face_counts(ndimage.binary_fill_holes(crop)), spacing)
+            if sphericity < min_sphericity:
+                continue
         score = volume * sphericity
         if best is None or score > best[0]:
             best = (score, sub, crop)

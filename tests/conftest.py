@@ -3,6 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import ndimage
 
 from hepeval.metrics import EvalConfig, cl_dice_metric, dsc
 from hepeval.morphology import bounding_box, distance_transform_box
@@ -266,3 +267,42 @@ def noisy_tube(mask: BinaryMask, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = np.where(mask.values, 2.0, -2.0) + rng.normal(0.0, 0.5, mask.values.shape)
     return 0.5 + 0.5 * z / (1.0 + np.abs(z))
+
+
+def reference_candidates(biliary_mask: BinaryMask) -> list[tuple[float, float, tuple[slice, ...], np.ndarray]]:
+    """(volume mm³, sphericity, box, crop) of every 26-connected component of
+    a biliary mask, in label order. Every component is hole-filled, then its
+    exposed faces are counted from the differences of the filled crop padded
+    by background, and the area is summed in `vessel`'s float order."""
+    geometry = biliary_mask.geometry
+    sx, sy, sz = geometry.spacing
+    labels, _ = ndimage.label(biliary_mask.values, structure=np.ones((3, 3, 3), dtype=bool))
+    out = []
+    for cid, box in enumerate(ndimage.find_objects(labels), start=1):
+        crop = labels[box] == cid
+        volume = float(np.count_nonzero(crop)) * geometry.voxel_volume_mm3
+        filled = np.pad(ndimage.binary_fill_holes(crop), 1).astype(np.int8)
+        area = 0.0
+        for axis, face_area in enumerate((sx * sy, sx * sz, sy * sz)):  # faces normal to z, y, x
+            area += float(np.abs(np.diff(filled, axis=axis)).sum()) * face_area
+        out.append((volume, np.pi ** (1 / 3) * (6.0 * volume) ** (2 / 3) / area, box, crop))
+    return out
+
+
+def reference_gallbladder(
+    biliary_mask: BinaryMask, min_volume_mm3: float, min_sphericity: float
+) -> tuple[BinaryMask, BinaryMask]:
+    """Oracle of `identify_gallbladder`: every candidate is filled and scored
+    (`reference_candidates`). The first component of largest volume times
+    sphericity among those at or above both thresholds is the gallbladder;
+    the rest of the mask is ducts."""
+    geometry = biliary_mask.geometry
+    gb = np.zeros(geometry.shape, dtype=bool)
+    best = None
+    for volume, sphericity, box, crop in reference_candidates(biliary_mask):
+        if volume >= min_volume_mm3 and sphericity >= min_sphericity:
+            if best is None or volume * sphericity > best[0]:
+                best = (volume * sphericity, box, crop)
+    if best is not None:
+        gb[best[1]] = best[2]
+    return BinaryMask(geometry, gb), BinaryMask(geometry, biliary_mask.values & ~gb)

@@ -598,6 +598,19 @@ class TestPhantomCommand:
         assert code == 0
         assert (out / "prediction.nii.gz").exists()
 
+    def test_reused_out_keeps_no_prediction_of_an_earlier_degrade_run(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+        dpath = tmp_path / "degrade.json"
+        dpath.write_text(json.dumps({"seed": 1, "erode_steps": {"portal_vein": 1}}))
+        out = tmp_path / "out"
+        assert main(["phantom", str(spec_path), "--degrade", str(dpath), "--out", str(out)]) == 0
+        assert main(["phantom", str(spec_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "edge_tags.nii.gz", "generation_tags.nii.gz", "truth.nii.gz", "truth_manifest.json"
+        ]
+        assert "degrade_applied" not in json.loads((out / "truth_manifest.json").read_text())
+
 
 class TestLossCommand:
     def make_pair(self, tmp_path):
@@ -719,6 +732,20 @@ class TestSkeletonCommand:
         assert (out / "skeleton.nii.gz").exists()
         assert (out / "central.nii.gz").exists()
         assert (out / "peripheral.nii.gz").exists()
+
+    def test_failed_run_in_reused_out_keeps_no_earlier_manifest(self, tmp_path, caplog):
+        g = Geometry(dims=(6, 6, 6), spacing=(1, 1, 1))
+        mask_path = tmp_path / "mask.nii.gz"
+        write_nifti(BinaryMask(g, np.ones(g.shape, bool)), mask_path)
+        out = tmp_path / "o"
+        assert main(["skeleton", str(mask_path), "--out", str(out)]) == 0
+        (out / "graph.json").unlink()
+        (out / "graph.json").mkdir()
+        with caplog.at_level("ERROR"):
+            assert main(["skeleton", str(mask_path), "--out", str(out)]) == 1
+        assert "graph.json" in caplog.text
+        # the manifest goes first, so no earlier output is left to vouch for
+        assert sorted(p.name for p in out.iterdir()) == ["graph.json"]
 
     def test_empty_mask_warns_but_succeeds(self, tmp_path, caplog):
         g = Geometry(dims=(8, 8, 8), spacing=(1, 1, 1))

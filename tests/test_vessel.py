@@ -2,12 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+from hepeval import vessel
 from hepeval.errors import ParameterError
 from hepeval.morphology import soft_skeleton_array
 from hepeval.phantom import (
+    DegradeSpec,
     axis_tree_spec,
+    default_spec,
+    degrade,
     generate_case,
     rasterize_capsule,
     rasterize_sphere,
@@ -31,6 +37,8 @@ from conftest import (
     grid_geometry,
     phantom_vessel_masks,
     random_skeleton_mask,
+    reference_candidates,
+    reference_gallbladder,
     reference_graph,
     root_edge,
 )
@@ -477,6 +485,109 @@ class TestIdentifyGallbladder:
         mask[box] |= inside
         gb, _ = identify_gallbladder(BinaryMask(g, mask))
         assert gb.popcount() == 0
+
+    def test_fills_only_a_candidate_with_holes(self, monkeypatch):
+        calls = []
+        real = ndimage.binary_fill_holes
+
+        def spy(crop):
+            calls.append(crop.shape)
+            return real(crop)
+
+        monkeypatch.setattr(vessel.ndimage, "binary_fill_holes", spy)
+        truth = generate_case(default_spec())
+        biliary = extract_mask(truth.label_volume, 5)
+        # the duct tree is rejected from its floor and the hole-free
+        # gallbladder is scored from its unfilled faces
+        gb, _ = identify_gallbladder(biliary)
+        assert calls == [] and gb.popcount() > 0
+        dropout = extract_mask(degrade(truth, DegradeSpec(seed=5, relabel_fraction=0.05)), 5)
+        gb, _ = identify_gallbladder(dropout)
+        assert len(calls) >= 1 and gb.popcount() > 0
+
+
+def _ellipsoid(shape, center, radii) -> np.ndarray:
+    axes = np.ogrid[: shape[0], : shape[1], : shape[2]]
+    return sum(((a - c) / r) ** 2 for a, c, r in zip(axes, center, radii)) <= 1
+
+
+def _tube(shape, a, b, radius) -> np.ndarray:
+    """Voxels within `radius` of the segment ab, in voxel units."""
+    zyx = np.indices(shape).reshape(3, -1).T.astype(np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    t = np.clip((zyx - a) @ (b - a) / max(float((b - a) @ (b - a)), 1e-9), 0.0, 1.0)
+    return (np.linalg.norm(zyx - a - t[:, None] * (b - a), axis=1) <= radius).reshape(shape)
+
+
+@st.composite
+def biliary_scenes(draw) -> BinaryMask:
+    """Sphere-like and tube-like shapes on a small grid: spheres and
+    ellipsoids, plain, with an enclosed cavity or with dropout holes;
+    capsules; branching tubes; and two blocks touching at one corner.
+    Shapes are placed at random, so they also overlap, touch and run off
+    the grid."""
+    shape = tuple(draw(st.integers(5, 16)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from([0.7, 1.0, 2.0, 3.0])) for _ in range(3))  # x, y, z
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = np.zeros(shape, dtype=bool)
+    kinds = st.sampled_from(["ball", "cavity", "dropout", "capsule", "branches", "corner"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind in ("ball", "cavity", "dropout"):
+            # a holed shape sits near the grid's centre, so that its holes are enclosed
+            center = rng.uniform(0, shape) if kind == "ball" else np.asarray(shape) / 2 + rng.uniform(-1, 1, 3)
+            low = 1.2 if kind == "ball" else 2.0
+            if draw(st.booleans()):  # a sphere in mm
+                radii = draw(st.floats(low, 7.0)) * min(spacing) / np.asarray(spacing[::-1])
+            else:
+                radii = np.array([draw(st.floats(low, 6.0)) for _ in range(3)])
+            shell = _ellipsoid(shape, center, radii)
+            if kind == "cavity":
+                shell &= ~_ellipsoid(shape, center, radii * draw(st.floats(0.3, 0.7)))
+            elif kind == "dropout":
+                shell &= rng.random(shape) >= draw(st.sampled_from([0.03, 0.1, 0.3]))
+            mask |= shell
+        elif kind == "capsule":
+            mask |= _tube(shape, rng.uniform(0, shape), rng.uniform(0, shape), draw(st.floats(0.5, 2.5)))
+        elif kind == "branches":
+            root, radius = rng.uniform(0, shape), draw(st.floats(0.5, 2.0))
+            for _ in range(draw(st.integers(2, 3))):
+                mask |= _tube(shape, root, rng.uniform(0, shape), radius)
+        else:
+            corner = [int(rng.integers(1, n)) for n in shape]
+            sides = rng.integers(1, 5, size=(2, 3))
+            mask[tuple(slice(max(c - s, 0), c) for c, s in zip(corner, sides[0]))] = True
+            mask[tuple(slice(c, c + s) for c, s in zip(corner, sides[1]))] = True
+    return BinaryMask(grid_geometry(shape, spacing), mask)
+
+
+class TestGallbladderOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(mask=biliary_scenes(), data=st.data())
+    def test_matches_the_fill_every_candidate_oracle(self, mask, data):
+        candidates = reference_candidates(mask)
+        # thresholds at 0, at 1, anywhere, and exactly at a candidate's volume
+        # or sphericity, where `<` and `<=` part ways
+        volumes = [0.0] + [c[0] for c in candidates]
+        min_volume = data.draw(st.sampled_from(volumes) | st.floats(0.0, max(volumes)))
+        exact = st.sampled_from([c[1] for c in candidates]) if candidates else st.just(0.5)
+        min_sphericity = data.draw(exact | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        got = identify_gallbladder(mask, min_volume, min_sphericity)
+        want = reference_gallbladder(mask, min_volume, min_sphericity)
+        for g, w in zip(got, want):
+            assert g.values.dtype == w.values.dtype and g.values.shape == w.values.shape
+            assert g.values.tobytes() == w.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask=biliary_scenes())
+    def test_floor_bounds_filled_bounds_unfilled_on_every_axis(self, mask):
+        for _, _, _, crop in reference_candidates(mask):
+            filled = ndimage.binary_fill_holes(crop)
+            floor, unfilled, counts = vessel._face_floor(crop), vessel._face_counts(crop), vessel._face_counts(filled)
+            for got, values in ((unfilled, crop), (counts, filled)):
+                padded = np.pad(values, 1).astype(np.int8)
+                assert got == [int(np.abs(np.diff(padded, axis=a)).sum()) for a in range(3)]
+            for axis in range(3):
+                assert floor[axis] <= counts[axis] <= unfilled[axis]
 
 
 def voxel_mask(points) -> BinaryMask:
