@@ -386,17 +386,21 @@ class Summary:
 
 
 def _stats(values: list[float]) -> SummaryEntry | None:
+    """Mean and sample sd as NumPy reductions; median, min and max from one
+    sorted copy, where the median of an even count is the float mean of
+    the middle pair, as `np.median` takes it."""
     if not values:
         return None
     arr = np.asarray(values, dtype=np.float64)
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+    ordered = sorted(arr.tolist())
+    n, mid = len(ordered), len(ordered) // 2
     return SummaryEntry(
         mean=float(arr.mean()),
-        sd=sd,
-        median=float(np.median(arr)),
-        min=float(arr.min()),
-        max=float(arr.max()),
-        n=len(arr),
+        sd=float(arr.std(ddof=1)) if n > 1 else 0.0,
+        median=ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0,
+        min=ordered[0],
+        max=ordered[-1],
+        n=n,
     )
 
 

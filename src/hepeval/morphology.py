@@ -63,13 +63,15 @@ Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
 the box beside them: labelling is exact there because every component lies
 inside it, and translation keeps the first-voxel linear order that numbers
-them. The distance transform likewise returns its squared distances on
-the box (`distance_transform_box`; `distance_transform_squared` embeds
-them in zeros), and it pads the box with one background voxel: clamping
-any background voxel's coordinates onto the padded box lands on
-background and never increases a per-axis distance, and the separable
-passes are monotone in each per-axis distance, so the minimum, rounding
-included, is unchanged.
+them. Sizes are counted over the labelled voxels only, so background, most
+of a sparse box, is never counted, and each component's own box is found
+the first time it is read. The distance transform likewise returns its
+squared distances on the box (`distance_transform_box`;
+`distance_transform_squared` embeds them in zeros), and it pads the box
+with one background voxel: clamping any background voxel's coordinates
+onto the padded box lands on background and never increases a per-axis
+distance, and the separable passes are monotone in each per-axis
+distance, so the minimum, rounding included, is unchanged.
 The passes visit foreground voxels only, each voxel stopping once no
 farther offset can lower its value; `distance_transform_box` says why that
 keeps every bit.
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import ndimage
@@ -469,14 +471,21 @@ def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: n
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Connected components with ids assigned by first-voxel linear index."""
+    """Connected components with ids assigned by first-voxel linear index.
+
+    `bounding_boxes` is found on its first read and kept: a caller that
+    reads only sizes and labels, as lesion matching does, never pays for it."""
 
     geometry: Geometry
     box: tuple[slice, ...]  # (z, y, x) slices of the foreground's bounding box; size 0 when empty
     labels: np.ndarray  # int32 over `box` only, 0 = background
     count: int
     sizes: np.ndarray  # voxel count per component, index 0 unused
-    bounding_boxes: tuple  # per component: (z, y, x) slices into `labels`, from ndimage.find_objects
+
+    @cached_property
+    def bounding_boxes(self) -> tuple:
+        """Per component: (z, y, x) slices into `labels`, from ndimage.find_objects."""
+        return tuple(ndimage.find_objects(self.labels)) if self.count else ()
 
 
 def _structure(rank: int) -> np.ndarray:
@@ -546,10 +555,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
         raise ParameterError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     box = bounding_box(mask.values) or (slice(0, 0),) * 3
     labels, count = ndimage.label(mask.values[box], structure=_STRUCTURES[connectivity])
-    sizes = np.bincount(labels.ravel(), minlength=count + 1).astype(np.int64)
-    sizes[0] = 0
-    boxes = tuple(ndimage.find_objects(labels)) if count else ()
-    return ComponentLabeling(mask.geometry, box, labels, count, sizes, boxes)
+    sizes = np.bincount(labels[labels != 0], minlength=count + 1)
+    return ComponentLabeling(mask.geometry, box, labels, count, sizes)
 
 
 def _squared_edt_pass(g: np.ndarray, at: np.ndarray, stride: int, w2: float) -> np.ndarray:

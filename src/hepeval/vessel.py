@@ -27,10 +27,12 @@ transform, taken at the walked voxels only.
 The central/peripheral split has one rule and one implementation,
 `_split_flags`: a skeleton voxel is central when its edge's generation is at
 most `max_generation`, each voxel of a mask takes the flag of its nearest
-skeleton voxel, and an empty graph logs a WARNING. `classify_central_peripheral`
-writes the flags into two masks; `metrics` counts them on the voxels of
-truth ∪ prediction directly. Strahler orders are graph output only: the
-split does not read them.
+skeleton voxel, and an empty graph logs a WARNING. When every skeleton voxel
+carries one flag, every nearest one does too, so each voxel takes that flag
+and no distance is computed. `classify_central_peripheral` writes the flags
+into two masks; `metrics` counts them on the voxels of truth ∪ prediction
+directly. Strahler orders are graph output only: the split does not read
+them.
 """
 
 from __future__ import annotations
@@ -466,7 +468,9 @@ def _split_flags(graph: SkeletonGraph, vessel_mask: BinaryMask, max_generation: 
     """The mask's voxels (ascending linear index) with their central flag.
 
     Each voxel takes the flag of its nearest skeleton voxel; with no
-    skeleton voxel every flag is False, and a WARNING says so."""
+    skeleton voxel every flag is False, and a WARNING says so. When all
+    skeleton flags agree, whichever skeleton voxel is nearest carries that
+    one flag, so every voxel takes it without `_nearest_labels`."""
     targets = np.flatnonzero(vessel_mask.values.ravel())
     if len(targets) == 0:
         return targets, np.zeros(0, dtype=bool)
@@ -474,6 +478,8 @@ def _split_flags(graph: SkeletonGraph, vessel_mask: BinaryMask, max_generation: 
     if len(src_lin) == 0:
         log.warning("empty skeleton graph: classifying all %d vessel voxels as peripheral", len(targets))
         return targets, np.zeros(len(targets), dtype=bool)
+    if src_flags.all() or not src_flags.any():
+        return targets, np.full(len(targets), src_flags[0], dtype=bool)
     return targets, _nearest_labels(vessel_mask.geometry, targets, src_lin, src_flags)
 
 

@@ -5,20 +5,31 @@ import pytest
 from hypothesis import settings
 from scipy import ndimage
 
-from hepeval.metrics import EvalConfig, cl_dice_metric, dsc
+from hepeval.metrics import (
+    CaseFlags,
+    CaseReport,
+    EvalConfig,
+    FalsePositiveRow,
+    LesionReport,
+    LesionRow,
+    cl_dice_metric,
+    dsc,
+)
 from hepeval.morphology import bounding_box, distance_transform_box
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case
 from hepeval.vessel import (
     OFFSETS_26,
     SkeletonEdge,
     SkeletonGraph,
+    VesselRegionSplit,
     _node_clusters,
+    _skeleton_central_flags,
     _spanning_forest,
     build_graph,
     classify_central_peripheral,
     skeletonize,
 )
-from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
+from hepeval.volume import VESSEL_STRUCTURES, BinaryMask, Geometry, LabelVolume, ProbVolume, extract_mask
 
 # Every run draws the same examples, from a seed derived from each test, and
 # replays none saved by an earlier run: tier-1 is deterministic. Each test's
@@ -226,24 +237,54 @@ def root_edge(graph: SkeletonGraph) -> SkeletonEdge:
     return root
 
 
-def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> tuple[float, float, float]:
-    """Mask oracle of `metrics._vessel_scores`: the truth's graph splits
-    truth ∪ prediction into two region masks, each region is cut to each
-    side, and each region's pair is scored by `dsc`; clDice by
-    `cl_dice_metric`."""
-    graph = build_graph(skeletonize(gt, config.skeleton_iterations), gt)
-    union = BinaryMask(gt.geometry, gt.values | pred.values)
-    split = classify_central_peripheral(graph, union, config.max_central_generation)
+def nearest_labels_oracle(geometry, targets, sources, flags):
+    """Plain loop over `_nearest_labels`'s documented rule: d² from integer
+    index differences, and only a strictly smaller d² replaces the best."""
+    sx2, sy2, sz2 = (s * s for s in geometry.spacing)
+    src = list(zip(*(a.tolist() for a in np.unravel_index(sources, geometry.shape)), flags.tolist()))
+    out = []
+    for z, y, x in zip(*(a.tolist() for a in np.unravel_index(targets, geometry.shape))):
+        best = None
+        for c, b, a, flag in src:
+            d2 = ((x - a) * (x - a) * sx2 + (y - b) * (y - b) * sy2) + (z - c) * (z - c) * sz2
+            if best is None or d2 < best:
+                best, best_flag = d2, flag
+        out.append(best_flag)
+    return np.array(out, dtype=bool)
+
+
+def region_scores(gt: BinaryMask, pred: BinaryMask, split: VesselRegionSplit) -> tuple[float, float]:
+    """Central and peripheral DSC: each region of a split of truth ∪
+    prediction is cut to each side, and each region's pair is scored by `dsc`."""
     gt_central, gt_peripheral, pred_central, pred_peripheral = (
         BinaryMask(gt.geometry, region.values & m.values)
         for m in (gt, pred)
         for region in (split.central, split.peripheral)
     )
-    return (
-        dsc(gt_central, pred_central),
-        dsc(gt_peripheral, pred_peripheral),
-        cl_dice_metric(pred, gt, config.skeleton_iterations),
-    )
+    return dsc(gt_central, pred_central), dsc(gt_peripheral, pred_peripheral)
+
+
+def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> tuple[float, float, float]:
+    """Mask oracle of `metrics._vessel_scores`: the truth's graph splits
+    truth ∪ prediction into two region masks (`region_scores`); clDice by
+    `cl_dice_metric`."""
+    graph = build_graph(skeletonize(gt, config.skeleton_iterations), gt)
+    union = BinaryMask(gt.geometry, gt.values | pred.values)
+    split = classify_central_peripheral(graph, union, config.max_central_generation)
+    return (*region_scores(gt, pred, split), cl_dice_metric(pred, gt, config.skeleton_iterations))
+
+
+def reference_split(graph: SkeletonGraph, mask: BinaryMask, max_generation: int) -> VesselRegionSplit:
+    """Oracle of `classify_central_peripheral`: every mask voxel takes the
+    flag of its nearest skeleton voxel from `nearest_labels_oracle`, also
+    when every skeleton voxel carries one flag; no skeleton voxel leaves
+    every voxel peripheral."""
+    targets = np.flatnonzero(mask.values)
+    sources, flags = _skeleton_central_flags(graph, max_generation)
+    central = np.zeros(mask.values.shape, dtype=bool)
+    if len(sources):
+        central.ravel()[targets[nearest_labels_oracle(mask.geometry, targets, sources, flags)]] = True
+    return VesselRegionSplit(BinaryMask(mask.geometry, central), BinaryMask(mask.geometry, mask.values & ~central))
 
 
 @lru_cache(maxsize=1)
@@ -306,3 +347,69 @@ def reference_gallbladder(
     if best is not None:
         gb[best[1]] = best[2]
     return BinaryMask(geometry, gb), BinaryMask(geometry, biliary_mask.values & ~gb)
+
+
+def reference_lesions(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> LesionReport:
+    """Whole-grid oracle of `lesion_match`: `ndimage.label` on each grid,
+    sizes and the overlap histogram from `np.bincount` over every voxel,
+    and each row scored in a plain loop."""
+    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[config.connectivity])
+    (g, n_gt), (p, n_pred) = (ndimage.label(m.values, structure=structure) for m in (gt, pred))
+    gt_sizes, pred_sizes = (np.bincount(a.ravel(), minlength=n + 1).tolist() for a, n in ((g, n_gt), (p, n_pred)))
+    overlap = np.bincount(
+        (g.astype(np.int64) * (n_pred + 1) + p).ravel(), minlength=(n_gt + 1) * (n_pred + 1)
+    ).reshape(n_gt + 1, n_pred + 1).tolist()
+    voxvol = gt.geometry.voxel_volume_mm3
+    lesions = []
+    for i in range(1, n_gt + 1):
+        hit = any(overlap[i][j] >= config.min_overlap_voxels for j in range(1, n_pred + 1))
+        best = max((2.0 * overlap[i][j] / (gt_sizes[i] + pred_sizes[j]) for j in range(1, n_pred + 1)), default=0.0)
+        lesions.append(LesionRow(i, float(gt_sizes[i]) * voxvol, hit, best))
+    false_positives = tuple(
+        FalsePositiveRow(j, float(pred_sizes[j]) * voxvol)
+        for j in range(1, n_pred + 1)
+        if not any(overlap[i][j] for i in range(1, n_gt + 1))
+    )
+    n_detected = sum(row.detected for row in lesions)
+    n_false = len(false_positives)
+    return LesionReport(n_gt, n_detected, n_detected / max(n_gt, 1), n_false, tuple(lesions), false_positives)
+
+
+def reference_report(gt: LabelVolume, pred: LabelVolume, config: EvalConfig) -> CaseReport:
+    """Whole-grid oracle of `evaluate_case`, with no crop anywhere: every
+    structure's masks from `extract_mask`, scored by `dsc`; each vein's
+    truth graph from `reference_graph` and its split from `reference_split`;
+    the biliary union split by `reference_gallbladder`; lesion rows from
+    `reference_lesions`. Its case id is `evaluate_case`'s default."""
+    schema = gt.schema
+    names = [schema.name_of(sid) for sid in schema.structure_ids()]
+    masks = {name: tuple(extract_mask(v, schema.id_of(name)) for v in (gt, pred)) for name in names}
+    central, peripheral, cl = {}, {}, {}
+    for name in VESSEL_STRUCTURES:
+        g, p = masks[name]
+        graph = reference_graph(skeletonize(g, config.skeleton_iterations), g)
+        split = reference_split(graph, BinaryMask(g.geometry, g.values | p.values), config.max_central_generation)
+        central[name], peripheral[name] = region_scores(g, p, split)
+        cl[name] = cl_dice_metric(p, g, config.skeleton_iterations)
+    biliary = [masks[name] for name in ("biliary_tree", "gallbladder") if name in masks]
+    (gb_gt, ducts_gt), (gb_pred, ducts_pred) = (
+        reference_gallbladder(
+            BinaryMask(gt.geometry, np.logical_or.reduce([pair[side].values for pair in biliary])),
+            config.gallbladder_min_volume_mm3,
+            config.gallbladder_min_sphericity,
+        )
+        for side in (0, 1)
+    )
+    flags = CaseFlags(gb_gt.popcount() == 0, gb_pred.popcount() == 0)
+    central["biliary_tree"] = None if flags.gallbladder_absent_gt else dsc(gb_gt, gb_pred)
+    peripheral["biliary_tree"] = dsc(ducts_gt, ducts_pred)
+    cl["biliary_ducts"] = cl_dice_metric(ducts_pred, ducts_gt, config.skeleton_iterations)
+    return CaseReport(
+        case_id="case",
+        dsc={name: dsc(*masks[name]) for name in names},
+        central_dsc=central,
+        peripheral_dsc=peripheral,
+        cl_dice=cl,
+        lesions=reference_lesions(*masks["tumor"], config),
+        flags=flags,
+    )

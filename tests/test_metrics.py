@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import logging
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import hepeval.metrics
+from hepeval import morphology
 from hepeval.errors import ParameterError, ShapeMismatchError
 from hepeval.metrics import (
     EvalConfig,
+    _stats,
     _vessel_scores,
     aggregate,
     cl_dice_metric,
@@ -21,7 +25,7 @@ from hepeval.metrics import (
     lesion_match,
     mann_whitney_u,
 )
-from hepeval.morphology import bounding_box, pool_array
+from hepeval.morphology import bounding_box, connected_components, pool_array
 from hepeval.phantom import (
     DegradeSpec,
     Sphere,
@@ -32,7 +36,8 @@ from hepeval.phantom import (
     straight_tube_mask,
     y_phantom,
 )
-from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume, _json_dict
+from hepeval.vessel import identify_gallbladder
+from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume, _json_dict, extract_mask
 
 from conftest import (
     EMBED_OFFSETS,
@@ -42,8 +47,11 @@ from conftest import (
     phantom_vessel_masks,
     random_mask,
     random_skeleton_mask,
+    reference_gallbladder,
+    reference_report,
     reference_vessel_scores,
 )
+from test_golden_eval import PAIRS
 
 
 def mask_of(values, spacing=(1.0, 1.0, 1.0)):
@@ -238,6 +246,31 @@ class TestLesionMatch:
             assert report.n_gt == n_gt
             assert report.n_detected == det
             assert report.n_false_positive == fp
+
+    def test_golden_liver_pair_finds_no_component_boxes(self, monkeypatch):
+        # lesion rows read component sizes and labels only, so no box is
+        # ever found for them; the gallbladder split, which reads the boxes,
+        # finds them once per labelling and gets `find_objects`'s own
+        spec, dspec, _ = PAIRS["liver_gallbladder"]
+        truth = generate_case(spec)
+        pred = degrade(truth, dspec)
+        find_objects, found = morphology.ndimage.find_objects, []
+        monkeypatch.setattr(
+            morphology.ndimage, "find_objects", lambda labels: found.append(find_objects(labels)) or found[-1]
+        )
+        report = lesion_match(*(extract_mask(v, 2) for v in (truth.label_volume, pred)))
+        assert report.n_gt == 2 and found == []
+
+        biliary = extract_mask(truth.label_volume, 5)
+        cc = connected_components(biliary, 26)
+        assert cc.bounding_boxes == tuple(find_objects(cc.labels)) and len(found) == 1
+        assert cc.bounding_boxes is cc.bounding_boxes and len(found) == 1
+        found.clear()
+        got = identify_gallbladder(biliary)
+        assert len(found) == 1 and found[0] == list(cc.bounding_boxes)
+        want = reference_gallbladder(biliary, 5000.0, 0.5)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+        assert got[0].popcount() > 0
 
 
 @pytest.fixture(scope="module")
@@ -576,6 +609,79 @@ class TestJointForegroundCrop:
         assert geometry.origin == tuple(big.position_mm((3, 0, 2)))
 
 
+@lru_cache(maxsize=None)
+def small_truth(kind: str):
+    """`default_spec()` on a 64³ grid (dims halved, spacing doubled), with or
+    without a gallbladder, or `axis_tree_spec(2 or 3)`; generated once."""
+    if kind.startswith("htree"):
+        return generate_case(axis_tree_spec(int(kind[-1])))
+    spec = default_spec(gallbladder_present=kind == "liver_gallbladder")
+    g = spec.geometry
+    geometry = dataclasses.replace(g, dims=tuple(d // 2 for d in g.dims), spacing=tuple(2 * s for s in g.spacing))
+    return generate_case(dataclasses.replace(spec, geometry=geometry))
+
+
+@st.composite
+def degraded_cases(draw, kinds: tuple[str, ...]):
+    """One of `kinds` of `small_truth`, a `DegradeSpec` that mixes erosion,
+    dilation, edge drops, a blob and dropout, the pair's spacing (its own
+    or a non-integer one, where mirrored skeleton voxels tie), and an
+    `EvalConfig` whose split depth and lesion connectivity vary."""
+    kind = draw(st.sampled_from(kinds))
+    truth = small_truth(kind)
+    geometry = truth.label_volume.geometry
+    liver = kind.startswith("liver")
+    erode, dilate = {}, {}
+    for name in ("portal_vein", "hepatic_vein", "biliary_tree", "tumor") if liver else ("portal_vein",):
+        steps = draw(st.sampled_from([0, 0, 1, -1]))
+        if steps:
+            (erode if steps > 0 else dilate)[name] = abs(steps)
+    blobs = ()
+    if draw(st.booleans()):
+        center = tuple(draw(st.floats(0.25 * n * s, 0.75 * n * s)) for n, s in zip(geometry.dims, geometry.spacing))
+        structure = draw(st.sampled_from(["tumor", "portal_vein", "biliary_tree"]))
+        blobs = ((structure, Sphere(center, draw(st.floats(3.0, 12.0)))),)
+    dspec = DegradeSpec(
+        seed=draw(st.integers(0, 1000)),
+        erode_steps=erode,
+        dilate_steps=dilate,
+        drop_edge_ids=tuple(draw(st.lists(st.sampled_from([e.edge_id for e in truth.edges]), max_size=2, unique=True))),
+        spurious_blobs=blobs,
+        relabel_fraction=draw(st.sampled_from([0.0, 0.01, 0.05])),
+    )
+    spacing = draw(st.sampled_from([geometry.spacing, (3.7, 4.3, 5.9) if liver else (0.7, 0.9, 1.3)]))
+    config = EvalConfig(connectivity=draw(st.sampled_from([6, 26])), max_central_generation=draw(st.integers(0, 2)))
+    return kind, dspec, spacing, config
+
+
+class TestReferenceReport:
+    """`evaluate_case` against `reference_report`, the plain whole-grid
+    pipeline, byte for byte: every crop, shortcut and vectorised count
+    must leave the report as it is."""
+
+    def check(self, case):
+        kind, dspec, spacing, config = case
+        truth = small_truth(kind)
+        gt, pred = (
+            LabelVolume(Geometry(v.geometry.dims, spacing), v.labels, v.schema)
+            for v in (truth.label_volume, degrade(truth, dspec))
+        )
+        fast, slow = (
+            json.dumps(_json_dict(f(gt, pred, config)), sort_keys=True) for f in (evaluate_case, reference_report)
+        )
+        assert fast == slow
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=degraded_cases(("liver_gallbladder", "liver_no_gallbladder")))
+    def test_liver_reports_match(self, case):
+        self.check(case)
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=degraded_cases(("htree2", "htree3")))
+    def test_htree_reports_match(self, case):
+        self.check(case)
+
+
 class TestAggregate:
     def _report(self, case_id, tumor_dsc, rate=1.0, fps=0, central_biliary=0.9):
         from hepeval.metrics import CaseFlags, CaseReport, LesionReport
@@ -620,6 +726,17 @@ class TestAggregate:
     def test_empty_raises(self):
         with pytest.raises(ParameterError):
             aggregate([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_stats_match_numpy_bit_for_bit(self, values):
+        # ties come from the sampled values; every statistic is compared by
+        # its float bits
+        arr = np.asarray(values, dtype=np.float64)
+        e = _stats(values)
+        got = [e.mean, e.sd, e.median, e.min, e.max]
+        want = [arr.mean(), arr.std(ddof=1) if len(arr) > 1 else 0.0, np.median(arr), arr.min(), arr.max()]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want] and e.n == len(values)
 
     def test_csv_rows_have_fixed_columns(self):
         s = aggregate([self._report("a", 0.8)])

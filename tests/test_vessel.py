@@ -23,6 +23,7 @@ from hepeval.phantom import (
 from hepeval.vessel import (
     _nearest_labels,
     _skeleton_central_flags,
+    _split_flags,
     build_graph,
     classify_central_peripheral,
     identify_gallbladder,
@@ -35,6 +36,7 @@ from conftest import (
     embed,
     face_touching_values,
     grid_geometry,
+    nearest_labels_oracle,
     phantom_vessel_masks,
     random_skeleton_mask,
     reference_candidates,
@@ -388,22 +390,6 @@ def check_split_restricts(graph, subset: BinaryMask, superset: np.ndarray):
     assert np.array_equal(whole.peripheral.values & subset.values, part.peripheral.values)
 
 
-def nearest_labels_oracle(geometry, targets, sources, flags):
-    """Plain loop over `_nearest_labels`'s documented rule: d² from integer
-    index differences, and only a strictly smaller d² replaces the best."""
-    sx2, sy2, sz2 = (s * s for s in geometry.spacing)
-    src = list(zip(*(a.tolist() for a in np.unravel_index(sources, geometry.shape)), flags.tolist()))
-    out = []
-    for z, y, x in zip(*(a.tolist() for a in np.unravel_index(targets, geometry.shape))):
-        best = None
-        for c, b, a, flag in src:
-            d2 = ((x - a) * (x - a) * sx2 + (y - b) * (y - b) * sy2) + (z - c) * (z - c) * sz2
-            if best is None or d2 < best:
-                best, best_flag = d2, flag
-        out.append(best_flag)
-    return np.array(out, dtype=bool)
-
-
 class TestNearestLabels:
     @pytest.fixture(scope="class")
     def portal(self):
@@ -440,6 +426,28 @@ class TestNearestLabels:
         for flags in ([True, False], [False, True]):
             got = _nearest_labels(geometry, targets, sources, np.array(flags))
             assert got.tolist() == [flags[0], flags[0]]
+
+    @pytest.mark.parametrize("tree", ["liver_portal", "liver_hepatic"])
+    def test_one_class_split_computes_no_distance(self, tree, monkeypatch):
+        # every skeleton voxel of the liver veins is central at depth 1, and
+        # none is at depth -1: either way every voxel takes that one flag,
+        # and no distance is computed
+        mask = phantom_vessel_masks()[tree]
+        graph = build_graph(skeletonize(mask, 10), mask)
+        targets = np.flatnonzero(mask.values)
+
+        def computed_distances(*args):
+            raise AssertionError("a one-class split computed distances")
+
+        for depth, flag in ((1, True), (-1, False)):
+            sources, flags = _skeleton_central_flags(graph, depth)
+            assert len(sources) >= 12 and (flags == flag).all()
+            want = nearest_labels_oracle(mask.geometry, targets, sources, flags)
+            with monkeypatch.context() as m:
+                m.setattr(vessel, "_nearest_labels", computed_distances)
+                got_targets, got = _split_flags(graph, mask, depth)
+            assert np.array_equal(got_targets, targets) and got.dtype == bool
+            assert np.array_equal(got, want)
 
 
 class TestIdentifyGallbladder:
