@@ -21,6 +21,11 @@ two DSCs are made of (each side's central voxels, each side's voxels, and
 their shared ones) are read off those flags. `dsc` and the vessel scores
 share one `_dice` rule.
 
+`evaluate_case` is one straight run of stage functions that it calls by
+name, so a test can swap any of them on this module: `structure_masks`,
+`skeletonize`, `build_graph`, `_split_flags`, `_cl_dice_from_skeletons`
+(every tree's clDice), `identify_gallbladder` and `lesion_match`.
+
 A report is its dataclasses: `CaseReport`, `LesionReport`, `Summary` and
 the records they hold name their fields by their JSON keys, and each one
 serialises through `volume._json_dict`, so a key is written once in code
@@ -216,40 +221,6 @@ class CaseReport:
     flags: CaseFlags
 
 
-def _vessel_scores(
-    gt_mask: BinaryMask, pred_mask: BinaryMask, config: EvalConfig, case_id: str, name: str
-) -> tuple:
-    """Central DSC, peripheral DSC and clDice of one venous tree. The truth's
-    skeleton graph gives each voxel of truth ∪ prediction its central flag
-    once, and each region's DSC is counted on those voxels: exact, as a
-    voxel's class needs only its position and graph.
-
-    When the truth tree is present but its split leaves a side empty, or its
-    graph keeps no edge, a WARNING says so: the central and peripheral
-    scores then say nothing about the two regions. An absent truth tree
-    logs the split's "empty skeleton graph" WARNING, with the union's count."""
-    skel = skeletonize(gt_mask, config.skeleton_iterations)
-    graph = build_graph(skel, gt_mask)
-    union = BinaryMask(gt_mask.geometry, gt_mask.values | pred_mask.values)
-    targets, central = _split_flags(graph, union, config.max_central_generation)
-    in_gt, in_pred = gt_mask.values.ravel()[targets], pred_mask.values.ravel()[targets]
-    (n_gt, n_central), (n_pred, pred_central), (n_both, both_central) = (
-        (int(np.count_nonzero(m)), int(np.count_nonzero(m & central))) for m in (in_gt, in_pred, in_gt & in_pred)
-    )
-    n_peripheral = n_gt - n_central
-    if n_gt and (n_central == 0 or n_peripheral == 0 or not graph.edges):
-        log.warning(
-            "%s: degenerate %s split: %d central and %d peripheral truth voxels, %d kept edge(s)",
-            case_id, name, n_central, n_peripheral, len(graph.edges)
-        )
-    cl = _cl_dice_from_skeletons(pred_mask, gt_mask, skeletonize(pred_mask, config.skeleton_iterations), skel)
-    return (
-        _dice(n_central, pred_central, both_central),
-        _dice(n_peripheral, n_pred - pred_central, n_both - both_central),
-        cl,
-    )
-
-
 def _joint_box(geometry: Geometry, *boxes: tuple[slice, ...] | None) -> tuple[tuple[slice, ...], Geometry]:
     """The union of the boxes (None for an absent structure), and the
     geometry of the grid cut to it; one voxel at the grid's first voxel when
@@ -264,9 +235,22 @@ def _joint_box(geometry: Geometry, *boxes: tuple[slice, ...] | None) -> tuple[tu
     return box, Geometry(dims, geometry.spacing, tuple(geometry.position_mm(first_xyz)), geometry.orientation)
 
 
-def _box_mask(volume: LabelVolume, label_id: int, box: tuple[slice, ...], geometry: Geometry) -> BinaryMask:
-    """`extract_mask(volume, label_id)` cut to `box`, whose grid is `geometry`."""
-    return BinaryMask(geometry, volume.labels[box] == label_id)
+def structure_masks(
+    gt: LabelVolume, pred: LabelVolume, boxes: tuple[dict, dict], parts: tuple[str, ...]
+) -> tuple[tuple[BinaryMask, BinaryMask], dict[str, float]]:
+    """Truth and prediction masks of the union of `parts`, on the `_joint_box`
+    of the parts' boxes in both volumes (`boxes` holds each volume's
+    `label_boxes`), and each part's DSC there."""
+    sids = [gt.schema.id_of(name) for name in parts]
+    box, geometry = _joint_box(gt.geometry, *(b[sid] for sid in sids for b in boxes))
+    union, part_dsc = None, {}
+    for name, sid in zip(parts, sids):
+        pair = tuple(BinaryMask(geometry, v.labels[box] == sid) for v in (gt, pred))
+        part_dsc[name] = dsc(*pair)
+        if union is not None:
+            pair = tuple(BinaryMask(geometry, u.values | m.values) for u, m in zip(union, pair))
+        union = pair
+    return union, part_dsc
 
 
 def evaluate_case(
@@ -283,66 +267,80 @@ def evaluate_case(
     with the central (gallbladder) comparison skipped for cholecystectomy
     cases; clDice for veins and ducts; lesion-wise tumor detection.
 
-    There is no crop of the whole case. Each structure's masks are built
-    once, on the `_joint_box` of its parts' boxes in both volumes, or on
-    one voxel at the grid's first voxel when it is absent from both; they
-    are scored for DSC there and handed to the one block that reads them,
-    and no mask pair outlives its block. The boxes come from `label_boxes`,
-    one shift-and-or pass per volume, and are exact because a voxel sets
-    its own id's bit only. This gives the same report as the whole grid;
-    see the module docstring for why.
+    The stages, called by name in this order (calls per case under the
+    default schema): `structure_masks` (5) for the structures no later
+    stage reads, then for each vein, the biliary union and the tumour; per
+    vein, `skeletonize` of its truth, `build_graph` (2), `_split_flags` (2)
+    over truth ∪ prediction, `skeletonize` of its prediction and
+    `_cl_dice_from_skeletons`; `identify_gallbladder` (2), the ducts' two
+    `skeletonize` (6 in all) and `_cl_dice_from_skeletons` (3 in all);
+    `lesion_match` (1).
+
+    A WARNING names a present truth tree whose split leaves a side empty or
+    keeps no graph edge, as its region scores then say nothing about two
+    regions; an absent truth tree logs the split's "empty skeleton graph".
     """
     require_same_geometry(gt, pred)
     if gt.schema != pred.schema:
         raise SchemaError("ground truth and prediction use different label schemas")
     ids = gt.schema.structure_ids()
-    names = [gt.schema.name_of(sid) for sid in ids]
-    boxes = [label_boxes(v.labels, ids) for v in (gt, pred)]
-    structure_dsc = {}
-
-    def scored(*parts: str) -> tuple[BinaryMask, BinaryMask]:
-        """Truth and prediction masks of the union of `parts` on their
-        `_joint_box`; records each part's DSC."""
-        sids = [gt.schema.id_of(name) for name in parts]
-        box, geometry = _joint_box(gt.geometry, *(b[sid] for sid in sids for b in boxes))
-        union = None
-        for name, sid in zip(parts, sids):
-            pair = tuple(_box_mask(v, sid, box, geometry) for v in (gt, pred))
-            structure_dsc[name] = dsc(*pair)
-            if union is not None:
-                pair = tuple(BinaryMask(geometry, u.values | m.values) for u, m in zip(union, pair))
-            union = pair
-        return union
-
-    central: dict[str, float | None] = {}
-    peripheral: dict[str, float | None] = {}
-    cl: dict[str, float] = {}
-    for name in VESSEL_STRUCTURES:
-        central[name], peripheral[name], cl[name] = _vessel_scores(*scored(name), config, case_id, name)
-
+    names = list(map(gt.schema.name_of, ids))
+    boxes = label_boxes(gt.labels, ids), label_boxes(pred.labels, ids)
+    structure_dsc = dict.fromkeys(names)
+    central, peripheral, cl = {}, {}, {}
     # A dataset may fold the gallbladder into the biliary tree label; the
     # union is subdivided again by `identify_gallbladder`.
     biliary = ("biliary_tree", "gallbladder") if "gallbladder" in names else ("biliary_tree",)
-    (gb_gt, ducts_gt), (gb_pred, ducts_pred) = (
-        identify_gallbladder(m, config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity)
-        for m in scored(*biliary)
-    )
+
+    # Structures no later stage reads, such as the parenchyma, get their DSC
+    # only. They go first, while no other stage's arrays are alive.
+    for name in names:
+        if name not in (*VESSEL_STRUCTURES, *biliary, "tumor"):
+            structure_dsc.update(structure_masks(gt, pred, boxes, (name,))[1])
+
+    for name in VESSEL_STRUCTURES:
+        (gt_mask, pred_mask), part_dsc = structure_masks(gt, pred, boxes, (name,))
+        structure_dsc.update(part_dsc)
+        gt_skel = skeletonize(gt_mask, config.skeleton_iterations)
+        graph = build_graph(gt_skel, gt_mask)
+        union = BinaryMask(gt_mask.geometry, gt_mask.values | pred_mask.values)
+        targets, is_central = _split_flags(graph, union, config.max_central_generation)
+        in_gt, in_pred = gt_mask.values.ravel()[targets], pred_mask.values.ravel()[targets]
+        in_both = in_gt & in_pred
+        counted = in_gt, in_pred, in_both, in_gt & is_central, in_pred & is_central, in_both & is_central
+        n_gt, n_pred, n_both, n_central, pred_central, both_central = map(int, map(np.count_nonzero, counted))
+        n_peripheral = n_gt - n_central
+        if n_gt and (n_central == 0 or n_peripheral == 0 or not graph.edges):
+            log.warning(
+                "%s: degenerate %s split: %d central and %d peripheral truth voxels, %d kept edge(s)",
+                case_id, name, n_central, n_peripheral, len(graph.edges)
+            )
+        central[name] = _dice(n_central, pred_central, both_central)
+        peripheral[name] = _dice(n_peripheral, n_pred - pred_central, n_both - both_central)
+        pred_skel = skeletonize(pred_mask, config.skeleton_iterations)
+        cl[name] = _cl_dice_from_skeletons(pred_mask, gt_mask, pred_skel, gt_skel)
+
+    (gt_mask, pred_mask), part_dsc = structure_masks(gt, pred, boxes, biliary)
+    structure_dsc.update(part_dsc)
+    thresholds = config.gallbladder_min_volume_mm3, config.gallbladder_min_sphericity
+    gb_gt, ducts_gt = identify_gallbladder(gt_mask, *thresholds)
+    gb_pred, ducts_pred = identify_gallbladder(pred_mask, *thresholds)
     flags = CaseFlags(gb_gt.popcount() == 0, gb_pred.popcount() == 0)
     # Cholecystectomy rule: no truth gallbladder means the central biliary
     # comparison is left out of the analysis entirely.
     central["biliary_tree"] = None if flags.gallbladder_absent_gt else dsc(gb_gt, gb_pred)
     peripheral["biliary_tree"] = dsc(ducts_gt, ducts_pred)
-    cl["biliary_ducts"] = cl_dice_metric(ducts_pred, ducts_gt, config.skeleton_iterations)
+    gt_skel = skeletonize(ducts_gt, config.skeleton_iterations)
+    pred_skel = skeletonize(ducts_pred, config.skeleton_iterations)
+    cl["biliary_ducts"] = _cl_dice_from_skeletons(ducts_pred, ducts_gt, pred_skel, gt_skel)
 
-    lesions = lesion_match(*scored("tumor"), config.connectivity, config.min_overlap_voxels)
-    # Structures no block reads, such as the parenchyma, get their DSC only.
-    for name in names:
-        if name not in structure_dsc:
-            scored(name)
+    (gt_mask, pred_mask), part_dsc = structure_masks(gt, pred, boxes, ("tumor",))
+    structure_dsc.update(part_dsc)
+    lesions = lesion_match(gt_mask, pred_mask, config.connectivity, config.min_overlap_voxels)
 
     return CaseReport(
         case_id=case_id,
-        dsc={name: structure_dsc[name] for name in names},
+        dsc=structure_dsc,
         central_dsc=central,
         peripheral_dsc=peripheral,
         cl_dice=cl,

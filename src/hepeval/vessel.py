@@ -30,9 +30,9 @@ most `max_generation`, each voxel of a mask takes the flag of its nearest
 skeleton voxel, and an empty graph logs a WARNING. When every skeleton voxel
 carries one flag, every nearest one does too, so each voxel takes that flag
 and no distance is computed. `classify_central_peripheral` writes the flags
-into two masks; `metrics` counts them on the voxels of truth ∪ prediction
-directly. Strahler orders are graph output only: the split does not read
-them.
+into two masks; `metrics.evaluate_case` calls `_split_flags` itself, once
+per vein over truth ∪ prediction, and counts the flags with no mask built.
+Strahler orders are graph output only: the split does not read them.
 """
 
 from __future__ import annotations

@@ -265,9 +265,9 @@ def region_scores(gt: BinaryMask, pred: BinaryMask, split: VesselRegionSplit) ->
 
 
 def reference_vessel_scores(gt: BinaryMask, pred: BinaryMask, config: EvalConfig) -> tuple[float, float, float]:
-    """Mask oracle of `metrics._vessel_scores`: the truth's graph splits
-    truth ∪ prediction into two region masks (`region_scores`); clDice by
-    `cl_dice_metric`."""
+    """Mask oracle of a vein's `central_dsc`, `peripheral_dsc` and `cl_dice`
+    in `evaluate_case`: the truth's graph splits truth ∪ prediction into two
+    region masks (`region_scores`); clDice by `cl_dice_metric`."""
     graph = build_graph(skeletonize(gt, config.skeleton_iterations), gt)
     union = BinaryMask(gt.geometry, gt.values | pred.values)
     split = classify_central_peripheral(graph, union, config.max_central_generation)
