@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -33,6 +32,7 @@ from .errors import HepevalError, ParameterError, RangeError
 from .losses import LossConfig, loss_terms
 from .metrics import CaseReport, EvalConfig, aggregate, evaluate_case, mann_whitney_u
 from .nifti import (
+    _replace_file,
     read_binary_mask,
     read_label_volume,
     read_prob_volume,
@@ -51,14 +51,6 @@ from .volume import _json_dict
 
 log = logging.getLogger("hepeval")
 
-# The mode `open` would give a new file. Reading the umask means setting it,
-# for the whole process, so it is read once here and never by the threads
-# that write eval reports.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
-
-
 def _read_json(path, digests: dict[str, str | None]):
     """Parse the JSON file at `path`, storing the SHA-256 of the bytes parsed
     in `digests` under ``str(path)``."""
@@ -67,30 +59,16 @@ def _read_json(path, digests: dict[str, str | None]):
     return json.loads(data)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it onto
-    `path`. `mkstemp` makes its file 0o600, so it gets `_FILE_MODE` first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.chmod(tmp, _FILE_MODE)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _replace_file(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    with _replace_file(path) as fh:
+        fh.write(buf.getvalue().encode("utf-8"))
 
 
 def _run_manifest(command: list[str], config: dict, input_digests: dict[str, str]) -> dict:

@@ -13,8 +13,10 @@ import gzip
 import hashlib
 import logging
 import math
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from .volume import (
     LabelSchema,
     LabelVolume,
     ProbVolume,
+    _dot,
 )
 
 log = logging.getLogger(__name__)
@@ -151,10 +154,6 @@ def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarra
 # Newton steps allowed for a polar factor. A rotation read from 32-bit header
 # fields takes two; a column normalised from a 1e30 entry, six.
 _POLAR_STEPS = 30
-
-
-def _dot(u, v) -> float:
-    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
 def _cross(u, v) -> tuple[float, float, float]:
@@ -446,9 +445,10 @@ def write_nifti(volume: LabelVolume | ProbVolume | BinaryMask, path) -> None:
     """Write a volume as NIfTI-1; gzip is applied when the path ends in .gz.
 
     Labels and masks are stored as unsigned 8-bit, probabilities as 32-bit
-    float. The sform carries origin and orientation with sform_code 1.
+    float. The sform carries origin and orientation with sform_code 1. An
+    existing file at `path` is replaced, not truncated: a write that fails
+    leaves it whole (see `_replace_file`).
     """
-    path = Path(path)
     if isinstance(volume, LabelVolume):
         data, code = volume.labels.astype("<u1"), 2
     elif isinstance(volume, BinaryMask):
@@ -458,23 +458,22 @@ def write_nifti(volume: LabelVolume | ProbVolume | BinaryMask, path) -> None:
     else:
         raise ParameterError(f"cannot write object of type {type(volume).__name__}")
 
-    _write_blob(volume.geometry, data, code, path)
+    _write_blob(volume.geometry, data, code, Path(path))
 
 
 def write_int_nifti(geometry: Geometry, values: np.ndarray, path) -> None:
     """Write a raw signed 32-bit integer grid (e.g. construction tags)."""
-    path = Path(path)
     data = np.ascontiguousarray(values, dtype="<i4")
     if data.shape != geometry.shape:
         raise ParameterError(f"array shape {data.shape} does not match geometry {geometry.shape}")
-    _write_blob(geometry, data, 8, path)
+    _write_blob(geometry, data, 8, Path(path))
 
 
 def _write_blob(geometry: Geometry, data: np.ndarray, code: int, path: Path) -> None:
     head = _header_bytes(geometry, code) + b"\x00" * (VOX_OFFSET - HEADER_SIZE)
     # the payload goes out as a buffer view, not copied into one header+data blob
     payload = memoryview(np.ascontiguousarray(data)).cast("B")
-    with open(path, "wb") as fh:
+    with _replace_file(path) as fh:
         if path.suffix == ".gz":
             # Level 1, as nibabel writes: 10-30x faster than level 9 on 128^3
             # label grids for files 2-3x larger. filename and mtime are pinned
@@ -485,3 +484,23 @@ def _write_blob(geometry: Geometry, data: np.ndarray, code: int, path: Path) -> 
         else:
             fh.write(head)
             fh.write(payload)
+
+
+@contextmanager
+def _replace_file(path: Path):
+    """A binary file whose bytes replace `path` on a clean exit.
+
+    It is made beside `path` as ``<name>.<8 random hex>`` with O_EXCL, so
+    it is new and never a followed symlink, and with mode 0o666 less the
+    umask current at that moment, the mode a plain `open` gives. On any
+    error it is unlinked, and `path` keeps its earlier bytes.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

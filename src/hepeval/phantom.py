@@ -22,18 +22,11 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _is_number, _json_dict
+from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _dot, _is_number, _json_dict
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
-
-
-def _dot(u, v) -> float:
-    """u . v of two 3-vectors, summed in a fixed order. `np.dot` and
-    `np.linalg.norm` go through BLAS, whose kernels, picked per CPU, can
-    round the last bit differently, and that bit decides edge voxels."""
-    return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1]) + float(u[2]) * float(v[2])
 
 
 def _norm(u) -> float:

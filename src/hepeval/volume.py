@@ -64,6 +64,13 @@ def _check_fields(obj, integers=(), reals=(), vectors=()) -> None:
         object.__setattr__(obj, name, items)
 
 
+def _dot(u, v) -> float:
+    """u . v of two 3-vectors, summed left to right. `np.dot` and
+    `np.linalg.norm` go through BLAS, whose kernels, picked per CPU, can
+    round the last bit differently, and that bit decides edge voxels."""
+    return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1]) + float(u[2]) * float(v[2])
+
+
 def _json_dict(record) -> dict:
     """A dataclass as a JSON object: its fields in order, tuples as lists."""
     return asdict(record, dict_factory=lambda items: {k: _listed(v) for k, v in items})
@@ -105,7 +112,7 @@ class Geometry:
         # each entry of M^T M - I, its dot product summed in row order
         x, y, z = zip(*m)
         gram = ((x, x, 1.0), (y, y, 1.0), (z, z, 1.0), (x, y, 0.0), (x, z, 0.0), (y, z, 0.0))
-        if any(abs((u[0] * v[0] + u[1] * v[1]) + u[2] * v[2] - eye) > ORIENTATION_TOL for u, v, eye in gram):
+        if any(abs(_dot(u, v) - eye) > ORIENTATION_TOL for u, v, eye in gram):
             raise ParameterError("orientation columns are not orthonormal within 1e-6")
         object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "spacing", tuple(map(float, spacing)))
@@ -137,7 +144,7 @@ class Geometry:
         Each coordinate is summed in a fixed order, ((m0 v0 + m1 v1) + m2 v2)
         + origin, one IEEE operation per step, so it is the same on every CPU."""
         v = [float(i) * s for i, s in zip(index_xyz, self.spacing, strict=True)]
-        return tuple((r[0] * v[0] + r[1] * v[1]) + r[2] * v[2] + o for r, o in zip(self.orientation, self.origin))
+        return tuple(_dot(r, v) + o for r, o in zip(self.orientation, self.origin))
 
 
 def _check_grid(geometry: Geometry, values: np.ndarray, name: str) -> np.ndarray:

@@ -904,6 +904,28 @@ def test_outputs_take_the_umask(tmp_path):
     assert modes == dict.fromkeys(modes, 0o644)
 
 
+def test_outputs_take_the_umask_at_write_time(tmp_path):
+    """A umask set after the package is imported applies to every output,
+    JSON, CSV and NIfTI alike."""
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    spec, truth, portal = inputs / "spec.json", inputs / "truth.nii.gz", inputs / "portal.nii.gz"
+    spec.write_text(json.dumps(spec_to_json_dict(axis_tree_spec(1))))
+    case = generate_case(axis_tree_spec(1))
+    write_nifti(case.label_volume, truth)
+    write_nifti(extract_mask(case.label_volume, 3), portal)
+    umask = os.umask(0o077)
+    try:
+        assert main(["phantom", str(spec), "--out", str(out / "phantom")]) == 0
+        assert main(["skeleton", str(portal), "--out", str(out / "skeleton")]) == 0
+        assert main(["eval", "--gt", str(truth), "--pred", str(truth), "--out", str(out / "eval"), "--jobs", "1"]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.relative_to(out).as_posix(): p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+    assert len(modes) == 14
+    assert modes == dict.fromkeys(modes, 0o600)
+
+
 class TestCliBasics:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

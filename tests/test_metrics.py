@@ -669,7 +669,7 @@ def small_truth(kind: str):
 @st.composite
 def degraded_cases(draw, kinds: tuple[str, ...]):
     """One of `kinds` of `small_truth`, a `DegradeSpec` that mixes erosion,
-    dilation, edge drops, a blob and dropout, the pair's spacing (its own
+    dilation, edge drops, blobs and dropout, the pair's spacing (its own
     or a non-integer one, where mirrored skeleton voxels tie), and an
     `EvalConfig` whose split depth and lesion connectivity vary."""
     kind = draw(st.sampled_from(kinds))
@@ -681,11 +681,17 @@ def degraded_cases(draw, kinds: tuple[str, ...]):
         steps = draw(st.sampled_from([0, 0, 1, -1]))
         if steps:
             (erode if steps > 0 else dilate)[name] = abs(steps)
-    blobs = ()
-    if draw(st.booleans()):
+
+    def blob(structures):
         center = tuple(draw(st.floats(0.25 * n * s, 0.75 * n * s)) for n, s in zip(geometry.dims, geometry.spacing))
-        structure = draw(st.sampled_from(["tumor", "portal_vein", "biliary_tree"]))
-        blobs = ((structure, Sphere(center, draw(st.floats(3.0, 12.0)))),)
+        structure = draw(st.sampled_from(structures))
+        return structure, Sphere(center, draw(st.floats(3.0, 12.0)))
+
+    blobs = (blob(["tumor", "portal_vein", "biliary_tree"]),) if draw(st.booleans()) else ()
+    if not liver:
+        # the H-trees carry no tumour, so a spurious one gives every draw a
+        # false-positive lesion row, which reads its component's size
+        blobs += (blob(["tumor"]),)
     dspec = DegradeSpec(
         seed=draw(st.integers(0, 1000)),
         erode_steps=erode,

@@ -635,6 +635,28 @@ class TestGzipWriter:
         assert member.eof and member.unused_data == b""
         assert body == gzip.decompress(data) == plain_path.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["labels", "int_tags"])
+    def test_failed_write_leaves_the_earlier_file_whole(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(label_volume(seed=3), path)
+        earlier = path.read_bytes()
+        calls = []
+        write = gzip.GzipFile.write
+
+        def failing(self, data):
+            # the first call writes the header, the second the payload
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return write(self, data)
+
+        monkeypatch.setattr("hepeval.nifti.gzip.GzipFile.write", failing)
+        with pytest.raises(OSError, match="no space left"):
+            _writers()[kind](path)
+        assert len(calls) == 2
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.glob("v.nii.gz.*")) == []
+
 
 def _flip(data: bytes, at: int, bits: int) -> bytes:
     out = bytearray(data)
