@@ -282,9 +282,12 @@ def cmd_loss(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    iterations = EvalConfig.skeleton_iterations if args.skeleton_iters is None else args.skeleton_iters
-    if iterations < 1:
-        log.error("config error: --skeleton-iters must be >= 1, got %d", iterations)
+    try:
+        config = EvalConfig()
+        if args.skeleton_iters is not None:
+            config = replace(config, skeleton_iterations=args.skeleton_iters)
+    except HepevalError as exc:
+        log.error("config error: %s", exc)
         return 1
     out = Path(args.out)
     _clear_outputs(out, ["manifest.json", "skeleton.nii.gz", "central.nii.gz", "peripheral.nii.gz", "graph.json"])
@@ -296,7 +299,7 @@ def cmd_skeleton(args) -> int:
         return 1
 
     out.mkdir(parents=True, exist_ok=True)
-    skel = skeletonize(mask, iterations)
+    skel = skeletonize(mask, config.skeleton_iterations)
     if skel.popcount() == 0:
         log.warning("empty skeleton: input mask has no stable foreground")
     graph = build_graph(skel, mask)
@@ -306,11 +309,7 @@ def cmd_skeleton(args) -> int:
     write_nifti(split.central, out / "central.nii.gz")
     write_nifti(split.peripheral, out / "peripheral.nii.gz")
     _write_json(out / "graph.json", graph.to_json_dict())
-    manifest = _run_manifest(
-        ["skeleton", str(args.mask)],
-        {"skeleton_iterations": iterations},
-        digests,
-    )
+    manifest = _run_manifest(["skeleton", str(args.mask)], {"skeleton_iterations": config.skeleton_iterations}, digests)
     _write_json(out / "manifest.json", manifest)
     return 0
 

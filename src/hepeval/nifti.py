@@ -24,12 +24,15 @@ import numpy as np
 from .errors import FormatError, ParameterError, SchemaError, UnsupportedDatatypeError
 from .volume import (
     DEFAULT_SCHEMA,
+    IDENTITY_ORIENTATION,
     BinaryMask,
     Geometry,
     LabelSchema,
     LabelVolume,
     ProbVolume,
+    _cross,
     _dot,
+    _norm,
 )
 
 log = logging.getLogger(__name__)
@@ -136,28 +139,21 @@ def _gunzip(data: bytes, path: Path) -> bytes:
     return b"".join(parts)
 
 
-def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarray:
-    a2 = 1.0 - (b * b + c * c + d * d)
-    a = np.sqrt(max(a2, 0.0))
-    r = np.array(
-        [
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
-        ]
+def _quaternion_rotation(b: float, c: float, d: float, qfac: float) -> tuple:
+    """Rows of the qform rotation. A negative qfac (pixdim[0]) negates the
+    third column; 0 reads as 1."""
+    a = math.sqrt(max(1.0 - (b * b + c * c + d * d), 0.0))
+    s = -1.0 if qfac < 0 else 1.0
+    return (
+        (a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c) * s),
+        (2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b) * s),
+        (2 * (b * d - a * c), 2 * (c * d + a * b), (a * a + d * d - b * b - c * c) * s),
     )
-    if qfac < 0:
-        r[:, 2] *= -1.0
-    return r
 
 
 # Newton steps allowed for a polar factor. A rotation read from 32-bit header
 # fields takes two; a column normalised from a 1e30 entry, six.
 _POLAR_STEPS = 30
-
-
-def _cross(u, v) -> tuple[float, float, float]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _orthonormalize(m, fields: str) -> tuple:
@@ -236,23 +232,19 @@ def _geometry_from_header(hdr: dict) -> Geometry:
         spacing.append(s)
 
     origin = (0.0, 0.0, 0.0)
-    orientation = np.eye(3)
+    orientation = IDENTITY_ORIENTATION
     if hdr["sform_code"] > 0:
         _finite_fields(hdr, "srow_x", "srow_y", "srow_z")
-        rows = np.array([hdr["srow_x"], hdr["srow_y"], hdr["srow_z"]], dtype=np.float64)
-        origin = tuple(float(v) for v in rows[:, 3])
-        cols = rows[:, :3]
-        norms = np.linalg.norm(cols, axis=0)
-        if (norms == 0).any():
+        *cols, origin = zip(hdr["srow_x"], hdr["srow_y"], hdr["srow_z"])
+        norms = [_norm(col) for col in cols]
+        if 0.0 in norms:
             raise FormatError("sform (srow_x, srow_y, srow_z) has a zero-length column")
-        orientation = _orthonormalize(cols / norms, "sform (srow_x, srow_y, srow_z)")
+        unit_rows = [[x / n for x, n in zip(row, norms)] for row in zip(*cols)]
+        orientation = _orthonormalize(unit_rows, "sform (srow_x, srow_y, srow_z)")
     elif hdr["qform_code"] > 0:
         _finite_fields(hdr, "quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
-        qfac = float(pixdim[0]) if pixdim[0] != 0 else 1.0
-        orientation = _orthonormalize(
-            _quaternion_rotation(hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"], qfac),
-            "qform (quatern_b, quatern_c, quatern_d)",
-        )
+        rotation = _quaternion_rotation(hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"], pixdim[0])
+        orientation = _orthonormalize(rotation, "qform (quatern_b, quatern_c, quatern_d)")
         origin = (float(hdr["qoffset_x"]), float(hdr["qoffset_y"]), float(hdr["qoffset_z"]))
 
     return Geometry(dims=(nx, ny, nz), spacing=tuple(spacing), origin=origin, orientation=orientation)
@@ -412,9 +404,10 @@ def read_binary_mask(path, digests: dict | None = None) -> BinaryMask:
 def _header_bytes(geometry: Geometry, datatype: int) -> bytes:
     nx, ny, nz = geometry.dims
     sx, sy, sz = geometry.spacing
-    rot = geometry.orientation_matrix()
-    affine = rot * np.array([sx, sy, sz])
-    srow = np.concatenate([affine, np.array(geometry.origin).reshape(3, 1)], axis=1)
+    srows = {
+        f"srow_{axis}": (m0 * sx, m1 * sy, m2 * sz, o)
+        for axis, (m0, m1, m2), o in zip("xyz", geometry.orientation, geometry.origin)
+    }
 
     values = _unpack_header(bytes(HEADER_SIZE), "<")  # every other field is zero
     values.update(
@@ -429,10 +422,8 @@ def _header_bytes(geometry: Geometry, datatype: int) -> bytes:
         xyzt_units=b"\x02",  # NIFTI_UNITS_MM
         descrip=b"hepeval",
         sform_code=1,
-        srow_x=tuple(float(v) for v in srow[0]),
-        srow_y=tuple(float(v) for v in srow[1]),
-        srow_z=tuple(float(v) for v in srow[2]),
         magic=MAGIC_SINGLE,
+        **srows,
     )
     flat = []
     for name, fmt in _FIELDS:

@@ -22,15 +22,13 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
-from .volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _dot, _is_number, _json_dict
+from .volume import (
+    DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _dot, _is_number, _json_dict, _norm
+)
 
 # later-drawn structures overwrite earlier ones
 PRECEDENCE = ("parenchyma", "biliary_tree", "hepatic_vein", "portal_vein", "tumor")
 TREE_STRUCTURES = ("portal_vein", "hepatic_vein", "biliary_tree")
-
-
-def _norm(u) -> float:
-    return math.sqrt(_dot(u, u))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ copying it and marks it read-only; any other input is converted first. A
 caller who keeps writing to an array passes a copy.
 
 `Geometry` holds plain Python ints and floats, and it validates and places
-voxels in scalar Python, with no NumPy or BLAS call.
+voxels in scalar Python, with no NumPy or BLAS call. `_dot`, `_cross` and
+`_norm` are the package's one home of 3-vector arithmetic, each in a fixed
+float order.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ def _dot(u, v) -> float:
     `np.linalg.norm` go through BLAS, whose kernels, picked per CPU, can
     round the last bit differently, and that bit decides edge voxels."""
     return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1]) + float(u[2]) * float(v[2])
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _norm(u) -> float:
+    return math.sqrt(_dot(u, u))
 
 
 def _json_dict(record) -> dict:

@@ -1,3 +1,4 @@
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 from scipy import ndimage
 
+from hepeval.errors import FormatError
 from hepeval.metrics import (
     CaseFlags,
     CaseReport,
@@ -16,6 +18,7 @@ from hepeval.metrics import (
     dsc,
 )
 from hepeval.morphology import bounding_box, distance_transform_box
+from hepeval.nifti import _orthonormalize
 from hepeval.phantom import axis_tree_spec, default_spec, generate_case
 from hepeval.vessel import (
     OFFSETS_26,
@@ -413,3 +416,63 @@ def reference_report(gt: LabelVolume, pred: LabelVolume, config: EvalConfig) -> 
         lesions=reference_lesions(*masks["tumor"], config),
         flags=flags,
     )
+
+
+def reference_quaternion_rotation(b: float, c: float, d: float, qfac: float) -> np.ndarray:
+    """The qform rotation as a NumPy matrix; a negative qfac negates the
+    third column in place."""
+    a = np.sqrt(max(1.0 - (b * b + c * c + d * d), 0.0))
+    r = np.array(
+        [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
+        ]
+    )
+    if qfac < 0:
+        r[:, 2] *= -1.0
+    return r
+
+
+def reference_geometry(hdr: dict) -> Geometry:
+    """Oracle of `nifti._geometry_from_header` for a header with finite
+    transform fields, from NumPy matrices: each sform column divided by its
+    `np.linalg.norm(axis=0)`, or the qform's `reference_quaternion_rotation`,
+    then the library's `_orthonormalize`."""
+    dims = tuple(int(d) for d in hdr["dim"][1:4])
+    spacing = tuple(abs(float(s)) for s in hdr["pixdim"][1:4])
+    origin, orientation = (0.0, 0.0, 0.0), np.eye(3)
+    if hdr["sform_code"] > 0:
+        rows = np.array([hdr["srow_x"], hdr["srow_y"], hdr["srow_z"]], dtype=np.float64)
+        origin, cols = tuple(float(v) for v in rows[:, 3]), rows[:, :3]
+        norms = np.linalg.norm(cols, axis=0)
+        if (norms == 0).any():
+            raise FormatError("sform (srow_x, srow_y, srow_z) has a zero-length column")
+        orientation = _orthonormalize(cols / norms, "sform (srow_x, srow_y, srow_z)")
+    elif hdr["qform_code"] > 0:
+        qfac = float(hdr["pixdim"][0]) if hdr["pixdim"][0] != 0 else 1.0
+        rotation = reference_quaternion_rotation(hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"], qfac)
+        orientation = _orthonormalize(rotation, "qform (quatern_b, quatern_c, quatern_d)")
+        origin = (float(hdr["qoffset_x"]), float(hdr["qoffset_y"]), float(hdr["qoffset_z"]))
+    return Geometry(dims=dims, spacing=spacing, origin=origin, orientation=orientation)
+
+
+def reference_header_bytes(geometry: Geometry) -> bytes:
+    """The 348 header bytes of a uint8 file of `geometry`, packed field by
+    field at their NIfTI-1 offsets. The srows are `orientation_matrix()` times
+    the spacing with the origin joined on by `np.concatenate`."""
+    affine = geometry.orientation_matrix() * np.array(geometry.spacing)
+    srow = np.concatenate([affine, np.array(geometry.origin).reshape(3, 1)], axis=1)
+    raw = bytearray(348)
+    struct.pack_into("<i", raw, 0, 348)  # sizeof_hdr
+    raw[38:39] = b"r"  # regular
+    struct.pack_into("<8h", raw, 40, 3, *geometry.dims, 1, 1, 1, 1)  # dim
+    struct.pack_into("<2h", raw, 70, 2, 8)  # datatype uint8, bitpix
+    struct.pack_into("<8f", raw, 76, 1.0, *geometry.spacing, 0.0, 0.0, 0.0, 0.0)  # pixdim
+    struct.pack_into("<2f", raw, 108, 352.0, 1.0)  # vox_offset, scl_slope
+    raw[123] = 2  # xyzt_units: mm
+    raw[148:155] = b"hepeval"  # descrip
+    struct.pack_into("<h", raw, 254, 1)  # sform_code
+    struct.pack_into("<12f", raw, 280, *srow.ravel().tolist())  # srow_x, srow_y, srow_z
+    raw[344:348] = b"n+1\x00"
+    return bytes(raw)

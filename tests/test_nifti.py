@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from hepeval.errors import FormatError, HepevalError, ParameterError, SchemaError, UnsupportedDatatypeError
 from hepeval.nifti import (
     HEADER_SIZE,
+    _geometry_from_header,
+    _header_bytes,
     _orthonormalize,
+    _unpack_header,
     read_binary_mask,
     read_label_volume,
     read_nifti,
@@ -22,6 +25,8 @@ from hepeval.nifti import (
     write_nifti,
 )
 from hepeval.volume import BinaryMask, Geometry, LabelVolume, ProbVolume
+
+from conftest import reference_geometry, reference_header_bytes
 
 
 def label_volume(dims=(4, 3, 2), spacing=(2.0, 2.0, 3.0), seed=0):
@@ -572,6 +577,70 @@ class TestHeaderMutations:
             assert np.array_equal(m, np.eye(3))
         elif np.abs(columns.T @ columns - np.eye(3)).max() < 1e-9:
             assert np.abs(m - columns).max() < 1e-6
+
+
+# Orientation fields as a header stores them, 32-bit floats: a quaternion
+# (b, c, d) with b^2 + c^2 + d^2 on either side of 1 and its qfac; or sform
+# columns scaled by 1e-3 to 1e3, one of them zero or repeated in some draws.
+UNIT_F32 = st.floats(-1.0, 1.0, width=32)
+ORIGIN_F32 = st.tuples(*[st.floats(-1e3, 1e3, width=32)] * 3)
+QFORMS = st.tuples(
+    st.just("qform"), st.tuples(*[st.floats(-1.25, 1.25, width=32)] * 3), st.sampled_from([-1.0, 0.0, 1.0]), ORIGIN_F32
+)
+SFORMS = st.tuples(
+    st.sampled_from(["general", "zero column", "repeated column"]),
+    st.tuples(*[st.tuples(UNIT_F32, UNIT_F32, UNIT_F32)] * 3),
+    st.tuples(*[st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3])] * 3),
+    ORIGIN_F32,
+)
+
+
+def transform_header(transform, spacing) -> dict:
+    """The header fields of a 4x3x2 uint8 file with `spacing` and a drawn
+    qform (sform_code 0) or sform."""
+    raw = _blank_header(pixdim=spacing)
+    kind, first, second, origin = transform
+    if kind == "qform":
+        struct.pack_into("<f", raw, 76, second)  # pixdim[0], qfac
+        struct.pack_into("<h", raw, 252, 1)  # qform_code
+        struct.pack_into("<6f", raw, 256, *first, *origin)  # quatern_b..d, qoffset_x..z
+    else:
+        columns, scales = list(first), list(second)
+        if kind == "zero column":
+            columns[2] = (0.0, 0.0, 0.0)
+        elif kind == "repeated column":
+            columns[1], scales[1] = columns[0], scales[0]
+        struct.pack_into("<h", raw, 254, 1)  # sform_code
+        for i, offset in enumerate((280, 296, 312)):  # srow_x, srow_y, srow_z
+            struct.pack_into("<4f", raw, offset, *(col[i] * s for col, s in zip(columns, scales)), origin[i])
+    return _unpack_header(bytes(raw), "<")
+
+
+class TestHeaderOracle:
+    @given(transform=st.one_of(QFORMS, SFORMS), spacing=st.tuples(*[st.floats(0.25, 4.0, width=32)] * 3))
+    @example(transform=("general", ((2.0, 0.0, 0.0), (3.0, 0.0, 0.0), (0.0, 0.0, 3.0)), (1.0,) * 3, (0.0,) * 3),
+             spacing=(2.0, 2.0, 3.0))  # parallel columns
+    @example(transform=("zero column", ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (1.0,) * 3, (0.0,) * 3),
+             spacing=(2.0, 2.0, 3.0))
+    @settings(max_examples=1000, deadline=None)
+    def test_geometry_and_header_bytes_match_the_numpy_path(self, transform, spacing):
+        # every orientation and origin entry bit for bit, or the same error
+        # naming the same field; then the 348 bytes written for the geometry
+        hdr = transform_header(transform, spacing)
+        outcomes = []
+        for geometry_of in (_geometry_from_header, reference_geometry):
+            try:
+                outcomes.append(geometry_of(hdr))
+            except HepevalError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        if isinstance(got, HepevalError) or isinstance(want, HepevalError):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        entries, expected = ([*g.origin, *itertools.chain(*g.orientation)] for g in (got, want))
+        assert all(type(x) is float for x in entries)
+        assert [x.hex() for x in entries] == [x.hex() for x in expected]
+        assert _header_bytes(got, 2) == reference_header_bytes(want)
 
 
 class TestRandomRoundtrips:
