@@ -23,7 +23,8 @@ import numpy as np
 from .errors import GenerationError, ParameterError
 from .morphology import pool_array
 from .volume import (
-    DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _dot, _is_number, _json_dict, _norm
+    DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, _check_fields, _cross, _dot, _is_number, _json_dict, _norm,
+    _unit,
 )
 
 # later-drawn structures overwrite earlier ones
@@ -92,12 +93,10 @@ class PhantomSpec:
             if name not in TREE_STRUCTURES:
                 raise ParameterError(f"unknown tree structure {name!r}")
 
-    def center(self) -> np.ndarray:
+    def center(self) -> tuple[float, float, float]:
         if self.parenchyma_center_mm is not None:
-            return np.asarray(self.parenchyma_center_mm, dtype=np.float64)
-        dims = np.asarray(self.geometry.dims, dtype=np.float64)
-        spacing = np.asarray(self.geometry.spacing)
-        return (dims - 1) * spacing / 2.0
+            return tuple(map(float, self.parenchyma_center_mm))
+        return tuple((n - 1) * s / 2.0 for n, s in zip(self.geometry.dims, self.geometry.spacing))
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class EdgeRecord:
 
     @property
     def length_mm(self) -> float:
-        return _norm(np.subtract(self.end_mm, self.start_mm))
+        return _norm([b - a for a, b in zip(self.start_mm, self.end_mm)])
 
     @property
     def analytic_volume_mm3(self) -> float:
@@ -142,31 +141,33 @@ class PhantomTruth:
         return generations[self.edge_tag + 1]
 
 
-def _rotate(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarray:
-    axis = axis / _norm(axis)
+def _rotate(v, axis, angle_rad: float) -> tuple[float, float, float]:
+    """`v` turned by `angle_rad` about `axis` (Rodrigues' formula), each
+    coordinate summed left to right."""
+    axis = _unit(axis)
     c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return v * c + np.cross(axis, v) * s + axis * _dot(axis, v) * (1.0 - c)
+    d = _dot(axis, v)
+    return tuple(vi * c + xi * s + ai * d * (1.0 - c) for vi, xi, ai in zip(v, _cross(axis, v), axis))
 
 
 def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[EdgeRecord]:
     """Breadth-first symmetric bifurcation; edge ids are parent-before-child."""
-    direction = np.asarray(spec.root_direction, dtype=np.float64)
-    direction = direction / _norm(direction)
-    normal = np.asarray(spec.branch_normal, dtype=np.float64)
-    normal = normal - direction * _dot(direction, normal)
+    direction = _unit(spec.root_direction)
+    d = _dot(direction, spec.branch_normal)
+    normal = [n - u * d for n, u in zip(spec.branch_normal, direction)]
     if _norm(normal) < 1e-12:
         raise ParameterError(f"{tree_name}: branch normal is parallel to the root direction")
-    normal = normal / _norm(normal)
+    normal = _unit(normal)
 
     edges: list[EdgeRecord] = []
-    start = np.asarray(spec.root_start_mm, dtype=np.float64)
+    start = tuple(map(float, spec.root_start_mm))
     root = EdgeRecord(
         edge_id=first_id,
         tree=tree_name,
         generation=0,
         parent_edge_id=None,
-        start_mm=tuple(start),
-        end_mm=tuple(start + direction * spec.segment_length_mm),
+        start_mm=start,
+        end_mm=tuple(p + u * spec.segment_length_mm for p, u in zip(start, direction)),
         radius_mm=spec.root_radius_mm,
     )
     edges.append(root)
@@ -178,17 +179,15 @@ def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[Edg
         radius = spec.root_radius_mm * spec.radius_decay**gen
         new_frontier = []
         for parent, pdir, pnormal in frontier:
-            base = np.asarray(parent.end_mm)
             for sign in (+1.0, -1.0):
-                cdir = _rotate(pdir, pnormal, sign * half_angle)
-                cdir = cdir / _norm(cdir)
+                cdir = _unit(_rotate(pdir, pnormal, sign * half_angle))
                 child = EdgeRecord(
                     edge_id=next_id,
                     tree=tree_name,
                     generation=gen,
                     parent_edge_id=parent.edge_id,
-                    start_mm=tuple(base),
-                    end_mm=tuple(base + cdir * length),
+                    start_mm=parent.end_mm,
+                    end_mm=tuple(p + u * length for p, u in zip(parent.end_mm, cdir)),
                     radius_mm=radius,
                 )
                 next_id += 1
@@ -200,32 +199,23 @@ def _build_tree_edges(tree_name: str, spec: TreeSpec, first_id: int) -> list[Edg
     return edges
 
 
-def _voxel_grids(geometry: Geometry, lo: np.ndarray, hi: np.ndarray):
-    """Index ranges and mm coordinates for a clipped bounding box.
+def _voxel_grids(geometry: Geometry, lo, hi):
+    """Box slices and mm coordinates of the voxels from `lo` to `hi` (mm,
+    x, y, z), clipped to the volume, or None when the clipped box is empty.
 
     The coordinates are sparse (shapes (1, 1, nx), (1, ny, 1), (nz, 1, 1)):
     an expression over them broadcasts to the box and computes each voxel's
     value exactly as over dense grids, without three box-sized inputs.
     """
-    nx, ny, nz = geometry.dims
-    spacing = np.asarray(geometry.spacing)
-    lo_idx = np.maximum(np.floor(lo / spacing).astype(int), 0)
-    hi_idx = np.minimum(np.ceil(hi / spacing).astype(int) + 1, [nx, ny, nz])
-    if (lo_idx >= hi_idx).any():
+    ranges = [
+        range(max(math.floor(a / s), 0), min(math.ceil(b / s) + 1, n))
+        for a, b, s, n in zip(lo, hi, geometry.spacing, geometry.dims)
+    ]
+    if not all(ranges):
         return None
-    xs = np.arange(lo_idx[0], hi_idx[0]) * spacing[0]
-    ys = np.arange(lo_idx[1], hi_idx[1]) * spacing[1]
-    zs = np.arange(lo_idx[2], hi_idx[2]) * spacing[2]
+    xs, ys, zs = (np.arange(r.start, r.stop) * s for r, s in zip(ranges, geometry.spacing))
     zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij", sparse=True)
-    return lo_idx, hi_idx, xx, yy, zz
-
-
-def _box_slices(lo_idx, hi_idx):
-    return (
-        slice(lo_idx[2], hi_idx[2]),
-        slice(lo_idx[1], hi_idx[1]),
-        slice(lo_idx[0], hi_idx[0]),
-    )
+    return tuple(slice(r.start, r.stop) for r in reversed(ranges)), xx, yy, zz
 
 
 def rasterize_capsule(
@@ -236,15 +226,15 @@ def rasterize_capsule(
     Returns (inside bool array, box slices, squared distance to the axis) or
     None when the capsule misses the volume entirely.
     """
-    a = np.asarray(start_mm, dtype=np.float64)
-    b = np.asarray(end_mm, dtype=np.float64)
-    lo = np.minimum(a, b) - radius_mm
-    hi = np.maximum(a, b) + radius_mm
+    a = tuple(map(float, start_mm))
+    b = tuple(map(float, end_mm))
+    lo = [min(p, q) - radius_mm for p, q in zip(a, b)]
+    hi = [max(p, q) + radius_mm for p, q in zip(a, b)]
     grids = _voxel_grids(geometry, lo, hi)
     if grids is None:
         return None
-    lo_idx, hi_idx, xx, yy, zz = grids
-    ab = b - a
+    box, xx, yy, zz = grids
+    ab = [q - p for p, q in zip(a, b)]
     denom = _dot(ab, ab)
     px, py, pz = xx - a[0], yy - a[1], zz - a[2]
     if denom == 0.0:
@@ -253,7 +243,7 @@ def rasterize_capsule(
         t = np.clip((px * ab[0] + py * ab[1] + pz * ab[2]) / denom, 0.0, 1.0)
         d2 = (px - t * ab[0]) ** 2 + (py - t * ab[1]) ** 2 + (pz - t * ab[2]) ** 2
     inside = d2 < radius_mm * radius_mm
-    return inside, _box_slices(lo_idx, hi_idx), d2
+    return inside, box, d2
 
 
 def rasterize_sphere(geometry: Geometry, center_mm, radius_mm: float):
@@ -270,17 +260,18 @@ def _capsule_mask(geometry: Geometry, start_mm, end_mm, radius_mm: float) -> np.
     return mask
 
 
-def _inside_ellipsoid(point, center, semiaxes, margin_mm: float) -> bool:
-    p = np.asarray(point, dtype=np.float64)
-    scaled = (p - center) / np.asarray(semiaxes)
-    return _norm(scaled) + margin_mm / float(min(semiaxes)) <= 1.0
-
-
-def _check_inside_volume(geometry: Geometry, point, margin_mm: float, what: str):
-    p = np.asarray(point, dtype=np.float64)
-    extent = (np.asarray(geometry.dims) - 1) * np.asarray(geometry.spacing)
-    if (p - margin_mm < 0).any() or (p + margin_mm > extent).any():
-        raise GenerationError(f"{what} exceeds the volume bounds")
+def _check_placement(spec: PhantomSpec, point, radius_mm: float, what: str) -> None:
+    """Raise GenerationError unless the ball of `radius_mm` about `point`
+    lies in the parenchyma ellipsoid and between the first and last voxel
+    centers on every axis. A ball placed so has a non-empty raster box."""
+    semis = spec.parenchyma_semiaxes_mm
+    scaled = [(p - c) / s for p, c, s in zip(point, spec.center(), semis)]
+    if _norm(scaled) + radius_mm / float(min(semis)) > 1.0:
+        raise GenerationError(f"{what} exits the parenchyma")
+    geometry = spec.geometry
+    for p, n, s in zip(point, geometry.dims, geometry.spacing):
+        if p - radius_mm < 0 or p + radius_mm > (n - 1) * s:
+            raise GenerationError(f"{what} exceeds the volume bounds")
 
 
 def generate_case(spec: PhantomSpec) -> PhantomTruth:
@@ -293,7 +284,7 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
     """
     geometry = spec.geometry
     center = spec.center()
-    semis = np.asarray(spec.parenchyma_semiaxes_mm)
+    semis = spec.parenchyma_semiaxes_mm
     shape = geometry.shape
 
     labels = np.zeros(shape, dtype=np.uint8)
@@ -301,17 +292,19 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
     volumes: dict[str, float] = {}
 
     # parenchyma ellipsoid
-    grids = _voxel_grids(geometry, center - semis, center + semis)
+    grids = _voxel_grids(
+        geometry, [c - s for c, s in zip(center, semis)], [c + s for c, s in zip(center, semis)]
+    )
     if grids is None:
         raise GenerationError("parenchyma lies outside the volume")
-    lo_idx, hi_idx, xx, yy, zz = grids
+    box, xx, yy, zz = grids
     inside = (
         ((xx - center[0]) / semis[0]) ** 2
         + ((yy - center[1]) / semis[1]) ** 2
         + ((zz - center[2]) / semis[2]) ** 2
     ) < 1.0
-    labels[_box_slices(lo_idx, hi_idx)][inside] = DEFAULT_SCHEMA.id_of("parenchyma")
-    volumes["parenchyma"] = 4.0 / 3.0 * math.pi * float(np.prod(semis))
+    labels[box][inside] = DEFAULT_SCHEMA.id_of("parenchyma")
+    volumes["parenchyma"] = 4.0 / 3.0 * math.pi * float(math.prod(semis))
 
     # trees, in precedence order, with nearest-axis voxel ownership
     all_edges: list[EdgeRecord] = []
@@ -329,18 +322,13 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
     # axis distance of each voxel's owning edge; a capsule compares it only
     # where its own tree already holds the voxel, so trees never compete
     best_d2 = np.full(shape, np.inf, dtype=np.float64)
-    for name in ("biliary_tree", "hepatic_vein", "portal_vein"):
+    for name in PRECEDENCE[1:-1]:
         sid = DEFAULT_SCHEMA.id_of(name)
         for e in structure_edges.get(name, []):
             for endpoint in (e.start_mm, e.end_mm):
-                if not _inside_ellipsoid(endpoint, center, semis, e.radius_mm):
-                    raise GenerationError(f"{name} edge {e.edge_id} exits the parenchyma")
-                _check_inside_volume(geometry, endpoint, e.radius_mm, f"{name} edge {e.edge_id}")
+                _check_placement(spec, endpoint, e.radius_mm, f"{name} edge {e.edge_id}")
             volumes[name] = volumes.get(name, 0.0) + e.analytic_volume_mm3
-            hit = rasterize_capsule(geometry, e.start_mm, e.end_mm, e.radius_mm)
-            if hit is None:
-                continue
-            inside, box, d2 = hit
+            inside, box, d2 = rasterize_capsule(geometry, e.start_mm, e.end_mm, e.radius_mm)
             sub_labels = labels[box]
             sub_best = best_d2[box]
             # nearest-axis ownership; the corner region of a junction is
@@ -351,14 +339,10 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             sub_best[claim] = d2[claim]
             edge_tag[box][claim] = e.edge_id
         if name == "biliary_tree" and gb is not None:
-            if not _inside_ellipsoid(gb.center_mm, center, semis, gb.radius_mm):
-                raise GenerationError("gallbladder exits the parenchyma")
-            _check_inside_volume(geometry, gb.center_mm, gb.radius_mm, "gallbladder")
-            hit = rasterize_sphere(geometry, gb.center_mm, gb.radius_mm)
-            if hit is not None:
-                inside, box, _ = hit
-                gb_mask[box] = inside
-                labels[box][inside] = sid
+            _check_placement(spec, gb.center_mm, gb.radius_mm, "gallbladder")
+            inside, box, _ = rasterize_sphere(geometry, gb.center_mm, gb.radius_mm)
+            gb_mask[box] = inside
+            labels[box][inside] = sid
             volumes["gallbladder"] = 4.0 / 3.0 * math.pi * gb.radius_mm**3
 
     # the venous trees may overwrite part of the gallbladder sphere
@@ -368,13 +352,8 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
     # tumors last so they are never occluded
     tumor_id = DEFAULT_SCHEMA.id_of("tumor")
     for i, t in enumerate(spec.tumors):
-        if not _inside_ellipsoid(t.center_mm, center, semis, t.radius_mm):
-            raise GenerationError(f"tumor {i} is not inside the parenchyma")
-        _check_inside_volume(geometry, t.center_mm, t.radius_mm, f"tumor {i}")
-        hit = rasterize_sphere(geometry, t.center_mm, t.radius_mm)
-        if hit is None:
-            continue
-        inside, box, _ = hit
+        _check_placement(spec, t.center_mm, t.radius_mm, f"tumor {i}")
+        inside, box, _ = rasterize_sphere(geometry, t.center_mm, t.radius_mm)
         labels[box][inside] = tumor_id
         edge_tag[box][inside] = -1
         volumes[f"tumor_{i}"] = 4.0 / 3.0 * math.pi * t.radius_mm**3
@@ -417,6 +396,9 @@ class DegradeSpec:
             if not _is_number(n, numbers.Integral) or n < 0:
                 raise ParameterError(f"morphology step counts must be integers >= 0, got {n!r}")
         object.__setattr__(self, "drop_edge_ids", tuple(self.drop_edge_ids))
+        for edge_id in self.drop_edge_ids:
+            if not _is_number(edge_id, numbers.Integral):
+                raise ParameterError(f"edge ids must be integers, got {edge_id!r}")
         both = set(k for k, v in self.erode_steps.items() if v) & set(
             k for k, v in self.dilate_steps.items() if v
         )
@@ -428,8 +410,7 @@ class DegradeSpec:
 
 def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
     """Apply a DegradeSpec to a truth volume; deterministic per seed."""
-    known = {e.edge_id for e in truth.edges}
-    unknown = set(d.drop_edge_ids) - known
+    unknown = set(d.drop_edge_ids) - set(range(len(truth.edges)))
     if unknown:
         raise ParameterError(f"unknown edge ids {sorted(unknown)}")
 
@@ -439,8 +420,7 @@ def degrade(truth: PhantomTruth, d: DegradeSpec) -> LabelVolume:
     masks = {name: labels == schema.id_of(name) for name in PRECEDENCE}
 
     for edge_id in d.drop_edge_ids:
-        tree = next(e.tree for e in truth.edges if e.edge_id == edge_id)
-        masks[tree] &= truth.edge_tag != edge_id
+        masks[truth.edges[edge_id].tree] &= truth.edge_tag != edge_id
 
     for op, steps_by_name in (("min", d.erode_steps), ("max", d.dilate_steps)):
         for name, steps in steps_by_name.items():
@@ -554,15 +534,15 @@ def straight_tube_mask(
     radius_vox: float = 0.5,
     dims: tuple[int, int, int] = (56, 16, 16),
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> tuple[BinaryMask, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[BinaryMask, tuple[tuple[float, float, float], tuple[float, float, float]]]:
     """Stored straight-tube phantom along x; returns (mask, centerline).
 
     The centerline is the analytic axis segment (start_mm, end_mm).
     """
     geometry = Geometry(dims=dims, spacing=spacing)
     x0 = (dims[0] - length_vox) // 2
-    start = np.array([x0 * spacing[0], (dims[1] // 2) * spacing[1], (dims[2] // 2) * spacing[2]])
-    end = start + np.array([(length_vox - 1) * spacing[0], 0.0, 0.0])
+    start = (x0 * spacing[0], (dims[1] // 2) * spacing[1], (dims[2] // 2) * spacing[2])
+    end = (start[0] + (length_vox - 1) * spacing[0], start[1], start[2])
     mask = _capsule_mask(geometry, start, end, radius_vox * spacing[0])
     return BinaryMask(geometry, mask), (start, end)
 
@@ -592,10 +572,10 @@ def y_phantom(
     geometry = Geometry(dims=dims, spacing=(1.0, 1.0, 1.0))
     cx, cy = dims[0] // 2, dims[1] // 2
     z0 = 6
-    junction = np.array([cx, cy, z0 + trunk_length], dtype=np.float64)
-    trunk_seg = (np.array([cx, cy, z0], dtype=np.float64), junction)
-    branch_a = (junction, junction + np.array([branch_length, 0.0, 0.0]))
-    branch_b = (junction, junction - np.array([branch_length, 0.0, 0.0]))
+    junction = (cx, cy, z0 + trunk_length)
+    trunk_seg = ((cx, cy, z0), junction)
+    branch_a = (junction, (cx + branch_length, cy, z0 + trunk_length))
+    branch_b = (junction, (cx - branch_length, cy, z0 + trunk_length))
 
     trunk_m = _capsule_mask(geometry, *trunk_seg, trunk_radius)
     a_m = _capsule_mask(geometry, *branch_a, branch_radius)

@@ -12,9 +12,9 @@ copying it and marks it read-only; any other input is converted first. A
 caller who keeps writing to an array passes a copy.
 
 `Geometry` holds plain Python ints and floats, and it validates and places
-voxels in scalar Python, with no NumPy or BLAS call. `_dot`, `_cross` and
-`_norm` are the package's one home of 3-vector arithmetic, each in a fixed
-float order.
+voxels in scalar Python, with no NumPy or BLAS call. `_dot`, `_cross`,
+`_norm` and `_unit` are the package's one home of 3-vector arithmetic, each
+in a fixed float order.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def _norm(u) -> float:
     return math.sqrt(_dot(u, u))
 
 
+def _unit(u) -> tuple[float, float, float]:
+    n = _norm(u)
+    return (u[0] / n, u[1] / n, u[2] / n)
+
+
 def _json_dict(record) -> dict:
     """A dataclass as a JSON object: its fields in order, tuples as lists."""
     return asdict(record, dict_factory=lambda items: {k: _listed(v) for k, v in items})
@@ -144,9 +149,6 @@ class Geometry:
     def voxel_volume_mm3(self) -> float:
         sx, sy, sz = self.spacing
         return sx * sy * sz
-
-    def orientation_matrix(self) -> np.ndarray:
-        return np.asarray(self.orientation, dtype=np.float64)
 
     def position_mm(self, index_xyz) -> tuple[float, float, float]:
         """Patient-space position of a voxel index (x, y, z): origin + M (index * spacing).

@@ -459,9 +459,9 @@ def reference_geometry(hdr: dict) -> Geometry:
 
 def reference_header_bytes(geometry: Geometry) -> bytes:
     """The 348 header bytes of a uint8 file of `geometry`, packed field by
-    field at their NIfTI-1 offsets. The srows are `orientation_matrix()` times
-    the spacing with the origin joined on by `np.concatenate`."""
-    affine = geometry.orientation_matrix() * np.array(geometry.spacing)
+    field at their NIfTI-1 offsets. The srows are the orientation as a NumPy
+    array times the spacing with the origin joined on by `np.concatenate`."""
+    affine = np.asarray(geometry.orientation) * np.array(geometry.spacing)
     srow = np.concatenate([affine, np.array(geometry.origin).reshape(3, 1)], axis=1)
     raw = bytearray(348)
     struct.pack_into("<i", raw, 0, 348)  # sizeof_hdr

@@ -8,8 +8,12 @@ SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
 OpenBLAS's pre-FMA kernels, and `NPY_DISABLE_CPU_FEATURES` turns NumPy's
 AVX-512 loops off, as on a CPU without them. A setting this build cannot
 apply skips its leg and says why.
+
+A source scan also fails on any call in the package to `np.cross`, `np.dot`,
+`np.inner`, `np.vdot`, `np.matmul`, `np.einsum` or `np.linalg`.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -23,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hepeval
 from hepeval.losses import loss_terms
 from hepeval.metrics import _joint_box
 from hepeval.morphology import label_boxes
@@ -174,3 +179,20 @@ def test_digests_match_in_process_run(leg, in_process):
     if leg == "numpy_avx512_off":
         assert not avx512  # the setting took effect
     assert got == in_process
+
+
+VECTOR_PRODUCTS = {"np.cross", "np.dot", "np.inner", "np.vdot", "np.matmul", "np.einsum"}
+
+
+def test_package_calls_no_numpy_vector_product():
+    # NumPy's vector products and np.linalg run BLAS or SIMD kernels picked
+    # per CPU, which can round the last bit differently; 3-vector arithmetic
+    # goes through volume's _dot, _cross, _norm and _unit instead
+    found = []
+    for path in sorted(Path(hepeval.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in VECTOR_PRODUCTS or name.startswith("np.linalg."):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

@@ -409,7 +409,7 @@ class TestSoftSkeleton:
         coords = np.argwhere(skel > 0.5)  # (z, y, x)
         assert len(coords) > 0
         axis = np.stack([coords[:, 2], coords[:, 1], coords[:, 0]], axis=1).astype(float)
-        seg = end - start
+        seg = np.subtract(end, start)
         t = np.clip((axis - start) @ seg / (seg @ seg), 0.0, 1.0)
         nearest = start + t[:, None] * seg
         dist = np.linalg.norm(axis - nearest, axis=1)

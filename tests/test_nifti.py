@@ -92,7 +92,7 @@ class TestRoundtrip:
         write_nifti(vol, path)
         back = read_label_volume(path)
         assert back.geometry.origin == g.origin
-        assert np.allclose(back.geometry.orientation_matrix(), g.orientation_matrix())
+        assert np.allclose(np.asarray(back.geometry.orientation), np.asarray(g.orientation))
 
 
 class TestHeaderContract:
@@ -195,7 +195,7 @@ class TestHandConstructedFiles:
         path.write_bytes(bytes(hdr) + b"\x00" * 4 + bytes(24))
         vol = read_nifti(path, intent="labels")
         assert vol.geometry.origin == (5.0, 6.0, 7.0)
-        assert np.allclose(vol.geometry.orientation_matrix(), np.eye(3))
+        assert np.allclose(np.asarray(vol.geometry.orientation), np.eye(3))
 
     def test_sform_with_dependent_columns_is_named(self, tmp_path):
         # the first two columns are parallel, so no orientation is nearest
@@ -572,7 +572,7 @@ class TestHeaderMutations:
         assert vol.geometry.dims == dims
         assert vol.geometry.spacing == spacing
         assert vol.geometry.origin == origin
-        m = vol.geometry.orientation_matrix()
+        m = np.asarray(vol.geometry.orientation)
         if columns is None:
             assert np.array_equal(m, np.eye(3))
         elif np.abs(columns.T @ columns - np.eye(3)).max() < 1e-9:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hepeval.errors import GenerationError, ParameterError
 from hepeval.metrics import lesion_match
@@ -14,11 +16,13 @@ from hepeval.phantom import (
     PhantomSpec,
     Sphere,
     TreeSpec,
+    _check_placement,
     axis_tree_spec,
     default_spec,
     degrade,
     degrade_from_json_dict,
     generate_case,
+    rasterize_capsule,
     spec_from_json_dict,
     spec_to_json_dict,
     straight_tube_mask,
@@ -194,6 +198,79 @@ class TestGenerate:
         assert (truth.edge_tag[labels == 2] == -1).all()
 
 
+# (parenchyma semiaxes, point) on a 40^3 unit grid centred at 19.5 mm: a
+# ball of radius 2 about the point leaves only the condition named
+PLACEMENTS = {
+    "exits the parenchyma": ((10.0, 10.0, 10.0), (5.0, 19.5, 19.5)),
+    "exceeds the volume bounds": ((200.0, 200.0, 200.0), (1.0, 19.5, 19.5)),
+}
+
+
+def _placed(structure: str, point) -> dict:
+    if structure == "tree":
+        tree = TreeSpec(
+            levels=1,
+            root_start_mm=point,
+            root_direction=(1.0, 0.0, 0.0),
+            root_radius_mm=2.0,
+            radius_decay=1.0,
+            segment_length_mm=5.0,
+            length_decay=1.0,
+        )
+        return {"trees": {"portal_vein": tree}}
+    if structure == "gallbladder":
+        return {"gallbladder": Sphere(center_mm=point, radius_mm=2.0)}
+    return {"tumors": (Sphere(center_mm=point, radius_mm=2.0),)}
+
+
+@st.composite
+def capsules(draw):
+    """A small grid with non-integer spacings, a radius, possibly below half
+    an ulp of the coordinates, and two ends, often equal. An end coordinate
+    is a voxel centre, the centre one spacing past the last, or anywhere
+    between the first and last centres."""
+    dims = draw(st.tuples(*[st.integers(3, 8)] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.3, 2.7).filter(lambda s: not s.is_integer())] * 3))
+    radius = draw(st.floats(1e-9, 0.6) | st.just(1e-17))
+    point = st.tuples(
+        *[(st.integers(0, n) | st.floats(0, n - 1)).map(lambda u, s=s: u * s) for n, s in zip(dims, spacing)]
+    )
+    start = draw(point)
+    return Geometry(dims=dims, spacing=spacing), radius, (start, draw(st.just(start) | point))
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("condition", sorted(PLACEMENTS))
+    @pytest.mark.parametrize(
+        "structure, what", [("tree", "portal_vein edge 0"), ("gallbladder", "gallbladder"), ("tumor", "tumor 0")]
+    )
+    def test_error_names_the_structure_and_the_condition(self, structure, what, condition):
+        semiaxes, point = PLACEMENTS[condition]
+        spec = PhantomSpec(
+            geometry=Geometry(dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)),
+            parenchyma_semiaxes_mm=semiaxes,
+            **_placed(structure, point),
+        )
+        with pytest.raises(GenerationError, match=f"^{what} {condition}$"):
+            generate_case(spec)
+
+    @given(case=capsules())
+    # a ball too small to move its centre's coordinates, on voxel (2, 2, 2)
+    @example(case=(Geometry(dims=(5, 5, 5), spacing=(1.5, 0.75, 2.5)), 1e-17, [(3.0, 1.5, 5.0)] * 2))
+    @settings(max_examples=300, deadline=None)
+    def test_a_placed_capsule_has_a_voxel_on_every_axis(self, case):
+        g, radius, (start, end) = case
+        # the parenchyma spans far past the grid, so the volume bounds decide
+        spec = PhantomSpec(geometry=g, parenchyma_semiaxes_mm=(1e3, 1e3, 1e3))
+        try:
+            for point in (start, end):
+                _check_placement(spec, point, radius, "capsule")
+        except GenerationError:
+            return
+        hit = rasterize_capsule(g, start, end, radius)
+        assert hit is not None and min(hit[0].shape) >= 1
+
+
 @pytest.fixture(scope="module")
 def truth():
     return generate_case(default_spec())
@@ -223,6 +300,20 @@ class TestDegrade:
     def test_unknown_edge_id_raises(self, truth):
         with pytest.raises(ParameterError):
             degrade(truth, DegradeSpec(drop_edge_ids=(9999,)))
+
+    @pytest.mark.parametrize("edge_id", [True, 1.0, "1"])
+    def test_non_integer_edge_id_rejected(self, edge_id):
+        with pytest.raises(ParameterError, match="edge ids must be integers"):
+            DegradeSpec(drop_edge_ids=(edge_id,))
+        with pytest.raises(ParameterError, match="edge ids must be integers"):
+            degrade_from_json_dict({"drop_edge_ids": [edge_id]})
+
+    def test_json_edge_id_drops_exactly_its_voxels(self):
+        truth = generate_case(axis_tree_spec(2))
+        out = degrade(truth, degrade_from_json_dict({"drop_edge_ids": [1]}))
+        changed = out.labels != truth.label_volume.labels
+        assert np.array_equal(changed, truth.edge_tag == 1)
+        assert int(changed.sum()) == 273
 
     def test_erode_and_dilate_conflict_rejected(self):
         with pytest.raises(ParameterError):

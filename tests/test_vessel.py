@@ -136,7 +136,7 @@ class TestSkeletonize:
         skel = skeletonize(mask, 4)
         coords = np.argwhere(skel.values)
         pts = np.stack([coords[:, 2], coords[:, 1], coords[:, 0]], 1).astype(float)
-        seg = end - start
+        seg = np.subtract(end, start)
         t = np.clip((pts - start) @ seg / (seg @ seg), 0, 1)
         dist = np.linalg.norm(pts - (start + t[:, None] * seg), axis=1)
         assert dist.max() <= 1.0
