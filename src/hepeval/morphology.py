@@ -7,16 +7,14 @@ so each pool runs as three 1D passes.
 The soft skeleton takes probabilities: float64 values in [0, 1], which
 the exterior 0 lies at or below. It records where every value came from.
 Min and max over a box are separable under any total order, so the same
-`pool_array` pools integer keys that order the values, and the key width is
-chosen from the data. When the input and the exterior 0 hold no two equal
-values, the keys are int32 value ranks: each rank belongs to one voxel, so
-a pooled rank names its source, and equal ranks in a window are copies of
-one voxel's value. With ties, the tie rule of an autodiff max-pool needs
-each stage grid's positions: ties go to the smallest linear index, and the
-exterior 0 wins, taking no gradient, only on a strict extremum. Then the
-keys are packed int64 (dense value rank, then linear position), which name
-each pooled voxel's rank and winner at once, at several times an int32
-pool's cost: twice the bytes per pass, plus the key adds and decodes.
+`pool_array` pools int32 keys that order the values strictly: the n voxels
+and the exterior, a 0 beside them, are ranked by (value, input voxel
+index), with the exterior first among the zeros, so its rank is 0, the
+padding. Each rank belongs to one voxel, so a pooled rank names its source.
+At a tie the pools are not differentiable, and any tied voxel gives a valid
+subgradient; this order picks one: a min pool takes the tied voxel with the
+smallest input index, a max pool the one with the largest, and the exterior
+wins every tie at 0 in a min pool, so it takes no gradient there.
 
 Erosion thins the int32 ranks: on a noisy 128^3 prediction 62,944 distinct
 keys are left after two stages. So after each stage, until they narrow, the
@@ -30,34 +28,35 @@ as on a strongly smoothed prediction, stop the counting after one scan. A
 count that a floor on the keys left shows cannot narrow is skipped: after
 stage 0 on cubes of 123^3 and more.
 
-Both key kinds come from one int64 sort, with no argsort over the grid.
-Each value gets an order-preserving int64 code (its float64 bits, which
-sort as the values do for values >= 0; -0.0 is first made 0.0), and the
-top 64 - b bits of the code are packed over the voxel index in the low b
-bits, b = n.bit_length(). Values closer than 2^b code steps can share those
-top bits: such prefix runs come out sorted by index, so only their positions
-are sorted again by full code (about 2,000 of 2.1 M positions on a 128^3
-sigmoid prediction). Every value below 0 and -NaN sort first, and every
-value above 1, +inf and +NaN last, so reading the two ends of the sorted
-codes finds any value outside [0, 1], and it raises ParameterError. The
-codes are written straight from the input, with the exterior's code 0 at
-index n, so a C-contiguous input is never copied.
+The ranks come from one int64 sort, with no argsort over the grid. Each
+value gets an order-preserving int64 code (its float64 bits, which sort as
+the values do for values >= 0; -0.0 is first made 0.0), and the top 64 - b
+bits of the code are packed over the voxel index + 1 in the low b bits,
+b = n.bit_length(), so the exterior's word is 0. Values closer than 2^b
+code steps can share those top bits: such prefix runs come out sorted by
+index, so only their positions are sorted again, stably, by full code
+(about 2,000 of 2.1 M positions on a 128^3 sigmoid prediction). Every value
+below 0 and -NaN sort first, and every value above 1, +inf and +NaN last,
+so reading the two ends of the sorted codes finds any value outside [0, 1],
+and it raises ParameterError. The codes are written straight from the
+input, so a C-contiguous input is never copied.
 
 Each stage keeps, on the voxels where its residual relu(I_k - open(I_k)) is
 positive, the input voxels that I_k and its opening took their values from;
 the residual is recomputed there from the input by the same float
 subtraction, so the skeleton is bit-identical to value pooling. The
-opening's keys are compared with I_k's undecoded, and its sources are
-decoded on P_k only, except at stage 0, which runs on the whole grid: off
-P_0 a voxel's opening source holds its own value, so the difference is
-+0.0 there, as a scatter on P_0 only would leave it. Once the keys narrow,
-a stage's sources are its keys, read through the one table of the keys
-present. The tape reads the values through a view of the input, where a
-source equal to n, the exterior, reads 0.0, and stage 1 keeps no S_0: the
-backward recomputes it on P_1 from stage 0's sources by the forward's own
-float operations. The backward scatters each stage onto those sources in
-place (`np.add.at`, `np.subtract.at`), the narrowed stages into a
-table-sized array first, and runs no pool.
+opening's keys are compared with I_k's, and their sources are read where
+I_k's key is the larger; of those, the voxels whose values tie, which add
+nothing, are dropped. Stage 0 runs on the whole grid: off P_0 a voxel's
+opening source holds its own value, so the difference is +0.0 there, as a
+scatter on P_0 only would leave it. Once the keys narrow, a stage's
+sources are its keys, read through the one table of the keys present. The
+tape reads the values through a view of the input, where a source equal
+to n, the exterior, reads 0.0, and stage 1 keeps no S_0: the backward
+recomputes it on P_1 from stage 0's sources by the forward's own float
+operations. The backward scatters each stage onto those sources in place
+(`np.add.at`, `np.subtract.at`), the narrowed stages into a table-sized
+array first, and runs no pool.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -142,26 +141,24 @@ def _read(value: np.ndarray, route: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, voxel)`` for the soft skeleton's pools of a grid in [0, 1].
 
     The voxels are indexed as in ``values.ravel()``, and the exterior, a 0
-    beside them, as n. Keys order these n + 1 values, and the exterior's
-    key is 0, which is `pool_array`'s padding: no value lies below it. When
-    no two of them are equal, `keys` holds each voxel's int32 rank among
-    them, and `voxel` maps a rank back to its index. Otherwise `keys` are
-    `_packed_keys` and `voxel` is None.
+    beside them, as n. `keys` holds each voxel's int32 rank among these
+    n + 1 values, ordered by (value, index) with the exterior first among
+    the zeros, so its rank is 0, `pool_array`'s padding, and `voxel` maps a
+    rank back to its index.
 
     The order comes from one in-place sort of words holding each value's
-    code over its index (see the module docstring), written straight from
-    `values` with the exterior's code 0 at index n, and a stable argsort of
-    the prefix runs' positions by full code. A value outside [0, 1] or a
-    NaN, which sorts to an end of the codes, raises ParameterError. Both
-    read values by index through `_read`, so a C-contiguous grid is not
-    copied.
+    code over its index + 1 (see the module docstring), written straight
+    from `values`, with the exterior's word 0, and a stable argsort of the
+    prefix runs' positions by full code. A value outside [0, 1] or a NaN,
+    which sorts to an end of the codes, raises ParameterError. Both read
+    values by index through `_read`, so a C-contiguous grid is not copied.
     """
     n = values.size
-    if n >= 1 << 31:  # int32 ranks and routes; also keeps every packed key below 2^62
+    if n >= 1 << 31:  # int32 ranks and routes
         raise ParameterError(f"a soft skeleton gradient needs fewer than 2^31 voxels, got {n}")
     value = values.ravel()
     b = n.bit_length()
@@ -169,9 +166,12 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     _value_codes(value, out=word[:n])
     word[n] = 0
     word &= -1 << b
-    word |= np.arange(n + 1)
+    word[:n] |= np.arange(1, n + 1)
     word.sort()
+    outside = np.searchsorted(word, 0)  # the exterior's word, the only 0
     order = word & ((1 << b) - 1)
+    order -= 1
+    order[outside] = n
     word >>= b
     runs = np.flatnonzero(word[1:] == word[:-1])
     member = np.zeros(n + 1, dtype=bool)
@@ -179,58 +179,14 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     member[runs + 1] = True
     at = np.flatnonzero(member)  # the positions in prefix runs
     del word, runs, member
-    code = _value_codes(_read(value, order[at]))
-    resort = np.argsort(code, kind="stable")
+    resort = np.argsort(_value_codes(_read(value, order[at])), kind="stable")
     order[at] = order[at[resort]]
-    code = code[resort]
-    ties = at[:-1][code[1:] == code[:-1]]  # equal codes share a run, so at[j + 1] = at[j] + 1
     lo, hi = _read(value, order[[0, -1]])
     if not (lo >= 0 and hi <= 1):
         raise ParameterError(f"a soft skeleton needs values in [0, 1] and no NaN, got {lo} to {hi}")
-    if ties.size == 0:
-        keys = np.empty(n + 1, dtype=np.int32)
-        keys[order] = np.arange(n + 1, dtype=np.int32)
-        return keys[:n].reshape(values.shape), order.astype(np.int32)
-    step = np.ones(n, dtype=bool)
-    step[ties] = False
-    return _packed_keys(order, step)[:n].reshape(values.shape), None
-
-
-def _packed_keys(order: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Dense-rank keys of the n voxels and the exterior for `_keyed_pool`.
-
-    `order` sorts the n + 1 values by value (the exterior 0 has index n),
-    and `step` marks each adjacent pair of its sorted values that differ.
-    Each key is the value's dense rank among the distinct values (equal
-    values share a rank, and order is kept; the exterior 0 has rank 0),
-    times 2^b with b = n.bit_length(); the low b bits are left for
-    `_keyed_pool`'s index.
-    """
-    n = order.size - 1
-    high = np.empty(n + 1, dtype=np.int64)
-    high[order[0]] = 0
-    high[order[1:]] = np.cumsum(step)
-    high *= 1 << n.bit_length()
-    return high
-
-
-def _keyed_pool(high: np.ndarray, offset: np.ndarray, mode: str) -> np.ndarray:
-    """Box pool of rank keys that names each output's winner.
-
-    Pools high + offset (min) or high - offset (max): the rank, then the
-    index or n minus it, with the exterior at index n and rank 0, so its key
-    is `pool_array`'s zero padding. The keys are distinct, so ties go to the
-    smallest linear index and the exterior wins only on a strict extremum.
-    Returns the pooled keys, shifted by n on the min side: the winner's rank
-    key plus its index (min) or plus n minus its index (max). The low
-    n.bit_length() bits hold that index term; the rest is the rank key.
-    """
-    n = high.size
-    if mode == "max":
-        return pool_array(high - offset, mode)
-    key = pool_array(high + offset, mode)
-    key += n
-    return key
+    keys = np.empty(n + 1, dtype=np.int32)
+    keys[order] = np.arange(n + 1, dtype=np.int32)
+    return keys[:n].reshape(values.shape), order.astype(np.int32)
 
 
 def _narrowed(keys: np.ndarray, voxel: np.ndarray) -> tuple:
@@ -270,9 +226,9 @@ def _first_skeleton(value: np.ndarray, route_0: np.ndarray, where) -> np.ndarray
     """S_0 = I_0 - O_0 on `where`, from the input `value` and O_0's sources
     `route_0` on the whole grid, plus +0.0.
 
-    Only packed keys admit a -0.0 input beside a 0.0 source, whose
-    difference is -0.0, which adding +0.0 makes +0.0. On int32 ranks no
-    difference is -0.0, so it changes nothing there.
+    A -0.0 input whose opening takes a 0.0 from a tied voxel or the exterior
+    differs from it by -0.0, which adding +0.0 makes +0.0; every other
+    difference is kept.
     """
     skel = _read(value, route_0[where])
     np.subtract(value[where], skel, out=skel)
@@ -291,14 +247,15 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     other raises ParameterError (a binary mask's skeleton is
     `vessel.skeletonize`).
 
-    The input is pooled as keys from `_rank_keys`, so every value of I_k
-    and of its opening O_k names the input voxel it came from (n for the
-    exterior). The key width is chosen from the data. When the input and the
-    exterior 0 hold no two equal values, each int32 rank belongs to one
-    voxel, and ties inside a window are copies of one voxel's value, so the
-    pools need no positions and the sources come from `voxel` by rank.
-    Once the next stage's keys fit a narrower type, `_narrowed` renumbers
-    them and swaps `voxel` for the table of the keys present. The
+    The input is pooled as the int32 ranks of `_rank_keys`, which order the
+    voxels and the exterior strictly by (value, input voxel index), so every
+    value of I_k and of its opening O_k names the input voxel it came from
+    (n for the exterior), and the sources come from `voxel` by rank. At a
+    tie the pools pick by that order: a min pool takes the tied voxel with
+    the smallest input index, a max pool the one with the largest, and the
+    exterior wins every tie at 0 in a min pool, so it takes no gradient
+    there. Once the next stage's keys fit a narrower type, `_narrowed`
+    renumbers them and swaps `voxel` for the table of the keys present. The
     renumbering is strictly increasing and keeps the exterior at 0, so it
     commutes with the min and max pools and their zero padding, and every
     bit is kept. Each stage's keys are counted, one grid scan each, until
@@ -307,29 +264,29 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
     would not fit a narrower type within half the stages left, and the
     narrow pools of the rest would not save what the counts up to then
     cost. A count that `_fewest_keys` shows cannot narrow is skipped (the
-    one after stage 0 on a cube of 123^3 or more).
-    Otherwise the tie rule picks among equal values by their positions in
-    the stage grid, so the pools run on packed int64 keys through
-    `_keyed_pool`: the erosion's winners are decoded into a map from stage
-    position to input voxel, and the opening's on P_k only.
+    one after stage 0 on a cube of 123^3 or more). Exact zeros hold ranks
+    1..z beside the exterior's 0, so the early stop reads the value of
+    I's largest key.
 
-    The residual is positive exactly on P_k = {rank(I_k) > rank(O_k)}, which
-    is where I_k's key exceeds O_k's raw pooled key. The residual is
-    recomputed on P_k from the sources and S is updated there only, except
-    at stage 0, which runs on the whole grid: S_0 is `_first_skeleton`, I_0
-    - O_0 from O_0's source at every voxel, with no compaction, no scatter
-    and no relu. No value lies below the exterior 0, so O_0 <= I_0, and off
-    P_0 the source holds the voxel's own value (on int32 ranks it is the
-    voxel itself), giving +0.0 once `_first_skeleton` adds +0.0. So S_0 is
-    +0.0 off P_0, bit for bit as if it were written on P_0 only.
+    The residual is positive exactly on P_k = {I_k > O_k}, compared by
+    value: a voxel whose key exceeds O_k's raw pooled key can hold a value
+    tied with it, which adds nothing and routes no gradient. The residual
+    is recomputed from the sources where the keys differ, and S is updated
+    only where it is positive, except at stage 0, which runs on the whole
+    grid: S_0 is `_first_skeleton`, I_0 - O_0 from O_0's source at every
+    voxel, with no compaction, no scatter and no relu, and P_0 is S_0 > 0.
+    No value lies below the exterior 0, so O_0 <= I_0, and off P_0 the
+    source holds the voxel's own value, giving +0.0 once `_first_skeleton`
+    adds +0.0. So S_0 is +0.0 off P_0, bit for bit as if it were written on
+    P_0 only.
 
     The tape is ``(stages, keyed, table, value)``, where `value` is
     ``values.ravel()``, a view of a C-contiguous input: the input must not
     be written before `soft_skeleton_grad` has run. A route equal to n, the
     exterior, reads 0.0 (`_read`); I_k's sources on P_k never name it,
-    because I_k's key there is above O_k's. Stage k >= 2 is ``(P_k, S_{k-1}
-    on P_k, source of I_k, source of O_k)``, all on P_k, in int32 voxel
-    indices. Stage 1 holds None for S_0 on P_1, which the backward
+    because I_k's value there is above O_k's. Stage k >= 2 is ``(P_k,
+    S_{k-1} on P_k, source of I_k, source of O_k)``, all on P_k, in int32
+    voxel indices. Stage 1 holds None for S_0 on P_1, which the backward
     recomputes from stage 0 by the forward's own float operations. Stage 0
     is ``(P_0 as a bool grid, None, None, source of O_0 on the whole
     grid)``: I_0's source is the voxel itself. The stages after the keys
@@ -342,64 +299,42 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if values.dtype != np.float64:
         raise ParameterError(f"a soft skeleton needs float64 values in [0, 1], got {values.dtype}")
-    n = values.size
     keys_in, voxel = _rank_keys(values)
     value = values.ravel()
-    packed = voxel is None
-    if packed:
-        offset = np.arange(-n, 0).reshape(values.shape)
-        low = (1 << n.bit_length()) - 1
-    source = None  # stage position -> input voxel, on packed keys only
     # keys at the last count and the stage after which they were counted
     # (the input's n + 1 before stage 0); no count once last_count is 0
-    last_count, counted = (0 if packed else n + 1), -1
+    last_count, counted = values.size + 1, -1
     lookup, table = value, None  # value by route: by voxel, then by key once the keys narrow
     stages, keyed = [], []
     for k in range(iterations + 1):
-        if packed:
-            eroded = _keyed_pool(keys_in, offset, "min")
-            winner = eroded & low
-            eroded -= winner
-            source = np.empty(n + 1, dtype=np.int32)
-            source[n] = n
-            if k == 0:
-                source[:n] = winner.ravel()
-            else:
-                np.take(source_in, winner.ravel(), out=source[:n])
-            del winner
-            # The opened key is rank(O_k) plus an index term in [0, n], and
-            # ranks are multiples of 2^b > n, so it is below keys_in exactly
-            # on P_k.
-            opened = _keyed_pool(eroded, offset, "max").ravel()
-        else:
-            eroded = pool_array(keys_in, "min")
-            opened = pool_array(eroded, "max").ravel()
+        eroded = pool_array(keys_in, "min")
+        opened = pool_array(eroded, "max").ravel()
         if k == 0:
             # The whole grid: off P_0 the source holds the voxel's own value,
             # so the difference is +0.0 there (see the docstring).
-            residual = keys_in.ravel() > opened
-            route_out = source[n - (opened & low)] if packed else voxel[opened]
+            route_out = voxel[opened]
             del opened, keys_in
             skel = _first_skeleton(value, route_out, slice(None))
-            stages.append((residual, None, None, route_out))
+            stages.append((skel > 0, None, None, route_out))
         else:
             where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
-            if packed:
-                route_in, route_out = source_in[where], source[n - (opened[where] & low)]
-            elif table is None:
+            if table is None:
                 route_in, route_out = voxel[keys_in.ravel()[where]], voxel[opened[where]]
             else:
                 route_in, route_out = keys_in.ravel()[where], opened[where]
-            del opened, keys_in, source_in
+            del opened, keys_in
             delta = lookup[route_in] - _read(lookup, route_out)
+            strict = delta > 0  # drops the keys above their opening's whose values tie it
+            if not strict.all():
+                where, route_in, route_out, delta = (a[strict] for a in (where, route_in, route_out, delta))
             before = skel[where]
             delta *= 1 - before
             delta += before
             skel[where] = delta
             stage = (where, before if k > 1 else None, route_in, route_out)
             (stages if table is None else keyed).append(stage)
-            del delta, before  # S_0 on P_1 is the backward's to recompute
-        if k == iterations or not eroded.any():
+            del delta, before, strict  # S_0 on P_1 is the backward's to recompute
+        if k == iterations or _read(value, voxel[[eroded.max()]])[0] == 0:  # I_{k+1} is all zero
             break
         if last_count and _fewest_keys(values.shape, k) <= 1 << 16:
             narrowed, voxel, count = _narrowed(eroded, voxel)
@@ -409,7 +344,7 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
             else:
                 last_count, counted = (0 if late else count), k
             eroded = narrowed
-        keys_in, source_in = eroded, source
+        keys_in = eroded
     return skel.reshape(values.shape), (stages, keyed, table, value)
 
 

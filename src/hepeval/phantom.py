@@ -399,6 +399,11 @@ class DegradeSpec:
         for edge_id in self.drop_edge_ids:
             if not _is_number(edge_id, numbers.Integral):
                 raise ParameterError(f"edge ids must be integers, got {edge_id!r}")
+        for i, blob in enumerate(self.spurious_blobs):
+            if not (isinstance(blob, (tuple, list)) and len(blob) == 2 and blob[0] in PRECEDENCE):
+                raise ParameterError(f"spurious blob {i} must name a structure in {PRECEDENCE}, got {blob!r}")
+            if not isinstance(blob[1], Sphere):
+                raise ParameterError(f"spurious blob {i} needs a Sphere, got {blob!r}")
         both = set(k for k, v in self.erode_steps.items() if v) & set(
             k for k, v in self.dilate_steps.items() if v
         )

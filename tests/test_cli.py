@@ -25,9 +25,12 @@ from hepeval.phantom import (
     degrade,
     generate_case,
     spec_to_json_dict,
+    straight_tube_mask,
     y_phantom,
 )
 from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, ProbVolume, _json_dict, extract_mask
+
+from conftest import noisy_tube
 
 
 def schema_check(instance, schema):
@@ -702,6 +705,24 @@ class TestLossCommand:
         assert payload["cl_dice"] == cl_dice_loss(pred, gt, config.skeleton_iterations, config.epsilon).value
         assert payload["bootstrapped_ce"] == bootstrapped_ce_loss(pred, gt, k, config.ce_clip).value
         assert payload["gradient_norm"] == math.sqrt(float(np.square(combined.gradient).sum()))
+
+    def test_float32_file_prints_pinned_values(self, tmp_path, capsys):
+        # a float32 prediction ties, as every such file can; the fields the
+        # README calls CPU-independent are pinned at K = 1 and K < 1
+        mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
+        values = noisy_tube(mask, 48).astype(np.float32)
+        assert np.unique(values).size < values.size
+        write_nifti(mask, tmp_path / "gt.nii.gz")
+        write_nifti(ProbVolume(mask.geometry, values), tmp_path / "pred.nii.gz")
+        pins = {
+            "0": (0.8189260736977957, 0.1589250419611285, 1.0),
+            "450": (0.8189260736977957, 0.15905228790460468, 0.32676767676767676),
+        }
+        for epoch, pin in pins.items():
+            argv = ["loss", "--pred", str(tmp_path / "pred.nii.gz"), "--gt", str(tmp_path / "gt.nii.gz")]
+            assert main([*argv, "--epoch", epoch]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["cl_dice"], payload["gradient_norm"], payload["k_used"]) == pin
 
 
 class TestSkeletonCommand:

@@ -1,7 +1,7 @@
 """The central/peripheral split, the skeleton graph, the pinned loss input,
-the phantom's edge geometry and the orientation read from a rotated NIfTI
-header are the same bytes under the kernels NumPy and OpenBLAS pick at run
-time.
+the phantom's edge geometry, a case report and its summary, and the
+orientation read from a rotated NIfTI header are the same bytes under the
+kernels NumPy and OpenBLAS pick at run time.
 
 `digests` runs in a subprocess under each setting and must give the
 SHA-256s of an in-process run: `OPENBLAS_CORETYPE=Nehalem` selects
@@ -29,12 +29,20 @@ import pytest
 
 import hepeval
 from hepeval.losses import loss_terms
-from hepeval.metrics import _joint_box
+from hepeval.metrics import _joint_box, aggregate, evaluate_case
 from hepeval.morphology import label_boxes
 from hepeval.nifti import read_nifti, write_nifti
-from hepeval.phantom import axis_tree_spec, default_spec, generate_case, straight_tube_mask, truth_manifest
+from hepeval.phantom import (
+    DegradeSpec,
+    axis_tree_spec,
+    default_spec,
+    degrade,
+    generate_case,
+    straight_tube_mask,
+    truth_manifest,
+)
 from hepeval.vessel import build_graph, classify_central_peripheral, skeletonize
-from hepeval.volume import BinaryMask, Geometry, ProbVolume, extract_mask
+from hepeval.volume import BinaryMask, Geometry, ProbVolume, _json_dict, extract_mask
 
 from conftest import noisy_tube
 
@@ -88,11 +96,13 @@ def digests() -> dict[str, str]:
     of the pinned `noisy_tube` input and, at epochs 0 and 450, of its
     `loss_terms` clDice and combined gradients, with the clDice value and the
     combined gradient's norm as text, of the `default_spec()` edge records
-    and edge tags, of `ROTATED.position_mm` at a few indices, of the
-    `_joint_box` geometries of the `default_spec()` structures on the
-    `ROTATED` grid, and of `rotated_header_orientations()`. The
-    `default_spec()` label array is the same under every kernel tried, so
-    its digest checks the graph code. The bootstrapped CE's
+    and edge tags, of the `evaluate_case` report of the `default_spec()`
+    truth against its seeded 3 % relabel and of that report's `aggregate`
+    summary, both as canonical JSON, of `ROTATED.position_mm` at a few
+    indices, of the `_joint_box` geometries of the `default_spec()`
+    structures on the `ROTATED` grid, and of `rotated_header_orientations()`.
+    The `default_spec()` label array is the same under every kernel tried,
+    so its digest checks the graph code. The bootstrapped CE's
     value, and so the combined value, is left out: at K = 1 it is a mean of
     `np.log` and `np.log1p` terms, which move in their last bit with the
     AVX-512 loops. Its gradient holds only divisions, which are correctly
@@ -109,6 +119,9 @@ def digests() -> dict[str, str]:
     edges = json.dumps(truth_manifest(truth)["edges"])
     out["liver_edge_records"] = hashlib.sha256(edges.encode()).hexdigest()
     out["liver_edge_tag"] = hashlib.sha256(truth.edge_tag.tobytes()).hexdigest()
+    report = evaluate_case(truth.label_volume, degrade(truth, DegradeSpec(seed=3, relabel_fraction=0.03)))
+    for name, record in (("liver_case_report", report), ("liver_summary", aggregate([report]))):
+        out[name] = hashlib.sha256(json.dumps(_json_dict(record), sort_keys=True).encode()).hexdigest()
     pred = ProbVolume(tube.geometry, arrays["noisy_tube"])
     for epoch in (0, 450):
         _, cld, _, combined = loss_terms(pred, tube, epoch)

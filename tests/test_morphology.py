@@ -16,9 +16,7 @@ from hepeval.errors import ParameterError
 from hepeval.losses import cl_dice_loss, combined_loss
 from hepeval.morphology import (
     _fewest_keys,
-    _keyed_pool,
     _narrowed,
-    _packed_keys,
     _padded,
     _rank_keys,
     bounding_box,
@@ -52,32 +50,33 @@ def geometry(dims):
 
 
 def tie_heavy_grid(seed):
-    """Small grid of a few quantised levels and sparse zeros: pools tie, also
-    with the exterior 0, and erosion leaves a core for the later stages."""
+    """Small grid of a few quantised levels and sparse zeros, half of them
+    -0.0: pools tie, also with the exterior 0, and erosion leaves a core for
+    the later stages."""
     rng = np.random.default_rng(seed)
     shape = rng.integers(1, 9, size=3)
     levels = int(rng.integers(1, 4))
     values = rng.integers(1, levels + 1, size=shape) / levels
-    return np.where(rng.random(shape) < 0.05, 0.0, values)
+    zero = rng.random(shape) < 0.05
+    return np.where(zero, np.where(rng.random(shape) < 0.5, -0.0, 0.0), values)
 
 
-def oracle_pool(values, mode):
-    """Pooled values and winners from the 27 neighbours of each voxel.
+def oracle_pool(ids, flat, mode):
+    """The winners of a 3x3x3 pool of (value, input voxel) pairs.
 
-    The winner is the smallest linear index among in-volume neighbours
-    attaining the extremum over the neighbourhood and the exterior 0; -1
-    where only the exterior attains it.
+    `ids` holds each cell's input voxel, -1 for the exterior, and `flat`
+    the input values with the exterior's 0.0 last, so ``flat[ids]`` are the
+    cell values. Each output takes the least (min) or greatest (max) pair
+    ``(flat[id], id)`` among its 27 neighbours, the exterior's (0.0, -1)
+    beyond the grid, compared by value and then by input voxel.
     """
-    padded = np.pad(values, 1)
-    index = np.pad(np.arange(values.size).reshape(values.shape), 1, constant_values=-1)
-    out, win = np.zeros(values.shape), np.full(values.shape, -1)
-    for z, y, x in np.ndindex(values.shape):
-        cells = padded[z : z + 3, y : y + 3, x : x + 3].ravel()  # ascending linear index
-        ids = index[z : z + 3, y : y + 3, x : x + 3].ravel()
-        out[z, y, x] = extremum = cells.min() if mode == "min" else cells.max()
-        hits = ids[(cells == extremum) & (ids >= 0)]
-        win[z, y, x] = hits[0] if hits.size else -1
-    return out, win
+    padded = np.pad(ids, 1, constant_values=-1)
+    cells = np.stack([padded[z : z + ids.shape[0], y : y + ids.shape[1], x : x + ids.shape[2]]
+                      for z, y, x in itertools.product(range(3), repeat=3)])
+    values = flat[cells]
+    if mode == "min":
+        return np.where(values == values.min(axis=0), cells, flat.size).min(axis=0)
+    return np.where(values == values.max(axis=0), cells, -2).max(axis=0)
 
 
 def oracle_vjp(win, grad_out):
@@ -86,57 +85,38 @@ def oracle_vjp(win, grad_out):
 
 
 def oracle_skeleton_grad(values, iterations, grad_skel):
-    """Reverse mode of the soft skeleton over the oracle pools."""
-    stages, skel, current = [], None, values
+    """Reverse mode of the soft skeleton over the oracle pools: each stage's
+    residual gradient goes to the input voxel that I_k took its value from
+    and, negated, to O_k's (none for the exterior)."""
+    flat = np.append(values.ravel(), 0.0)
+    current = np.arange(values.size).reshape(values.shape)
+    stages, skel = [], None
     for _ in range(iterations + 1):
-        eroded, min_win = oracle_pool(current, "min")
-        opened, max_win = oracle_pool(eroded, "max")
-        delta = np.maximum(current - opened, 0.0)
-        stages.append((min_win, max_win, delta, skel))
+        eroded = oracle_pool(current, flat, "min")
+        opened = oracle_pool(eroded, flat, "max")
+        delta = np.maximum(flat[current] - flat[opened], 0.0)
+        stages.append((current, opened, delta, skel))
         skel = delta if skel is None else skel + (1.0 - skel) * delta
         current = eroded
 
-    grad_next, grad_s = np.zeros(values.shape), grad_skel
-    for min_win, max_win, delta, skel_before in reversed(stages):
+    grad, grad_s = np.zeros(values.shape), grad_skel
+    for current, opened, delta, skel_before in reversed(stages):
         grad_delta = grad_s if skel_before is None else grad_s * (1.0 - skel_before)
         grad_s = grad_s * (1.0 - delta)
         grad_resid = np.where(delta > 0, grad_delta, 0.0)
-        grad_next = grad_resid + oracle_vjp(min_win, grad_next - oracle_vjp(max_win, grad_resid))
-    return grad_next
-
-
-def packed_rank_keys(values):
-    """`_rank_keys` with packed keys, whether or not the grid has ties."""
-    flat = np.append(values.ravel(), 0.0)
-    ordered = np.sort(flat)
-    high = _packed_keys(np.argsort(flat), ordered[1:] != ordered[:-1])
-    return high[:-1].reshape(values.shape), None
+        grad += oracle_vjp(current, grad_resid) - oracle_vjp(opened, grad_resid)
+    return grad
 
 
 def argsort_rank_keys(values):
-    """`_rank_keys` by argsort, as the reference: int32 ranks when the
-    values and the exterior 0 after them hold no two equal values, else
-    `packed_rank_keys`. The exterior 0 is the least value, so it has rank 0."""
+    """`_rank_keys` by `np.lexsort`, as the reference: the voxels and the
+    exterior 0, whose index -1 puts it first among the zeros, ordered by
+    (value, index)."""
     flat = np.append(values.ravel(), 0.0)
-    order = np.argsort(flat)
-    ordered = flat[order]
-    if not (ordered[1:] != ordered[:-1]).all():
-        return packed_rank_keys(values)
+    order = np.lexsort((np.append(np.arange(values.size), -1), flat))
     keys = np.empty(flat.size, dtype=np.int32)
     keys[order] = np.arange(flat.size)
     return keys[:-1].reshape(values.shape), order.astype(np.int32)
-
-
-def keyed_pool(values, mode):
-    """Pooled values, pooled rank keys and winners (values.size for the
-    exterior) from `_keyed_pool`, plus the rank key of each winner."""
-    flat = np.append(values.ravel(), 0.0)
-    high, _ = packed_rank_keys(values)
-    offset = np.arange(-values.size, 0).reshape(values.shape)
-    key = _keyed_pool(high, offset, mode)
-    index_term = key & ((1 << values.size.bit_length()) - 1)
-    winner = index_term if mode == "min" else values.size - index_term
-    return flat[winner], key - index_term, winner, np.append(high.ravel(), 0)[winner]
 
 
 def tie_free_grid(seed):
@@ -149,15 +129,22 @@ def tie_free_grid(seed):
     return random_prob_volume(grid_geometry(shape), seed).values.copy()
 
 
+def ranked_pool(values, mode):
+    """The winners of a pool of `_rank_keys`' ranks, values.size for the
+    exterior."""
+    keys, voxel = _rank_keys(values)
+    return voxel[pool_array(keys, mode)]
+
+
 def pool_grad(values, mode, grad_out):
-    winner = keyed_pool(values, mode)[2]
+    winner = ranked_pool(values, mode)
     return np.bincount(winner.ravel(), grad_out.ravel(), minlength=values.size + 1)[:-1].reshape(values.shape)
 
 
 # fwd+bwd tracemalloc peak of a 10-iteration soft skeleton on a noisy 64^3
-# tube, in float64 grids of its input, by key path: 9.64 on packed keys and
-# 5.29 on int32 ranks, each rounded up to the next 0.25
-GRID_PEAK_BOUND = {"packed": 9.75, "int32": 5.5}
+# tube, in float64 grids of its input: 5.29 tie-free and cast to float32,
+# 4.98 clipped, rounded up to the next 0.25
+GRID_PEAK_BOUND = 5.5
 
 MIN3 = partial(ndimage.minimum_filter, size=3, mode="constant", cval=0)
 MAX3 = partial(ndimage.maximum_filter, size=3, mode="constant", cval=0)
@@ -268,25 +255,6 @@ def assert_matches_sparse_replay(values, iterations):
     assert soft_skeleton_grad(tape, grad_skel.copy()).tobytes() == want_grad.tobytes()
 
 
-def assert_tape_matches_packed_keys(monkeypatch, values, iterations, run):
-    """`run`'s skeleton and tape equal the packed keys', array for array."""
-    skel, tape = run
-    stages, flat = tape_stages(tape)
-    monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
-    want_skel, want_tape = soft_skeleton_array(values, iterations)
-    want_stages, want_flat = tape_stages(want_tape)
-    monkeypatch.undo()
-    assert np.array_equal(skel, want_skel) and np.array_equal(flat, want_flat)
-    assert len(stages) == len(want_stages)
-    for k, (stage, want) in enumerate(zip(stages, want_stages)):
-        if k == 0:
-            assert stage[1] is None and stage[2] is stage[0]
-        for got, expected in zip(stage, want):
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
-
-
 PAD_DTYPES = st.sampled_from([np.bool_, np.uint8, np.uint16, np.int32, np.int64, np.float64])
 
 
@@ -359,28 +327,33 @@ class TestPools:
         for seed in range(40):
             values = tie_heavy_grid(seed)
             grad_out = rng.normal(size=values.shape)
-            want_pooled, win = oracle_pool(values, mode)
-            pooled, pooled_high, winner, winner_high = keyed_pool(values, mode)
-            assert np.array_equal(pooled, want_pooled)
-            assert np.array_equal(pooled, pool_array(values, mode))
-            assert np.array_equal(pooled_high, winner_high)
+            flat = np.append(values.ravel(), 0.0)
+            win = oracle_pool(np.arange(values.size).reshape(values.shape), flat, mode)
+            winner = ranked_pool(values, mode)
+            assert np.array_equal(winner, np.where(win < 0, values.size, win))
+            assert np.array_equal(flat[winner], pool_array(values, mode))
             got = pool_grad(values, mode, grad_out)
             assert np.abs(got - oracle_vjp(win, grad_out)).max() <= 1e-12
 
     def test_tie_breaks_to_smallest_linear_index(self):
-        values = np.array([[[0.2, 0.5, 0.5, 0.5, 0.1]]])
+        # at the centre voxel of a 3x3x5 grid, x = 1, 2 and 3 hold its
+        # window's minimum 0.5: the smallest linear index wins a min pool,
+        # and the largest a max pool of the complement
+        values = np.full((3, 3, 5), 0.9)
+        values[1, 1, 1:4] = 0.5
         grad_out = np.zeros(values.shape)
-        grad_out[0, 0, 2] = 1.0
-        # at x=2 all of x=1,2,3 hold the max 0.5: smallest linear index wins
-        assert pool_grad(values, "max", grad_out).ravel().tolist() == [0, 1, 0, 0, 0]
+        grad_out[1, 1, 2] = 1.0
+        assert pool_grad(values, "min", grad_out)[1, 1].tolist() == [0, 1, 0, 0, 0]
+        assert pool_grad(1.0 - values, "max", grad_out)[1, 1].tolist() == [0, 0, 0, 1, 0]
+        assert pool_grad(values, "min", grad_out).sum() == pool_grad(1.0 - values, "max", grad_out).sum() == 1
 
     def test_tie_with_exterior_goes_in_volume(self):
-        # every output's minimum 0 is attained by the exterior and by the one
-        # in-volume 0, which takes all the gradient; at z=0 the x pass leaves
-        # an exterior 0 that comes before it in the z pass
-        values = np.array([[[0.5, 0.5]], [[0.0, 0.5]]])
-        grad = pool_grad(values, "min", np.ones(values.shape))
-        assert grad.ravel().tolist() == [0, 0, 4, 0]
+        # every window of a 1x1x5 grid holds the exterior; a max pool's tie
+        # at 0 with it goes to the largest in-volume index, while a min pool
+        # gives every tie at 0 to the exterior, which takes no gradient
+        values = np.array([[[0.0, 0.0, 0.0, 0.0, 0.5]]])
+        assert pool_grad(values, "max", np.ones(values.shape)).ravel().tolist() == [0, 1, 1, 1, 2]
+        assert not pool_grad(values, "min", np.ones(values.shape)).any()
 
     def test_exterior_strict_win_takes_no_gradient(self):
         values = np.array([[[0.4, 0.5, 0.6]]])
@@ -510,14 +483,18 @@ class TestSoftSkeleton:
         assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_matches_brute_force_oracle(self):
-        # tie-heavy grids pool packed keys, tie-free ones int32 ranks
+        # the oracle pools (value, input voxel) pairs by brute force, so it
+        # applies the tie rule on tie-heavy grids, with exact 0.0, -0.0 and
+        # ties with the exterior; the skeleton is SciPy's, bit for bit once
+        # its -0.0 residuals are made +0.0
         rng = np.random.default_rng(5)
         grids = [tie_heavy_grid(seed) for seed in range(60)]
         grids += [tie_free_grid(seed) for seed in range(30)]
         for values in grids:
             iterations = int(rng.integers(1, 11))
             grad_skel = rng.normal(size=values.shape)
-            _, tape = soft_skeleton_array(values, iterations)
+            skel, tape = soft_skeleton_array(values, iterations)
+            assert skel.tobytes() == (scipy_skeleton(values, iterations) + 0.0).tobytes()
             got = soft_skeleton_grad(tape, grad_skel.copy())
             want = oracle_skeleton_grad(values, iterations, grad_skel)
             assert np.abs(got - want).max() <= 1e-12
@@ -534,7 +511,7 @@ class TestSoftSkeleton:
         assert types[:3] == [np.int32, np.int32, np.uint16]
         assert seen == [t for t in types for _ in ("min", "max")]
         assert np.array_equal(run[0], scipy_skeleton(values, 10))
-        assert_tape_matches_packed_keys(monkeypatch, values, 10, run)
+        assert_matches_sparse_replay(values, 10)
 
     @pytest.mark.parametrize("side, counted", [(48, 4), (64, 1)])
     def test_slowly_thinning_keys_are_counted_while_they_can_fit_in_time(self, monkeypatch, side, counted):
@@ -608,18 +585,16 @@ class TestSoftSkeleton:
         assert shells == [side**3 - (side - 4) ** 3]
         assert np.array_equal(skel, scipy_skeleton(values, 3))
 
-    @pytest.mark.parametrize("keys", ["int32", "int32 unnarrowed", "packed"])
+    @pytest.mark.parametrize("keys", ["int32", "int32 unnarrowed"])
     def test_exterior_sources_on_the_residual(self, monkeypatch, keys):
         # an axis of 2k + 1 or 2k + 2 voxels erodes to the exterior alone
         # after stage k, so on P_k the opening O_k takes its value from the
         # exterior, route n, which reads 0.0: at stage 0 on an axis of 1 or 2
         # voxels, and at stages 1 and 2 through the key table's slot 0
-        # ("int32"), voxel routes before the keys narrow ("int32
-        # unnarrowed", where `_narrowed` never narrows) and packed keys
+        # ("int32") and voxel routes before the keys narrow ("int32
+        # unnarrowed", where `_narrowed` never narrows)
         if keys == "int32 unnarrowed":
             monkeypatch.setattr(morphology, "_narrowed", lambda keys, voxel: (keys, voxel, voxel.size))
-        if keys == "packed":
-            monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
         rng = np.random.default_rng(31)
         for k, shape in [(0, (1, 6, 5)), (0, (7, 2, 6)), (1, (6, 3, 7)), (1, (4, 8, 6)), (2, (9, 8, 5))]:
             values = rng.permutation(np.linspace(0.05, 0.95, np.prod(shape))).reshape(shape)
@@ -633,51 +608,34 @@ class TestSoftSkeleton:
             assert np.abs(got - oracle_skeleton_grad(values, 4, grad_skel)).max() <= 1e-12
             assert_matches_sparse_replay(values, 4)
 
-    def test_tie_free_grids_pool_int32_ranks(self, monkeypatch):
-        # without ties each rank names one voxel, and the tape is the one the
-        # packed keys give, array for array
+    def test_tie_free_grids_pool_int32_ranks(self):
+        # without ties the ranks are the values' own, the voxel index breaks
+        # none, and the tape replays to the skeleton and gradient bytes
         grids = [tie_free_grid(seed) for seed in range(12)]
         mask, _ = straight_tube_mask(length_vox=14, radius_vox=3.0, dims=(16, 16, 16))
         grids.append(noisy_tube(mask, 16))
         for values in grids:
             keys, voxel = _rank_keys(values)
             assert keys.dtype == voxel.dtype == np.int32
-            assert_tape_matches_packed_keys(monkeypatch, values, 6, soft_skeleton_array(values, iterations=6))
+            assert np.array_equal(voxel, np.argsort(np.append(values.ravel(), 0.0)))
+            assert_matches_sparse_replay(values, 6)
 
-    def test_dense_stage_zero_on_a_noisy_grid(self, monkeypatch):
+    def test_dense_stage_zero_on_a_noisy_grid(self):
         # stage 0 on the whole grid gives the bytes of scatters on P_0 only,
-        # on int32 ranks and packed keys
+        # on a tie-free grid and on its float32 cast, whose ties fall back
+        # to the voxel index
         mask, _ = straight_tube_mask(length_vox=20, radius_vox=5.0, dims=(24, 24, 24))
         values = noisy_tube(mask, 24)
         assert_matches_sparse_replay(values, 10)
-        monkeypatch.setattr(morphology, "_rank_keys", packed_rank_keys)
-        assert_matches_sparse_replay(values, 10)
+        cast = values.astype(np.float32).astype(np.float64)
+        assert np.unique(cast).size < cast.size
+        assert_matches_sparse_replay(cast, 10)
 
     def test_dense_stage_zero_off_p0_is_plus_zero_beside_negative_zero(self):
         # -0.0 ties 0.0, so off P_0 a -0.0 voxel can take its opening from a
-        # 0.0 one: -0.0 - 0.0 is -0.0, which the packed keys make +0.0
+        # 0.0 one: -0.0 - 0.0 is -0.0, which `_first_skeleton` makes +0.0
         values = np.array([1.0, 1.0, 1.0, 0.0, -0.0, 1.0, 0.5, 0.0, -0.0]).reshape(3, 3, 1)
         assert_matches_sparse_replay(values, 1)
-
-    @pytest.mark.parametrize("tie", ["duplicate", "zero", "negative zero"])
-    def test_one_tie_selects_packed_keys(self, tie):
-        # one repeated value, or a 0.0 or -0.0 tying the exterior, needs the
-        # stage-grid positions of the packed keys
-        rng = np.random.default_rng(17)
-        for seed in range(12):
-            values = tie_free_grid(seed)
-            if values.size == 1 and tie == "duplicate":
-                continue
-            flat = values.reshape(-1)
-            i, j = rng.choice(values.size, size=2, replace=values.size == 1)
-            flat[i] = {"duplicate": flat[j], "zero": 0.0, "negative zero": -0.0}[tie]
-            assert _rank_keys(values)[1] is None
-            iterations = int(rng.integers(1, 7))
-            grad_skel = rng.normal(size=values.shape)
-            skel, tape = soft_skeleton_array(values, iterations)
-            assert np.array_equal(skel, scipy_skeleton(values, iterations))
-            got = soft_skeleton_grad(tape, grad_skel.copy())
-            assert np.abs(got - oracle_skeleton_grad(values, iterations, grad_skel)).max() <= 1e-12
 
     def test_gradient_on_routes_sharing_one_source(self):
         # a plateau around a unique minimum: erosion spreads the centre's
@@ -696,26 +654,25 @@ class TestSoftSkeleton:
         # S, the clDice value and gradient, and the combined gradient at
         # K = 1 (epoch 0) and K < 1 (epoch 450) on two noisy 48^3 tube pairs
         # are pinned byte for byte: a change to the keyed pools or the loss
-        # arithmetic must not move them. The clipped tube has exact-0 ties,
-        # so it pools packed keys; the unclipped softsign tube has none, so it
-        # pools int32 ranks.
+        # arithmetic must not move them. The clipped tube has exact-0 and
+        # exact-1 ties, whose gradient goes to the tied voxel the order by
+        # voxel index picks; the unclipped softsign tube has none.
         mask, _ = straight_tube_mask(length_vox=40, radius_vox=6.0, dims=(48, 48, 48))
         rng = np.random.default_rng(48)
         clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
         pins = [
-            (clipped, False, "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331",
+            (clipped, "fb512871506bdd3957a3fc49f8e0263f72b7b07ab8ea452f494a55a33962b331",
              "464a91003e2b73c8a40afa72323c80058656adbcd35aa76b43d2f1beb38fd607",
-             ["5014b2e142429d0c7c3bc31648b37475f63ced6319cae15d2946c25b4af70638",
-              "dbb3042eb8ba429e86bc843739ff00eed2c4745255eb67c82f02f97fceaf26ab",
-              "0757728745c3a24af53faf3f3b9648508f8285b5991b6ea94d324888857403a4"]),
-            (noisy_tube(mask, 48), True, "0b43b10a0eb396ba1c392cba6c207ea5254b51270ce2974f652e24b19a8dab5c",
+             ["c98ee756e6765e6233024362117293bf373775604e32cd3a32f8273338646890",
+              "f634a3993509e8ea4dc196f6dee4b03b09d782f41d0fad45720ac95fcd23c2cb",
+              "e977e193bb01de4eccbdae475e837bf4383c72528e0dfdc16cac91b9df155961"]),
+            (noisy_tube(mask, 48), "0b43b10a0eb396ba1c392cba6c207ea5254b51270ce2974f652e24b19a8dab5c",
              "6e7ff907b0fa8d47f2b24cece84fa5eb8a582fa49ce77a3d73c848f733355a45",
              ["a7a96e2ca585d0d03969f84637c003f980d006d669d40f556477ebf0e04c7357",
               "e995867205ee6d02ec2ca9889509bdebe5edf05148d494f1febba88cead6ca63",
               "5590570e1a3e0e87b23bbb46137e7dae620c0a7a6c85dc58f2b3701db7767333"]),
         ]
-        for values, ranks, skel_hash, loss_hash, grad_hashes in pins:
-            assert (_rank_keys(values)[1] is not None) == ranks
+        for values, skel_hash, loss_hash, grad_hashes in pins:
             skel, _ = soft_skeleton_array(values, iterations=10)
             assert hashlib.sha256(skel.tobytes()).hexdigest() == skel_hash
             pred = ProbVolume(mask.geometry, values)
@@ -723,6 +680,28 @@ class TestSoftSkeleton:
             assert hashlib.sha256(struct.pack("<d", cld.value)).hexdigest() == loss_hash
             grads = [cld.gradient] + [combined_loss(pred, mask, epoch).gradient for epoch in (0, 450)]
             assert [hashlib.sha256(g.tobytes()).hexdigest() for g in grads] == grad_hashes
+
+    def test_pinned_skeleton_bytes_by_input_class(self):
+        # a noisy tube's skeleton is the same bytes whether its values tie
+        # or not: tie-free float64, cast to float32, float32 with 30 % exact
+        # 1.0, and a tube clipped to [0.05, 0.95]
+        mask, _ = straight_tube_mask(length_vox=28, radius_vox=5.0, dims=(32, 24, 24))
+        rng = np.random.default_rng(41)
+        tie_free = noisy_tube(mask, 41)
+        cast = tie_free.astype(np.float32).astype(np.float64)
+        saturated = cast.copy()
+        saturated[rng.random(mask.values.shape) < 0.3] = 1.0
+        clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.05, 0.95)
+        pins = [
+            (tie_free, 0, "3526df140cae37210374112aee1a2a48c481bd94b0382252f5e0890a6ccc5286"),
+            (cast, 22, "bbb3562684e5ce12921adcc2c3487fe2f4ea88cad83fd0a4311ca456ee3d9ccc"),
+            (saturated, 5578, "197d7c6d45a3080c07d525fd32b4557d7588bd5b6de3eae1b19acdecaf395398"),
+            (clipped, 2946, "356466f75f080e2aa57e8121d7e559491dae0f86aa17afe2d948aba4726bb5c8"),
+        ]
+        for values, ties, skel_hash in pins:
+            assert values.size + 1 - np.unique(np.append(values, 0.0)).size == ties
+            skel, _ = soft_skeleton_array(values, iterations=10)
+            assert hashlib.sha256(skel.tobytes()).hexdigest() == skel_hash
 
     @given(
         shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
@@ -747,9 +726,7 @@ class TestSoftSkeleton:
         keys, voxel = _rank_keys(values)
         want_keys, want_voxel = argsort_rank_keys(values)
         assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
-        assert (voxel is None) == (want_voxel is None)
-        if voxel is not None:
-            assert voxel.dtype == want_voxel.dtype and np.array_equal(voxel, want_voxel)
+        assert voxel.dtype == want_voxel.dtype and np.array_equal(voxel, want_voxel)
 
     @pytest.mark.parametrize(
         "dtype",
@@ -814,12 +791,13 @@ class TestSoftSkeleton:
         # forward plus backward on a noisy tube, in float64 grids: the tape
         # reads the input through a view and holds the stages after the
         # first on their residual support only, with no S_0 at stage 1.
-        # The clipped tube has exact-0 ties (packed keys), the other none.
+        # The clipped tube has exact-0 and exact-1 ties, the float32 cast
+        # of the noisy one ties too, and the noisy one has none: one bound.
         mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
         rng = np.random.default_rng(0)
         clipped = np.clip(mask.values * 0.8 + 0.1 + rng.normal(0.0, 0.05, mask.values.shape), 0.0, 1.0)
-        for values, keys in ((clipped, "packed"), (noisy_tube(mask, 0), "int32")):
-            assert (_rank_keys(values)[1] is None) == (keys == "packed")
+        noisy = noisy_tube(mask, 0)
+        for values in (clipped, noisy.astype(np.float32).astype(np.float64), noisy):
             grad_skel = rng.normal(size=values.shape)
             tracemalloc.start()
             try:
@@ -828,7 +806,7 @@ class TestSoftSkeleton:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak / values.nbytes <= GRID_PEAK_BOUND[keys]
+            assert peak / values.nbytes <= GRID_PEAK_BOUND
 
 
 def binary_skeleton_cases() -> list[np.ndarray]:

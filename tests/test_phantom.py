@@ -328,6 +328,35 @@ class TestDegrade:
         assert report.n_false_positive == 1
         assert report.detection_rate == 1.0
 
+    @pytest.mark.parametrize("name", ["liver", "background"])
+    def test_blob_of_unknown_structure_rejected(self, name):
+        # the rule of the step names: "liver" is no label, and "background"
+        # would stamp label 0
+        sphere = Sphere((20.0, 20.0, 20.0), 4.0)
+        good = {"structure": "tumor", "center_mm": [20.0, 20.0, 20.0], "radius_mm": 4.0}
+        message = f"spurious blob 1 must name a structure.*'{name}'"
+        with pytest.raises(ParameterError, match=message):
+            DegradeSpec(spurious_blobs=(("tumor", sphere), (name, sphere)))
+        with pytest.raises(ParameterError, match=message):
+            degrade_from_json_dict({"spurious_blobs": [good, {**good, "structure": name}]})
+
+    def test_blob_without_a_sphere_rejected(self):
+        with pytest.raises(ParameterError, match="spurious blob 0 needs a Sphere, got \\('tumor', 5\\)"):
+            DegradeSpec(spurious_blobs=(("tumor", 5),))
+
+    def test_valid_blobs_stamp_their_labels(self):
+        # a tumour and a biliary blob read from JSON stamp 251 and 93 voxels
+        truth = generate_case(axis_tree_spec(1))
+        out = degrade(truth, degrade_from_json_dict({"spurious_blobs": [
+            {"structure": "tumor", "center_mm": [20.0, 20.0, 20.0], "radius_mm": 4.0},
+            {"structure": "biliary_tree", "center_mm": [30.0, 10.0, 12.0], "radius_mm": 3.0},
+        ]}))
+        changed = out.labels != truth.label_volume.labels
+        assert np.bincount(out.labels[changed]).tolist() == [0, 0, 251, 0, 0, 93]
+        assert hashlib.sha256(out.labels.tobytes()).hexdigest() == (
+            "5bbb5c036806a23f19c9341c26409d9464beede3175d30817f393375d2751878"
+        )
+
     def test_erode_shrinks_structure(self, truth):
         out = degrade(truth, DegradeSpec(erode_steps={"portal_vein": 1}))
         assert int((out.labels == 3).sum()) < int((truth.label_volume.labels == 3).sum())
