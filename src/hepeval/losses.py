@@ -5,13 +5,14 @@ centerline-Dice loss, whose gradient runs back through the soft skeleton's
 stages with max-pool style argmax routing. The skeleton's forward records,
 on each stage's residual support, the input voxels its values came from
 (see `morphology`), so the backward is sparse in-place scatters
-(`np.add.at`) onto the input and runs no pool. Its tape reads their values
-through a view of the prediction's read-only grid, with no copy of it.
+(`ufunc.at`, a block of the narrow routes at a time) onto the input and
+runs no pool. Its tape reads their values through a view of the
+prediction's read-only grid, with no copy of it.
 Arrays no later step reads are updated in place or released before the
 backward runs. The binary truth is read as booleans and never copied to
 floats: each CE and clDice term takes one of two forms on and off the truth
 (or its skeleton), and the skeleton's backward works in its own dL/dS
-argument. At 128^3, `cl_dice_loss` peaks at 92.0 MB (tracemalloc), on a
+argument. At 128^3, `cl_dice_loss` peaks at 92.1 MB (tracemalloc), on a
 float64 prediction and on its float32 cast alike.
 """
 

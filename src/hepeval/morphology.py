@@ -55,8 +55,20 @@ tape reads the values through a view of the input, where a source equal
 to n, the exterior, reads 0.0, and stage 1 keeps no S_0: the backward
 recomputes it on P_1 from stage 0's sources by the forward's own float
 operations. The backward scatters each stage onto those sources in place
-(`np.add.at`, `np.subtract.at`), the narrowed stages into a table-sized
-array first, and runs no pool.
+(`_at` with `np.add` and `np.subtract`), the narrowed stages into a
+table-sized array first, and runs no pool.
+
+The stages index grids and key tables with int32, uint16 and uint8 arrays.
+NumPy's fancy indexing runs such an index through a casting path (a
+584,000-element gather from a 63,000-entry table took 1.74 ms with uint16
+indices and 0.66 ms with intp ones on NumPy 2.4), and `np.take` first
+copies the whole index into intp, which raises the peak. So every such
+gather, store and `ufunc.at` goes through `_gather`, `_store` and `_at`,
+which widen the index to intp a block of `_BLOCK` elements at a time (an
+intp index passes straight through): a few pages more memory, the same
+elements in the same order, so every sum keeps its bits. The tape itself
+stays narrow: its positions are int32 and its narrowed keys uint16 or
+uint8.
 
 Connected components and the distance transform run on the bounding box of
 the mask's foreground. Components keep their labels on that box only, with
@@ -129,6 +141,54 @@ def _value_codes(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(x, 0.0, out=None if out is None else out.view(np.float64)).view(np.int64)
 
 
+# index elements that `_gather`, `_store` and `_at` widen to intp at a time:
+# 2^12 runs about as fast, and 2^15 lifts the fwd + bwd peak on a noisy
+# 64^3 tube from 5.32 to 5.503 grids, past `test_backward_peak_memory`'s 5.5
+_BLOCK = 1 << 13
+
+
+def _blocks(idx: np.ndarray):
+    """``(slice, block)`` over the flat `idx`, each block widened to intp."""
+    flat = idx.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        yield slice(start, start + _BLOCK), flat[start : start + _BLOCK].astype(np.intp)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]`` for a flat `a`, an index that is not intp widened a block
+    at a time (see the module docstring)."""
+    if idx.dtype == np.intp:
+        return a[idx]
+    # `out` itself, not a reshaped view of it, is returned: NumPy overwrites
+    # a temporary that owns its data in place, as in `_gather(...) - b`
+    out = np.empty(idx.shape, dtype=a.dtype)
+    flat = out.reshape(-1)
+    for at, block in _blocks(idx):
+        flat[at] = a[block]
+    return out
+
+
+def _store(a: np.ndarray, idx: np.ndarray, v) -> None:
+    """``a[idx] = v`` for a flat `a` and a scalar `v` or a flat one of idx's
+    size, an index that is not intp widened a block at a time."""
+    if idx.dtype == np.intp:
+        a[idx] = v
+        return
+    for at, block in _blocks(idx):
+        a[block] = v if np.ndim(v) == 0 else v[at]
+
+
+def _at(ufunc: np.ufunc, a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
+    """``ufunc.at(a, idx, v)`` for a flat `a` and a `v` of idx's size, an
+    index that is not intp widened a block at a time. The blocks go in
+    order, so repeated indices are summed in the same order, bit for bit."""
+    if idx.dtype == np.intp:
+        ufunc.at(a, idx, v)
+        return
+    for at, block in _blocks(idx):
+        ufunc.at(a, block, v[at])
+
+
 def _read(value: np.ndarray, route: np.ndarray) -> np.ndarray:
     """``value[route]``, where a route equal to value.size names the exterior
     and reads its 0.0."""
@@ -136,7 +196,7 @@ def _read(value: np.ndarray, route: np.ndarray) -> np.ndarray:
     if outside.size:
         route = route.copy()
         route[outside] = 0
-    out = value[route]
+    out = _gather(value, route)
     out[outside] = 0.0
     return out
 
@@ -198,14 +258,14 @@ def _narrowed(keys: np.ndarray, voxel: np.ndarray) -> tuple:
     """
     present = np.zeros(voxel.size, dtype=bool)
     present[0] = True
-    present[keys.ravel()] = True
+    _store(present, keys, True)
     count = int(np.count_nonzero(present))
     if count > 1 << 16:  # no type narrower than int32 holds them
         return keys, voxel, count
     at = np.flatnonzero(present)
     recode = np.zeros(voxel.size, dtype=np.min_scalar_type(count - 1))
     recode[at] = np.arange(count)
-    return recode[keys], voxel[at], count
+    return _gather(recode, keys), voxel[at], count
 
 
 def _fewest_keys(shape: tuple, k: int) -> int:
@@ -222,16 +282,21 @@ def _fewest_keys(shape: tuple, k: int) -> int:
     return -(-inside // width**3) + 1
 
 
-def _first_skeleton(value: np.ndarray, route_0: np.ndarray, where) -> np.ndarray:
-    """S_0 = I_0 - O_0 on `where`, from the input `value` and O_0's sources
-    `route_0` on the whole grid, plus +0.0.
+def _first_skeleton(value: np.ndarray, route_0: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+    """S_0 = I_0 - O_0 on the int32 positions `where` (None: the whole
+    grid), from the input `value` and O_0's sources `route_0` on the whole
+    grid, plus +0.0.
 
     A -0.0 input whose opening takes a 0.0 from a tied voxel or the exterior
     differs from it by -0.0, which adding +0.0 makes +0.0; every other
     difference is kept.
     """
-    skel = _read(value, route_0[where])
-    np.subtract(value[where], skel, out=skel)
+    if where is None:
+        skel = _read(value, route_0)
+        np.subtract(value, skel, out=skel)
+    else:
+        skel = _read(value, _gather(route_0, where))
+        np.subtract(_gather(value, where), skel, out=skel)
     skel += 0.0
     return skel
 
@@ -312,25 +377,24 @@ def soft_skeleton_array(values: np.ndarray, iterations: int) -> tuple[np.ndarray
         if k == 0:
             # The whole grid: off P_0 the source holds the voxel's own value,
             # so the difference is +0.0 there (see the docstring).
-            route_out = voxel[opened]
+            route_out = _gather(voxel, opened)
             del opened, keys_in
-            skel = _first_skeleton(value, route_out, slice(None))
+            skel = _first_skeleton(value, route_out)
             stages.append((skel > 0, None, None, route_out))
         else:
             where = np.flatnonzero(keys_in.ravel() > opened).astype(np.int32)
+            route_in, route_out = _gather(keys_in.ravel(), where), _gather(opened, where)
             if table is None:
-                route_in, route_out = voxel[keys_in.ravel()[where]], voxel[opened[where]]
-            else:
-                route_in, route_out = keys_in.ravel()[where], opened[where]
+                route_in, route_out = _gather(voxel, route_in), _gather(voxel, route_out)
             del opened, keys_in
-            delta = lookup[route_in] - _read(lookup, route_out)
+            delta = _gather(lookup, route_in) - _read(lookup, route_out)
             strict = delta > 0  # drops the keys above their opening's whose values tie it
             if not strict.all():
                 where, route_in, route_out, delta = (a[strict] for a in (where, route_in, route_out, delta))
-            before = skel[where]
+            before = _gather(skel, where)
             delta *= 1 - before
             delta += before
-            skel[where] = delta
+            _store(skel, where, delta)
             stage = (where, before if k > 1 else None, route_in, route_out)
             (stages if table is None else keyed).append(stage)
             del delta, before, strict  # S_0 on P_1 is the backward's to recompute
@@ -355,12 +419,13 @@ def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
     dL/dS_k, (1 - S_{k-1}) grad_s goes to the source of I_k and, negated,
     to the source of O_k (the exterior's bin n is dropped), and grad_s
     becomes (1 - delta) grad_s. Both scatters add into the gradient in place
-    with `np.add.at` and `np.subtract.at`, which sum repeated sources. The
-    stage lists are consumed, so their arrays are freed as they go, and
-    `grad_skel` is the working dL/dS, so it is overwritten: pass a copy to
-    keep it. The tape reads the forward's input, which must not have been
-    written since. S_0 on P_1 is recomputed by `_first_skeleton`, the
-    forward's own float operations, so it has the same bits.
+    by `_at`, `np.add.at` and `np.subtract.at` over a block of the narrow
+    routes at a time, which sums repeated sources in order. The stage lists
+    are consumed, so their arrays are freed as they go, and `grad_skel` is
+    the working dL/dS, so it is overwritten: pass a copy to keep it. The
+    tape reads the forward's input, which must not have been written
+    since. S_0 on P_1 is recomputed by `_first_skeleton`, the forward's own
+    float operations, so it has the same bits.
 
     The keyed stages, the last ones, scatter into an array indexed by key,
     which then lands in the zero gradient at once through the injective
@@ -378,16 +443,17 @@ def soft_skeleton_grad(tape: tuple, grad_skel: np.ndarray) -> np.ndarray:
     if keyed:
         by_key = np.zeros(table.size)
         _scatter_stages(keyed, grad_s, _read(value, table), by_key, skel_0)
-        grad[table] = by_key
+        _store(grad, table, by_key)
     _scatter_stages(stages, grad_s, value, grad, skel_0)
     return grad[:-1].reshape(grad_skel.shape)
 
 
 def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: np.ndarray, skel_0) -> None:
     """Pop `stages` last-first, scattering each into `grad` at its routes,
-    which index `value` (by `_read`) and `grad` alike; stage 0 has P_0 as a
-    bool grid, no route_in (the identity) and route_out on the whole grid,
-    and stage 1 has no S_0, which ``skel_0(P_1)`` gives."""
+    which index `value` (by `_read`) and `grad` alike, by `_at` in block
+    order; stage 0 has P_0 as a bool grid, no route_in (the identity) and
+    route_out on the whole grid, and stage 1 has no S_0, which
+    ``skel_0(P_1)`` gives."""
     while stages:
         where, before, route_in, route_out = stages.pop()
         if route_in is None:
@@ -395,13 +461,13 @@ def _scatter_stages(stages: list, grad_s: np.ndarray, value: np.ndarray, grad: n
             np.copyto(resid, 0.0, where=~where)
             grad[:-1] += resid
         else:
-            resid = grad_s[where]
-            delta = value[route_in] - _read(value, route_out)
-            grad_s[where] = resid * (1 - delta)
+            resid = _gather(grad_s, where)
+            delta = _gather(value, route_in) - _read(value, route_out)
+            _store(grad_s, where, resid * (1 - delta))
             resid *= 1 - (skel_0(where) if before is None else before)
             del before
-            np.add.at(grad, route_in, resid)
-        np.subtract.at(grad, route_out, resid)
+            _at(np.add, grad, route_in, resid)
+        _at(np.subtract, grad, route_out, resid)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,10 @@ from conftest import (
     random_mask,
     random_skeleton_mask,
     reference_gallbladder,
+    reference_graph,
+    reference_lesions,
     reference_report,
+    reference_split,
     reference_vessel_scores,
 )
 from test_golden_eval import PAIRS
@@ -710,22 +713,73 @@ def degraded_cases(draw, kinds: tuple[str, ...]):
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
+def split_flags_oracle(graph, mask, max_generation):
+    """`_split_flags`'s (targets, central flags), read off `reference_split`."""
+    targets = np.flatnonzero(mask.values)
+    return targets, reference_split(graph, mask, max_generation).central.values.ravel()[targets]
+
+
+def lesion_match_oracle(gt, pred, connectivity, min_overlap_voxels):
+    """`lesion_match` by `reference_lesions`."""
+    return reference_lesions(gt, pred, EvalConfig(connectivity=connectivity, min_overlap_voxels=min_overlap_voxels))
+
+
+# each stage that `evaluate_case` calls by name on `hepeval.metrics`, and its oracle
+STAGE_ORACLES = {
+    "build_graph": reference_graph,
+    "_split_flags": split_flags_oracle,
+    "identify_gallbladder": reference_gallbladder,
+    "lesion_match": lesion_match_oracle,
+}
+
+
 class TestReferenceReport:
     """`evaluate_case` against `reference_report`, the plain whole-grid
     pipeline, byte for byte: every crop, shortcut and vectorised count
     must leave the report as it is."""
 
-    def check(self, case):
+    def report(self, case, evaluate):
+        """The JSON of `evaluate`'s report on `case`'s pair."""
         kind, dspec, spacing, config = case
         truth = small_truth(kind)
         gt, pred = (
             LabelVolume(Geometry(v.geometry.dims, spacing), v.labels, v.schema)
             for v in (truth.label_volume, degrade(truth, dspec))
         )
-        fast, slow = (
-            json.dumps(_json_dict(f(gt, pred, config)), sort_keys=True) for f in (evaluate_case, reference_report)
-        )
-        assert fast == slow
+        return json.dumps(_json_dict(evaluate(gt, pred, config)), sort_keys=True)
+
+    def check(self, case):
+        assert self.report(case, evaluate_case) == self.report(case, reference_report)
+
+    # a liver pair with a gallbladder, a spurious tumour and an eroded one
+    # whose 4 voxels of overlap meet the detection threshold exactly, and an
+    # H-tree pair whose split takes the distance path, with a spurious tumour
+    STAGE_CASES = (
+        ("liver_gallbladder", DegradeSpec(
+            seed=7, erode_steps={"tumor": 1}, relabel_fraction=0.01,
+            spurious_blobs=(("tumor", Sphere((128.0, 128.0, 192.0), 8.0)),),
+        ), (4.0, 4.0, 6.0), EvalConfig(min_overlap_voxels=4)),
+        ("htree3", DegradeSpec(
+            seed=2, relabel_fraction=0.05, spurious_blobs=(("tumor", Sphere((64.0, 40.0, 56.0), 6.0)),)
+        ), (1.0,) * 3, EvalConfig(connectivity=6)),
+    )
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_ORACLES))
+    def test_each_stage_matches_its_oracle(self, stage, monkeypatch):
+        # one stage at a time swapped for its oracle, so a failure names it
+        calls = []
+
+        def swapped(*args):
+            calls.append(stage)
+            return STAGE_ORACLES[stage](*args)
+
+        for case in self.STAGE_CASES:
+            want = self.report(case, evaluate_case)
+            monkeypatch.setattr(hepeval.metrics, stage, swapped)
+            got = self.report(case, evaluate_case)
+            monkeypatch.undo()
+            assert got == want, f"{stage} differs from its oracle on {case[0]}"
+        assert calls
 
     # the threshold is the gallbladder's sphericity at its face floor, which
     # its face counts equal, so it is accepted at equality

@@ -15,10 +15,14 @@ from hepeval import morphology
 from hepeval.errors import ParameterError
 from hepeval.losses import cl_dice_loss, combined_loss
 from hepeval.morphology import (
+    _BLOCK,
+    _at,
     _fewest_keys,
+    _gather,
     _narrowed,
     _padded,
     _rank_keys,
+    _store,
     bounding_box,
     connected_components,
     distance_transform_squared,
@@ -361,6 +365,64 @@ class TestPools:
         grad_out[0, 0, 0] = 1.0
         # border voxel: exterior 0 strictly beats every in-volume value
         assert not pool_grad(values, "min", grad_out).any()
+
+
+BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+class TestIndexBlocks:
+    """`_gather`, `_store` and `_at` against fancy indexing and unblocked
+    `ufunc.at`, bit for bit. A 200-slot table makes every index past the
+    first 200 a repeat, so a store keeps the last value and `at` sums the
+    repeats in index order."""
+
+    def draw(self, dtype, size):
+        rng = np.random.default_rng(size)
+        table = rng.normal(size=200)
+        idx = rng.integers(0, table.size, size).astype(dtype)
+        # magnitudes from 1e-8 to 1e8, so a sum in another order rounds apart
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
+        return table, idx, v
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint8, np.intp])
+    def test_match_fancy_indexing(self, dtype, size):
+        table, idx, v = self.draw(dtype, size)
+        got = _gather(table, idx)
+        assert got.dtype == table.dtype and got.tobytes() == table[idx].tobytes()
+        for value in (v, 2.5):
+            got, want = table.copy(), table.copy()
+            _store(got, idx, value)
+            want[idx] = value
+            assert got.tobytes() == want.tobytes()
+        for ufunc in (np.add, np.subtract):
+            got, want = table.copy(), table.copy()
+            _at(ufunc, got, idx, v)
+            ufunc.at(want, idx, v)
+            assert got.tobytes() == want.tobytes()
+
+    def test_gather_keeps_the_index_shape(self):
+        table, idx, _ = self.draw(np.uint16, 3 * _BLOCK + 7)
+        grid = idx.reshape(13, 31, 61)
+        got = _gather(table, grid)
+        assert got.shape == grid.shape and got.flags.owndata
+        assert got.tobytes() == table[grid].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint8])
+    def test_out_of_range_index_raises(self, dtype):
+        # one index past the table, in the second block
+        table, idx, v = self.draw(dtype, 2 * _BLOCK)
+        idx[_BLOCK + 5] = table.size
+        for run in (
+            lambda a: a[idx],
+            lambda a: _gather(a, idx),
+            lambda a: a.__setitem__(idx, v),
+            lambda a: _store(a, idx, v),
+            lambda a: np.add.at(a, idx, v),
+            lambda a: _at(np.add, a, idx, v),
+        ):
+            with pytest.raises(IndexError):
+                run(table.copy())
 
 
 class TestSoftSkeleton:
@@ -786,6 +848,16 @@ class TestSoftSkeleton:
         got = soft_skeleton_grad(tape, grad_skel)
         assert tape[:2] == ([], []) and other_tape[:2] == ([], [])
         assert got.tobytes() == want.tobytes()
+
+    def test_tape_bytes_are_pinned(self):
+        # the tape keeps int32 positions and narrowed uint16 keys, never
+        # intp routes: its distinct arrays on the noisy 64^3 tube, the view
+        # of the input included, hold the bytes pinned here
+        mask, _ = straight_tube_mask(length_vox=56, radius_vox=8.0, dims=(64, 64, 64))
+        _, (stages, keyed, table, value) = soft_skeleton_array(noisy_tube(mask, 0), iterations=10)
+        arrays = {id(a): a for a in (*itertools.chain(*stages, *keyed), table, value) if a is not None}
+        assert np.dtype(np.intp) not in {a.dtype for a in arrays.values()}
+        assert sum(a.nbytes for a in arrays.values()) == 7_639_260
 
     def test_backward_peak_memory(self):
         # forward plus backward on a noisy tube, in float64 grids: the tape
