@@ -64,8 +64,8 @@ NumPy's fancy indexing runs such an index through a casting path (a
 indices and 0.66 ms with intp ones on NumPy 2.4), and `np.take` first
 copies the whole index into intp, which raises the peak. So every such
 gather, store and `ufunc.at` goes through `_gather`, `_store` and `_at`,
-which widen the index to intp a block of `_BLOCK` elements at a time (an
-intp index passes straight through): a few pages more memory, the same
+which widen the index to intp a block of `_BLOCK` elements at a time (a
+block of an intp index is a view): a few pages more memory, the same
 elements in the same order, so every sum keeps its bits. The tape itself
 stays narrow: its positions are int32 and its narrowed keys uint16 or
 uint8.
@@ -148,17 +148,16 @@ _BLOCK = 1 << 13
 
 
 def _blocks(idx: np.ndarray):
-    """``(slice, block)`` over the flat `idx`, each block widened to intp."""
+    """``(slice, block)`` over the flat `idx`, each block widened to intp
+    (an intp block is a view, not a copy)."""
     flat = idx.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
-        yield slice(start, start + _BLOCK), flat[start : start + _BLOCK].astype(np.intp)
+        yield slice(start, start + _BLOCK), flat[start : start + _BLOCK].astype(np.intp, copy=False)
 
 
 def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``a[idx]`` for a flat `a`, an index that is not intp widened a block
-    at a time (see the module docstring)."""
-    if idx.dtype == np.intp:
-        return a[idx]
+    """``a[idx]`` for a flat `a`, the index widened to intp a block at a
+    time (see the module docstring)."""
     # `out` itself, not a reshaped view of it, is returned: NumPy overwrites
     # a temporary that owns its data in place, as in `_gather(...) - b`
     out = np.empty(idx.shape, dtype=a.dtype)
@@ -170,21 +169,15 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _store(a: np.ndarray, idx: np.ndarray, v) -> None:
     """``a[idx] = v`` for a flat `a` and a scalar `v` or a flat one of idx's
-    size, an index that is not intp widened a block at a time."""
-    if idx.dtype == np.intp:
-        a[idx] = v
-        return
+    size, the index widened to intp a block at a time."""
     for at, block in _blocks(idx):
         a[block] = v if np.ndim(v) == 0 else v[at]
 
 
 def _at(ufunc: np.ufunc, a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
-    """``ufunc.at(a, idx, v)`` for a flat `a` and a `v` of idx's size, an
-    index that is not intp widened a block at a time. The blocks go in
-    order, so repeated indices are summed in the same order, bit for bit."""
-    if idx.dtype == np.intp:
-        ufunc.at(a, idx, v)
-        return
+    """``ufunc.at(a, idx, v)`` for a flat `a` and a `v` of idx's size, the
+    index widened to intp a block at a time. The blocks go in order, so
+    repeated indices are summed in the same order, bit for bit."""
     for at, block in _blocks(idx):
         ufunc.at(a, block, v[at])
 
@@ -291,12 +284,9 @@ def _first_skeleton(value: np.ndarray, route_0: np.ndarray, where: np.ndarray | 
     differs from it by -0.0, which adding +0.0 makes +0.0; every other
     difference is kept.
     """
-    if where is None:
-        skel = _read(value, route_0)
-        np.subtract(value, skel, out=skel)
-    else:
-        skel = _read(value, _gather(route_0, where))
-        np.subtract(_gather(value, where), skel, out=skel)
+    # each gathered index or value is freed before the next grid is made
+    skel = _read(value, route_0 if where is None else _gather(route_0, where))
+    np.subtract(value if where is None else _gather(value, where), skel, out=skel)
     skel += 0.0
     return skel
 
