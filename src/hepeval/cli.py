@@ -260,9 +260,6 @@ def cmd_loss(args) -> int:
     except RangeError as exc:
         log.error("epoch out of range: %s", exc)
         return 1
-    except (OSError, HepevalError) as exc:
-        log.error("%s", exc)
-        return 1
     # np.linalg.norm is BLAS ddot, whose kernel and last bits vary by CPU
     norm = math.sqrt(float(np.square(combined.gradient).sum()))
     print(
@@ -292,12 +289,7 @@ def cmd_skeleton(args) -> int:
     out = Path(args.out)
     _clear_outputs(out, ["manifest.json", "skeleton.nii.gz", "central.nii.gz", "peripheral.nii.gz", "graph.json"])
     digests: dict[str, str | None] = {}
-    try:
-        mask = read_binary_mask(args.mask, digests=digests)
-    except (OSError, HepevalError) as exc:
-        log.error("%s", exc)
-        return 1
-
+    mask = read_binary_mask(args.mask, digests=digests)
     out.mkdir(parents=True, exist_ok=True)
     skel = skeletonize(mask, config.skeleton_iterations)
     if skel.popcount() == 0:

@@ -442,7 +442,7 @@ def aggregate(reports: list[CaseReport]) -> Summary:
             rate_mean=rate_stats.mean,
             rate_sd=rate_stats.sd,
             rate_pooled=total_detected / max(total_gt, 1),
-            median_false_positives=float(np.median(fp_counts)),
+            median_false_positives=_stats(fp_counts).median,
         ),
     )
 

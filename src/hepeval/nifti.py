@@ -206,13 +206,12 @@ def _finite_fields(hdr: dict, *names: str) -> None:
 def _geometry_from_header(hdr: dict) -> Geometry:
     """Geometry from dim, pixdim and the sform (else the qform).
 
-    Every extent up to dim[0] must be positive; dim[i] for i > dim[0] is
-    ignored, as NIfTI-1 allows. The transform in use must be finite.
+    dim[0] is in [1, 7], as `read_nifti` chose the byte order by it. Every
+    extent up to dim[0] must be positive; dim[i] for i > dim[0] is ignored,
+    as NIfTI-1 allows. The transform in use must be finite.
     """
     dim = hdr["dim"]
     ndim = dim[0]
-    if not 1 <= ndim <= 7:
-        raise FormatError(f"dim[0] = {ndim} outside [1, 7]")
     extents = [int(d) for d in dim[1 : 1 + ndim]]
     for i, e in enumerate(extents, start=1):
         if e <= 0:

@@ -1,9 +1,7 @@
 import dataclasses
-import itertools
 import json
 import logging
 import types
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +12,7 @@ from scipy import ndimage
 
 import hepeval.metrics
 from hepeval import morphology
-from hepeval.errors import ParameterError, ShapeMismatchError
+from hepeval.errors import ParameterError, SchemaError, ShapeMismatchError
 from hepeval.metrics import (
     EvalConfig,
     _stats,
@@ -25,7 +23,7 @@ from hepeval.metrics import (
     lesion_match,
     mann_whitney_u,
 )
-from hepeval.morphology import bounding_box, connected_components, pool_array
+from hepeval.morphology import bounding_box, connected_components
 from hepeval.phantom import (
     DegradeSpec,
     Sphere,
@@ -34,7 +32,6 @@ from hepeval.phantom import (
     degrade,
     generate_case,
     straight_tube_mask,
-    y_phantom,
 )
 from hepeval.vessel import identify_gallbladder
 from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelSchema, LabelVolume, _json_dict, extract_mask
@@ -98,20 +95,6 @@ class TestClDiceMetric:
     def test_identity_is_one(self):
         tube, _ = straight_tube_mask(length_vox=20, radius_vox=1.9, dims=(30, 10, 10))
         assert cl_dice_metric(tube, tube, iterations=4) == 1.0
-
-    def test_dilation_keeps_cldice_at_one_but_not_dsc(self):
-        gt, _ = straight_tube_mask(length_vox=40, radius_vox=0.5, dims=(56, 12, 12))
-        dilated = pool_array(gt.values.astype(np.uint8), "max")
-        pred = BinaryMask(gt.geometry, dilated > 0)
-        assert cl_dice_metric(pred, gt, iterations=4) == 1.0
-        assert dsc(pred, gt) < 0.9
-
-    def test_branch_drop_hits_cldice_harder_than_dsc(self):
-        ph = y_phantom()
-        pred = BinaryMask(ph.mask.geometry, ph.mask.values & ~ph.branches[0].values)
-        d = dsc(pred, ph.mask)
-        c = cl_dice_metric(pred, ph.mask, iterations=5)
-        assert c < d
 
     def test_empty_cases(self):
         g = Geometry(dims=(6, 6, 6), spacing=(1, 1, 1))
@@ -399,6 +382,12 @@ class TestEvaluateCase:
         moved = [LabelVolume(v.geometry, lut[v.labels], schema) for v in pair]
         base = json.dumps(_json_dict(evaluate_case(*pair, config)))
         assert json.dumps(_json_dict(evaluate_case(*moved, config))) == base
+
+    def test_different_schemas_raise(self, truth, config):
+        gt = truth.label_volume
+        folded = LabelSchema({i: n for i, n in DEFAULT_SCHEMA.ids.items() if n != "gallbladder"})
+        with pytest.raises(SchemaError, match="different label schemas"):
+            evaluate_case(gt, LabelVolume(gt.geometry, gt.labels, folded), config)
 
     def test_degenerate_split_is_logged(self, truth, caplog):
         with caplog.at_level(logging.WARNING, logger="hepeval.metrics"):
@@ -868,25 +857,6 @@ class TestAggregate:
         assert all(len(r) == 6 for r in rows)
 
 
-def exact_mw_oracle(xs, ys):
-    """Full permutation enumeration with exact rational arithmetic."""
-    pooled = list(xs) + list(ys)
-    n1 = len(xs)
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
-    for rank, idx in enumerate(order, start=1):
-        ranks[idx] = rank
-    u_x = sum(ranks[:n1]) - n1 * (n1 + 1) / 2
-    u_min = min(u_x, n1 * len(ys) - u_x)
-    count = 0
-    total = 0
-    for combo in itertools.combinations(range(len(pooled)), n1):
-        u = sum(ranks[i] for i in combo) - n1 * (n1 + 1) / 2
-        count += u <= u_min
-        total += 1
-    return u_x, min(1, Fraction(2 * count, total))
-
-
 class TestMannWhitney:
     def test_two_vs_two(self):
         r = mann_whitney_u([1, 2], [3, 4])
@@ -917,19 +887,6 @@ class TestMannWhitney:
             ranks[order] = np.arange(1, len(pooled) + 1)
             u_y = float(ranks[n1:].sum()) - n2 * (n2 + 1) / 2
             assert r.U + u_y == pytest.approx(n1 * n2)
-
-    def test_exact_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            n1 = int(rng.integers(1, 6))
-            n2 = int(rng.integers(1, 11 - n1))
-            xs = rng.normal(size=n1).tolist()
-            ys = rng.normal(size=n2).tolist()
-            r = mann_whitney_u(xs, ys)
-            u_o, p_o = exact_mw_oracle(xs, ys)
-            assert r.method == "exact"
-            assert r.U == pytest.approx(u_o)
-            assert abs(r.p_two_sided - float(p_o)) < 1e-9
 
     def test_large_samples_use_normal_approximation(self):
         rng = np.random.default_rng(2)

@@ -314,6 +314,25 @@ class TestHandConstructedFiles:
         with pytest.raises(ParameterError, match="binary"):
             read_binary_mask(path)
 
+    def test_float_label_file_reads_as_its_uint8_twin(self, tmp_path):
+        ids = np.arange(24) % 7
+        twins = tmp_path / "uint8.nii", tmp_path / "float32.nii"
+        twins[0].write_bytes(bytes(_blank_header()) + b"\x00" * 4 + ids.astype("<u1").tobytes())
+        twins[1].write_bytes(bytes(_blank_header(datatype=16)) + b"\x00" * 4 + ids.astype("<f4").tobytes())
+        want, got = (read_label_volume(path) for path in twins)
+        assert (got.geometry, got.schema, got.labels.dtype) == (want.geometry, want.schema, want.labels.dtype)
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_float_binary_mask_is_read(self, tmp_path):
+        # a mask saved as float32 0/1, as `hepeval loss --gt` gets it from
+        # tools that write masks as floats
+        stored = (np.arange(24) % 3 == 0).astype("<f4")
+        path = tmp_path / "float_mask.nii"
+        path.write_bytes(bytes(_blank_header(datatype=16)) + b"\x00" * 4 + stored.tobytes())
+        mask = read_binary_mask(path)
+        assert mask.geometry.dims == (4, 3, 2)
+        assert np.array_equal(mask.values.ravel(), stored == 1.0)
+
     def test_wide_integer_labels_in_schema_are_read(self, tmp_path):
         g = Geometry(dims=(4, 3, 2), spacing=(1, 1, 1))
         labels = np.arange(24, dtype=np.int32).reshape(g.shape) % 7

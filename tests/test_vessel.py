@@ -347,16 +347,6 @@ class TestClassify:
         assert not (split.central.values & split.peripheral.values).any()
         assert ((split.central.values | split.peripheral.values) == mask.values).all()
 
-    def test_agreement_with_construction_tags(self):
-        for levels in (2, 3, 4):
-            truth = generate_case(axis_tree_spec(levels))
-            mask = extract_mask(truth.label_volume, 3)
-            graph = build_graph(skeletonize(mask, 6), mask)
-            split = classify_central_peripheral(graph, mask)
-            tag_central = (truth.generation_tag >= 0) & (truth.generation_tag <= 1)
-            agree = (split.central.values == (tag_central & mask.values))[mask.values].mean()
-            assert agree >= 0.99
-
     def test_empty_graph_all_peripheral(self, caplog):
         g = Geometry(dims=(8, 8, 8), spacing=(1, 1, 1))
         m = np.zeros(g.shape, bool)
