@@ -490,20 +490,17 @@ _STRUCTURES = {6: _structure(1), 18: _structure(2), 26: _structure(3)}
 
 
 def bounding_box(values: np.ndarray) -> tuple[slice, ...] | None:
-    """Slices (z, y, x) of the smallest box holding every nonzero voxel.
+    """Slices (z, y, x) of the smallest box holding every True voxel of a
+    bool grid; any other dtype raises ParameterError.
 
-    Returns None when there is no nonzero voxel. Every reduction is a `max`
-    over a contiguous axis, on an unsigned grid (a bool grid read as uint8;
-    other dtypes as their nonzero test): each z-slice's maximum gives the z
-    extent, and the element-wise maximum of the slices in it the y and x
-    extents.
+    Returns None when there is no True voxel. Every reduction is a `max`
+    over a contiguous axis of the grid read as uint8: each z-slice's maximum
+    gives the z extent, and the element-wise maximum of the slices in it the
+    y and x extents.
     """
-    if values.dtype == bool:
-        v = values.view(np.uint8)
-    elif np.issubdtype(values.dtype, np.unsignedinteger):
-        v = values
-    else:
-        v = (values != 0).view(np.uint8)
+    if values.dtype != bool:
+        raise ParameterError(f"bounding_box takes a bool grid, got {values.dtype}")
+    v = values.view(np.uint8)
     if v.size == 0:
         return None
     z = np.flatnonzero(v.reshape(len(v), -1).max(axis=1))

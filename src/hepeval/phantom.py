@@ -345,10 +345,6 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
             labels[box][inside] = sid
             volumes["gallbladder"] = 4.0 / 3.0 * math.pi * gb.radius_mm**3
 
-    # the venous trees may overwrite part of the gallbladder sphere
-    gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
-    edge_tag[gb_mask] = -1
-
     # tumors last so they are never occluded
     tumor_id = DEFAULT_SCHEMA.id_of("tumor")
     for i, t in enumerate(spec.tumors):
@@ -357,6 +353,10 @@ def generate_case(spec: PhantomSpec) -> PhantomTruth:
         labels[box][inside] = tumor_id
         edge_tag[box][inside] = -1
         volumes[f"tumor_{i}"] = 4.0 / 3.0 * math.pi * t.radius_mm**3
+
+    # the venous trees and the tumors may overwrite part of the gallbladder sphere
+    gb_mask &= labels == DEFAULT_SCHEMA.id_of("biliary_tree")
+    edge_tag[gb_mask] = -1
 
     edge_tag.flags.writeable = False
     gb_mask.flags.writeable = False

@@ -14,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import hepeval
 from hepeval.cli import build_parser, main
 from hepeval.losses import LossConfig, bootstrapped_ce_loss, cl_dice_loss, combined_loss, k_schedule
 from hepeval.metrics import aggregate, evaluate_case
@@ -33,55 +34,6 @@ from hepeval.volume import DEFAULT_SCHEMA, BinaryMask, Geometry, LabelVolume, Pr
 from conftest import noisy_tube
 
 
-def schema_check(instance, schema):
-    """Minimal JSON-schema validator covering the shipped schema subset."""
-    kind = schema.get("type")
-    kinds = kind if isinstance(kind, list) else [kind] if kind else []
-    if "enum" in schema:
-        assert instance in schema["enum"], f"{instance!r} not in {schema['enum']}"
-        return
-    if kinds:
-        ok = False
-        for k in kinds:
-            if k == "object" and isinstance(instance, dict):
-                ok = True
-            elif k == "array" and isinstance(instance, list):
-                ok = True
-            elif k == "string" and isinstance(instance, str):
-                ok = True
-            elif k == "integer" and isinstance(instance, int) and not isinstance(instance, bool):
-                ok = True
-            elif k == "number" and isinstance(instance, (int, float)) and not isinstance(instance, bool):
-                ok = True
-            elif k == "boolean" and isinstance(instance, bool):
-                ok = True
-            elif k == "null" and instance is None:
-                ok = True
-        assert ok, f"{instance!r} does not match type {kinds}"
-    if instance is None:
-        return
-    if isinstance(instance, dict):
-        for key in schema.get("required", []):
-            assert key in instance, f"missing required key {key}"
-        for key, sub in schema.get("properties", {}).items():
-            if key in instance:
-                schema_check(instance[key], sub)
-        extra = schema.get("additionalProperties")
-        for key, value in instance.items():
-            if key not in schema.get("properties", {}):
-                assert extra is not False, f"stray key {key}"
-                if isinstance(extra, dict):
-                    schema_check(value, extra)
-    if isinstance(instance, list) and "items" in schema:
-        for item in instance:
-            schema_check(item, schema["items"])
-    if isinstance(instance, (int, float)) and not isinstance(instance, bool):
-        if "minimum" in schema:
-            assert instance >= schema["minimum"]
-        if "maximum" in schema:
-            assert instance <= schema["maximum"]
-
-
 def write_nan_srow(volume, path):
     """Write `volume` uncompressed, then set its sform's srow_x[0] to NaN."""
     write_nifti(volume, path)
@@ -90,12 +42,21 @@ def write_nan_srow(volume, path):
     path.write_bytes(bytes(raw))
 
 
-def load_schema(name):
-    import hepeval
+SCHEMAS = Path(hepeval.__file__).parent / "schemas"
 
-    path = f"{list(hepeval.__path__)[0]}/schemas/{name}.schema.json"
-    with open(path) as fh:
-        return json.load(fh)
+# Draft 7 reads 1.0 as an integer; an integer field of a written file holds
+# JSON integers only
+StrictDraft7 = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, instance: isinstance(instance, int) and not isinstance(instance, bool)
+    ),
+)
+
+
+def validator(name):
+    """The validator of the shipped schema `name`."""
+    return StrictDraft7(json.loads((SCHEMAS / f"{name}.schema.json").read_text()))
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +88,11 @@ class TestEvalCommand:
         assert summary["tumor_detection"]["median_false_positives"] == 0.0
         # cholecystectomy spec: central biliary stays null
         assert summary["structures"]["biliary_tree/central"] is None
-        schema_check(summary, load_schema("summary"))
+        validator("summary").validate(summary)
         report = json.loads((out / "case_case01.report.json").read_text())
-        schema_check(report, load_schema("case_report"))
+        validator("case_report").validate(report)
         manifest = json.loads((out / "manifest.json").read_text())
-        schema_check(manifest, load_schema("manifest"))
+        validator("manifest").validate(manifest)
         assert manifest["failed_cases"] == []
 
     def test_partial_failure_exits_2_and_writes_rest(self, phantom_pair, tmp_path):
@@ -151,7 +112,7 @@ class TestEvalCommand:
         assert len(reports) == 2
         assert (out / "summary.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        schema_check(manifest, load_schema("manifest"))
+        validator("manifest").validate(manifest)
         assert manifest["failed_cases"] == [{"case_id": "nope", "error": "FileNotFoundError"}]
 
     def test_corrupt_gzip_case_is_named_in_failed_cases(self, phantom_pair, tmp_path):
@@ -254,7 +215,7 @@ class TestEvalCommand:
         code = main(["eval", "--gt", str(missing), "--pred", str(pred), "--out", str(out), "--jobs", "1"])
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        schema_check(manifest, load_schema("manifest"))
+        validator("manifest").validate(manifest)
         assert manifest["input_digests"] == {str(missing): None, str(pred): None}
 
     def test_negative_jobs_exits_1(self, phantom_pair, tmp_path, caplog):
@@ -412,7 +373,7 @@ class TestEvalCommand:
                      "--config", str(cfg), "--connectivity", "6", "--skeleton-iters", "4"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        schema_check(manifest, load_schema("manifest"))
+        validator("manifest").validate(manifest)
         assert manifest["config"] == {
             "connectivity": 6,
             "skeleton_iterations": 4,
@@ -448,17 +409,20 @@ def report_and_summary():
     ("summary", "tumor_detection"),
 ])
 def test_stray_key_fails_validation(report_and_summary, name, path):
-    schema, doc = load_schema(name), copy.deepcopy(report_and_summary[name])
-    validator = jsonschema.Draft7Validator(schema)
-    assert validator.is_valid(doc)
-    schema_check(doc, schema)
+    check, doc = validator(name), copy.deepcopy(report_and_summary[name])
+    check.validate(doc)
     node = doc
     for key in path.split(".") if path else ():
         node = node[int(key)] if isinstance(node, list) else node[key]
     node["stray"] = 0
-    assert not validator.is_valid(doc)
-    with pytest.raises(AssertionError, match="stray key"):
-        schema_check(doc, schema)
+    assert [e.validator for e in check.iter_errors(doc)] == ["additionalProperties"]
+
+
+def test_shipped_schemas_are_valid_draft7():
+    paths = sorted(SCHEMAS.glob("*.json"))
+    assert [p.name.split(".")[0] for p in paths] == ["case_report", "graph", "manifest", "summary"]
+    for path in paths:
+        jsonschema.Draft7Validator.check_schema(json.loads(path.read_text()))
 
 
 class TestPhantomCommand:
@@ -749,7 +713,7 @@ class TestSkeletonCommand:
         assert len(graph["edges"]) == 3
         root = next(e for e in graph["edges"] if e["id"] == graph["root_edge_id"])
         assert root["strahler"] == 2
-        schema_check(graph, load_schema("graph"))
+        validator("graph").validate(graph)
         assert (out / "skeleton.nii.gz").exists()
         assert (out / "central.nii.gz").exists()
         assert (out / "peripheral.nii.gz").exists()
@@ -803,12 +767,12 @@ class TestSkeletonCommand:
 
 
 class TestStatsCommand:
-    def write_cases_csv(self, path, values):
+    def write_cases_csv(self, path, values, structure="tumor"):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["case_id", "structure", "dsc", "central_dsc", "peripheral_dsc", "cl_dice"])
             for i, v in enumerate(values):
-                w.writerow([f"c{i}", "tumor", v, "", "", ""])
+                w.writerow([f"c{i}", structure, v, "", "", ""])
 
     def test_mann_whitney_between_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -820,6 +784,26 @@ class TestStatsCommand:
         assert payload["tumor"]["method"] == "exact"
         assert payload["tumor"]["p_two_sided"] == pytest.approx(0.1)
         assert payload["tumor"]["U"] == 0.0
+
+    def test_all_tied_samples_read_p_one(self, tmp_path, capsys):
+        # as `dsc.gallbladder` reads on every phantom case: the tie-corrected
+        # variance is 0, so no z is formed
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_cases_csv(a, [1.0] * 4)
+        self.write_cases_csv(b, [1.0] * 4)
+        assert main(["stats", str(a), str(b)]) == 0
+        assert json.loads(capsys.readouterr().out)["tumor"] == {
+            "U": 8.0, "p_two_sided": 1.0, "method": "normal_approximation", "tie_correction_applied": True,
+            "n1": 4, "n2": 4,
+        }
+
+    def test_no_shared_structure_exits_1(self, tmp_path, caplog, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_cases_csv(a, [0.1, 0.2])
+        self.write_cases_csv(b, [0.7, 0.8], structure="liver")
+        assert main(["stats", str(a), str(b)]) == 1
+        assert "share no structures" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_exits_1(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -105,53 +105,6 @@ class TestClDiceMetric:
         assert cl_dice_metric(tube, empty) == 0.0
 
 
-def brute_force_lesion_scan(gt: BinaryMask, pred: BinaryMask, min_overlap=1):
-    """Independent oracle: python BFS components + full pair scan."""
-
-    def components(mask):
-        values = mask.values
-        visited = np.zeros(values.shape, bool)
-        comps = []
-        offsets = [
-            (dz, dy, dx)
-            for dz in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-            if (dz, dy, dx) != (0, 0, 0)
-        ]
-        for start in zip(*np.nonzero(values)):
-            if visited[start]:
-                continue
-            comp = set()
-            stack = [start]
-            visited[start] = True
-            while stack:
-                z, y, x = stack.pop()
-                comp.add((z, y, x))
-                for dz, dy, dx in offsets:
-                    p = (z + dz, y + dy, x + dx)
-                    if (
-                        0 <= p[0] < values.shape[0]
-                        and 0 <= p[1] < values.shape[1]
-                        and 0 <= p[2] < values.shape[2]
-                        and values[p]
-                        and not visited[p]
-                    ):
-                        visited[p] = True
-                        stack.append(p)
-            comps.append(comp)
-        return comps
-
-    gt_comps = components(gt)
-    pred_comps = components(pred)
-    detected = 0
-    for gc in gt_comps:
-        if any(len(gc & pc) >= min_overlap for pc in pred_comps):
-            detected += 1
-    fps = sum(1 for pc in pred_comps if all(len(pc & gc) == 0 for gc in gt_comps))
-    return len(gt_comps), detected, fps
-
-
 class TestLesionMatch:
     def geometry(self):
         return Geometry(dims=(24, 24, 24), spacing=(1, 1, 1))
@@ -193,8 +146,7 @@ class TestLesionMatch:
         report = lesion_match(BinaryMask(g, gt), BinaryMask(g, pred))
         assert report.detection_rate == 0.5
         assert report.n_false_positive == 1
-        n_gt, det, fp = brute_force_lesion_scan(BinaryMask(g, gt), BinaryMask(g, pred))
-        assert (report.n_gt, report.n_detected, report.n_false_positive) == (n_gt, det, fp)
+        assert report == reference_lesions(BinaryMask(g, gt), BinaryMask(g, pred), EvalConfig())
 
     def test_min_overlap_threshold(self):
         g = self.geometry()
@@ -227,11 +179,7 @@ class TestLesionMatch:
             (gt, BinaryMask(g, pred.values & inner)),
         ]
         for a, b in pairs:
-            report = lesion_match(a, b)
-            n_gt, det, fp = brute_force_lesion_scan(a, b)
-            assert report.n_gt == n_gt
-            assert report.n_detected == det
-            assert report.n_false_positive == fp
+            assert lesion_match(a, b) == reference_lesions(a, b, EvalConfig())
 
     def test_golden_liver_pair_finds_no_component_boxes(self, monkeypatch):
         # lesion rows read component sizes and labels only, so no box is
@@ -622,7 +570,7 @@ class TestJointForegroundCrop:
         swap_xy = ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         whole = Geometry(labels.shape[::-1], (0.7, 0.9, 1.3), origin=(5.0, -2.0, 1.5), orientation=swap_xy)
         grid = tuple(slice(0, n) for n in labels.shape)
-        assert bounding_box(labels) == grid
+        assert bounding_box(labels != 0) == grid
         for boxes in ((grid, grid), (grid, None), (None, grid)):
             assert hepeval.metrics._joint_box(whole, *boxes) == (grid, whole)
         # A structure absent from both volumes is cut to one voxel at the
@@ -634,7 +582,7 @@ class TestJointForegroundCrop:
         offset = (2, 1, 3)
         big_labels = embed(labels, offset)
         big = Geometry(big_labels.shape[::-1], whole.spacing, whole.origin, swap_xy)
-        box, geometry = hepeval.metrics._joint_box(big, bounding_box(big_labels), None)
+        box, geometry = hepeval.metrics._joint_box(big, bounding_box(big_labels != 0), None)
         assert np.array_equal(big_labels[box], labels)
         assert geometry.dims == whole.dims
         assert (geometry.spacing, geometry.orientation) == (whole.spacing, swap_xy)

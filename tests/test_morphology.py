@@ -163,31 +163,6 @@ def scipy_skeleton(values, iterations):
     return skel
 
 
-def stage_key_types(values, iterations):
-    """The integer type of each stage's pooled keys on a tie-free grid: int32
-    ranks until the first stage k >= 1 whose input I_k (SciPy erosions) and
-    the exterior 0 hold few enough distinct values, counted by `np.unique`,
-    for a narrower unsigned type, and that type from then on. I_k is not
-    counted where `_fewest_keys` is above 2^16. Counting stops at the first
-    count c that, at the rate per stage from the count before (n + 1 for
-    I_0), would not fit 2^16 within half the stages left."""
-    types, current, narrow, present, counted = [], values, None, values.size + 1, 0
-    for k in range(iterations + 1):
-        if k and narrow is None and present and _fewest_keys(values.shape, k - 1) <= 1 << 16:
-            distinct = np.unique(np.append(current, 0.0))
-            fit = np.min_scalar_type(distinct.size - 1)
-            narrow = fit if fit.itemsize < 4 else None
-            rate = (distinct.size / present) ** (1 / (k - counted))
-            left = iterations + 1 - k
-            present = 0 if distinct.size * rate ** (left / 2) > 1 << 16 else distinct.size
-            counted = k
-        types.append(narrow or np.dtype(np.int32))
-        current = MIN3(current)
-        if not current.any():
-            break
-    return types
-
-
 def pooled_key_types(monkeypatch, values, iterations):
     """The dtype of every `pool_array` call of one `soft_skeleton_array` run."""
     seen = []
@@ -569,9 +544,7 @@ class TestSoftSkeleton:
         values = noisy_tube(mask, 96)
         assert np.unique(MIN3(values)).size + 1 > 1 << 16
         seen, run = pooled_key_types(monkeypatch, values, iterations=10)
-        types = stage_key_types(values, 10)
-        assert types[:3] == [np.int32, np.int32, np.uint16]
-        assert seen == [t for t in types for _ in ("min", "max")]
+        assert seen == [np.int32] * 4 + [np.uint16] * 18
         assert np.array_equal(run[0], scipy_skeleton(values, 10))
         assert_matches_sparse_replay(values, 10)
 
@@ -594,8 +567,8 @@ class TestSoftSkeleton:
         monkeypatch.setattr(morphology, "_narrowed", counted_keys)
         seen, run = pooled_key_types(monkeypatch, values, iterations=10)
         assert counts == [(side - 2 * k) ** 3 + 1 for k in range(1, counted + 1)]
-        assert seen == [t for t in stage_key_types(values, 10) for _ in ("min", "max")]
-        assert (seen[-1] == np.int32) == (counted == 1)
+        int32_stages = {48: 4, 64: 11}[side]
+        assert seen == [np.int32] * 2 * int32_stages + [np.uint16] * 2 * (11 - int32_stages)
         assert np.array_equal(run[0], scipy_skeleton(values, 10))
 
     @given(
@@ -1113,11 +1086,6 @@ class TestBoundingBox:
                 assert box == tuple(slice(o, o + n) for o, n in zip(offset, values.shape))
                 assert np.array_equal(grid[box], values)
 
-    def test_counts_any_nonzero_value(self):
-        grid = np.zeros((4, 4, 4), dtype=np.uint8)
-        grid[1, 3, 0] = grid[2, 0, 2] = 7
-        assert bounding_box(grid) == (slice(1, 3), slice(0, 4), slice(0, 3))
-
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int8, np.int32, np.float32, np.float64])
     def test_matches_nonzero_oracle_on_random_grids(self, dtype):
         rng = np.random.default_rng(11)
@@ -1131,7 +1099,11 @@ class TestBoundingBox:
                 for grid in (values.astype(dtype), lone.astype(dtype), values.astype(dtype)[::2, :, ::-1]):
                     hit = np.nonzero(grid)
                     want = tuple(slice(int(i.min()), int(i.max()) + 1) for i in hit) if hit[0].size else None
-                    assert bounding_box(grid) == want
+                    assert bounding_box(grid.astype(bool, copy=False)) == want
+                    # read as uint8, a wider grid would give a wrong box
+                    if dtype is not bool:
+                        with pytest.raises(ParameterError, match=np.dtype(dtype).name):
+                            bounding_box(grid)
 
 
 def nonzero_box(grid):

@@ -460,6 +460,14 @@ class TestHeaderChecks:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    @pytest.mark.parametrize("name", ["short.nii", "short.nii.gz"])
+    def test_file_shorter_than_a_header_is_named(self, tmp_path, name):
+        raw = bytes(_blank_header())[:200]
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(raw, mtime=0) if name.endswith(".gz") else raw)
+        with pytest.raises(OSError, match=rf"{name}: truncated header \(200 bytes\)"):
+            read_nifti(path)
+
     def test_bitpix_must_match_datatype(self, tmp_path):
         hdr = _blank_header()
         struct.pack_into("<h", hdr, 72, 16)  # uint8 data

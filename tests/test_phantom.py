@@ -119,6 +119,17 @@ class TestGenerate:
         analytic = truth.structure_volumes_mm3["gallbladder"]
         assert abs(raster - analytic) / analytic < 0.05
 
+    def test_gallbladder_mask_holds_no_tumor_voxel(self):
+        # an 8 mm tumor 10 mm from the gallbladder's centre takes 151 of
+        # the sphere's 1,390 voxels
+        spec = default_spec()
+        x, y, z = spec.gallbladder.center_mm
+        spec = dataclasses.replace(spec, tumors=spec.tumors + (Sphere((x + 10.0, y, z), 8.0),))
+        truth = generate_case(spec)
+        labels = truth.label_volume.labels
+        assert truth.gallbladder_mask.sum() == 1390 - 151
+        assert (labels[truth.gallbladder_mask] == 5).all()
+
     def test_tumor_outside_parenchyma_raises_with_index(self):
         spec = default_spec()
         bad = PhantomSpec(
@@ -297,6 +308,11 @@ class TestDegrade:
         after = int((out.labels == 3).sum())
         assert before - after == tagged
 
+    def test_blob_outside_the_grid_stamps_nothing(self, truth):
+        blob = ("tumor", Sphere(center_mm=(-40.0, 100.0, 100.0), radius_mm=20.0))
+        out = degrade(truth, DegradeSpec(spurious_blobs=(blob,)))
+        assert np.array_equal(out.labels, truth.label_volume.labels)
+
     def test_unknown_edge_id_raises(self, truth):
         with pytest.raises(ParameterError):
             degrade(truth, DegradeSpec(drop_edge_ids=(9999,)))
@@ -400,6 +416,9 @@ class TestAnalyticVolumes:
         assert raster == pytest.approx(analytic, rel=0.3)
 
 
+AXIS_TREE_1 = spec_to_json_dict(axis_tree_spec(1))
+
+
 class TestSpecSerialization:
     def test_json_roundtrip(self):
         spec = default_spec()
@@ -492,6 +511,33 @@ class TestSpecSerialization:
     def test_degrade_block_of_wrong_type_rejected(self, data, message):
         with pytest.raises(ParameterError, match=message):
             degrade_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, value, error, message",
+        [
+            (("spec", "trees", "portal_vein", "root_radius_mm"), 0.0, ParameterError, "root radius"),
+            (("spec", "trees", "portal_vein", "segment_length_mm"), -1.0, ParameterError, "segment length"),
+            (("spec", "trees", "portal_vein", "radius_decay"), 0.0, ParameterError, "decay ratios"),
+            (("spec", "trees", "portal_vein", "length_decay"), 1.5, ParameterError, "decay ratios"),
+            (("spec", "trees", "portal_vein", "root_direction"), [0.0] * 3, ParameterError, "direction and branch"),
+            (("spec", "trees", "portal_vein", "branch_normal"), [0.0, 0.0, 2.0], ParameterError, "normal is parallel"),
+            (("spec", "gallbladder"), {"center_mm": [64.0] * 3, "radius_mm": 0.0}, ParameterError, "sphere radius"),
+            (("spec", "parenchyma_semiaxes_mm"), [60.0, 0.0, 52.0], ParameterError, "parenchyma semiaxes"),
+            (("spec", "trees", "aorta"), AXIS_TREE_1["trees"]["portal_vein"], ParameterError, "tree structure 'aorta'"),
+            (("spec", "parenchyma_center_mm"), [500.0, 40.0, 52.0], GenerationError, "parenchyma lies outside"),
+            (("degrade", "erode_steps"), {"aorta": 1}, ParameterError, "unknown structure 'aorta'"),
+            (("degrade", "relabel_fraction"), 1.0, ParameterError, "relabel_fraction"),
+            (("degrade", "spurious_blobs"), [{"center_mm": [9.0] * 3, "radius_mm": 2.0}], ParameterError,
+             "spurious blob 0 is missing field 'structure'"),
+        ],
+    )
+    def test_bad_value_is_named(self, path, value, error, message):
+        # the degrade spec is read first, then the phantom spec is read and generated
+        raw = {"spec": spec_to_json_dict(axis_tree_spec(1)), "degrade": {}}
+        self._set(raw, path, value)
+        with pytest.raises(error, match=message):
+            degrade_from_json_dict(raw["degrade"])
+            generate_case(spec_from_json_dict(raw["spec"]))
 
     def test_manifest_contents(self):
         truth = generate_case(axis_tree_spec(1))

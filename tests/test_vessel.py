@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,16 +615,24 @@ GRAPH_SHAPES = {
 }
 
 
-def graph_record(graph):
-    """Every field of a graph; floats as hex, so equal means equal bits."""
-    return (
-        json.dumps(graph.to_json_dict()),
-        [(n.voxel, n.voxels.tolist()) for n in graph.nodes],
-        [
-            (e.id, e.nodes, e.path.tolist(), e.attach, e.length_mm.hex(), e.mean_radius_mm.hex(), e.generation)
-            for e in graph.edges + graph.removed_edges
-        ],
-    )
+def graph_content(graph, offset=(0, 0, 0)):
+    """Everything a graph holds, with voxels as (x, y, z) less `offset` (a
+    node's representative voxel is its first member) and floats as hex, so
+    equal means equal bits."""
+    shape = graph.geometry.shape
+    shift = np.asarray(offset)
+
+    def xyz(lins):
+        zyx = np.stack(np.unravel_index(np.asarray(lins, dtype=np.int64), shape), axis=1) - shift
+        return [tuple(v) for v in zyx[:, ::-1].tolist()]
+
+    nodes = [(n.id, n.kind, xyz(n.voxels)) for n in graph.nodes]
+    edges = [
+        (e.id, e.nodes, xyz(e.path), xyz(e.attach), e.length_mm.hex(), e.mean_radius_mm.hex(), e.generation,
+         e.strahler)
+        for e in graph.edges + graph.removed_edges
+    ]
+    return graph.root_edge_id, [e.id for e in graph.removed_edges], nodes, edges
 
 
 class TestGraphOracle:
@@ -636,12 +642,12 @@ class TestGraphOracle:
         for seed in range(200):
             mask = random_skeleton_mask(seed)
             for skel in (mask, skeletonize(mask)):
-                assert graph_record(build_graph(skel, mask)) == graph_record(reference_graph(skel, mask))
+                assert graph_content(build_graph(skel, mask)) == graph_content(reference_graph(skel, mask))
 
     def test_phantom_skeletons(self):
         for mask in phantom_vessel_masks().values():
             skel = skeletonize(mask)
-            assert graph_record(build_graph(skel, mask)) == graph_record(reference_graph(skel, mask))
+            assert graph_content(build_graph(skel, mask)) == graph_content(reference_graph(skel, mask))
 
     @pytest.mark.parametrize("name", sorted(GRAPH_SHAPES))
     def test_hand_built_shapes(self, name):
@@ -649,7 +655,7 @@ class TestGraphOracle:
         mask = voxel_mask(points)
         graph = build_graph(mask, mask)
         assert (len(graph.nodes), len(graph.edges), len(graph.removed_edges)) == counts
-        assert graph_record(graph) == graph_record(reference_graph(mask, mask))
+        assert graph_content(graph) == graph_content(reference_graph(mask, mask))
 
 
 class TestGraphExport:
@@ -669,24 +675,6 @@ def cropped_to_foreground(values):
     coords = np.argwhere(values)
     lo, hi = coords.min(axis=0), coords.max(axis=0) + 1
     return values[tuple(slice(a, b) for a, b in zip(lo, hi))]
-
-
-def graph_content(graph, offset):
-    """Everything a graph holds, with voxels as (x, y, z) less `offset`
-    (a node's representative voxel is its first member)."""
-    shape = graph.geometry.shape
-    shift = np.asarray(offset)
-
-    def xyz(lins):
-        zyx = np.stack(np.unravel_index(np.asarray(lins, dtype=np.int64), shape), axis=1) - shift
-        return [tuple(v) for v in zyx[:, ::-1].tolist()]
-
-    nodes = [(n.id, n.kind, xyz(n.voxels)) for n in graph.nodes]
-    edges = [
-        (e.id, e.nodes, xyz(e.path), xyz(e.attach), e.length_mm, e.mean_radius_mm, e.generation, e.strahler)
-        for e in graph.edges + graph.removed_edges
-    ]
-    return graph.root_edge_id, [e.id for e in graph.removed_edges], nodes, edges
 
 
 # A lone voxel, a Y-shaped tree cut to its foreground, and grids whose
@@ -716,7 +704,7 @@ class TestCropInvariance:
     def test_graph_agrees_after_shift(self):
         for small in CROP_CASES:
             mask = BinaryMask(grid_geometry(small.shape, (1.0, 1.5, 2.0)), small)
-            base = graph_content(build_graph(skeletonize(mask, 4), mask), (0, 0, 0))
+            base = graph_content(build_graph(skeletonize(mask, 4), mask))
             for offset in EMBED_OFFSETS:
                 values = embed(small, offset)
                 mask = BinaryMask(grid_geometry(values.shape, (1.0, 1.5, 2.0)), values)
